@@ -1,14 +1,15 @@
 """Seed-aware vs seed-agnostic emulation of a stochastic objective.
 
-The toy objective moves its minimum with the seed id.  A plain GP sees
-that seed-to-seed shift as noise; the product-kernel GP models it with a
-learned seed covariance and predicts each seed's curve separately.
+The toy objective moves its minimum with the seed id.  The GP without a
+seed space sees that seed-to-seed shift as noise; with a seed space, the
+same class models it with a learned seed covariance and predicts each
+seed's curve separately.
 """
 
 import numpy as np
 
 from trajcal.dataspace import latin_hypercube
-from trajcal.emulator import GaussianProcessEmulator, SeedKernelGP
+from trajcal.emulator import SeedKernelGP
 
 
 def objective(x, r):
@@ -29,7 +30,7 @@ def main():
     joint_te = np.column_stack([xs_te, seeds_te])
     y_te = objective(xs_te, seeds_te)
 
-    plain = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(0))
+    plain = SeedKernelGP(ndim=1, rng=np.random.default_rng(0))  # no seed space
     plain.fit(xs[:, None], y)
     pred_plain, _ = plain.predict_mean_var(xs_te[:, None])
 

@@ -20,13 +20,7 @@ from .dataspace import (
     sse,
     unrescale,
 )
-from .emulator import (
-    BaseEmulator,
-    GaussianProcessEmulator,
-    PosteriorSummary,
-    SeedKernelGP,
-    draw_mvn,
-)
+from .emulator import SeedKernelGP, draw_mvn
 from .errors import NotFittedError, NumericalError, ProgressError
 from .expansion import (
     ExpansionConfig,
@@ -43,7 +37,6 @@ from .grid import (
     GridConfig,
     LHSGrid,
     ProposalParams,
-    likelihood,
     likelihood_values,
     mh_densify,
     resample_indices,
@@ -53,11 +46,8 @@ from .kernels import (
     JointKernel,
     SeedKernelParams,
     cross_cov,
-    gram,
-    matern52,
     normalize_rows,
     safe_cholesky,
-    squared_exponential,
 )
 from .simulator import SirConfig, Trajectory, ground_truth, sir_run, to_table, toy_objective
 from .workflow import (
@@ -73,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveGrid",
-    "BaseEmulator",
     "Bounds",
     "CandidateGrid",
     "ContinuousKernelParams",
@@ -82,14 +71,12 @@ __all__ = [
     "ExpansionConfig",
     "ExpansionState",
     "FixedGrid",
-    "GaussianProcessEmulator",
     "GridConfig",
     "JointKernel",
     "LHSGrid",
     "NotFittedError",
     "NumericalError",
     "ObjectiveTransform",
-    "PosteriorSummary",
     "ProgressError",
     "ProposalParams",
     "RunTrace",
@@ -106,11 +93,8 @@ __all__ = [
     "expand",
     "fit_transform",
     "ground_truth",
-    "gram",
     "latin_hypercube",
-    "likelihood",
     "likelihood_values",
-    "matern52",
     "mh_densify",
     "normalize_rows",
     "rescale",
@@ -121,7 +105,6 @@ __all__ = [
     "safe_cholesky",
     "sample_from_expansion",
     "sir_run",
-    "squared_exponential",
     "sse",
     "thompson_select",
     "to_table",

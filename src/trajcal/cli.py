@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 invalid input, 3 numerical or progress failure
 (with the partial trace preserved in the bundle).  All numeric table
 columns are written with 17 significant digits so reruns diff bitwise.
 The environment variable ``TRAJCAL_OUTPUT_DIR``, when set, redirects all
-output into that directory.
+output into that directory.  ``calibrate`` only replaces an absent path,
+an empty directory, or an earlier bundle.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import tempfile
 import numpy as np
 
 from .dataspace import Bounds, Dataset, latin_hypercube, rescale, sse
-from .emulator import GaussianProcessEmulator, SeedKernelGP
+from .emulator import SeedKernelGP
 from .errors import NumericalError, ProgressError
 from .expansion import ExpansionConfig
 from .grid import AdaptiveGrid, FixedGrid, GridConfig, LHSGrid, ProposalParams
@@ -271,7 +272,7 @@ def _read_truth_file(path: str, expected_len: int) -> np.ndarray:
         with open(path) as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     except OSError as exc:
-        raise ConfigError(f"cannot read truth_file: {exc}") from exc
+        raise ConfigError(f"problem.truth_file: cannot read: {exc}") from exc
     if lines and lines[0].startswith("#"):
         lines = lines[1:]
     if not lines or lines[0] != "step,infected,cumulative":
@@ -281,7 +282,12 @@ def _read_truth_file(path: str, expected_len: int) -> np.ndarray:
         parts = ln.split(",")
         if len(parts) != 3:
             raise ConfigError("problem.truth_file: malformed row")
-        counts.append(int(parts[1]))
+        try:
+            counts.append(int(parts[1]))
+        except ValueError:
+            raise ConfigError(
+                f"problem.truth_file: infected count {parts[1]!r} is not an integer"
+            ) from None
     series = np.array(counts, dtype=float)
     if series.shape[0] != expected_len:
         raise ConfigError(
@@ -331,17 +337,12 @@ def _build_components(cfg: dict):
     d = cfg["problem"]["ndim"]
     k0 = cfg["expansion"]["nseeds"]
     em_cfg = cfg["emulator"]
-    if em_cfg["kind"] == "baseline":
-        emulator = GaussianProcessEmulator(
-            ndim=d, family=em_cfg["family"], nstarts=em_cfg["nstarts"],
-            maxfev=em_cfg["maxfev"],
-        )
-    else:
-        emulator = SeedKernelGP(
-            ndim=d, nseeds=k0, rank=em_cfg["rank"], family=em_cfg["family"],
-            nstarts=em_cfg["nstarts"], per_seed_v=em_cfg["per_seed_v"],
-            maxfev=em_cfg["maxfev"],
-        )
+    # the seed-agnostic baseline is the same GP without a seed space
+    emulator = SeedKernelGP(
+        ndim=d, nseeds=k0 if em_cfg["kind"] == "seed-product" else None,
+        rank=em_cfg["rank"], family=em_cfg["family"], nstarts=em_cfg["nstarts"],
+        per_seed_v=em_cfg["per_seed_v"], maxfev=em_cfg["maxfev"],
+    )
     gcfg = GridConfig(ndim=d, nseeds=k0, ngrid=cfg["grid"]["ngrid"])
     kind = cfg["grid"]["kind"]
     if kind == "fixed":
@@ -382,6 +383,30 @@ def _resolve_outdir(directory: str) -> str:
     if env:
         return env
     return directory
+
+
+def _check_outdir(outdir: str) -> None:
+    """Refuse an output path that a finished run could not safely replace.
+
+    Accepted: an absent path, an empty directory, or an earlier bundle
+    (recognised by the format line of its summary.json).
+    """
+    if not os.path.lexists(outdir):
+        return
+    if os.path.isdir(outdir) and not os.path.islink(outdir):
+        if not os.listdir(outdir):
+            return
+        try:
+            with open(os.path.join(outdir, "summary.json")) as fh:
+                summary = json.load(fh)
+        except (OSError, ValueError):
+            summary = None
+        if isinstance(summary, dict) and summary.get("format") == SUMMARY_FORMAT:
+            return
+    raise ConfigError(
+        f"output directory {outdir}: exists and is neither empty nor a trajcal "
+        "bundle; refusing to replace it"
+    )
 
 
 def _design_rows(dataset: Dataset, bounds: Bounds, rmse_denominator):
@@ -544,14 +569,15 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     try:
         cfg = load_config(args.config)
+        outdir = _resolve_outdir(cfg["output"]["directory"])
+        _check_outdir(outdir)
+        objective, rmse_denominator = _build_objective(cfg["problem"])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    objective, rmse_denominator = _build_objective(cfg["problem"])
     emulator, strategy, wf_config = _build_components(cfg)
     bounds = Bounds(lower=np.array(cfg["problem"]["lower"]),
                     upper=np.array(cfg["problem"]["upper"]))
-    outdir = _resolve_outdir(cfg["output"]["directory"])
 
     d = cfg["problem"]["ndim"]
     n0 = cfg["workflow"]["initial_design"]
@@ -566,6 +592,8 @@ def cmd_calibrate(args) -> int:
         point = DesignPoint(x=X0[i], r=int(seeds0[i]))
         try:
             y = float(objective(point))
+            if not math.isfinite(y):
+                raise ValueError(f"non-finite objective: {y}")
         except Exception as exc:
             print(f"warning: initial evaluation failed: {exc}", file=sys.stderr)
             continue

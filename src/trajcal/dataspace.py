@@ -64,10 +64,6 @@ class DesignPoint:
     def ndim(self) -> int:
         return self.x.shape[0]
 
-    def joint(self) -> np.ndarray:
-        """Coordinates with the seed id appended as the last column."""
-        return np.append(self.x, float(self.r))
-
 
 @dataclass(frozen=True)
 class Bounds:
@@ -229,7 +225,8 @@ class Dataset:
     seeds : ndarray, shape (n,)
         Integer seed ids, ``>= 1``.
     y_raw : ndarray, shape (n,)
-        Raw scalar discrepancies (e.g. sum of squared errors).
+        Raw scalar discrepancies (e.g. sum of squared errors); must be
+        finite.
     iteration : ndarray of int, optional
         Acquisition iteration per point; defaults to 0 (initial design).
     """
@@ -244,6 +241,8 @@ class Dataset:
             raise ValueError("coordinates must lie in [0, 1]")
         if np.any(seeds < 1):
             raise ValueError("seed ids must be >= 1")
+        if not np.all(np.isfinite(y_raw)):
+            raise ValueError("y_raw must be finite")
         if iteration is None:
             iteration = np.zeros(X.shape[0], dtype=np.int64)
         else:
@@ -290,9 +289,6 @@ class Dataset:
         """Design matrix with the seed id appended as the last column."""
         return np.column_stack([self._X, self._seeds.astype(float)])
 
-    def points(self) -> list[DesignPoint]:
-        return [DesignPoint(x, int(r)) for x, r in zip(self._X, self._seeds)]
-
     def append(self, X, seeds, y_raw, iteration: int) -> None:
         """Append a batch of evaluated points acquired at ``iteration``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -308,6 +304,8 @@ class Dataset:
             raise ValueError("coordinates must lie in [0, 1]")
         if np.any(seeds < 1):
             raise ValueError("seed ids must be >= 1")
+        if not np.all(np.isfinite(y_raw)):
+            raise ValueError("y_raw must be finite")
         self._X = np.vstack([self._X, X])
         self._seeds = np.concatenate([self._seeds, seeds])
         self._y_raw = np.concatenate([self._y_raw, y_raw])

@@ -1,25 +1,24 @@
-"""Gaussian-process emulators over the joint (continuous, seed) space.
+"""Gaussian-process emulator over the joint (continuous, seed) space.
 
-Two emulators share one contract (:class:`BaseEmulator`): a standard GP
-that ignores the seed column, and a seed-aware GP whose covariance is the
-product of a stationary continuous kernel and a low-rank seed index kernel.
-Hyperparameters are chosen by maximizing the log marginal likelihood with
-multi-start bounded Nelder-Mead on log-transformed parameters.
+One GP class, :class:`SeedKernelGP`.  Its covariance is a stationary
+kernel on the continuous coordinates times a low-rank seed index kernel
+``B B^T + diag(v)`` (the intrinsic coregionalization model).  Built without
+a seed space (``nseeds=None``) the seed factor is fixed to 1: the GP ignores
+the seed column and serves as the seed-agnostic baseline.  Hyperparameters
+are chosen by maximizing the log marginal likelihood with multi-start
+bounded Nelder-Mead on log-transformed parameters.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 
 from . import kernels
-from .errors import NotFittedError, NumericalError
+from .errors import NotFittedError
 from .kernels import (
     LENGTHSCALE_BOUNDS,
     SEED_V_BOUNDS,
@@ -27,32 +26,15 @@ from .kernels import (
     ContinuousKernelParams,
     JointKernel,
     SeedKernelParams,
-    continuous_cov,
     normalize_rows,
     safe_cholesky,
 )
 
-__all__ = [
-    "PosteriorSummary",
-    "BaseEmulator",
-    "GaussianProcessEmulator",
-    "SeedKernelGP",
-    "draw_mvn",
-]
+__all__ = ["SeedKernelGP", "draw_mvn"]
 
 NUGGET_BOUNDS = (1e-8, 1.0)
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-SERIAL_FORMAT = "trajcal-emulator-v1"
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Predictive mean (and, when requested, covariance) over a candidate set."""
-
-    mean: np.ndarray
-    cov: np.ndarray | None = None
 
 
 def draw_mvn(mean: np.ndarray, cov: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -69,24 +51,12 @@ def draw_mvn(mean: np.ndarray, cov: np.ndarray, size: int, rng: np.random.Genera
     return mean[None, :] + z @ L.T
 
 
-def _train_digest(X: np.ndarray, Y: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(repr(X.shape).encode())
-    h.update(np.ascontiguousarray(X).tobytes())
-    h.update(np.ascontiguousarray(Y).tobytes())
-    return h.hexdigest()
-
-
-def _chol_lml(K: np.ndarray, Y: np.ndarray):
-    """Cholesky-based log marginal likelihood; None if K is not factorizable."""
-    try:
-        L = np.linalg.cholesky(K)
-    except np.linalg.LinAlgError:
-        return None
+def _chol_lml(L: np.ndarray, Y: np.ndarray):
+    """Log marginal likelihood and ``K^-1 Y`` from a lower Cholesky factor of K."""
     alpha = cho_solve((L, True), Y, check_finite=False)
     n = Y.shape[0]
     lml = -0.5 * float(Y @ alpha) - float(np.log(np.diag(L)).sum()) - 0.5 * n * _LOG_2PI
-    return lml, L, alpha
+    return lml, alpha
 
 
 def _lhs_starts(lo: np.ndarray, hi: np.ndarray, nstarts: int, rng: np.random.Generator):
@@ -100,75 +70,108 @@ def _lhs_starts(lo: np.ndarray, hi: np.ndarray, nstarts: int, rng: np.random.Gen
     return [out[i] for i in range(nstarts)]
 
 
-class BaseEmulator:
-    """Contract every emulator implements: ``fit``, ``predict``, ``sample``.
+class SeedKernelGP:
+    """GP whose covariance is a continuous kernel times an optional seed kernel.
 
-    Subclasses must implement the three methods; ``predict`` and ``sample``
-    may only be called after a successful ``fit``.
+    With a seed space, the design matrix must carry the (1-based, integer)
+    seed id in its last column.  The seed kernel is ``B B^T + diag(v)`` with
+    unit-norm rows of ``B``; by default ``B`` has rank ``min(2, nseeds)``
+    and ``v`` is tied across seeds during fitting (the model itself stores
+    a per-seed vector).  Without a seed space the GP accepts ``ndim`` or
+    ``ndim + 1`` columns and drops the seed column unchecked.
+
+    Parameters
+    ----------
+    ndim : int
+        Number of continuous coordinates (seed column excluded).
+    nseeds : int or None
+        Current seed-space size ``k``; grow it with ``expand_seed_space``.
+        ``None`` fixes the seed factor to 1; ``rank`` and ``per_seed_v``
+        then have no effect and ``expand_seed_space`` does nothing.
+    rank : int, optional
+        Rank of ``B``; defaults to ``min(2, nseeds)``.
+    family : {"matern52", "rbf"}
+        Stationary kernel family.
+    nstarts : int
+        Number of Latin-hypercube optimizer starts.
+    nugget_bounds : (float, float)
+        Box for the estimated noise nugget; equal endpoints pin it.
+    per_seed_v : bool
+        Fit one diagonal-inflation entry per seed instead of a shared one.
+    fixed : dict, optional
+        ``{"lengthscales", "variance", "nugget"}`` plus ``"B"`` and ``"v"``
+        with a seed space; when given, ``fit`` skips optimization and uses
+        these values.
     """
 
-    def __init__(self, rng: np.random.Generator | None = None):
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def __str__(self):
-        return type(self).__name__
-
-    def fit(self, X: np.ndarray, Y: np.ndarray):
-        raise NotImplementedError
-
-    def predict(self, X: np.ndarray, with_cov: bool = False) -> PosteriorSummary:
-        raise NotImplementedError
-
-    def sample(self, X: np.ndarray, size: int = 1, rng: np.random.Generator | None = None) -> np.ndarray:
-        raise NotImplementedError
-
-    def predict_mean_var(self, X: np.ndarray):
-        """Predictive mean and pointwise variance; override for speed."""
-        summary = self.predict(X, with_cov=True)
-        return summary.mean, np.diag(summary.cov).copy()
-
-    def expand_seed_space(self, new_nseeds: int) -> None:
-        """Grow the discrete seed space; a no-op for seed-agnostic emulators."""
-
-
-class _GPBase(BaseEmulator):
-    """Shared GP state and the predict/sample implementation.
-
-    Subclasses define the parameter packing and the covariance builder;
-    everything here works off the stored training data and Cholesky factor.
-    """
-
-    def __init__(self, rng=None, nstarts: int = 5, nugget_bounds=NUGGET_BOUNDS,
-                 predict_noise: bool = False, maxfev: int | None = None):
-        super().__init__(rng=rng)
+    def __init__(self, ndim: int, nseeds: int | None = None, rank: int | None = None,
+                 family: str = "matern52", rng=None, nstarts: int = 5,
+                 nugget_bounds=NUGGET_BOUNDS, per_seed_v: bool = False,
+                 maxfev: int | None = None, fixed: dict | None = None):
         if nugget_bounds[0] < NUGGET_BOUNDS[0]:
             raise ValueError(f"nugget floor is {NUGGET_BOUNDS[0]}")
+        if ndim < 1 or (nseeds is not None and nseeds < 1):
+            raise ValueError("ndim and nseeds must be >= 1")
+        if family not in kernels.CONTINUOUS_FAMILIES:
+            raise ValueError(f"unknown kernel family {family!r}")
+        self.rng = rng if rng is not None else np.random.default_rng()
         self.nstarts = int(nstarts)
         self.nugget_bounds = (float(nugget_bounds[0]), float(nugget_bounds[1]))
-        self.predict_noise = bool(predict_noise)
         self.maxfev = maxfev
+        self.ndim = int(ndim)
+        self.nseeds = None if nseeds is None else int(nseeds)
+        self.rank = None
+        if self.seeded:
+            self.rank = int(rank) if rank is not None else min(2, self.nseeds)
+            if not (1 <= self.rank <= self.nseeds):
+                raise ValueError("rank must lie in 1..nseeds")
+        self.family = family
+        self.per_seed_v = bool(per_seed_v)
+        self.kernel: JointKernel | None = None
+        self._fixed_kernel = None
         self._fitted = False
         self._warm = None
         self.fit_report = None
         self.lml = None
         self.nugget = None
+        if fixed is not None:
+            seed = None
+            if self.seeded:
+                seed = SeedKernelParams(
+                    B=np.atleast_2d(np.asarray(fixed["B"], dtype=float)),
+                    v=np.atleast_1d(np.asarray(fixed["v"], dtype=float)),
+                )
+                if seed.B.shape[0] != self.nseeds:
+                    raise ValueError("fixed B must have one row per seed")
+                self.rank = seed.B.shape[1]
+            cont = ContinuousKernelParams(
+                lengthscales=np.atleast_1d(np.asarray(fixed["lengthscales"], dtype=float)),
+                variance=float(fixed["variance"]),
+            )
+            self._fixed_kernel = JointKernel(continuous=cont, seed=seed, family=self.family)
+            g = float(fixed.get("nugget", self.nugget_bounds[0]))
+            self.nugget_bounds = (g, g)
 
-    # -- subclass hooks -----------------------------------------------------
+    def __str__(self):
+        if not self.seeded:
+            return f"SeedKernelGP({self.family})"
+        return f"SeedKernelGP({self.family}, k={self.nseeds}, q={self.rank})"
 
-    def _split_inputs(self, X):
-        """Validate raw inputs and return whatever _kernel_matrix consumes."""
-        raise NotImplementedError
+    @property
+    def seeded(self) -> bool:
+        """Whether the covariance carries a seed factor."""
+        return self.nseeds is not None
 
-    def _kernel_matrix(self, A, B, packed):
-        raise NotImplementedError
+    # packed layout: [log ls (d), log var, theta-or-B, log v (1 or k), log nugget?];
+    # without a seed space the theta-or-B and log v blocks are absent.
+    # rank 2 parametrizes each row of B by an angle; other ranks use raw entries.
 
-    def _pack_bounds(self):
-        raise NotImplementedError
+    @property
+    def _uses_angles(self):
+        return self.rank == 2
 
-    def _store_params(self, packed):
-        raise NotImplementedError
-
-    # -- fitting ------------------------------------------------------------
+    def _n_bpars(self):
+        return self.nseeds if self._uses_angles else self.nseeds * self.rank
 
     def _nugget_is_fixed(self):
         return self.nugget_bounds[0] == self.nugget_bounds[1]
@@ -178,17 +181,99 @@ class _GPBase(BaseEmulator):
             return self.nugget_bounds[0]
         return float(np.exp(packed[-1]))
 
+    def _pack_bounds(self):
+        if self._fixed_kernel is not None:
+            return np.empty(0), np.empty(0)
+        d = self.ndim
+        lo = [math.log(LENGTHSCALE_BOUNDS[0])] * d + [math.log(VARIANCE_BOUNDS[0])]
+        hi = [math.log(LENGTHSCALE_BOUNDS[1])] * d + [math.log(VARIANCE_BOUNDS[1])]
+        if self.seeded:
+            k = self.nseeds
+            if self._uses_angles:
+                lo += [0.0] * k
+                hi += [math.pi] * k
+            else:
+                lo += [-1.0] * (k * self.rank)
+                hi += [1.0] * (k * self.rank)
+            nv = k if self.per_seed_v else 1
+            v_lo = max(SEED_V_BOUNDS[0], 1e-6)
+            lo += [math.log(v_lo)] * nv
+            hi += [math.log(SEED_V_BOUNDS[1])] * nv
+        if not self._nugget_is_fixed():
+            lo.append(math.log(self.nugget_bounds[0]))
+            hi.append(math.log(self.nugget_bounds[1]))
+        return np.array(lo), np.array(hi)
+
+    def _unpack(self, packed):
+        if self._fixed_kernel is not None:
+            return self._fixed_kernel
+        d = self.ndim
+        cont = ContinuousKernelParams(lengthscales=np.exp(packed[:d]),
+                                      variance=float(np.exp(packed[d])))
+        if not self.seeded:
+            return JointKernel(continuous=cont, seed=None, family=self.family)
+        k = self.nseeds
+        pos = d + 1
+        nb = self._n_bpars()
+        bpars = packed[pos : pos + nb]
+        if self._uses_angles:
+            B = np.column_stack([np.cos(bpars), np.sin(bpars)])
+        else:
+            B = bpars.reshape(k, self.rank)
+        pos += nb
+        nv = k if self.per_seed_v else 1
+        v = np.exp(packed[pos : pos + nv])
+        if nv == 1:
+            v = np.full(k, float(v[0]))
+        seed = SeedKernelParams(B=B, v=v)
+        return JointKernel(continuous=cont, seed=seed, family=self.family)
+
+    def _split_inputs(self, X):
+        """Validate raw inputs; returns (coordinates, seed ids or None)."""
+        if not self.seeded:
+            if X.shape[1] not in (self.ndim, self.ndim + 1):
+                raise ValueError(
+                    f"expected {self.ndim} or {self.ndim + 1} columns, got {X.shape[1]}"
+                )
+            return X[:, : self.ndim], None
+        if X.shape[1] != self.ndim + 1:
+            raise ValueError(
+                f"expected {self.ndim + 1} columns (coordinates plus seed id), got {X.shape[1]}"
+            )
+        seeds = X[:, -1]
+        rounded = np.rint(seeds)
+        if not np.allclose(seeds, rounded, atol=1e-9):
+            raise ValueError("seed column must contain integers")
+        r = rounded.astype(np.int64)
+        if np.any(r < 1) or np.any(r > self.nseeds):
+            raise ValueError(f"seed ids must lie in 1..{self.nseeds}")
+        return X[:, : self.ndim], r
+
+    def _kernel_matrix(self, A, B, kern):
+        (Xa, ra), (Xb, rb) = A, B
+        return kernels.cross_cov(Xa, ra, Xb, rb, kern)
+
+    def _kernel_diag(self, split):
+        X, r = split
+        variance = self.kernel.continuous.variance
+        if r is None:
+            return np.full(X.shape[0], variance)
+        return variance * np.diag(self.kernel.seed.matrix)[r - 1]
+
+    # -- fitting ------------------------------------------------------------
+
     def _neg_lml(self, packed):
         """Negative log marginal likelihood of the packed parameters."""
         try:
-            K = self._kernel_matrix(self._train, self._train, packed)
+            K = self._kernel_matrix(self._train, self._train, self._unpack(packed))
         except ValueError:
             return np.inf
         g = self._nugget_from_packed(packed)
-        out = _chol_lml(K + g * np.eye(K.shape[0]), self._Y)
-        if out is None:
+        try:
+            L = np.linalg.cholesky(K + g * np.eye(K.shape[0]))
+        except np.linalg.LinAlgError:
             return np.inf
-        return -out[0]
+        return -_chol_lml(L, self._Y)[0]
 
     def fit(self, X, Y, warm_start: bool = True):
         """Fit hyperparameters to training data by multi-start optimization.
@@ -196,8 +281,8 @@ class _GPBase(BaseEmulator):
         Parameters
         ----------
         X : ndarray
-            Design matrix; the exact shape contract is set by the subclass
-            (joint matrices carry the seed id in the last column).
+            Design matrix, seed id in the last column (optional without a
+            seed space).
         Y : ndarray, shape (n,)
             Standardized objective values.
         warm_start : bool
@@ -210,7 +295,6 @@ class _GPBase(BaseEmulator):
         if X.shape[0] < 2:
             raise ValueError("need at least 2 training points")
         self._train = self._split_inputs(X)
-        self._X_raw = X.copy()
         self._Y = Y.copy()
 
         lo, hi = self._pack_bounds()
@@ -246,73 +330,54 @@ class _GPBase(BaseEmulator):
 
     def _finalize(self, packed):
         """Build and store the training factorization at the given parameters."""
-        K = self._kernel_matrix(self._train, self._train, packed)
+        self.kernel = self._unpack(packed)
+        K = self._kernel_matrix(self._train, self._train, self.kernel)
         g = self._nugget_from_packed(packed)
-        n = K.shape[0]
+        K = K + g * np.eye(K.shape[0])
         try:
-            L = np.linalg.cholesky(K + g * np.eye(n))
+            L = np.linalg.cholesky(K)
             jitter = 0.0
         except np.linalg.LinAlgError:
-            L, jitter = safe_cholesky(K + g * np.eye(n))
+            L, jitter = safe_cholesky(K)
         self._L = L
-        self._alpha = cho_solve((L, True), self._Y, check_finite=False)
+        self.lml, self._alpha = _chol_lml(L, self._Y)
         self.nugget = g
         self._jitter = jitter
-        self.lml = (
-            -0.5 * float(self._Y @ self._alpha)
-            - float(np.log(np.diag(L)).sum())
-            - 0.5 * n * _LOG_2PI
-        )
         self._packed = packed.copy()
-        self._store_params(packed)
         self._fitted = True
 
     # -- prediction ---------------------------------------------------------
+    # The predictive distribution is over the latent objective: the
+    # observation nugget is excluded.
 
     def _check_fitted(self):
         if not self._fitted:
             raise NotFittedError(f"{type(self).__name__} must be fitted before prediction")
 
-    def predict(self, X, with_cov: bool = False) -> PosteriorSummary:
-        """Posterior mean (and covariance when ``with_cov``) at new inputs.
-
-        The predictive distribution is over the latent objective: the
-        observation nugget is excluded unless the emulator was constructed
-        with ``predict_noise=True``.
-        """
+    def _posterior(self, X):
+        """Joint posterior mean and covariance at new inputs."""
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] == 0:
             raise ValueError("need at least one prediction point")
         new = self._split_inputs(X)
-        Ks = self._kernel_matrix(self._train, new, self._packed)
+        Ks = self._kernel_matrix(self._train, new, self.kernel)
         mean = Ks.T @ self._alpha
-        if not with_cov:
-            return PosteriorSummary(mean=mean)
-        Kss = self._kernel_matrix(new, new, self._packed)
+        Kss = self._kernel_matrix(new, new, self.kernel)
         V = solve_triangular(self._L, Ks, lower=True, check_finite=False)
         cov = Kss - V.T @ V
-        cov = 0.5 * (cov + cov.T)
-        if self.predict_noise:
-            cov = cov + self.nugget * np.eye(cov.shape[0])
-        return PosteriorSummary(mean=mean, cov=cov)
+        return mean, 0.5 * (cov + cov.T)
 
     def predict_mean_var(self, X):
         """Posterior mean and pointwise variance without the full covariance."""
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=float))
         new = self._split_inputs(X)
-        Ks = self._kernel_matrix(self._train, new, self._packed)
+        Ks = self._kernel_matrix(self._train, new, self.kernel)
         mean = Ks.T @ self._alpha
         V = solve_triangular(self._L, Ks, lower=True, check_finite=False)
-        diag = self._kernel_diag(new)
-        var = diag - np.einsum("ij,ij->j", V, V)
-        if self.predict_noise:
-            var = var + self.nugget
+        var = self._kernel_diag(new) - np.einsum("ij,ij->j", V, V)
         return mean, var
-
-    def _kernel_diag(self, split):
-        raise NotImplementedError
 
     def sample(self, X, size: int = 1, rng=None) -> np.ndarray:
         """Joint posterior draws at new inputs; deterministic given ``rng``."""
@@ -320,285 +385,18 @@ class _GPBase(BaseEmulator):
         if size < 1:
             raise ValueError("size must be >= 1")
         gen = rng if rng is not None else self.rng
-        summary = self.predict(X, with_cov=True)
-        return draw_mvn(summary.mean, summary.cov, size, gen)
-
-    # -- serialization ------------------------------------------------------
-
-    def _serial_payload(self) -> dict:
-        raise NotImplementedError
-
-    def to_text(self) -> str:
-        """Serialize hyperparameters plus a training-data digest to JSON text."""
-        self._check_fitted()
-        payload = {
-            "format": SERIAL_FORMAT,
-            "kind": self._KIND,
-            "lml": self.lml,
-            "nugget": self.nugget,
-            "n_train": int(self._Y.shape[0]),
-            "train_digest": _train_digest(self._X_raw, self._Y),
-        }
-        payload.update(self._serial_payload())
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-class GaussianProcessEmulator(_GPBase):
-    """Standard GP over the continuous coordinates; ignores the seed column.
-
-    Accepts design matrices of ``ndim`` columns, or ``ndim + 1`` columns
-    with the seed id last (which is dropped), so it plugs into the same
-    workflow as the seed-aware emulator.
-
-    Parameters
-    ----------
-    ndim : int
-        Number of continuous coordinates.
-    family : {"matern52", "rbf"}
-        Stationary kernel family.
-    nstarts : int
-        Number of Latin-hypercube optimizer starts.
-    nugget_bounds : (float, float)
-        Box for the estimated noise nugget; equal endpoints pin it.
-    fixed : dict, optional
-        ``{"lengthscales": ..., "variance": ..., "nugget": ...}``; when
-        given, ``fit`` skips optimization and uses these values.
-    """
-
-    _KIND = "standard-gp"
-
-    def __init__(self, ndim: int, family: str = "matern52", rng=None, nstarts: int = 5,
-                 nugget_bounds=NUGGET_BOUNDS, predict_noise: bool = False,
-                 maxfev: int | None = None, fixed: dict | None = None):
-        super().__init__(rng=rng, nstarts=nstarts, nugget_bounds=nugget_bounds,
-                         predict_noise=predict_noise, maxfev=maxfev)
-        if ndim < 1:
-            raise ValueError("ndim must be >= 1")
-        if family not in kernels.CONTINUOUS_FAMILIES:
-            raise ValueError(f"unknown kernel family {family!r}")
-        self.ndim = int(ndim)
-        self.family = family
-        self.params: ContinuousKernelParams | None = None
-        self._fixed_params = None
-        if fixed is not None:
-            self._fixed_params = ContinuousKernelParams(
-                lengthscales=np.atleast_1d(np.asarray(fixed["lengthscales"], dtype=float)),
-                variance=float(fixed["variance"]),
-            )
-            g = float(fixed.get("nugget", self.nugget_bounds[0]))
-            self.nugget_bounds = (g, g)
-
-    def __str__(self):
-        return f"GaussianProcessEmulator({self.family})"
-
-    def _split_inputs(self, X):
-        if X.shape[1] == self.ndim:
-            return X
-        if X.shape[1] == self.ndim + 1:
-            return X[:, : self.ndim]
-        raise ValueError(f"expected {self.ndim} or {self.ndim + 1} columns, got {X.shape[1]}")
-
-    def _pack_bounds(self):
-        if self._fixed_params is not None:
-            return np.empty(0), np.empty(0)
-        lo = [math.log(LENGTHSCALE_BOUNDS[0])] * self.ndim + [math.log(VARIANCE_BOUNDS[0])]
-        hi = [math.log(LENGTHSCALE_BOUNDS[1])] * self.ndim + [math.log(VARIANCE_BOUNDS[1])]
-        if not self._nugget_is_fixed():
-            lo.append(math.log(self.nugget_bounds[0]))
-            hi.append(math.log(self.nugget_bounds[1]))
-        return np.array(lo), np.array(hi)
-
-    def _params_from_packed(self, packed):
-        if self._fixed_params is not None:
-            return self._fixed_params
-        ls = np.exp(packed[: self.ndim])
-        variance = float(np.exp(packed[self.ndim]))
-        return ContinuousKernelParams(lengthscales=ls, variance=variance)
-
-    def _kernel_matrix(self, A, B, packed):
-        return continuous_cov(A, B, self._params_from_packed(packed), self.family)
-
-    def _kernel_diag(self, split):
-        return np.full(split.shape[0], self.params.variance)
-
-    def _store_params(self, packed):
-        self.params = self._params_from_packed(packed)
-
-    def _serial_payload(self):
-        return {
-            "ndim": self.ndim,
-            "family": self.family,
-            "lengthscales": self.params.lengthscales.tolist(),
-            "variance": self.params.variance,
-        }
-
-    @classmethod
-    def from_text(cls, text: str, X, Y) -> "GaussianProcessEmulator":
-        """Rebuild a fitted emulator from serialized state plus the training data."""
-        payload = json.loads(text)
-        _check_serial(payload, cls._KIND, X, Y)
-        model = cls(
-            ndim=payload["ndim"],
-            family=payload["family"],
-            fixed={
-                "lengthscales": payload["lengthscales"],
-                "variance": payload["variance"],
-                "nugget": payload["nugget"],
-            },
-        )
-        model.fit(X, Y)
-        return model
-
-
-class SeedKernelGP(_GPBase):
-    """GP whose covariance is a continuous kernel times a seed index kernel.
-
-    The design matrix must carry the (1-based, integer) seed id in its last
-    column.  The seed kernel is ``B B^T + diag(v)`` with unit-norm rows of
-    ``B``; by default ``B`` has rank ``min(2, nseeds)`` and ``v`` is tied
-    across seeds during fitting (the model itself stores a per-seed vector).
-
-    Parameters
-    ----------
-    ndim : int
-        Number of continuous coordinates (seed column excluded).
-    nseeds : int
-        Current seed-space size ``k``; grow it with ``expand_seed_space``.
-    rank : int, optional
-        Rank of ``B``; defaults to ``min(2, nseeds)``.
-    per_seed_v : bool
-        Fit one diagonal-inflation entry per seed instead of a shared one.
-    """
-
-    _KIND = "seed-product-gp"
-
-    def __init__(self, ndim: int, nseeds: int, rank: int | None = None,
-                 family: str = "matern52", rng=None, nstarts: int = 5,
-                 nugget_bounds=NUGGET_BOUNDS, predict_noise: bool = False,
-                 per_seed_v: bool = False, maxfev: int | None = None,
-                 fixed: dict | None = None):
-        super().__init__(rng=rng, nstarts=nstarts, nugget_bounds=nugget_bounds,
-                         predict_noise=predict_noise, maxfev=maxfev)
-        if ndim < 1 or nseeds < 1:
-            raise ValueError("ndim and nseeds must be >= 1")
-        if family not in kernels.CONTINUOUS_FAMILIES:
-            raise ValueError(f"unknown kernel family {family!r}")
-        self.ndim = int(ndim)
-        self.nseeds = int(nseeds)
-        self.rank = int(rank) if rank is not None else min(2, self.nseeds)
-        if not (1 <= self.rank <= self.nseeds):
-            raise ValueError("rank must lie in 1..nseeds")
-        self.family = family
-        self.per_seed_v = bool(per_seed_v)
-        self.kernel: JointKernel | None = None
-        self._fixed_kernel = None
-        if fixed is not None:
-            seed = SeedKernelParams(
-                B=np.atleast_2d(np.asarray(fixed["B"], dtype=float)),
-                v=np.atleast_1d(np.asarray(fixed["v"], dtype=float)),
-            )
-            if seed.B.shape[0] != self.nseeds:
-                raise ValueError("fixed B must have one row per seed")
-            cont = ContinuousKernelParams(
-                lengthscales=np.atleast_1d(np.asarray(fixed["lengthscales"], dtype=float)),
-                variance=float(fixed["variance"]),
-            )
-            self._fixed_kernel = JointKernel(continuous=cont, seed=seed, family=self.family)
-            self.rank = seed.B.shape[1]
-            g = float(fixed.get("nugget", self.nugget_bounds[0]))
-            self.nugget_bounds = (g, g)
-
-    def __str__(self):
-        return f"SeedKernelGP({self.family}, k={self.nseeds}, q={self.rank})"
-
-    # packed layout: [log ls (d), log var, theta-or-B, log v (1 or k), log nugget?]
-    # rank 2 parametrizes each row of B by an angle; other ranks use raw entries.
-
-    @property
-    def _uses_angles(self):
-        return self.rank == 2
-
-    def _n_bpars(self):
-        return self.nseeds if self._uses_angles else self.nseeds * self.rank
-
-    def _pack_bounds(self):
-        if self._fixed_kernel is not None:
-            return np.empty(0), np.empty(0)
-        d, k = self.ndim, self.nseeds
-        lo = [math.log(LENGTHSCALE_BOUNDS[0])] * d + [math.log(VARIANCE_BOUNDS[0])]
-        hi = [math.log(LENGTHSCALE_BOUNDS[1])] * d + [math.log(VARIANCE_BOUNDS[1])]
-        if self._uses_angles:
-            lo += [0.0] * k
-            hi += [math.pi] * k
-        else:
-            lo += [-1.0] * (k * self.rank)
-            hi += [1.0] * (k * self.rank)
-        nv = k if self.per_seed_v else 1
-        v_lo = max(SEED_V_BOUNDS[0], 1e-6)
-        lo += [math.log(v_lo)] * nv
-        hi += [math.log(SEED_V_BOUNDS[1])] * nv
-        if not self._nugget_is_fixed():
-            lo.append(math.log(self.nugget_bounds[0]))
-            hi.append(math.log(self.nugget_bounds[1]))
-        return np.array(lo), np.array(hi)
-
-    def _unpack(self, packed):
-        if self._fixed_kernel is not None:
-            return self._fixed_kernel
-        d, k = self.ndim, self.nseeds
-        ls = np.exp(packed[:d])
-        variance = float(np.exp(packed[d]))
-        pos = d + 1
-        nb = self._n_bpars()
-        bpars = packed[pos : pos + nb]
-        if self._uses_angles:
-            B = np.column_stack([np.cos(bpars), np.sin(bpars)])
-        else:
-            B = bpars.reshape(k, self.rank)
-        pos += nb
-        nv = k if self.per_seed_v else 1
-        v = np.exp(packed[pos : pos + nv])
-        if nv == 1:
-            v = np.full(k, float(v[0]))
-        cont = ContinuousKernelParams(lengthscales=ls, variance=variance)
-        seed = SeedKernelParams(B=B, v=v)
-        return JointKernel(continuous=cont, seed=seed, family=self.family)
-
-    def _split_inputs(self, X):
-        if X.shape[1] != self.ndim + 1:
-            raise ValueError(
-                f"expected {self.ndim + 1} columns (coordinates plus seed id), got {X.shape[1]}"
-            )
-        seeds = X[:, -1]
-        rounded = np.rint(seeds)
-        if not np.allclose(seeds, rounded, atol=1e-9):
-            raise ValueError("seed column must contain integers")
-        r = rounded.astype(np.int64)
-        if np.any(r < 1) or np.any(r > self.nseeds):
-            raise ValueError(f"seed ids must lie in 1..{self.nseeds}")
-        return X[:, : self.ndim], r
-
-    def _kernel_matrix(self, A, B, packed):
-        (Xa, ra), (Xb, rb) = A, B
-        kern = self._unpack(packed)
-        return kernels.cross_cov(Xa, ra, Xb, rb, kern)
-
-    def _kernel_diag(self, split):
-        X, r = split
-        kern = self._unpack(self._packed)
-        seed_diag = np.diag(kern.seed.matrix)[r - 1]
-        return kern.continuous.variance * seed_diag
-
-    def _store_params(self, packed):
-        self.kernel = self._unpack(packed)
+        mean, cov = self._posterior(X)
+        return draw_mvn(mean, cov, size, gen)
 
     def expand_seed_space(self, new_nseeds: int) -> None:
-        """Grow the seed space to ``new_nseeds``.
+        """Grow the seed space to ``new_nseeds``; does nothing without one.
 
         The warm start gains one row per new seed: the new ``B`` row is the
         normalized mean of the existing rows and the new ``v`` entry the
         mean of ``v``, a neutral prior for an unseen seed.
         """
+        if not self.seeded:
+            return
         if new_nseeds < self.nseeds:
             raise ValueError("seed space can only grow")
         if new_nseeds == self.nseeds:
@@ -633,47 +431,7 @@ class SeedKernelGP(_GPBase):
         self.nseeds = int(new_nseeds)
         self._fitted = False  # the stored factor no longer matches the seed space
 
-    def _serial_payload(self):
-        return {
-            "ndim": self.ndim,
-            "family": self.family,
-            "nseeds": self.nseeds,
-            "rank": self.rank,
-            "lengthscales": self.kernel.continuous.lengthscales.tolist(),
-            "variance": self.kernel.continuous.variance,
-            "B": self.kernel.seed.B.tolist(),
-            "v": self.kernel.seed.v.tolist(),
-        }
 
-    @classmethod
-    def from_text(cls, text: str, X, Y) -> "SeedKernelGP":
-        """Rebuild a fitted emulator from serialized state plus the training data."""
-        payload = json.loads(text)
-        _check_serial(payload, cls._KIND, X, Y)
-        model = cls(
-            ndim=payload["ndim"],
-            nseeds=payload["nseeds"],
-            rank=payload["rank"],
-            family=payload["family"],
-            fixed={
-                "B": payload["B"],
-                "v": payload["v"],
-                "lengthscales": payload["lengthscales"],
-                "variance": payload["variance"],
-                "nugget": payload["nugget"],
-            },
-        )
-        model.fit(X, Y)
-        return model
-
-
-def _check_serial(payload: dict, kind: str, X, Y):
-    if payload.get("format") != SERIAL_FORMAT:
-        raise ValueError(f"unsupported serialization format {payload.get('format')!r}")
-    if payload.get("kind") != kind:
-        raise ValueError(f"serialized state is {payload.get('kind')!r}, expected {kind!r}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.asarray(Y, dtype=float).ravel()
-    digest = _train_digest(X, Y)
-    if digest != payload.get("train_digest"):
-        raise ValueError("training data does not match the serialized digest")
+# The benchmark tracer patches ``_GPBase.fit``, ``predict_mean_var`` and
+# ``sample``; the name survives as an alias of the single GP class.
+_GPBase = SeedKernelGP

@@ -15,18 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .dataspace import DesignPoint, latin_hypercube
+from .dataspace import latin_hypercube
 from .errors import ProgressError
 
 __all__ = [
     "GridConfig",
     "ProposalParams",
     "CandidateGrid",
-    "GridStrategy",
     "FixedGrid",
     "LHSGrid",
     "AdaptiveGrid",
-    "likelihood",
     "likelihood_values",
     "resample_indices",
     "mh_densify",
@@ -90,9 +88,6 @@ class CandidateGrid:
         """Candidates as one matrix with the seed id as the last column."""
         return np.column_stack([self.X, self.seeds.astype(float)])
 
-    def points(self) -> list[DesignPoint]:
-        return [DesignPoint(x=self.X[i], r=int(self.seeds[i])) for i in range(len(self))]
-
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.X).tobytes())
@@ -110,12 +105,6 @@ def likelihood_values(X: np.ndarray, seeds: np.ndarray, emulator, tau: float) ->
     mean, var = emulator.predict_mean_var(joint)
     sd = np.maximum(np.sqrt(np.maximum(var, 0.0)), SIGMA_FLOOR)
     return np.maximum(ndtr((tau - mean) / sd), LIKELIHOOD_FLOOR)
-
-
-def likelihood(point: DesignPoint, emulator, tau: float) -> float:
-    """Scalar probability-of-improvement weight for one candidate."""
-    values = likelihood_values(point.x[None, :], np.array([point.r]), emulator, tau)
-    return float(values[0])
 
 
 def resample_indices(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -201,15 +190,7 @@ def _lhs_grid(ngrid: int, ndim: int, nseeds: int, rng: np.random.Generator) -> C
     return CandidateGrid(X=X, seeds=seeds)
 
 
-class GridStrategy:
-    """Uniform strategy interface: every sampler takes the same keywords."""
-
-    def sample(self, *, emulator=None, dataset=None, nseeds=None,
-               rng=None) -> CandidateGrid:
-        raise NotImplementedError
-
-
-class FixedGrid(GridStrategy):
+class FixedGrid:
     """A grid frozen at construction; every sample call returns it unchanged."""
 
     def __init__(self, grid: CandidateGrid):
@@ -224,7 +205,7 @@ class FixedGrid(GridStrategy):
         return self._grid
 
 
-class LHSGrid(GridStrategy):
+class LHSGrid:
     """A fresh Latin hypercube per call, seeds cycling 1 + (i mod k)."""
 
     def __init__(self, config: GridConfig):
@@ -235,7 +216,7 @@ class LHSGrid(GridStrategy):
         return _lhs_grid(self.config.ngrid, self.config.ndim, k, rng)
 
 
-class AdaptiveGrid(GridStrategy):
+class AdaptiveGrid:
     """Importance-resampled, MH-densified candidate grid.
 
     Each call reweights the previous grid (or a bootstrap LHS on the first

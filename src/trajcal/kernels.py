@@ -1,9 +1,11 @@
-"""Covariance functions over the joint (continuous, seed) search space.
+"""Covariance matrices over the joint (continuous, seed) search space.
 
 Continuous coordinates use a stationary kernel (Matérn-5/2 by default,
 squared-exponential as the alternative).  Seed ids use a low-rank index
 kernel ``B B^T + diag(v)`` whose ``B`` rows are normalized to unit length so
-``B B^T`` has a unit diagonal.  The joint covariance is their product.
+``B B^T`` has a unit diagonal.  The joint covariance is their product, or
+the continuous kernel alone when a :class:`JointKernel` carries no seed
+kernel.  Every function works on batches of points and returns a matrix.
 """
 
 from __future__ import annotations
@@ -14,21 +16,16 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataspace import DesignPoint
 from .errors import NumericalError
 
 __all__ = [
     "ContinuousKernelParams",
     "SeedKernelParams",
     "JointKernel",
-    "matern52",
-    "squared_exponential",
     "continuous_cov",
     "normalize_rows",
-    "seed_index",
-    "joint_cov",
+    "seed_cov",
     "cross_cov",
-    "gram",
     "safe_cholesky",
 ]
 
@@ -127,25 +124,26 @@ class SeedKernelParams:
 
 @dataclass(frozen=True)
 class JointKernel:
-    """Product kernel: a stationary continuous kernel times a seed index kernel."""
+    """Product kernel: a stationary continuous kernel times a seed index kernel.
+
+    ``seed=None`` fixes the seed factor to 1, so seed ids are ignored.
+    """
 
     continuous: ContinuousKernelParams
-    seed: SeedKernelParams
+    seed: SeedKernelParams | None
     family: str = "matern52"
 
     def __post_init__(self):
         if self.family not in CONTINUOUS_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
 
-    @property
-    def nseeds(self) -> int:
-        return self.seed.nseeds
-
 
 def _scaled_sq_dists(X1, X2, lengthscales) -> np.ndarray:
-    X1 = np.atleast_2d(np.asarray(X1, dtype=float)) / lengthscales
-    X2 = np.atleast_2d(np.asarray(X2, dtype=float)) / lengthscales
-    return cdist(X1, X2, "sqeuclidean")
+    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+    X2 = np.atleast_2d(np.asarray(X2, dtype=float))
+    if X1.shape[1] != lengthscales.shape[0] or X2.shape[1] != lengthscales.shape[0]:
+        raise ValueError("point dimensions must match the lengthscales")
+    return cdist(X1 / lengthscales, X2 / lengthscales, "sqeuclidean")
 
 
 def _matern52_from_s2(s2: np.ndarray, variance: float) -> np.ndarray:
@@ -167,38 +165,6 @@ def continuous_cov(X1, X2, params: ContinuousKernelParams, family: str = "matern
     raise ValueError(f"unknown kernel family {family!r}")
 
 
-def matern52(x1, x2, params: ContinuousKernelParams) -> float:
-    """Matérn-5/2 covariance between two points.
-
-    With ``s`` the lengthscale-weighted Euclidean distance, returns
-    ``variance * (1 + sqrt(5) s + 5 s^2 / 3) * exp(-sqrt(5) s)``.
-    """
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x1.shape != x2.shape or x1.shape != params.lengthscales.shape:
-        raise ValueError("point dimensions must match the lengthscales")
-    s2 = float(np.sum(((x1 - x2) / params.lengthscales) ** 2))
-    return float(_matern52_from_s2(np.array(s2), params.variance))
-
-
-def squared_exponential(x1, x2, params: ContinuousKernelParams) -> float:
-    """Squared-exponential covariance between two points."""
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x1.shape != x2.shape or x1.shape != params.lengthscales.shape:
-        raise ValueError("point dimensions must match the lengthscales")
-    s2 = float(np.sum(((x1 - x2) / params.lengthscales) ** 2))
-    return float(_rbf_from_s2(np.array(s2), params.variance))
-
-
-def seed_index(i: int, j: int, params: SeedKernelParams) -> float:
-    """Index-kernel value between seed ids ``i`` and ``j`` (1-based)."""
-    k = params.nseeds
-    if not (1 <= i <= k) or not (1 <= j <= k):
-        raise ValueError(f"seed ids must lie in 1..{k}, got ({i}, {j})")
-    return float(params.matrix[i - 1, j - 1])
-
-
 def seed_cov(r1, r2, params: SeedKernelParams) -> np.ndarray:
     """Index-kernel matrix between two arrays of seed ids (1-based)."""
     r1 = np.asarray(r1, dtype=np.int64)
@@ -209,35 +175,17 @@ def seed_cov(r1, r2, params: SeedKernelParams) -> np.ndarray:
     return params.matrix[np.ix_(r1 - 1, r2 - 1)]
 
 
-def joint_cov(p1: DesignPoint, p2: DesignPoint, kernel: JointKernel) -> float:
-    """Product covariance between two joint design points."""
-    if kernel.family == "matern52":
-        cont = matern52(p1.x, p2.x, kernel.continuous)
-    else:
-        cont = squared_exponential(p1.x, p2.x, kernel.continuous)
-    return cont * seed_index(p1.r, p2.r, kernel.seed)
-
-
 def cross_cov(X1, r1, X2, r2, kernel: JointKernel) -> np.ndarray:
     """Product covariance matrix between two batches of joint points.
 
     ``X1``/``X2`` hold continuous coordinates (rows), ``r1``/``r2`` the
-    matching 1-based seed ids.
+    matching 1-based seed ids.  Without a seed kernel the seed ids are
+    ignored (and may be None).
     """
     cont = continuous_cov(X1, X2, kernel.continuous, kernel.family)
+    if kernel.seed is None:
+        return cont
     return cont * seed_cov(r1, r2, kernel.seed)
-
-
-def gram(points: list[DesignPoint], kernel: JointKernel, jitter: float = 0.0) -> np.ndarray:
-    """Symmetric Gram matrix over a point set, with ``jitter`` on the diagonal."""
-    if len(points) < 1:
-        raise ValueError("need at least one point")
-    X = np.array([p.x for p in points])
-    r = np.array([p.r for p in points], dtype=np.int64)
-    G = cross_cov(X, r, X, r, kernel)
-    if jitter:
-        G = G + jitter * np.eye(len(points))
-    return G
 
 
 def safe_cholesky(a: np.ndarray, jitter: float = 0.0, max_escalations: int = 5):

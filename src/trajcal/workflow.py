@@ -12,6 +12,7 @@ run is a pure function of (initial data, simulator, master_seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,14 +156,15 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
     initial : Dataset
         Evaluated initial design; counts toward the budget.
     simulator : callable
-        Maps a DesignPoint to a raw scalar discrepancy.  Any exception it
-        raises marks that point failed; failed points are logged, excluded
-        from the dataset, and do not consume budget.
+        Maps a DesignPoint to a raw scalar discrepancy.  An exception it
+        raises, or a NaN or infinite value, marks that point failed; failed
+        points are logged, excluded from the dataset, and do not consume
+        budget.
     config : WorkflowConfig
-    emulator : BaseEmulator
+    emulator : SeedKernelGP
         Refit each iteration on all data; its ``rng`` is reseeded from the
         fit stream so refits are reproducible.
-    grid_strategy : GridStrategy
+    grid_strategy : FixedGrid, LHSGrid or AdaptiveGrid
 
     Returns
     -------
@@ -237,7 +239,10 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
             for p in batch:
                 try:
                     y = float(simulator(p))
+                    error = None if math.isfinite(y) else f"non-finite objective: {y}"
                 except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                if error is not None:
                     nfailed += 1
                     trace.evaluations.append(
                         EvalRecord(
@@ -246,7 +251,7 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
                             seed=p.r,
                             y_raw=None,
                             failed=True,
-                            error=f"{type(exc).__name__}: {exc}",
+                            error=error,
                         )
                     )
                     continue

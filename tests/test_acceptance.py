@@ -29,7 +29,7 @@ from trajcal.dataspace import (
     rescale,
     sse,
 )
-from trajcal.emulator import NUGGET_BOUNDS, GaussianProcessEmulator, SeedKernelGP
+from trajcal.emulator import NUGGET_BOUNDS, SeedKernelGP
 from trajcal.expansion import ExpansionConfig
 from trajcal.grid import (
     AdaptiveGrid,
@@ -43,8 +43,8 @@ from trajcal.kernels import (
     ContinuousKernelParams,
     JointKernel,
     SeedKernelParams,
-    gram,
-    matern52,
+    continuous_cov,
+    cross_cov,
 )
 from trajcal.simulator import SirConfig, sir_run, toy_objective
 from trajcal.workflow import WorkflowConfig, component_stream, run, thompson_select
@@ -57,7 +57,8 @@ from trajcal.workflow import WorkflowConfig, component_stream, run, thompson_sel
 def test_matern_closed_form_at_unit_distance():
     params = ContinuousKernelParams(lengthscales=[1.0], variance=1.0)
     expected = (1.0 + math.sqrt(5.0) + 5.0 / 3.0) * math.exp(-math.sqrt(5.0))
-    assert abs(matern52(np.array([0.0]), np.array([1.0]), params) - expected) <= 1e-12
+    assert abs(continuous_cov(np.array([[0.0]]), np.array([[1.0]]), params)[0, 0]
+               - expected) <= 1e-12
 
 
 def test_seed_kernel_diagonal_is_exact_after_normalization():
@@ -97,8 +98,7 @@ def test_gram_matrices_stay_positive_semidefinite():
             # exact duplicates push the matrix toward singularity
             X[1] = X[0]
             r[1] = r[0]
-        pts = [DesignPoint(x=X[i], r=int(r[i])) for i in range(n)]
-        G = gram(pts, kernel)
+        G = cross_cov(X, r, X, r, kernel)
         floor = -1e-8 * float(np.max(np.diag(G)))
         assert np.linalg.eigvalsh(G).min() >= floor
 
@@ -111,7 +111,7 @@ def test_emulator_interpolates_noise_free_observations():
     t0 = time.perf_counter()
     X = np.linspace(0.0, 1.0, 20)[:, None]
     y = np.sin(2.0 * np.pi * X[:, 0]) + X[:, 0]
-    em = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(0))
+    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(0))
     em.fit(X, y)
     mean, var = em.predict_mean_var(X)
     elapsed = time.perf_counter() - t0
@@ -148,19 +148,19 @@ def test_joint_posterior_draws_match_their_moments():
     )
     em.fit(Xtr, ytr)
     Xte = np.column_stack([[0.45, 0.48, 0.51, 0.54, 0.57], [1, 2, 3, 1, 2]])
-    post = em.predict(Xte, with_cov=True)
+    post_mean, post_cov = em._posterior(Xte)
 
     n = 100_000
     draws = em.sample(Xte, size=n, rng=np.random.default_rng(123))
     assert draws.shape == (n, 5)
 
-    se = np.sqrt(np.diag(post.cov) / n)
-    assert np.all(np.abs(draws.mean(axis=0) - post.mean) <= 4.0 * se)
+    se = np.sqrt(np.diag(post_cov) / n)
+    assert np.all(np.abs(draws.mean(axis=0) - post_mean) <= 4.0 * se)
 
     emp_cov = np.cov(draws.T)
-    big = np.abs(post.cov) > 0.01
+    big = np.abs(post_cov) > 0.01
     assert big.all()  # the design keeps every entry above the floor
-    rel = np.abs(emp_cov - post.cov)[big] / np.abs(post.cov)[big]
+    rel = np.abs(emp_cov - post_cov)[big] / np.abs(post_cov)[big]
     assert rel.max() < 0.05
     assert time.perf_counter() - t0 < 30.0
 
@@ -263,13 +263,13 @@ def test_two_candidate_thompson_probability_matches_gaussian_formula():
     """
     Xtr = np.array([[0.1], [0.2], [0.8], [0.9]])
     ytr = np.array([0.5, 0.3, 0.4, 0.8])
-    em = GaussianProcessEmulator(
+    em = SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.08], "variance": 1.0, "nugget": 1e-6}
     )
     em.fit(Xtr, ytr)
     grid = CandidateGrid(np.array([[0.15], [0.85]]), np.array([1, 1]))
-    post = em.predict(grid.joint(), with_cov=True)
-    assert abs(post.cov[0, 1]) < 1e-4
+    _, post_cov = em._posterior(grid.joint())
+    assert abs(post_cov[0, 1]) < 1e-4
 
     mu, var = em.predict_mean_var(grid.joint())
     z = (mu[1] - mu[0]) / math.sqrt(var[0] + var[1])
@@ -332,7 +332,7 @@ def test_expansion_triggers_replay_against_the_simulation_counter():
     seeds0 = 1 + np.arange(50, dtype=np.int64) % k0
     y0 = [toy_objective(DesignPoint(x=X0[i], r=int(seeds0[i]))) for i in range(50)]
     ds = Dataset(X0, seeds0, np.array(y0))
-    em = GaussianProcessEmulator(
+    em = SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 0.05}
     )
     cfg = WorkflowConfig(
@@ -460,7 +460,7 @@ def _calibrate_sir(master_seed: int, seed_aware: bool):
         emulator = SeedKernelGP(ndim=1, nseeds=k0, nstarts=2, maxfev=150)
         strategy = AdaptiveGrid(GridConfig(ndim=1, nseeds=k0, ngrid=100))
     else:
-        emulator = GaussianProcessEmulator(ndim=1, nstarts=2, maxfev=150)
+        emulator = SeedKernelGP(ndim=1, nstarts=2, maxfev=150)
         strategy = LHSGrid(GridConfig(ndim=1, nseeds=k0, ngrid=100))
     config = WorkflowConfig(
         budget=200,

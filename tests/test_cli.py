@@ -320,11 +320,14 @@ def test_calibrate_design_rows_are_iteration_ordered(toy_bundle):
     assert all(r.split(",")[5] == "nan" for r in rows)
 
 
-def test_calibrate_is_bitwise_reproducible(tmp_path):
+@pytest.mark.parametrize("kind", ["seed-product", "baseline"])
+def test_calibrate_is_bitwise_reproducible(tmp_path, kind):
     outs = []
     for name in ("one", "two"):
         outdir = tmp_path / name
-        code = main(["calibrate", _write(tmp_path, _toy_config(outdir), f"{name}.json")])
+        cfg = _toy_config(outdir)
+        cfg["emulator"]["kind"] = kind
+        code = main(["calibrate", _write(tmp_path, cfg, f"{name}.json")])
         assert code == 0
         outs.append(outdir)
     a, b = outs
@@ -355,6 +358,60 @@ def test_calibrate_invalid_config_exits_2_without_a_bundle(tmp_path, capsys):
     assert main(["calibrate", _write(tmp_path, cfg)]) == 2
     assert "workflow: unknown key 'cadence'" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_calibrate_refuses_to_replace_an_unrelated_directory(tmp_path, capsys):
+    cfg = _toy_config(tmp_path / "out")
+    cfg["workflow"]["budget"] = cfg["workflow"]["initial_design"] = 6
+    path = _write(tmp_path, cfg)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "notes.txt").write_text("keep me\n")
+    assert main(["calibrate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(outdir) in err
+    assert sorted(p.name for p in outdir.iterdir()) == ["notes.txt"]
+    assert (outdir / "notes.txt").read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+
+    # a plain file at the output path is refused the same way
+    (outdir / "notes.txt").unlink()
+    outdir.rmdir()
+    outdir.write_text("not a directory\n")
+    assert main(["calibrate", path]) == 2
+    assert str(outdir) in capsys.readouterr().err
+    assert outdir.read_text() == "not a directory\n"
+
+    # an empty directory is filled, and the bundle it holds may be replaced
+    outdir.unlink()
+    outdir.mkdir()
+    assert main(["calibrate", path]) == 0
+    first = (outdir / "trace.jsonl").read_bytes()
+    assert main(["calibrate", path]) == 0
+    assert (outdir / "trace.jsonl").read_bytes() == first
+
+
+def _sir_truth_file_config(tmp_path, truth_file):
+    cfg = _toy_config(tmp_path / "out")
+    cfg["problem"] = {"kind": "sir", "ndim": 1, "lower": [0.02], "upper": [0.12],
+                      "horizon": 2, "truth_file": str(truth_file)}
+    return _write(tmp_path, cfg)
+
+
+def test_calibrate_missing_truth_file_exits_2(tmp_path, capsys):
+    path = _sir_truth_file_config(tmp_path, tmp_path / "absent.csv")
+    assert main(["calibrate", path]) == 2
+    assert capsys.readouterr().err.startswith("error: problem.truth_file: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_calibrate_non_integer_truth_count_exits_2(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("step,infected,cumulative\n0,1,1\n1,2.5,3\n2,1,3\n")
+    path = _sir_truth_file_config(tmp_path, truth)
+    assert main(["calibrate", path]) == 2
+    assert capsys.readouterr().err.startswith("error: problem.truth_file: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibrate_respects_output_dir_env(tmp_path, monkeypatch):

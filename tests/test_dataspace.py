@@ -212,6 +212,17 @@ def test_dataset_joint_carries_seed_column():
     assert joint[0, 1] == 4.0
 
 
+def test_dataset_rejects_non_finite_objectives():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            Dataset(np.array([[0.1], [0.5]]), np.array([1, 2]), np.array([1.0, bad]))
+        ds = Dataset(np.array([[0.1]]), np.array([1]), np.array([1.0]))
+        with pytest.raises(ValueError):
+            ds.append(np.array([[0.5]]), np.array([2]), np.array([bad]), iteration=1)
+        assert len(ds) == 1
+        assert np.isfinite(ds.transform.mean) and np.isfinite(ds.transform.std)
+
+
 def test_dataset_length_mismatch_rejected():
     with pytest.raises(ValueError):
         Dataset(np.array([[0.1]]), np.array([1, 2]), np.array([1.0]))

@@ -1,11 +1,11 @@
-"""GP emulators: fitting, prediction, sampling, serialization, seed growth."""
+"""The GP emulator: fitting, prediction, sampling, seed growth, seedless mode."""
 
 import math
 
 import numpy as np
 import pytest
 
-from trajcal.emulator import GaussianProcessEmulator, SeedKernelGP, draw_mvn
+from trajcal.emulator import SeedKernelGP, draw_mvn
 from trajcal.errors import NotFittedError
 
 
@@ -18,15 +18,17 @@ def _smooth_1d(n, rng, noise=0.0):
 
 
 def test_fit_rejects_single_point():
-    em = GaussianProcessEmulator(ndim=1)
+    em = SeedKernelGP(ndim=1)
     with pytest.raises(ValueError):
         em.fit(np.array([[0.5]]), np.array([1.0]))
 
 
 def test_predict_before_fit_raises():
-    em = GaussianProcessEmulator(ndim=1)
+    em = SeedKernelGP(ndim=1)
     with pytest.raises(NotFittedError):
-        em.predict(np.array([[0.5]]))
+        em.predict_mean_var(np.array([[0.5]]))
+    with pytest.raises(NotFittedError):
+        em._posterior(np.array([[0.5]]))
     with pytest.raises(NotFittedError):
         em.sample(np.array([[0.5]]))
 
@@ -34,8 +36,8 @@ def test_predict_before_fit_raises():
 def test_fit_deterministic_given_stream():
     rng = np.random.default_rng(0)
     X, Y = _smooth_1d(12, rng, noise=0.1)
-    a = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(42))
-    b = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(42))
+    a = SeedKernelGP(ndim=1, rng=np.random.default_rng(42))
+    b = SeedKernelGP(ndim=1, rng=np.random.default_rng(42))
     a.fit(X, Y)
     b.fit(X, Y)
     assert np.array_equal(a._packed, b._packed)
@@ -46,7 +48,7 @@ def test_fixed_params_lml_matches_hand_solve():
     """n=2 with a pinned kernel: LML equals the closed form via an explicit
     2x2 inverse, no Cholesky involved."""
     g = 0.1
-    em = GaussianProcessEmulator(
+    em = SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.5], "variance": 1.0, "nugget": g}
     )
     X = np.array([[0.2], [0.7]])
@@ -66,7 +68,7 @@ def test_fixed_params_lml_matches_hand_solve():
 def test_interpolation_at_training_points():
     rng = np.random.default_rng(1)
     X, Y = _smooth_1d(8, rng)
-    em = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(2))
+    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(2))
     em.fit(X, Y)
     mean, var = em.predict_mean_var(X)
     assert np.abs(mean - Y).max() < 1e-5
@@ -100,7 +102,7 @@ def test_single_informative_point_prediction():
 
 def test_far_prediction_reverts_to_prior():
     fixed = {"lengthscales": [0.05], "variance": 1.0, "nugget": 1e-8}
-    em = GaussianProcessEmulator(ndim=1, fixed=fixed)
+    em = SeedKernelGP(ndim=1, fixed=fixed)
     X = np.array([[0.0], [0.02], [0.05]])
     Y = np.array([0.5, 0.4, 0.6])
     em.fit(X, Y)
@@ -112,24 +114,28 @@ def test_far_prediction_reverts_to_prior():
 def test_posterior_summary_shape_and_symmetry():
     rng = np.random.default_rng(3)
     X, Y = _smooth_1d(10, rng, noise=0.05)
-    em = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(4))
+    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(4))
     em.fit(X, Y)
     grid = np.linspace(0, 1, 7)[:, None]
-    summary = em.predict(grid, with_cov=True)
-    assert summary.mean.shape == (7,)
-    assert summary.cov.shape == (7, 7)
-    assert np.abs(summary.cov - summary.cov.T).max() <= 1e-12
-    assert summary.cov.diagonal().min() >= -1e-10
+    mean, cov = em._posterior(grid)
+    assert mean.shape == (7,)
+    assert cov.shape == (7, 7)
+    assert np.abs(cov - cov.T).max() <= 1e-12
+    assert cov.diagonal().min() >= -1e-10
+    # the pointwise path agrees with the joint one
+    mean_pw, var_pw = em.predict_mean_var(grid)
+    assert np.array_equal(mean_pw, mean)
+    assert np.abs(var_pw - cov.diagonal()).max() <= 1e-12
 
 
 def test_posterior_variance_below_prior():
     rng = np.random.default_rng(5)
     X, Y = _smooth_1d(15, rng, noise=0.1)
-    em = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(6))
+    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(6))
     em.fit(X, Y)
     grid = np.linspace(0, 1, 50)[:, None]
     _, var = em.predict_mean_var(grid)
-    assert var.max() <= em.params.variance + 1e-10
+    assert var.max() <= em.kernel.continuous.variance + 1e-10
 
 
 def test_mean_linearity_in_targets():
@@ -141,9 +147,9 @@ def test_mean_linearity_in_targets():
     grid = np.linspace(0, 1, 11)[:, None]
 
     def mean_for(y):
-        em = GaussianProcessEmulator(ndim=1, fixed=fixed)
+        em = SeedKernelGP(ndim=1, fixed=fixed)
         em.fit(X, y)
-        return em.predict(grid).mean
+        return em.predict_mean_var(grid)[0]
 
     a, b = 0.7, -1.3
     combo = mean_for(a * Y1 + b * Y2)
@@ -156,12 +162,12 @@ def test_baseline_ignores_seed_column():
     seeds = rng.integers(1, 5, size=10).astype(float)
     joint = np.column_stack([X, seeds])
     shuffled = np.column_stack([X, np.roll(seeds, 3)])
-    a = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(10))
-    b = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(10))
+    a = SeedKernelGP(ndim=1, rng=np.random.default_rng(10))
+    b = SeedKernelGP(ndim=1, rng=np.random.default_rng(10))
     a.fit(joint, Y)
     b.fit(shuffled, Y)
     grid = np.linspace(0, 1, 9)[:, None]
-    assert np.array_equal(a.predict(grid).mean, b.predict(grid).mean)
+    assert np.array_equal(a.predict_mean_var(grid)[0], b.predict_mean_var(grid)[0])
 
 
 def test_seed_gp_relabeling_invariance():
@@ -193,7 +199,9 @@ def test_seed_gp_relabeling_invariance():
     grid = np.column_stack([np.linspace(0, 1, 6), np.full(6, 2.0)])
     grid_perm = grid.copy()
     grid_perm[:, 1] = perm[1] + 1
-    assert np.abs(em1.predict(grid).mean - em2.predict(grid_perm).mean).max() <= 1e-10
+    mean1, _ = em1.predict_mean_var(grid)
+    mean2, _ = em2.predict_mean_var(grid_perm)
+    assert np.abs(mean1 - mean2).max() <= 1e-10
 
 
 def test_lml_gradient_small_at_interior_optimum():
@@ -201,7 +209,7 @@ def test_lml_gradient_small_at_interior_optimum():
     # marginal likelihood is well conditioned enough for finite differences
     rng = np.random.default_rng(0)
     X, Y = _smooth_1d(25, rng, noise=0.3)
-    em = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(5))
+    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(5))
     em.fit(X, Y)
     lo, hi = em._pack_bounds()
     x = em._packed
@@ -219,7 +227,7 @@ def test_lml_gradient_small_at_interior_optimum():
 def test_sample_deterministic_given_rng():
     rng = np.random.default_rng(12)
     X, Y = _smooth_1d(8, rng, noise=0.05)
-    em = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(13))
+    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(13))
     em.fit(X, Y)
     grid = np.linspace(0, 1, 5)[:, None]
     d1 = em.sample(grid, size=3, rng=np.random.default_rng(99))
@@ -230,13 +238,13 @@ def test_sample_deterministic_given_rng():
 
 def test_sample_degenerate_covariance_collapses():
     # many repeats of one observation: posterior variance ~ nugget / count
-    em = GaussianProcessEmulator(
+    em = SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.5], "variance": 1.0, "nugget": 1e-8}
     )
     X = np.full((60, 1), 0.3)
     Y = np.full(60, 0.7)
     em.fit(X, Y)
-    mu = em.predict(np.array([[0.3]])).mean
+    mu, _ = em.predict_mean_var(np.array([[0.3]]))
     draws = em.sample(np.array([[0.3]]), size=50, rng=np.random.default_rng(14))
     assert np.abs(draws - mu).max() <= 1e-4
 
@@ -250,13 +258,13 @@ def test_draw_mvn_zero_covariance():
 def test_sample_moments_match_posterior():
     rng = np.random.default_rng(15)
     X, Y = _smooth_1d(10, rng, noise=0.1)
-    em = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(16))
+    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(16))
     em.fit(X, Y)
     grid = np.linspace(0.1, 0.9, 4)[:, None]
-    summary = em.predict(grid, with_cov=True)
+    mean, cov = em._posterior(grid)
     draws = em.sample(grid, size=20_000, rng=np.random.default_rng(17))
-    se = np.sqrt(summary.cov.diagonal() / draws.shape[0])
-    assert np.all(np.abs(draws.mean(axis=0) - summary.mean) <= 4.5 * se)
+    se = np.sqrt(cov.diagonal() / draws.shape[0])
+    assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4.5 * se)
 
 
 def test_seed_gp_validates_seed_column():
@@ -306,11 +314,29 @@ def test_expand_seed_space_grows_then_requires_refit():
     em.expand_seed_space(4)
     assert em.nseeds == 4
     with pytest.raises(NotFittedError):
-        em.predict(np.array([[0.5, 4.0]]))
+        em.predict_mean_var(np.array([[0.5, 4.0]]))
     joint = np.vstack([np.column_stack([X, seeds]), [[0.5, 4.0]]])
     em.fit(joint, np.append(Y, 0.1))
     mean, _ = em.predict_mean_var(np.array([[0.5, 4.0]]))
     assert np.isfinite(mean[0])
+
+
+def test_seedless_gp_packs_no_seed_parameters():
+    """Without a seed space the packed vector is [log ls, log var, log nugget],
+    any seed column is dropped unchecked, and expansion changes nothing."""
+    rng = np.random.default_rng(32)
+    X, Y = _smooth_1d(10, rng, noise=0.05)
+    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(33))
+    lo, _ = em._pack_bounds()
+    assert lo.shape == (3,)
+    em.fit(np.column_stack([X, np.full(10, 99.0)]), Y)
+    assert em.kernel.seed is None
+    em.expand_seed_space(5)
+    assert em.nseeds is None
+    mean, _ = em.predict_mean_var(X)
+    assert np.all(np.isfinite(mean))
+    with pytest.raises(ValueError):
+        em.predict_mean_var(np.zeros((2, 3)))
 
 
 def test_expand_seed_space_rejects_shrink_and_fixed():
@@ -326,45 +352,10 @@ def test_expand_seed_space_rejects_shrink_and_fixed():
         fixed.expand_seed_space(3)
 
 
-def test_serialization_roundtrip():
-    rng = np.random.default_rng(24)
-    X, Y = _smooth_1d(10, rng, noise=0.05)
-    em = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(25))
-    em.fit(X, Y)
-    text = em.to_text()
-    clone = GaussianProcessEmulator.from_text(text, X, Y)
-    grid = np.linspace(0, 1, 6)[:, None]
-    assert np.abs(clone.predict(grid).mean - em.predict(grid).mean).max() <= 1e-10
-
-
-def test_serialization_roundtrip_seed_gp():
-    rng = np.random.default_rng(26)
-    n = 20
-    X = rng.uniform(0, 1, size=(n, 1))
-    seeds = 1 + (np.arange(n) % 4)
-    Y = rng.normal(size=n)
-    joint = np.column_stack([X, seeds])
-    em = SeedKernelGP(ndim=1, nseeds=4, rng=np.random.default_rng(27))
-    em.fit(joint, Y)
-    clone = SeedKernelGP.from_text(em.to_text(), joint, Y)
-    grid = np.column_stack([np.linspace(0, 1, 5), np.full(5, 2.0)])
-    assert np.abs(clone.predict(grid).mean - em.predict(grid).mean).max() <= 1e-10
-
-
-def test_serialization_rejects_wrong_data():
-    rng = np.random.default_rng(28)
-    X, Y = _smooth_1d(8, rng)
-    em = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(29))
-    em.fit(X, Y)
-    text = em.to_text()
-    with pytest.raises(ValueError):
-        GaussianProcessEmulator.from_text(text, X, Y + 1.0)
-
-
 def test_fit_report_tracks_starts():
     rng = np.random.default_rng(30)
     X, Y = _smooth_1d(10, rng, noise=0.1)
-    em = GaussianProcessEmulator(ndim=1, rng=np.random.default_rng(31), nstarts=3)
+    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(31), nstarts=3)
     em.fit(X, Y)
     report = em.fit_report
     assert len(report["start_neg_lml"]) >= 3

@@ -13,7 +13,6 @@ from trajcal.grid import (
     LHSGrid,
     ProposalParams,
     _reflect_unit,
-    likelihood,
     likelihood_values,
     mh_densify,
     resample_indices,
@@ -82,14 +81,6 @@ def test_likelihood_floors():
     em2 = StubEmulator(mean_fn=lambda X: np.full(X.shape[0], 60.0))
     vals2 = likelihood_values(np.array([[0.5]]), np.array([1]), em2, tau=0.0)
     assert vals2[0] == 1e-300
-
-
-def test_likelihood_scalar_wrapper():
-    from trajcal.dataspace import DesignPoint
-
-    em = StubEmulator(mean_fn=lambda X: np.zeros(X.shape[0]))
-    p = DesignPoint(x=np.array([0.3]), r=2)
-    assert likelihood(p, em, tau=0.0) == pytest.approx(0.5)
 
 
 def test_resample_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trajcal.dataspace import Dataset, DesignPoint, ObjectiveTransform, latin_hypercube
-from trajcal.emulator import GaussianProcessEmulator, SeedKernelGP
+from trajcal.emulator import SeedKernelGP
 from trajcal.errors import ProgressError
 from trajcal.expansion import ExpansionConfig
 from trajcal.grid import CandidateGrid, FixedGrid, GridConfig, LHSGrid
@@ -125,7 +125,7 @@ def test_thompson_real_emulator_prefers_low_mean_region():
     # trained on a V shape; nearly all draws should argmin near the trough
     X = np.column_stack([np.linspace(0, 1, 9), np.ones(9)])
     y = np.abs(X[:, 0] - 0.5)
-    em = GaussianProcessEmulator(
+    em = SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 1e-8}
     )
     em.fit(X, y)
@@ -147,7 +147,7 @@ def _initial(n0, k0, master_seed=0, objective=toy_objective):
 
 def _fixed_emulator():
     # fixed hyperparameters: refits are a Cholesky, keeping loop tests fast
-    return GaussianProcessEmulator(
+    return SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 1e-6}
     )
 
@@ -276,7 +276,7 @@ def test_single_simulator_failure_is_logged_and_does_not_consume_budget():
         expansion=ExpansionConfig(nseeds=3),
         nTS_samp=8,
     )
-    emulator = GaussianProcessEmulator(
+    emulator = SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 0.3}
     )
     trace = run(initial, flaky, config, emulator,
@@ -291,6 +291,28 @@ def test_single_simulator_failure_is_logged_and_does_not_consume_budget():
     assert len(ok) == 16
     assert len(initial) == 16  # the failed point never enters the dataset
     assert sum(it.failed for it in trace.iterations) == 1
+
+
+def test_non_finite_objective_is_a_failed_evaluation():
+    def nan_on_seed_two(point):
+        return float("nan") if point.r == 2 else toy_objective(point)
+
+    initial = _initial(6, 3)
+    config = WorkflowConfig(budget=16, expansion=ExpansionConfig(nseeds=3), nTS_samp=8)
+    emulator = SeedKernelGP(
+        ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 0.3}
+    )
+    trace = run(initial, nan_on_seed_two, config, emulator,
+                LHSGrid(GridConfig(ndim=1, nseeds=3, ngrid=30)))
+    failed = [e for e in trace.evaluations if e.failed]
+    assert failed
+    assert all(e.seed == 2 and e.y_raw is None for e in failed)
+    assert all(e.error == "non-finite objective: nan" for e in failed)
+    assert sum(it.failed for it in trace.iterations) == len(failed)
+    assert trace.completed == 16
+    assert len(initial) == 16
+    assert np.all(np.isfinite(initial.y_raw))
+    assert all(np.isfinite(v) for v in trace.final_transform)
 
 
 def test_total_failure_raises_progress_error_with_partial_trace():
