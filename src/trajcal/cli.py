@@ -230,6 +230,9 @@ def load_config(path: str) -> dict:
         raise ConfigError("expansion.p: required for the by-prob policy")
     _no_extras(sec, "expansion")
     out["expansion"] = expansion
+    if (emulator["kind"] == "seed-product" and emulator["rank"] is not None
+            and emulator["rank"] > expansion["nseeds"]):
+        raise ConfigError(f"emulator.rank: must be <= expansion.nseeds ({expansion['nseeds']})")
 
     sec = _section(cfg, "workflow")
     wf = {

@@ -7,6 +7,15 @@ a seed space (``nseeds=None``) the seed factor is fixed to 1: the GP ignores
 the seed column and serves as the seed-agnostic baseline.  Hyperparameters
 are chosen by maximizing the log marginal likelihood with multi-start
 bounded Nelder-Mead on log-transformed parameters.
+
+Each ``fit`` builds, once, the index arrays that stay fixed while the
+optimizer runs: the flat position of every training pair in the k x k seed
+matrix, and the diagonal of the n x n training covariance.  Each likelihood
+evaluation then decodes the packed vector and builds the covariance
+directly, without the validated kernel objects of ``kernels``.  The
+floating-point operations and their order are those of
+``kernels.cross_cov``, so every likelihood value, and hence every fit, is
+bitwise the same as through the validated path.
 """
 
 from __future__ import annotations
@@ -14,8 +23,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
 from . import kernels
 from .errors import NotFittedError
@@ -53,7 +64,7 @@ def draw_mvn(mean: np.ndarray, cov: np.ndarray, size: int, rng: np.random.Genera
 
 def _chol_lml(L: np.ndarray, Y: np.ndarray):
     """Log marginal likelihood and ``K^-1 Y`` from a lower Cholesky factor of K."""
-    alpha = cho_solve((L, True), Y, check_finite=False)
+    alpha, _ = dpotrs(L, Y, lower=True)  # the routine behind cho_solve, without its checks
     n = Y.shape[0]
     lml = -0.5 * float(Y @ alpha) - float(np.log(np.diag(L)).sum()) - 0.5 * n * _LOG_2PI
     return lml, alpha
@@ -112,7 +123,7 @@ class SeedKernelGP:
             raise ValueError(f"nugget floor is {NUGGET_BOUNDS[0]}")
         if ndim < 1 or (nseeds is not None and nseeds < 1):
             raise ValueError("ndim and nseeds must be >= 1")
-        if family not in kernels.CONTINUOUS_FAMILIES:
+        if family not in kernels.FROM_SQ_DISTS:
             raise ValueError(f"unknown kernel family {family!r}")
         self.rng = rng if rng is not None else np.random.default_rng()
         self.nstarts = int(nstarts)
@@ -148,6 +159,8 @@ class SeedKernelGP:
                 lengthscales=np.atleast_1d(np.asarray(fixed["lengthscales"], dtype=float)),
                 variance=float(fixed["variance"]),
             )
+            if cont.ndim != self.ndim:
+                raise ValueError("fixed lengthscales must have one entry per dimension")
             self._fixed_kernel = JointKernel(continuous=cont, seed=seed, family=self.family)
             g = float(fixed.get("nugget", self.nugget_bounds[0]))
             self.nugget_bounds = (g, g)
@@ -204,14 +217,14 @@ class SeedKernelGP:
             hi.append(math.log(self.nugget_bounds[1]))
         return np.array(lo), np.array(hi)
 
-    def _unpack(self, packed):
-        if self._fixed_kernel is not None:
-            return self._fixed_kernel
+    def _decode(self, packed):
+        """``(lengthscales, variance, B, v)`` of a packed vector; ``B`` and
+        ``v`` are None without a seed space.  ``B`` rows are not normalized."""
         d = self.ndim
-        cont = ContinuousKernelParams(lengthscales=np.exp(packed[:d]),
-                                      variance=float(np.exp(packed[d])))
+        ls = np.exp(packed[:d])
+        variance = float(np.exp(packed[d]))
         if not self.seeded:
-            return JointKernel(continuous=cont, seed=None, family=self.family)
+            return ls, variance, None, None
         k = self.nseeds
         pos = d + 1
         nb = self._n_bpars()
@@ -225,8 +238,39 @@ class SeedKernelGP:
         v = np.exp(packed[pos : pos + nv])
         if nv == 1:
             v = np.full(k, float(v[0]))
-        seed = SeedKernelParams(B=B, v=v)
+        return ls, variance, B, v
+
+    def _unpack(self, packed):
+        if self._fixed_kernel is not None:
+            return self._fixed_kernel
+        ls, variance, B, v = self._decode(packed)
+        cont = ContinuousKernelParams(lengthscales=ls, variance=variance)
+        seed = None if B is None else SeedKernelParams(B=B, v=v)
         return JointKernel(continuous=cont, seed=seed, family=self.family)
+
+    def _hyper(self, packed):
+        """``(lengthscales, variance, seed matrix or None)`` of a packed vector.
+
+        Raises the ``ValueError``s that ``_unpack`` and ``cross_cov`` can
+        raise, without building their objects.  Rows of (cos t, sin t) are
+        unit length to within the no-op threshold of ``normalize_rows``, so
+        only raw-entry rows go through it; the seed matrix then has the
+        values ``SeedKernelParams.matrix`` computes, bit for bit.
+        """
+        if self._fixed_kernel is not None:
+            cont, seed = self._fixed_kernel.continuous, self._fixed_kernel.seed
+            return cont.lengthscales, cont.variance, None if seed is None else seed.matrix
+        ls, variance, B, v = self._decode(packed)
+        # exp underflows to 0 far outside the box
+        if variance <= 0.0 or np.any(ls <= 0.0):
+            raise ValueError("lengthscales and variance must be positive")
+        if B is None:
+            return ls, variance, None
+        if not self._uses_angles:
+            B = normalize_rows(B)
+        S = B @ B.T
+        S.ravel()[:: S.shape[0] + 1] += v
+        return ls, variance, S
 
     def _split_inputs(self, X):
         """Validate raw inputs; returns (coordinates, seed ids or None)."""
@@ -249,6 +293,31 @@ class SeedKernelGP:
             raise ValueError(f"seed ids must lie in 1..{self.nseeds}")
         return X[:, : self.ndim], r
 
+    def _set_train(self, X, Y):
+        """Store the training data and the index arrays fixed for one fit."""
+        self._train = self._split_inputs(X)
+        self._Y = Y.copy()
+        n = X.shape[0]
+        r = self._train[1]
+        # flat index of each training pair's entry in the k x k seed matrix
+        self._pair = None if r is None else (r - 1)[:, None] * self.nseeds + (r - 1)[None, :]
+        self._diag = np.arange(n) * (n + 1)
+
+    def _train_cov(self, ls, variance, S, nugget):
+        """Training covariance plus ``nugget * I`` from decoded hyperparameters.
+
+        The floating-point operations and their order are those of
+        ``kernels.cross_cov`` on the training set, so every entry has the
+        same bits (adding in place only keeps the sign of an off-diagonal
+        zero); the per-fit index arrays replace its id checks and lookups.
+        """
+        Z = self._train[0] / ls
+        K = kernels.FROM_SQ_DISTS[self.family](cdist(Z, Z, "sqeuclidean"), variance)
+        if S is not None:
+            K *= S.ravel()[self._pair]
+        K.ravel()[self._diag] += nugget
+        return K
+
     def _kernel_matrix(self, A, B, kern):
         (Xa, ra), (Xb, rb) = A, B
         return kernels.cross_cov(Xa, ra, Xb, rb, kern)
@@ -263,15 +332,15 @@ class SeedKernelGP:
     # -- fitting ------------------------------------------------------------
 
     def _neg_lml(self, packed):
-        """Negative log marginal likelihood of the packed parameters."""
+        """Negative log marginal likelihood of the packed parameters.
+
+        ``inf`` where the kernel is invalid (a zero raw ``B`` row) or not
+        positive definite; ``LinAlgError`` is a ``ValueError``.
+        """
         try:
-            K = self._kernel_matrix(self._train, self._train, self._unpack(packed))
+            K = self._train_cov(*self._hyper(packed), self._nugget_from_packed(packed))
+            L = np.linalg.cholesky(K)
         except ValueError:
-            return np.inf
-        g = self._nugget_from_packed(packed)
-        try:
-            L = np.linalg.cholesky(K + g * np.eye(K.shape[0]))
-        except np.linalg.LinAlgError:
             return np.inf
         return -_chol_lml(L, self._Y)[0]
 
@@ -287,6 +356,13 @@ class SeedKernelGP:
             Standardized objective values.
         warm_start : bool
             Include the previous fit's optimum as an extra start.
+
+        Notes
+        -----
+        The seed-pair and diagonal index arrays are built here, once per
+        fit, for the current data and seed-space size.  The likelihood the
+        optimizer evaluates is bitwise equal to the one computed through
+        ``kernels.cross_cov`` and ``np.linalg.cholesky``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.asarray(Y, dtype=float).ravel()
@@ -294,8 +370,7 @@ class SeedKernelGP:
             raise ValueError("X and Y must have the same number of rows")
         if X.shape[0] < 2:
             raise ValueError("need at least 2 training points")
-        self._train = self._split_inputs(X)
-        self._Y = Y.copy()
+        self._set_train(X, Y)
 
         lo, hi = self._pack_bounds()
         if lo.shape[0] == 0:
@@ -331,9 +406,8 @@ class SeedKernelGP:
     def _finalize(self, packed):
         """Build and store the training factorization at the given parameters."""
         self.kernel = self._unpack(packed)
-        K = self._kernel_matrix(self._train, self._train, self.kernel)
         g = self._nugget_from_packed(packed)
-        K = K + g * np.eye(K.shape[0])
+        K = self._train_cov(*self._hyper(packed), g)
         try:
             L = np.linalg.cholesky(K)
             jitter = 0.0

@@ -35,8 +35,6 @@ LENGTHSCALE_BOUNDS = (1e-2, 2.0)
 VARIANCE_BOUNDS = (1e-4, 1e2)
 SEED_V_BOUNDS = (0.0, 10.0)
 
-CONTINUOUS_FAMILIES = ("matern52", "rbf")
-
 _SQRT5 = np.sqrt(5.0)
 
 
@@ -134,7 +132,7 @@ class JointKernel:
     family: str = "matern52"
 
     def __post_init__(self):
-        if self.family not in CONTINUOUS_FAMILIES:
+        if self.family not in FROM_SQ_DISTS:
             raise ValueError(f"unknown kernel family {self.family!r}")
 
 
@@ -155,14 +153,16 @@ def _rbf_from_s2(s2: np.ndarray, variance: float) -> np.ndarray:
     return variance * np.exp(-0.5 * s2)
 
 
+# Each family as a function of squared scaled distances and the variance.
+FROM_SQ_DISTS = {"matern52": _matern52_from_s2, "rbf": _rbf_from_s2}
+
+
 def continuous_cov(X1, X2, params: ContinuousKernelParams, family: str = "matern52") -> np.ndarray:
     """Stationary covariance matrix between two sets of continuous points."""
+    if family not in FROM_SQ_DISTS:
+        raise ValueError(f"unknown kernel family {family!r}")
     s2 = _scaled_sq_dists(X1, X2, params.lengthscales)
-    if family == "matern52":
-        return _matern52_from_s2(s2, params.variance)
-    if family == "rbf":
-        return _rbf_from_s2(s2, params.variance)
-    raise ValueError(f"unknown kernel family {family!r}")
+    return FROM_SQ_DISTS[family](s2, params.variance)
 
 
 def seed_cov(r1, r2, params: SeedKernelParams) -> np.ndarray:

@@ -414,6 +414,19 @@ def test_calibrate_non_integer_truth_count_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_calibrate_rank_above_nseeds_exits_2(tmp_path, capsys):
+    cfg = _toy_config(tmp_path / "out")
+    cfg["emulator"]["rank"] = 5
+    assert main(["calibrate", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: emulator.rank: must be <= expansion.nseeds (3)")
+    assert not (tmp_path / "out").exists()
+
+    # the baseline kind ignores the rank, as before
+    cfg["emulator"]["kind"] = "baseline"
+    assert load_config(_write(tmp_path, cfg))["emulator"]["rank"] == 5
+
+
 def test_calibrate_respects_output_dir_env(tmp_path, monkeypatch):
     env_dir = tmp_path / "redirected"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(env_dir))

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from trajcal.emulator import SeedKernelGP, draw_mvn
+from trajcal import kernels
+from trajcal.emulator import SeedKernelGP, _chol_lml, draw_mvn
 from trajcal.errors import NotFittedError
 
 
@@ -352,6 +353,11 @@ def test_expand_seed_space_rejects_shrink_and_fixed():
         fixed.expand_seed_space(3)
 
 
+def test_fixed_lengthscales_must_match_the_dimension():
+    with pytest.raises(ValueError, match="one entry per dimension"):
+        SeedKernelGP(ndim=2, fixed={"lengthscales": [0.5], "variance": 1.0})
+
+
 def test_fit_report_tracks_starts():
     rng = np.random.default_rng(30)
     X, Y = _smooth_1d(10, rng, noise=0.1)
@@ -360,3 +366,87 @@ def test_fit_report_tracks_starts():
     report = em.fit_report
     assert len(report["start_neg_lml"]) >= 3
     assert report["neg_lml"] <= min(report["start_neg_lml"]) + 1e-9
+
+
+def _reference_neg_lml(em, p):
+    """Negative LML of packed ``p`` through the validated kernel API: the
+    path the emulator's per-fit fast path must match bit for bit."""
+    try:
+        K = kernels.cross_cov(*em._train, *em._train, em._unpack(p))
+        L = np.linalg.cholesky(K + em._nugget_from_packed(p) * np.eye(K.shape[0]))
+    except ValueError:  # also LinAlgError
+        return np.inf
+    return -_chol_lml(L, em._Y)[0]
+
+
+def _seeded_data(rng, n, seeds):
+    X = np.column_stack([rng.uniform(0, 1, size=(n, 2)), rng.choice(seeds, size=n)])
+    return X, np.sin(4.0 * X[:, 0]) * X[:, 1] + 0.1 * rng.normal(size=n)
+
+
+def _assert_fast_path_exact(em, rng, npoints=15):
+    lo, hi = em._pack_bounds()
+    for _ in range(npoints):
+        p = lo + rng.uniform(size=lo.shape) * (hi - lo)
+        assert em._neg_lml(p) == _reference_neg_lml(em, p)
+    assert em._neg_lml(em._packed) == -em.lml  # the fitted factor needed no jitter
+
+
+@pytest.mark.parametrize("family", ["matern52", "rbf"])
+@pytest.mark.parametrize("rank", [None, 1, 2, 3])
+@pytest.mark.parametrize("per_seed_v", [False, True])
+@pytest.mark.parametrize("nugget", ["free", "fixed"])
+def test_neg_lml_fast_path_equals_reference(family, rank, per_seed_v, nugget):
+    rng = np.random.default_rng(40)
+    em = SeedKernelGP(ndim=2, nseeds=None if rank is None else 3, rank=rank,
+                      family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=20,
+                      nugget_bounds=(1e-8, 1.0) if nugget == "free" else (1e-6, 1e-6),
+                      rng=np.random.default_rng(41))
+    for n in (7, 40):
+        em.fit(*_seeded_data(rng, n, [1, 2, 3]))
+        _assert_fast_path_exact(em, rng)
+
+
+def test_neg_lml_fast_path_is_inf_where_the_reference_raises():
+    rng = np.random.default_rng(42)
+    em = SeedKernelGP(ndim=2, nseeds=3, rank=1, nstarts=1, maxfev=20,
+                      rng=np.random.default_rng(43))
+    em.fit(*_seeded_data(rng, 30, [1, 2, 3]))
+    p = em._packed.copy()
+    p[3] = 0.0  # a zero raw B row: normalize_rows raises ValueError
+    with pytest.raises(ValueError):
+        em._unpack(p).seed.matrix
+    assert _reference_neg_lml(em, p) == np.inf
+    assert em._neg_lml(p) == np.inf
+
+    # lengthscales that underflow to zero, far outside the box
+    p = em._packed.copy()
+    p[0] = -1000.0
+    assert _reference_neg_lml(em, p) == em._neg_lml(p) == np.inf
+
+    # a near-singular RBF Gram matrix whose variance, far outside the box,
+    # swamps the nugget: Cholesky fails
+    em = SeedKernelGP(ndim=2, family="rbf", nstarts=1, maxfev=20,
+                      rng=np.random.default_rng(43))
+    em.fit(*_seeded_data(rng, 30, [1]))
+    p = np.array([math.log(2.0), math.log(2.0), math.log(1e12), math.log(1e-8)])
+    K = kernels.cross_cov(*em._train, *em._train, em._unpack(p))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(K + 1e-8 * np.eye(K.shape[0]))
+    assert em._neg_lml(p) == _reference_neg_lml(em, p) == np.inf
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_neg_lml_per_fit_state_follows_the_data(rank):
+    """The seed-pair and diagonal indices are rebuilt by every fit: after the
+    seed space grows, and after a fit on fewer rows than the last one."""
+    rng = np.random.default_rng(44)
+    em = SeedKernelGP(ndim=2, nseeds=3, rank=rank, per_seed_v=True, nstarts=1,
+                      maxfev=20, rng=np.random.default_rng(45))
+    em.fit(*_seeded_data(rng, 20, [1, 2, 3]))
+    _assert_fast_path_exact(em, rng)
+    em.expand_seed_space(5)
+    em.fit(*_seeded_data(rng, 24, [1, 4, 5]))
+    _assert_fast_path_exact(em, rng)
+    em.fit(*_seeded_data(rng, 9, [2, 4, 5]))
+    _assert_fast_path_exact(em, rng)

@@ -121,6 +121,16 @@ def test_normalize_rows_idempotent_bitwise():
     assert np.array_equal(once, twice)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=math.pi), min_size=1, max_size=40))
+def test_normalize_rows_leaves_angle_rows_bitwise(thetas):
+    """Rows (cos t, sin t) with t in [0, pi] are left as they are, which is
+    why the emulator's rank-2 fast path may skip normalizing them."""
+    t = np.array(thetas)
+    B = np.column_stack([np.cos(t), np.sin(t)])
+    assert normalize_rows(B).tobytes() == B.tobytes()
+
+
 def test_seed_cov_diagonal_and_rank_one():
     B = np.ones((3, 1))
     p = SeedKernelParams(B=B, v=np.array([0.5, 0.0, 0.25]))
