@@ -36,7 +36,6 @@ from .grid import (
     FixedGrid,
     GridConfig,
     LHSGrid,
-    ProposalParams,
     likelihood_values,
     mh_densify,
     resample_indices,
@@ -78,7 +77,6 @@ __all__ = [
     "NumericalError",
     "ObjectiveTransform",
     "ProgressError",
-    "ProposalParams",
     "RunTrace",
     "SeedKernelGP",
     "SeedKernelParams",

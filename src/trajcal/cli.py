@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -27,13 +28,13 @@ import tempfile
 
 import numpy as np
 
-from .dataspace import Bounds, Dataset, latin_hypercube, rescale, sse
+from .dataspace import Bounds, Dataset, DesignPoint, latin_hypercube, rescale, sse
 from .emulator import SeedKernelGP
 from .errors import NumericalError, ProgressError
 from .expansion import ExpansionConfig
-from .grid import AdaptiveGrid, FixedGrid, GridConfig, LHSGrid, ProposalParams
-from .simulator import SirConfig, ground_truth, sir_run, to_table, toy_objective
-from .workflow import WorkflowConfig, best_observed, component_stream, run
+from .grid import AdaptiveGrid, FixedGrid, GridConfig, LHSGrid
+from .simulator import SirConfig, sir_run, to_table, toy_objective
+from .workflow import WorkflowConfig, best_observed, component_stream, evaluate, run
 
 __all__ = ["main", "ConfigError", "load_config", "cmd_simulate", "cmd_calibrate", "cmd_report"]
 
@@ -58,24 +59,67 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 # config schema
 
+#: Default of a key that must be given.
+REQUIRED = object()
+#: Types beside int, float, bool and a tuple of choices: a path string (its
+#: minimum is a minimum length), a list of ``problem.ndim`` numbers, and an
+#: object checked against the rows filed under ``<section>.<key>``.
+PATH, BOUNDS, TABLE = "path", "bounds", "table"
 
-def _section(cfg, name, required=True):
+SIR_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SirConfig)
+                if f.default is not dataclasses.MISSING}
+
+#: One row per key: (section, key, type, default, minimum, maximum), checked
+#: in this order.  A default of None also accepts null.  Rows of section
+#: "sir" are ``problem`` keys, accepted only when ``problem.kind`` is "sir".
+SCHEMA = (
+    ("problem", "kind", ("toy", "sir"), REQUIRED, None, None),
+    ("problem", "ndim", int, REQUIRED, 1, None),
+    ("problem", "lower", BOUNDS, REQUIRED, None, None),
+    ("problem", "upper", BOUNDS, REQUIRED, None, None),
+    ("sir", "crn_stream_id", int, SIR_DEFAULTS["crn_stream_id"], 0, None),
+    ("sir", "truth", TABLE, {}, None, None),
+    ("problem.truth", "beta", float, 0.069, 0.0, 1.0),
+    ("problem.truth", "seed_id", int, 0, 0, None),
+    ("sir", "truth_file", PATH, None, None, None),
+    ("sir", "n_agents", int, SIR_DEFAULTS["n_agents"], 1, None),
+    ("sir", "grid_extent", float, SIR_DEFAULTS["grid_extent"], 1e-9, None),
+    ("sir", "horizon", int, SIR_DEFAULTS["horizon"], 1, None),
+    ("sir", "infectious_period", int, SIR_DEFAULTS["infectious_period"], 1, None),
+    ("sir", "contact_radius", float, SIR_DEFAULTS["contact_radius"], 1e-9, None),
+    ("emulator", "kind", ("baseline", "seed-product"), REQUIRED, None, None),
+    ("emulator", "family", ("matern52", "rbf"), "matern52", None, None),
+    ("emulator", "nstarts", int, 5, 1, None),
+    ("emulator", "rank", int, None, 1, None),
+    ("emulator", "per_seed_v", bool, False, None, None),
+    ("emulator", "maxfev", int, None, 1, None),
+    ("grid", "kind", ("fixed", "lhs", "adaptive"), REQUIRED, None, None),
+    ("grid", "ngrid", int, 100, 1, None),
+    ("grid", "proposal_step", float, 0.05, 1e-12, None),
+    ("grid", "reuse_previous", bool, True, None, None),
+    ("expansion", "policy", ("by-sims", "by-prob"), REQUIRED, None, None),
+    ("expansion", "nseeds", int, REQUIRED, 1, None),
+    ("expansion", "nexpansion", int, 10, 0, None),
+    ("expansion", "nsims_expand", int, 50, 1, None),
+    ("expansion", "sample_mode", ("explore", "exploit"), "explore", None, None),
+    ("expansion", "p", float, None, 0.0, 1.0),
+    ("workflow", "budget", int, REQUIRED, 1, None),
+    ("workflow", "initial_design", int, REQUIRED, 1, None),
+    ("workflow", "nTS_samp", int, 30, 1, None),
+    ("workflow", "master_seed", int, 0, 0, None),
+    ("output", "directory", PATH, REQUIRED, 1, None),
+    ("output", "rmse_cutoff", float, 20.0, 0.0, None),
+)
+SECTIONS = ("problem", "emulator", "grid", "expansion", "workflow", "output")
+
+
+def _section(cfg, name):
     if name not in cfg:
-        if required:
-            raise ConfigError(f"{name}: required section missing")
-        return {}
+        raise ConfigError(f"{name}: required section missing")
     sec = cfg.pop(name)
     if not isinstance(sec, dict):
         raise ConfigError(f"{name}: must be an object")
     return dict(sec)
-
-
-def _take(sec, section, key, default=None, required=False):
-    if key not in sec:
-        if required:
-            raise ConfigError(f"{section}.{key}: required key missing")
-        return default
-    return sec.pop(key)
 
 
 def _no_extras(sec, section):
@@ -83,39 +127,90 @@ def _no_extras(sec, section):
         raise ConfigError(f"{section}: unknown key {sorted(sec)[0]!r}")
 
 
-def _as_int(value, name, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name}: must be an integer")
+def _scalar(value, name, kind, minimum, maximum):
+    """Check one value against a scalar type and range; ints become floats
+    where a number is expected."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{name}: must be one of {list(kind)}")
+        return value
+    if kind == PATH:
+        if not isinstance(value, str) or len(value) < (minimum or 0):
+            raise ConfigError(f"{name}: must be a {'nonempty ' if minimum else ''}path string")
+        return value
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name}: must be true or false")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise ConfigError(f"{name}: must be {'a number' if kind is float else 'an integer'}")
+    value = kind(value)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name}: must be >= {minimum}")
-    return value
-
-
-def _as_num(value, name, minimum=None, maximum=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name}: must be a number")
-    v = float(value)
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{name}: must be >= {minimum}")
-    if maximum is not None and v > maximum:
+    if maximum is not None and value > maximum:
         raise ConfigError(f"{name}: must be <= {maximum}")
-    return v
-
-
-def _as_bool(value, name):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name}: must be true or false")
     return value
 
 
-def _as_choice(value, name, choices):
-    if value not in choices:
-        raise ConfigError(f"{name}: must be one of {list(choices)}")
-    return value
+def _cross_field(cfg: dict, after: str) -> None:
+    """The rules between keys, each checked right after the row (or, for the
+    rank, the section) that ``after`` names."""
+    problem, expansion, workflow = (cfg.get(s) for s in ("problem", "expansion", "workflow"))
+    if after == "problem.ndim":
+        if problem["kind"] == "sir" and problem["ndim"] != 1:
+            raise ConfigError("problem.ndim: must be 1 for the sir problem")
+    elif after == "problem.upper":
+        if any(lo >= hi for lo, hi in zip(problem["lower"], problem["upper"])):
+            raise ConfigError("problem.lower: each entry must be < the matching upper")
+    elif after == "expansion.p":
+        if expansion["policy"] == "by-prob" and expansion["p"] is None:
+            raise ConfigError("expansion.p: required for the by-prob policy")
+    elif after == "expansion":
+        rank = cfg["emulator"]["rank"]
+        if cfg["emulator"]["kind"] == "seed-product" and rank is not None \
+                and rank > expansion["nseeds"]:
+            raise ConfigError(
+                f"emulator.rank: must be <= expansion.nseeds ({expansion['nseeds']})")
+    elif after == "workflow.master_seed":
+        if workflow["budget"] < workflow["initial_design"]:
+            raise ConfigError("workflow.budget: must be >= workflow.initial_design")
+
+
+def _read_table(raw: dict, name: str, sec: dict, cfg: dict) -> dict:
+    """Move the keys SCHEMA files under ``name`` from ``raw`` into ``sec``,
+    checked and with defaults filled; a key left over is an error."""
+    for section, key, kind, default, minimum, maximum in SCHEMA:
+        if section != name and not (
+                section == "sir" and name == "problem" and sec["kind"] == "sir"):
+            continue
+        full = f"{name}.{key}"
+        if key in raw:
+            value = raw.pop(key)
+        elif default is REQUIRED:
+            raise ConfigError(f"{full}: required key missing")
+        else:
+            value = default
+        if value is None and default is None:
+            sec[key] = None
+        elif kind == TABLE:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{full}: must be an object")
+            sec[key] = _read_table(dict(value), full, {}, cfg)
+        elif kind == BOUNDS:
+            if not isinstance(value, list) or len(value) != sec["ndim"]:
+                raise ConfigError(f"{full}: must be a list of {sec['ndim']} numbers")
+            sec[key] = [_scalar(v, f"{full}[{i}]", float, None, None)
+                        for i, v in enumerate(value)]
+        else:
+            sec[key] = _scalar(value, full, kind, minimum, maximum)
+        _cross_field(cfg, full)
+    _no_extras(raw, name)
+    return sec
 
 
 def load_config(path: str) -> dict:
-    """Read, validate, and normalize a calibration config file."""
+    """Read a calibration config file, check it against SCHEMA and the
+    cross-field rules, and return it with every default filled in."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -126,142 +221,16 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     cfg = dict(cfg)
-
-    fmt = _take(cfg, "config", "format", required=True)
+    if "format" not in cfg:
+        raise ConfigError("config.format: required key missing")
+    fmt = cfg.pop("format")
     if fmt != CONFIG_FORMAT:
         raise ConfigError(f"format: expected {CONFIG_FORMAT!r}, got {fmt!r}")
-
     out = {"format": fmt}
-
-    sec = _section(cfg, "problem")
-    problem = {"kind": _as_choice(_take(sec, "problem", "kind", required=True),
-                                  "problem.kind", ("toy", "sir"))}
-    problem["ndim"] = _as_int(_take(sec, "problem", "ndim", required=True),
-                              "problem.ndim", minimum=1)
-    if problem["kind"] == "sir" and problem["ndim"] != 1:
-        raise ConfigError("problem.ndim: must be 1 for the sir problem")
-    for key in ("lower", "upper"):
-        vals = _take(sec, "problem", key, required=True)
-        if not isinstance(vals, list) or len(vals) != problem["ndim"]:
-            raise ConfigError(f"problem.{key}: must be a list of {problem['ndim']} numbers")
-        problem[key] = [_as_num(v, f"problem.{key}[{i}]") for i, v in enumerate(vals)]
-    for lo, hi in zip(problem["lower"], problem["upper"]):
-        if lo >= hi:
-            raise ConfigError("problem.lower: each entry must be < the matching upper")
-    if problem["kind"] == "sir":
-        problem["crn_stream_id"] = _as_int(
-            _take(sec, "problem", "crn_stream_id", default=0), "problem.crn_stream_id", 0)
-        truth = _take(sec, "problem", "truth", default={"beta": 0.069, "seed_id": 0})
-        if not isinstance(truth, dict):
-            raise ConfigError("problem.truth: must be an object")
-        truth = dict(truth)
-        problem["truth"] = {
-            "beta": _as_num(_take(truth, "problem.truth", "beta", default=0.069),
-                            "problem.truth.beta", 0.0, 1.0),
-            "seed_id": _as_int(_take(truth, "problem.truth", "seed_id", default=0),
-                               "problem.truth.seed_id", 0),
-        }
-        _no_extras(truth, "problem.truth")
-        problem["truth_file"] = _take(sec, "problem", "truth_file", default=None)
-        if problem["truth_file"] is not None and not isinstance(problem["truth_file"], str):
-            raise ConfigError("problem.truth_file: must be a path string")
-        problem["n_agents"] = _as_int(_take(sec, "problem", "n_agents", default=2000),
-                                      "problem.n_agents", 1)
-        problem["grid_extent"] = _as_num(_take(sec, "problem", "grid_extent", default=50.0),
-                                         "problem.grid_extent", 1e-9)
-        problem["horizon"] = _as_int(_take(sec, "problem", "horizon", default=100),
-                                     "problem.horizon", 1)
-        problem["infectious_period"] = _as_int(
-            _take(sec, "problem", "infectious_period", default=14),
-            "problem.infectious_period", 1)
-        problem["contact_radius"] = _as_num(
-            _take(sec, "problem", "contact_radius", default=1.5),
-            "problem.contact_radius", 1e-9)
-    _no_extras(sec, "problem")
-    out["problem"] = problem
-
-    sec = _section(cfg, "emulator")
-    emulator = {
-        "kind": _as_choice(_take(sec, "emulator", "kind", required=True),
-                           "emulator.kind", ("baseline", "seed-product")),
-        "family": _as_choice(_take(sec, "emulator", "family", default="matern52"),
-                             "emulator.family", ("matern52", "rbf")),
-        "nstarts": _as_int(_take(sec, "emulator", "nstarts", default=5),
-                           "emulator.nstarts", 1),
-    }
-    rank = _take(sec, "emulator", "rank", default=None)
-    emulator["rank"] = None if rank is None else _as_int(rank, "emulator.rank", 1)
-    emulator["per_seed_v"] = _as_bool(_take(sec, "emulator", "per_seed_v", default=False),
-                                      "emulator.per_seed_v")
-    maxfev = _take(sec, "emulator", "maxfev", default=None)
-    emulator["maxfev"] = None if maxfev is None else _as_int(maxfev, "emulator.maxfev", 1)
-    _no_extras(sec, "emulator")
-    out["emulator"] = emulator
-
-    sec = _section(cfg, "grid")
-    grid = {
-        "kind": _as_choice(_take(sec, "grid", "kind", required=True),
-                           "grid.kind", ("fixed", "lhs", "adaptive")),
-        "ngrid": _as_int(_take(sec, "grid", "ngrid", default=100), "grid.ngrid", 1),
-        "proposal_step": _as_num(_take(sec, "grid", "proposal_step", default=0.05),
-                                 "grid.proposal_step", 1e-12),
-        "reuse_previous": _as_bool(_take(sec, "grid", "reuse_previous", default=True),
-                                   "grid.reuse_previous"),
-    }
-    _no_extras(sec, "grid")
-    out["grid"] = grid
-
-    sec = _section(cfg, "expansion")
-    expansion = {
-        "policy": _as_choice(_take(sec, "expansion", "policy", required=True),
-                             "expansion.policy", ("by-sims", "by-prob")),
-        "nseeds": _as_int(_take(sec, "expansion", "nseeds", required=True),
-                          "expansion.nseeds", 1),
-        "nexpansion": _as_int(_take(sec, "expansion", "nexpansion", default=10),
-                              "expansion.nexpansion", 0),
-        "nsims_expand": _as_int(_take(sec, "expansion", "nsims_expand", default=50),
-                                "expansion.nsims_expand", 1),
-        "sample_mode": _as_choice(_take(sec, "expansion", "sample_mode", default="explore"),
-                                  "expansion.sample_mode", ("explore", "exploit")),
-    }
-    p = _take(sec, "expansion", "p", default=None)
-    expansion["p"] = None if p is None else _as_num(p, "expansion.p", 0.0, 1.0)
-    if expansion["policy"] == "by-prob" and expansion["p"] is None:
-        raise ConfigError("expansion.p: required for the by-prob policy")
-    _no_extras(sec, "expansion")
-    out["expansion"] = expansion
-    if (emulator["kind"] == "seed-product" and emulator["rank"] is not None
-            and emulator["rank"] > expansion["nseeds"]):
-        raise ConfigError(f"emulator.rank: must be <= expansion.nseeds ({expansion['nseeds']})")
-
-    sec = _section(cfg, "workflow")
-    wf = {
-        "budget": _as_int(_take(sec, "workflow", "budget", required=True),
-                          "workflow.budget", 1),
-        "initial_design": _as_int(_take(sec, "workflow", "initial_design", required=True),
-                                  "workflow.initial_design", 1),
-        "nTS_samp": _as_int(_take(sec, "workflow", "nTS_samp", default=30),
-                            "workflow.nTS_samp", 1),
-        "master_seed": _as_int(_take(sec, "workflow", "master_seed", default=0),
-                               "workflow.master_seed", 0),
-    }
-    if wf["budget"] < wf["initial_design"]:
-        raise ConfigError("workflow.budget: must be >= workflow.initial_design")
-    _no_extras(sec, "workflow")
-    out["workflow"] = wf
-
-    sec = _section(cfg, "output")
-    directory = _take(sec, "output", "directory", required=True)
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("output.directory: must be a nonempty path string")
-    output = {
-        "directory": directory,
-        "rmse_cutoff": _as_num(_take(sec, "output", "rmse_cutoff", default=20.0),
-                               "output.rmse_cutoff", 0.0),
-    }
-    _no_extras(sec, "output")
-    out["output"] = output
-
+    for name in SECTIONS:
+        out[name] = {}
+        _read_table(_section(cfg, name), name, out[name], out)
+        _cross_field(out, name)
     _no_extras(cfg, "config")
     return out
 
@@ -304,21 +273,17 @@ def _build_objective(problem: dict):
     """Returns (objective callable, rmse denominator or None)."""
     if problem["kind"] == "toy":
         return toy_objective, None
-    overrides = dict(
-        crn_stream_id=problem["crn_stream_id"],
-        n_agents=problem["n_agents"],
-        grid_extent=problem["grid_extent"],
-        horizon=problem["horizon"],
-        infectious_period=problem["infectious_period"],
-        contact_radius=problem["contact_radius"],
-    )
+    overrides = {key: problem[key] for key in SIR_DEFAULTS}
     npoints = problem["horizon"] + 1
     if problem["truth_file"] is not None:
         target = _read_truth_file(problem["truth_file"], npoints)
     else:
-        truth_cfg = SirConfig(
-            beta=problem["truth"]["beta"], seed_id=problem["truth"]["seed_id"], **overrides
-        )
+        try:
+            truth_cfg = SirConfig(
+                beta=problem["truth"]["beta"], seed_id=problem["truth"]["seed_id"], **overrides
+            )
+        except ValueError as exc:
+            raise ConfigError(f"problem: {exc}") from None
         target = sir_run(truth_cfg).infected_counts.astype(float)
     bounds = Bounds(lower=np.array(problem["lower"]), upper=np.array(problem["upper"]))
     cache: dict = {}
@@ -357,7 +322,7 @@ def _build_components(cfg: dict):
     else:
         strategy = AdaptiveGrid(
             gcfg,
-            proposal=ProposalParams(step=cfg["grid"]["proposal_step"]),
+            step=cfg["grid"]["proposal_step"],
             reuse_previous=cfg["grid"]["reuse_previous"],
         )
     expansion = ExpansionConfig(
@@ -543,16 +508,8 @@ def _write_bundle(outdir: str, cfg: dict, trace, dataset: Dataset, bounds: Bound
 
 def cmd_simulate(args) -> int:
     try:
-        config = SirConfig(
-            beta=args.beta,
-            seed_id=args.seed,
-            crn_stream_id=args.stream,
-            n_agents=args.n_agents,
-            grid_extent=args.grid_extent,
-            horizon=args.horizon,
-            infectious_period=args.infectious_period,
-            contact_radius=args.contact_radius,
-        )
+        config = SirConfig(beta=args.beta, seed_id=args.seed,
+                           **{key: getattr(args, key) for key in SIR_DEFAULTS})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -589,16 +546,10 @@ def cmd_calibrate(args) -> int:
     X0 = latin_hypercube(n0, d, init_rng)
     seeds0 = 1 + np.arange(n0, dtype=np.int64) % k0
     ok_rows, ok_seeds, ok_y = [], [], []
-    from .dataspace import DesignPoint
-
     for i in range(n0):
-        point = DesignPoint(x=X0[i], r=int(seeds0[i]))
-        try:
-            y = float(objective(point))
-            if not math.isfinite(y):
-                raise ValueError(f"non-finite objective: {y}")
-        except Exception as exc:
-            print(f"warning: initial evaluation failed: {exc}", file=sys.stderr)
+        y, error = evaluate(objective, DesignPoint(x=X0[i], r=int(seeds0[i])))
+        if error is not None:
+            print(f"warning: initial evaluation failed: {error}", file=sys.stderr)
             continue
         ok_rows.append(X0[i])
         ok_seeds.append(int(seeds0[i]))
@@ -708,12 +659,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--beta", type=float, required=True,
                      help="per-contact transmission probability")
     sim.add_argument("--seed", type=int, default=0, help="index-case seed id")
-    sim.add_argument("--stream", type=int, default=0, help="common-random-number stream id")
-    sim.add_argument("--n-agents", type=int, default=2000)
-    sim.add_argument("--grid-extent", type=float, default=50.0)
-    sim.add_argument("--horizon", type=int, default=100)
-    sim.add_argument("--infectious-period", type=int, default=14)
-    sim.add_argument("--contact-radius", type=float, default=1.5)
+    sim.add_argument("--stream", dest="crn_stream_id", metavar="STREAM", type=int,
+                     default=SIR_DEFAULTS["crn_stream_id"], help="common-random-number stream id")
+    for key, default in SIR_DEFAULTS.items():
+        if key != "crn_stream_id":
+            sim.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
     sim.add_argument("--out", default="trajectory.csv", help="output table path")
     sim.set_defaults(func=cmd_simulate)
 

@@ -1,11 +1,10 @@
 """Seed-space growth: when to add a new seed id and what to run on it.
 
 Policies decide when the discrete seed space grows: after a fixed number
-of completed simulations, with a fixed per-check probability, or by a
-user predicate over the emulator, dataset, and state.  On expansion the
-workflow draws points that carry the new seed, either by re-seeding a
-uniform draw from the refined grid (exploration, the default) or by
-re-seeding the incumbent best coordinates (exploitation).
+of completed simulations, or with a fixed per-check probability.  On
+expansion the workflow draws points that carry the new seed, either by
+re-seeding a uniform draw from the refined grid (exploration, the
+default) or by re-seeding the incumbent best coordinates (exploitation).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ __all__ = [
     "reseed_incumbents",
 ]
 
-POLICIES = ("by-sims", "by-prob", "custom")
+POLICIES = ("by-sims", "by-prob")
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,7 @@ class ExpansionConfig:
 
     policy "by-sims" triggers once ``nsims_expand`` simulations complete
     since the last expansion; "by-prob" triggers with probability ``p`` at
-    each check; "custom" delegates to ``predicate(state, emulator,
-    dataset)``.
+    each check.
     """
 
     nseeds: int
@@ -43,7 +41,6 @@ class ExpansionConfig:
     policy: str = "by-sims"
     nsims_expand: int = 50
     p: float | None = None
-    predicate: object = None
 
     def __post_init__(self):
         if self.nseeds < 1:
@@ -57,8 +54,6 @@ class ExpansionConfig:
         if self.policy == "by-prob":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError("by-prob policy needs p in [0, 1]")
-        if self.policy == "custom" and not callable(self.predicate):
-            raise ValueError("custom policy needs a callable predicate")
 
 
 @dataclass
@@ -77,13 +72,11 @@ class ExpansionState:
 
 
 def check_for_expansion(state: ExpansionState, config: ExpansionConfig,
-                        rng: np.random.Generator, emulator=None, dataset=None) -> bool:
+                        rng: np.random.Generator) -> bool:
     """Should the seed space grow now?  Pure read except for by-prob's draw."""
     if config.policy == "by-sims":
         return state.sims_since_expansion >= config.nsims_expand
-    if config.policy == "by-prob":
-        return bool(rng.random() < config.p)
-    return bool(config.predicate(state, emulator, dataset))
+    return bool(rng.random() < config.p)
 
 
 def expand(state: ExpansionState, config: ExpansionConfig, iteration: int) -> int:

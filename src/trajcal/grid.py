@@ -20,7 +20,6 @@ from .errors import ProgressError
 
 __all__ = [
     "GridConfig",
-    "ProposalParams",
     "CandidateGrid",
     "FixedGrid",
     "LHSGrid",
@@ -32,6 +31,8 @@ __all__ = [
 
 SIGMA_FLOOR = 1e-8
 LIKELIHOOD_FLOOR = 1e-300
+#: MH proposals allowed per grid point before densification gives up.
+MAX_ATTEMPTS_PER_POINT = 10_000
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,6 @@ class GridConfig:
             raise ValueError("nseeds must be >= 1")
         if self.ngrid < 1:
             raise ValueError("ngrid must be >= 1")
-
-
-@dataclass(frozen=True)
-class ProposalParams:
-    """Scale of the Gaussian random-walk proposal, in unit-hypercube units."""
-
-    step: float = 0.05
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("proposal step must be positive")
 
 
 class CandidateGrid:
@@ -222,16 +212,18 @@ class AdaptiveGrid:
     Each call reweights the previous grid (or a bootstrap LHS on the first
     call) by the probability of beating the incumbent, resamples M points
     with replacement, collapses duplicates, and densifies back to M
-    distinct points via ``mh_densify``.  Set ``reuse_previous=False`` to
-    restart from a fresh LHS every call instead of carrying the grid over.
+    distinct points via ``mh_densify``, whose Gaussian random-walk proposal
+    has scale ``step`` in unit-hypercube units.  Set ``reuse_previous=False``
+    to restart from a fresh LHS every call instead of carrying the grid over.
     """
 
-    def __init__(self, config: GridConfig, proposal: ProposalParams | None = None,
-                 reuse_previous: bool = True, max_attempts_factor: int = 10_000):
+    def __init__(self, config: GridConfig, step: float = 0.05,
+                 reuse_previous: bool = True):
+        if step <= 0:
+            raise ValueError("proposal step must be positive")
         self.config = config
-        self.proposal = proposal if proposal is not None else ProposalParams()
+        self.step = step
         self.reuse_previous = bool(reuse_previous)
-        self.max_attempts_factor = int(max_attempts_factor)
         self._previous: CandidateGrid | None = None
 
     def sample(self, *, emulator=None, dataset=None, nseeds=None,
@@ -260,8 +252,8 @@ class AdaptiveGrid:
             return likelihood_values(np.tile(x, (k, 1)), all_seeds, emulator, tau)
 
         entries = mh_densify(
-            entries, seedwise_likelihood, k, M, self.proposal.step, rng,
-            self.max_attempts_factor * M,
+            entries, seedwise_likelihood, k, M, self.step, rng,
+            MAX_ATTEMPTS_PER_POINT * M,
         )
         grid = CandidateGrid(
             X=np.array([e[0] for e in entries]),

@@ -35,6 +35,7 @@ __all__ = [
     "RunTrace",
     "component_stream",
     "thompson_select",
+    "evaluate",
     "run",
     "best_observed",
 ]
@@ -147,6 +148,21 @@ def thompson_select(emulator, grid, nTS_samp: int, rng: np.random.Generator):
     return points, [int(a) for a in argmins]
 
 
+def evaluate(simulator, point: DesignPoint) -> tuple[float | None, str | None]:
+    """One simulator call, as ``(value, None)`` or, when it failed, ``(None, error)``.
+
+    The call fails when the simulator raises or returns NaN or an infinity;
+    ``error`` is the text the trace records.
+    """
+    try:
+        y = float(simulator(point))
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    if not math.isfinite(y):
+        return None, f"non-finite objective: {y}"
+    return y, None
+
+
 def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
         grid_strategy) -> RunTrace:
     """Run the calibration loop until the budget is exhausted.
@@ -220,7 +236,6 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
             if check_for_expansion(
                 state, config.expansion,
                 component_stream(config.master_seed, "expansion", iteration),
-                emulator=emulator, dataset=dataset,
             ):
                 new_seed = expand(state, config.expansion, iteration)
                 emulator.expand_seed_space(new_seed)
@@ -235,37 +250,23 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
                 expansion_event = (iteration, new_seed)
             batch = batch[: config.budget - completed]
 
-            ok_x, ok_seeds, ok_y, nfailed = [], [], [], 0
+            ok_x, ok_seeds, ok_y = [], [], []
             for p in batch:
-                try:
-                    y = float(simulator(p))
-                    error = None if math.isfinite(y) else f"non-finite objective: {y}"
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                if error is not None:
-                    nfailed += 1
-                    trace.evaluations.append(
-                        EvalRecord(
-                            iteration=iteration,
-                            x=tuple(float(v) for v in p.x),
-                            seed=p.r,
-                            y_raw=None,
-                            failed=True,
-                            error=error,
-                        )
-                    )
-                    continue
-                ok_x.append(p.x)
-                ok_seeds.append(p.r)
-                ok_y.append(y)
+                y, error = evaluate(simulator, p)
                 trace.evaluations.append(
                     EvalRecord(
                         iteration=iteration,
                         x=tuple(float(v) for v in p.x),
                         seed=p.r,
                         y_raw=y,
+                        failed=error is not None,
+                        error=error,
                     )
                 )
+                if error is None:
+                    ok_x.append(p.x)
+                    ok_seeds.append(p.r)
+                    ok_y.append(y)
             trace.iterations.append(
                 IterationRecord(
                     iteration=iteration,
@@ -275,7 +276,7 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
                     batch=[(tuple(float(v) for v in p.x), p.r) for p in batch],
                     expansion=expansion_event,
                     evaluated=len(ok_y),
-                    failed=nfailed,
+                    failed=len(batch) - len(ok_y),
                 )
             )
             if not ok_y:

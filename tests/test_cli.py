@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,139 @@ def test_rejects_missing_file(tmp_path):
         load_config(str(tmp_path / "absent.json"))
 
 
+
+_DELETE = object()
+_SIR_PROBLEM = {"kind": "sir", "ndim": 1, "lower": [0.02], "upper": [0.12]}
+
+# one fault per schema row, pinned to the exact message: a wrong type, a value
+# below the minimum, above the maximum, and a missing required key
+_FAULTS = [
+    ("toy", "problem.kind", 1, "problem.kind: must be one of ['toy', 'sir']"),
+    ("toy", "problem.kind", _DELETE, "problem.kind: required key missing"),
+    ("toy", "problem.ndim", 1.0, "problem.ndim: must be an integer"),
+    ("toy", "problem.ndim", 0, "problem.ndim: must be >= 1"),
+    ("toy", "problem.ndim", _DELETE, "problem.ndim: required key missing"),
+    ("toy", "problem.lower", 0.0, "problem.lower: must be a list of 1 numbers"),
+    ("toy", "problem.lower", [0.0, 0.5], "problem.lower: must be a list of 1 numbers"),
+    ("toy", "problem.lower", ["0"], "problem.lower[0]: must be a number"),
+    ("toy", "problem.lower", _DELETE, "problem.lower: required key missing"),
+    ("toy", "problem.upper", None, "problem.upper: must be a list of 1 numbers"),
+    ("toy", "problem.upper", [True], "problem.upper[0]: must be a number"),
+    ("toy", "problem.upper", _DELETE, "problem.upper: required key missing"),
+    ("sir", "problem.crn_stream_id", 0.5, "problem.crn_stream_id: must be an integer"),
+    ("sir", "problem.crn_stream_id", -1, "problem.crn_stream_id: must be >= 0"),
+    ("sir", "problem.truth", [], "problem.truth: must be an object"),
+    ("sir", "problem.truth", None, "problem.truth: must be an object"),
+    ("sir", "problem.truth.beta", "0.1", "problem.truth.beta: must be a number"),
+    ("sir", "problem.truth.beta", -0.1, "problem.truth.beta: must be >= 0.0"),
+    ("sir", "problem.truth.beta", 1.5, "problem.truth.beta: must be <= 1.0"),
+    ("sir", "problem.truth.seed_id", 1.0, "problem.truth.seed_id: must be an integer"),
+    ("sir", "problem.truth.seed_id", -1, "problem.truth.seed_id: must be >= 0"),
+    ("sir", "problem.truth_file", 3, "problem.truth_file: must be a path string"),
+    ("sir", "problem.n_agents", "many", "problem.n_agents: must be an integer"),
+    ("sir", "problem.n_agents", 0, "problem.n_agents: must be >= 1"),
+    ("sir", "problem.grid_extent", "wide", "problem.grid_extent: must be a number"),
+    ("sir", "problem.grid_extent", 0, "problem.grid_extent: must be >= 1e-09"),
+    ("sir", "problem.horizon", 10.0, "problem.horizon: must be an integer"),
+    ("sir", "problem.horizon", 0, "problem.horizon: must be >= 1"),
+    ("sir", "problem.infectious_period", [], "problem.infectious_period: must be an integer"),
+    ("sir", "problem.infectious_period", 0, "problem.infectious_period: must be >= 1"),
+    ("sir", "problem.contact_radius", False, "problem.contact_radius: must be a number"),
+    ("sir", "problem.contact_radius", -1.5, "problem.contact_radius: must be >= 1e-09"),
+    ("toy", "emulator.kind", "gp", "emulator.kind: must be one of ['baseline', 'seed-product']"),
+    ("toy", "emulator.kind", _DELETE, "emulator.kind: required key missing"),
+    ("toy", "emulator.family", None, "emulator.family: must be one of ['matern52', 'rbf']"),
+    ("toy", "emulator.nstarts", 2.5, "emulator.nstarts: must be an integer"),
+    ("toy", "emulator.nstarts", 0, "emulator.nstarts: must be >= 1"),
+    ("toy", "emulator.rank", "2", "emulator.rank: must be an integer"),
+    ("toy", "emulator.rank", 0, "emulator.rank: must be >= 1"),
+    ("toy", "emulator.per_seed_v", 1, "emulator.per_seed_v: must be true or false"),
+    ("toy", "emulator.maxfev", True, "emulator.maxfev: must be an integer"),
+    ("toy", "emulator.maxfev", 0, "emulator.maxfev: must be >= 1"),
+    ("toy", "grid.kind", None, "grid.kind: must be one of ['fixed', 'lhs', 'adaptive']"),
+    ("toy", "grid.kind", _DELETE, "grid.kind: required key missing"),
+    ("toy", "grid.ngrid", 30.0, "grid.ngrid: must be an integer"),
+    ("toy", "grid.ngrid", 0, "grid.ngrid: must be >= 1"),
+    ("toy", "grid.proposal_step", "small", "grid.proposal_step: must be a number"),
+    ("toy", "grid.proposal_step", 0, "grid.proposal_step: must be >= 1e-12"),
+    ("toy", "grid.reuse_previous", None, "grid.reuse_previous: must be true or false"),
+    ("toy", "expansion.policy", "custom", "expansion.policy: must be one of ['by-sims', 'by-prob']"),
+    ("toy", "expansion.policy", _DELETE, "expansion.policy: required key missing"),
+    ("toy", "expansion.nseeds", "3", "expansion.nseeds: must be an integer"),
+    ("toy", "expansion.nseeds", 0, "expansion.nseeds: must be >= 1"),
+    ("toy", "expansion.nseeds", _DELETE, "expansion.nseeds: required key missing"),
+    ("toy", "expansion.nexpansion", 1.5, "expansion.nexpansion: must be an integer"),
+    ("toy", "expansion.nexpansion", -1, "expansion.nexpansion: must be >= 0"),
+    ("toy", "expansion.nsims_expand", None, "expansion.nsims_expand: must be an integer"),
+    ("toy", "expansion.nsims_expand", 0, "expansion.nsims_expand: must be >= 1"),
+    ("toy", "expansion.sample_mode", "random",
+     "expansion.sample_mode: must be one of ['explore', 'exploit']"),
+    ("toy", "expansion.p", "half", "expansion.p: must be a number"),
+    ("toy", "expansion.p", -0.5, "expansion.p: must be >= 0.0"),
+    ("toy", "expansion.p", 2, "expansion.p: must be <= 1.0"),
+    ("toy", "workflow.budget", "12", "workflow.budget: must be an integer"),
+    ("toy", "workflow.budget", 0, "workflow.budget: must be >= 1"),
+    ("toy", "workflow.budget", _DELETE, "workflow.budget: required key missing"),
+    ("toy", "workflow.initial_design", 8.0, "workflow.initial_design: must be an integer"),
+    ("toy", "workflow.initial_design", 0, "workflow.initial_design: must be >= 1"),
+    ("toy", "workflow.initial_design", _DELETE, "workflow.initial_design: required key missing"),
+    ("toy", "workflow.nTS_samp", {}, "workflow.nTS_samp: must be an integer"),
+    ("toy", "workflow.nTS_samp", 0, "workflow.nTS_samp: must be >= 1"),
+    ("toy", "workflow.master_seed", None, "workflow.master_seed: must be an integer"),
+    ("toy", "workflow.master_seed", -1, "workflow.master_seed: must be >= 0"),
+    ("toy", "output.directory", 3, "output.directory: must be a nonempty path string"),
+    ("toy", "output.directory", "", "output.directory: must be a nonempty path string"),
+    ("toy", "output.directory", _DELETE, "output.directory: required key missing"),
+    ("toy", "output.rmse_cutoff", None, "output.rmse_cutoff: must be a number"),
+    ("toy", "output.rmse_cutoff", -1, "output.rmse_cutoff: must be >= 0.0"),
+    # unknown keys, per section, in the truth object, and SIR-only keys on toy
+    ("toy", "zeta", 1, "config: unknown key 'zeta'"),
+    ("toy", "problem.zeta", 1, "problem: unknown key 'zeta'"),
+    ("sir", "problem.zeta", 1, "problem: unknown key 'zeta'"),
+    ("sir", "problem.truth.zeta", 1, "problem.truth: unknown key 'zeta'"),
+    ("toy", "emulator.zeta", 1, "emulator: unknown key 'zeta'"),
+    ("toy", "grid.zeta", 1, "grid: unknown key 'zeta'"),
+    ("toy", "expansion.zeta", 1, "expansion: unknown key 'zeta'"),
+    ("toy", "workflow.zeta", 1, "workflow: unknown key 'zeta'"),
+    ("toy", "output.zeta", 1, "output: unknown key 'zeta'"),
+    ("toy", "problem.n_agents", 500, "problem: unknown key 'n_agents'"),
+    ("toy", "problem.truth", {}, "problem: unknown key 'truth'"),
+    ("toy", "problem.truth_file", "t.csv", "problem: unknown key 'truth_file'"),
+    ("toy", "problem", [], "problem: must be an object"),
+    ("toy", "output", _DELETE, "output: required section missing"),
+]
+
+
+@pytest.mark.parametrize("base,path,value,message", _FAULTS,
+                         ids=[f"{f[1]}={'<deleted>' if f[2] is _DELETE else f[2]!r}"
+                              for f in _FAULTS])
+def test_schema_names_each_fault(tmp_path, base, path, value, message):
+    def mutate(c):
+        if base == "sir":
+            c["problem"] = copy.deepcopy(_SIR_PROBLEM)
+        *parents, key = path.split(".")
+        obj = c
+        for name in parents:
+            obj = obj.setdefault(name, {})
+        if value is _DELETE:
+            del obj[key]
+        else:
+            obj[key] = value
+
+    with pytest.raises(ConfigError) as info:
+        _load(tmp_path, mutate)
+    assert str(info.value) == message
+
+
+def test_readme_minimal_config_loads(tmp_path):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = re.search(r"A minimal calibration config:\n\n```json\n(.*?)```", readme, re.S)
+    assert block is not None
+    cfg = load_config(_write(tmp_path, json.loads(block.group(1))))
+    assert cfg["problem"]["kind"] == "sir"
+    assert cfg["problem"]["n_agents"] == 2000
+    assert cfg["workflow"]["budget"] == 200
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -425,6 +559,35 @@ def test_calibrate_rank_above_nseeds_exits_2(tmp_path, capsys):
     # the baseline kind ignores the rank, as before
     cfg["emulator"]["kind"] = "baseline"
     assert load_config(_write(tmp_path, cfg))["emulator"]["rank"] == 5
+
+
+def test_calibrate_index_case_outside_the_grid_exits_2(tmp_path, capsys):
+    # grid_extent 10 puts the truth run's index case, at (25, 25), off the grid
+    cfg = _toy_config(tmp_path / "out")
+    cfg["problem"] = dict(_SIR_PROBLEM, grid_extent=10)
+    assert main(["calibrate", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem: index case (25+0, 25+0) lies outside")
+    assert not (tmp_path / "out").exists()
+
+
+def test_calibrate_warns_and_traces_the_same_failure_text(tmp_path, monkeypatch, capsys):
+    toy = cli.toy_objective
+
+    def flaky(point):
+        if point.r == 2:
+            raise ValueError("boom")
+        return toy(point)
+
+    monkeypatch.setattr(cli, "toy_objective", flaky)
+    outdir = tmp_path / "out"
+    assert main(["calibrate", _write(tmp_path, _toy_config(outdir))]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings and set(warnings) == {"warning: initial evaluation failed: ValueError: boom"}
+    events = [json.loads(l) for l in (outdir / "trace.jsonl").read_text().splitlines()]
+    errors = {e["error"] for e in events if e["event"] == "evaluation" and e["failed"]}
+    assert errors == {"ValueError: boom"}
 
 
 def test_calibrate_respects_output_dir_env(tmp_path, monkeypatch):

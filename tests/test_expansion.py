@@ -29,8 +29,6 @@ def test_config_validation():
         ExpansionConfig(nseeds=5, policy="by-prob", p=1.5)
     with pytest.raises(ValueError):
         ExpansionConfig(nseeds=5, policy="by-sims", nsims_expand=0)
-    with pytest.raises(ValueError):
-        ExpansionConfig(nseeds=5, policy="custom")  # predicate missing
 
 
 def test_by_sims_threshold():
@@ -49,22 +47,6 @@ def test_by_prob_degenerate():
     state = ExpansionState(current_k=5)
     assert not any(check_for_expansion(state, never, rng) for _ in range(100))
     assert all(check_for_expansion(state, always, rng) for _ in range(100))
-
-
-def test_custom_predicate_receives_context():
-    seen = {}
-
-    def predicate(state, emulator, dataset):
-        seen["args"] = (state, emulator, dataset)
-        return state.current_k < 7
-
-    cfg = ExpansionConfig(nseeds=5, policy="custom", predicate=predicate)
-    state = ExpansionState(current_k=5)
-    assert check_for_expansion(state, cfg, np.random.default_rng(2),
-                               emulator="em", dataset="ds")
-    assert seen["args"] == (state, "em", "ds")
-    state.current_k = 7
-    assert not check_for_expansion(state, cfg, np.random.default_rng(2))
 
 
 def test_expand_contiguous_ids():

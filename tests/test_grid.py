@@ -11,7 +11,6 @@ from trajcal.grid import (
     FixedGrid,
     GridConfig,
     LHSGrid,
-    ProposalParams,
     _reflect_unit,
     likelihood_values,
     mh_densify,
@@ -41,7 +40,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GridConfig(ndim=1, nseeds=1, ngrid=0)
     with pytest.raises(ValueError):
-        ProposalParams(step=0.0)
+        AdaptiveGrid(GridConfig(ndim=1, nseeds=1), step=0.0)
 
 
 def test_candidate_grid_validates_domain():
