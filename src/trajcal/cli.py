@@ -34,7 +34,9 @@ from .errors import NumericalError, ProgressError
 from .expansion import ExpansionConfig
 from .grid import AdaptiveGrid, FixedGrid, GridConfig, LHSGrid
 from .simulator import SirConfig, sir_run, to_table, toy_objective
-from .workflow import WorkflowConfig, best_observed, component_stream, evaluate, run
+from .workflow import (
+    EvalRecord, WorkflowConfig, best_observed, component_stream, evaluate, run,
+)
 
 __all__ = ["main", "ConfigError", "load_config", "cmd_simulate", "cmd_calibrate", "cmd_report"]
 
@@ -144,7 +146,10 @@ def _scalar(value, name, kind, minimum, maximum):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
         raise ConfigError(f"{name}: must be {'a number' if kind is float else 'an integer'}")
-    value = kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ConfigError(f"{name}: must be within the range of a float") from None
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name}: must be >= {minimum}")
     if maximum is not None and value > maximum:
@@ -545,9 +550,13 @@ def cmd_calibrate(args) -> int:
     init_rng = component_stream(cfg["workflow"]["master_seed"], "init", 0)
     X0 = latin_hypercube(n0, d, init_rng)
     seeds0 = 1 + np.arange(n0, dtype=np.int64) % k0
+    initial = []  # every design point's EvalRecord, in design order
     ok_rows, ok_seeds, ok_y = [], [], []
     for i in range(n0):
         y, error = evaluate(objective, DesignPoint(x=X0[i], r=int(seeds0[i])))
+        initial.append(EvalRecord(iteration=0, x=tuple(float(v) for v in X0[i]),
+                                  seed=int(seeds0[i]), y_raw=y,
+                                  failed=error is not None, error=error))
         if error is not None:
             print(f"warning: initial evaluation failed: {error}", file=sys.stderr)
             continue
@@ -564,14 +573,22 @@ def cmd_calibrate(args) -> int:
     except (NumericalError, ProgressError) as exc:
         trace = getattr(exc, "trace", None)
         if trace is not None:
+            _trace_initial_design(trace, initial)
             _write_bundle(outdir, cfg, trace, dataset, bounds, rmse_denominator)
             print(f"error: {exc} (partial results in {outdir})", file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 3
+    _trace_initial_design(trace, initial)
     _write_bundle(outdir, cfg, trace, dataset, bounds, rmse_denominator)
     print(outdir)
     return 0
+
+
+def _trace_initial_design(trace, initial) -> None:
+    """Head the trace with every initial evaluation, failed ones included, in
+    design order; ``run`` recorded only the successful ones it was given."""
+    trace.evaluations[: sum(not rec.failed for rec in initial)] = initial
 
 
 def _read_bundle(bundle_dir: str):

@@ -15,15 +15,21 @@ Draw order (fixed so runs are reproducible):
 
 Movement draws come from the stream ``SeedSequence([crn_stream_id, 0])``
 and infection draws from ``SeedSequence([crn_stream_id, 1])``.
+
+The contact search is a uniform cell list: each step bins the susceptible
+agents into cells at least ``contact_radius`` wide and tests each infected
+agent only against its 3 x 3 cell neighbourhood.  It finds exactly the
+pairs an all-pairs distance matrix would, with the same squared distances,
+and sorts them into the order of item 3, so the draws are unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataspace import DesignPoint
 
@@ -131,6 +137,50 @@ def _movement(crn_stream_id: int, n_agents: int, extent: float, horizon: int):
     return positions, steps
 
 
+class _CellGrid:
+    """Uniform cells over the [0, extent]^2 area, each wider than the radius.
+
+    Two points within ``radius`` of each other then lie in the same or in
+    adjacent cells.  The width carries a relative margin of 1e-9 over the
+    radius, so a cell index rounded by one ulp at a boundary cannot drop a
+    pair.  There are at most about as many cells as points (a coarser grid
+    only adds candidates), and a ring of empty cells borders the grid so
+    every cell has all eight neighbours.
+    """
+
+    def __init__(self, extent: float, radius: float, npoints: int):
+        side = min(math.isqrt(npoints) + 1, extent / (radius * (1.0 + 1e-9)))
+        self.m = max(1, int(side))
+        self.scale = self.m / extent
+        self.stride = self.m + 2
+        self.neighbours = np.array(
+            [dx * self.stride + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        )
+
+    def ids(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Cell id of each point; the far wall joins the last cell."""
+        cx = np.minimum((x * self.scale).astype(np.int64), self.m - 1)
+        cy = np.minimum((y * self.scale).astype(np.int64), self.m - 1)
+        return (cx + 1) * self.stride + cy + 1
+
+    def candidates(self, cell_a: np.ndarray, cell_b: np.ndarray):
+        """Every (i, j) with point j of b in the 3 x 3 cells around point i
+        of a, as two index arrays: ordered by i, then by cell, then by j."""
+        nb = cell_b.size
+        # b's indices by cell, then by index: one sort of unique keys
+        order = np.sort(cell_b * nb + np.arange(nb)) % nb
+        size = np.bincount(cell_b, minlength=self.stride * self.stride)
+        first = np.cumsum(size) - size
+        near = cell_a[:, None] + self.neighbours
+        count = size[near].ravel()
+        # the cells' runs of ``order`` laid end to end: the k-th candidate of
+        # a run starting at ``first`` reads order[first + k]
+        shift = np.repeat(first[near].ravel() - (np.cumsum(count) - count), count)
+        cols = order[np.arange(shift.size) + shift]
+        rows = np.repeat(np.arange(cell_a.size), count.reshape(-1, 9).sum(axis=1))
+        return rows, cols
+
+
 def sir_run(config: SirConfig) -> Trajectory:
     """Run the agent-based SIR model once.
 
@@ -140,6 +190,10 @@ def sir_run(config: SirConfig) -> Trajectory:
     infectious agent then draws a Bernoulli(beta) per susceptible agent
     within ``contact_radius``, and agents recover ``infectious_period``
     steps after infection (transmitting through their final step).
+
+    Contacts come from a cell list (see ``_CellGrid``), so a step costs
+    about the number of agents plus the number of nearby pairs, not
+    infected x susceptible; the draw order of item 3 is unchanged.
     """
     n, horizon = config.n_agents, config.horizon
     positions, steps = _movement(
@@ -168,6 +222,7 @@ def sir_run(config: SirConfig) -> Trajectory:
     susceptible[0] = n - 1
 
     r2 = config.contact_radius**2
+    cells = _CellGrid(float(config.grid_extent), float(config.contact_radius), n)
     for t in range(1, horizon + 1):
         inf_idx = np.flatnonzero(state == _INFECTED)
         if inf_idx.size == 0:
@@ -180,14 +235,22 @@ def sir_run(config: SirConfig) -> Trajectory:
         sus_idx = np.flatnonzero(state == _SUSCEPTIBLE)
         newly = np.empty(0, dtype=np.int64)
         if sus_idx.size:
-            pos_inf = positions[t][inf_idx]
+            x, y = positions[t].T
+            xi, yi = x[inf_idx], y[inf_idx]
             if inf_idx[0] == _INDEX_AGENT:
-                pos_inf[0] = index_path[t]
-            d2 = cdist(pos_inf, positions[t][sus_idx], "sqeuclidean")
-            pairs = np.argwhere(d2 <= r2)  # row-major: infected asc, susceptible asc
-            if pairs.shape[0]:
-                u = infect_rng.random(pairs.shape[0])
-                hits = pairs[u < config.beta, 1]
+                xi[0], yi[0] = index_path[t]
+            xs, ys = x[sus_idx], y[sus_idx]
+            rows, cols = cells.candidates(cells.ids(xi, yi), cells.ids(xs, ys))
+            # the arithmetic of an all-pairs squared-distance matrix, so a
+            # pair exactly on the radius is kept or dropped as it was there
+            dx = xi[rows] - xs[cols]
+            dy = yi[rows] - ys[cols]
+            close = dx * dx + dy * dy <= r2
+            # (infected, susceptible) pairs in row-major order, as one key
+            pairs = np.sort(rows[close] * sus_idx.size + cols[close])
+            if pairs.size:
+                u = infect_rng.random(pairs.size)
+                hits = pairs[u < config.beta] % sus_idx.size
                 newly = sus_idx[np.unique(hits)]
         recovering = inf_idx[t - infection_step[inf_idx] >= config.infectious_period]
         state[recovering] = _RECOVERED

@@ -228,6 +228,17 @@ def test_rejects_missing_file(tmp_path):
 _DELETE = object()
 _SIR_PROBLEM = {"kind": "sir", "ndim": 1, "lower": [0.02], "upper": [0.12]}
 
+
+class _Huge(int):
+    """A JSON integer beyond float range, with a short test id."""
+
+    def __repr__(self):
+        return "10**400"
+
+
+_HUGE = _Huge(10**400)
+_TOO_BIG = "must be within the range of a float"
+
 # one fault per schema row, pinned to the exact message: a wrong type, a value
 # below the minimum, above the maximum, and a missing required key
 _FAULTS = [
@@ -240,9 +251,11 @@ _FAULTS = [
     ("toy", "problem.lower", [0.0, 0.5], "problem.lower: must be a list of 1 numbers"),
     ("toy", "problem.lower", ["0"], "problem.lower[0]: must be a number"),
     ("toy", "problem.lower", _DELETE, "problem.lower: required key missing"),
+    ("toy", "problem.lower", [_HUGE], f"problem.lower[0]: {_TOO_BIG}"),
     ("toy", "problem.upper", None, "problem.upper: must be a list of 1 numbers"),
     ("toy", "problem.upper", [True], "problem.upper[0]: must be a number"),
     ("toy", "problem.upper", _DELETE, "problem.upper: required key missing"),
+    ("toy", "problem.upper", [_HUGE], f"problem.upper[0]: {_TOO_BIG}"),
     ("sir", "problem.crn_stream_id", 0.5, "problem.crn_stream_id: must be an integer"),
     ("sir", "problem.crn_stream_id", -1, "problem.crn_stream_id: must be >= 0"),
     ("sir", "problem.truth", [], "problem.truth: must be an object"),
@@ -250,6 +263,7 @@ _FAULTS = [
     ("sir", "problem.truth.beta", "0.1", "problem.truth.beta: must be a number"),
     ("sir", "problem.truth.beta", -0.1, "problem.truth.beta: must be >= 0.0"),
     ("sir", "problem.truth.beta", 1.5, "problem.truth.beta: must be <= 1.0"),
+    ("sir", "problem.truth.beta", _HUGE, f"problem.truth.beta: {_TOO_BIG}"),
     ("sir", "problem.truth.seed_id", 1.0, "problem.truth.seed_id: must be an integer"),
     ("sir", "problem.truth.seed_id", -1, "problem.truth.seed_id: must be >= 0"),
     ("sir", "problem.truth_file", 3, "problem.truth_file: must be a path string"),
@@ -257,12 +271,14 @@ _FAULTS = [
     ("sir", "problem.n_agents", 0, "problem.n_agents: must be >= 1"),
     ("sir", "problem.grid_extent", "wide", "problem.grid_extent: must be a number"),
     ("sir", "problem.grid_extent", 0, "problem.grid_extent: must be >= 1e-09"),
+    ("sir", "problem.grid_extent", _HUGE, f"problem.grid_extent: {_TOO_BIG}"),
     ("sir", "problem.horizon", 10.0, "problem.horizon: must be an integer"),
     ("sir", "problem.horizon", 0, "problem.horizon: must be >= 1"),
     ("sir", "problem.infectious_period", [], "problem.infectious_period: must be an integer"),
     ("sir", "problem.infectious_period", 0, "problem.infectious_period: must be >= 1"),
     ("sir", "problem.contact_radius", False, "problem.contact_radius: must be a number"),
     ("sir", "problem.contact_radius", -1.5, "problem.contact_radius: must be >= 1e-09"),
+    ("sir", "problem.contact_radius", _HUGE, f"problem.contact_radius: {_TOO_BIG}"),
     ("toy", "emulator.kind", "gp", "emulator.kind: must be one of ['baseline', 'seed-product']"),
     ("toy", "emulator.kind", _DELETE, "emulator.kind: required key missing"),
     ("toy", "emulator.family", None, "emulator.family: must be one of ['matern52', 'rbf']"),
@@ -279,6 +295,7 @@ _FAULTS = [
     ("toy", "grid.ngrid", 0, "grid.ngrid: must be >= 1"),
     ("toy", "grid.proposal_step", "small", "grid.proposal_step: must be a number"),
     ("toy", "grid.proposal_step", 0, "grid.proposal_step: must be >= 1e-12"),
+    ("toy", "grid.proposal_step", _HUGE, f"grid.proposal_step: {_TOO_BIG}"),
     ("toy", "grid.reuse_previous", None, "grid.reuse_previous: must be true or false"),
     ("toy", "expansion.policy", "custom", "expansion.policy: must be one of ['by-sims', 'by-prob']"),
     ("toy", "expansion.policy", _DELETE, "expansion.policy: required key missing"),
@@ -294,6 +311,7 @@ _FAULTS = [
     ("toy", "expansion.p", "half", "expansion.p: must be a number"),
     ("toy", "expansion.p", -0.5, "expansion.p: must be >= 0.0"),
     ("toy", "expansion.p", 2, "expansion.p: must be <= 1.0"),
+    ("toy", "expansion.p", _HUGE, f"expansion.p: {_TOO_BIG}"),
     ("toy", "workflow.budget", "12", "workflow.budget: must be an integer"),
     ("toy", "workflow.budget", 0, "workflow.budget: must be >= 1"),
     ("toy", "workflow.budget", _DELETE, "workflow.budget: required key missing"),
@@ -309,6 +327,7 @@ _FAULTS = [
     ("toy", "output.directory", _DELETE, "output.directory: required key missing"),
     ("toy", "output.rmse_cutoff", None, "output.rmse_cutoff: must be a number"),
     ("toy", "output.rmse_cutoff", -1, "output.rmse_cutoff: must be >= 0.0"),
+    ("toy", "output.rmse_cutoff", _HUGE, f"output.rmse_cutoff: {_TOO_BIG}"),
     # unknown keys, per section, in the truth object, and SIR-only keys on toy
     ("toy", "zeta", 1, "config: unknown key 'zeta'"),
     ("toy", "problem.zeta", 1, "problem: unknown key 'zeta'"),
@@ -561,6 +580,14 @@ def test_calibrate_rank_above_nseeds_exits_2(tmp_path, capsys):
     assert load_config(_write(tmp_path, cfg))["emulator"]["rank"] == 5
 
 
+def test_calibrate_huge_integer_exits_2(tmp_path, capsys):
+    cfg = _toy_config(tmp_path / "out")
+    cfg["problem"] = dict(_SIR_PROBLEM, grid_extent=10**400)
+    assert main(["calibrate", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"error: problem.grid_extent: {_TOO_BIG}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_calibrate_index_case_outside_the_grid_exits_2(tmp_path, capsys):
     # grid_extent 10 puts the truth run's index case, at (25, 25), off the grid
     cfg = _toy_config(tmp_path / "out")
@@ -584,10 +611,29 @@ def test_calibrate_warns_and_traces_the_same_failure_text(tmp_path, monkeypatch,
     assert main(["calibrate", _write(tmp_path, _toy_config(outdir))]) == 0
     warnings = [line for line in capsys.readouterr().err.splitlines()
                 if line.startswith("warning:")]
-    assert warnings and set(warnings) == {"warning: initial evaluation failed: ValueError: boom"}
+    # initial design of 8 over 3 seeds: seed 2 at design positions 1, 4 and 7
+    assert warnings == ["warning: initial evaluation failed: ValueError: boom"] * 3
     events = [json.loads(l) for l in (outdir / "trace.jsonl").read_text().splitlines()]
-    errors = {e["error"] for e in events if e["event"] == "evaluation" and e["failed"]}
+    evaluations = [e for e in events if e["event"] == "evaluation"]
+    errors = {e["error"] for e in evaluations if e["failed"]}
     assert errors == {"ValueError: boom"}
+
+    # the trace records the whole initial design in order, failures included
+    initial = [e for e in evaluations if e["iteration"] == 0]
+    assert [e["index"] for e in initial] == list(range(8))
+    assert [e["seed"] for e in initial] == [1, 2, 3, 1, 2, 3, 1, 2]
+    assert [e["failed"] for e in initial] == [e["seed"] == 2 for e in initial]
+    for e in initial:
+        if e["failed"]:
+            assert e["y_raw"] is None and e["error"] == "ValueError: boom"
+        else:
+            assert e["error"] is None
+    rows = (outdir / "design.csv").read_text().splitlines()[2:]
+    design0 = [(int(r.split(",")[2]), float(r.split(",")[3]))
+               for r in rows if r.startswith("0,")]
+    assert design0 == [(e["seed"], e["y_raw"]) for e in initial if not e["failed"]]
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["completed"] == summary["budget"] == 12
 
 
 def test_calibrate_respects_output_dir_env(tmp_path, monkeypatch):

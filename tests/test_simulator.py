@@ -1,7 +1,13 @@
 """The spatial SIR reference simulator and the analytic toy objective."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from trajcal.dataspace import DesignPoint
 from trajcal.simulator import (
@@ -11,7 +17,7 @@ from trajcal.simulator import (
     to_table,
     toy_objective,
 )
-from trajcal.simulator import _movement
+from trajcal.simulator import DIRECTIONS, _fold, _movement
 
 # small population keeps unit tests fast; full-scale runs live in acceptance
 SMALL = dict(n_agents=250, horizon=40)
@@ -136,3 +142,153 @@ def test_to_table_format():
     assert lines[0] == "step,infected,cumulative"
     assert len(lines) == 5
     assert lines[1] == "0,1,1"
+
+
+# ------------------------------------------------------------ pinned output
+
+# sha256 of the four count arrays (infected, cumulative, susceptible,
+# recovered, little-endian int64, in that order) for fixed configs; they pin
+# every draw of the documented order, so any change to the search or the
+# draw sequence shows here
+_GOLDEN = [
+    (dict(beta=0.069, seed_id=0, crn_stream_id=0),
+     "998ff96427bce5ec3fdd0c982edeb64633cddc987bd11ef13b7b46bba8fe1970"),
+    (dict(beta=0.03, seed_id=5, crn_stream_id=1),
+     "979690f38746f96c0fb753ef47555a47ea4067d25004376c5ef4cfccffeaf3fb"),
+    (dict(beta=0.12, seed_id=9, crn_stream_id=7),
+     "e5e8e75dd2215ee9a4ff16e28d7ff7b07e89c02cd0cc685edd6fc1ea1c0f900e"),
+    (dict(beta=0.0, seed_id=25, crn_stream_id=0),
+     "b8065473652cc1780739e1a97c6926f79a06653210b7a6cf8ddc96c01c9d7e70"),
+    (dict(beta=1.0, seed_id=0, crn_stream_id=1),
+     "c09bf1a5c48b36b5ce74e2383b21dec430bdb71066657f567a3916748eb9e9fe"),
+    (dict(beta=0.069, seed_id=9, crn_stream_id=0, contact_radius=2.5),
+     "2561f24c81c725be92a2c97c7e8ed8a74a78e687efa764ab36d36c899da4602d"),
+    (dict(beta=0.12, seed_id=0, crn_stream_id=7, contact_radius=0.3),
+     "d300d5a91e3211068bb62ec6c14d152507c5a6b9d29b2325a773db407ac1612b"),
+    (dict(beta=0.12, seed_id=5, crn_stream_id=1, grid_extent=30.0),
+     "98a9f27c01a9778cd01b4929d396ce15a0b4b4ce2e3f9e2b1e32ec4a2e40679b"),
+    (dict(beta=0.069, seed_id=0, crn_stream_id=0, n_agents=500, horizon=60),
+     "4fb5528663251a66cbc2a4352779080a6e93ace35832b035e9e0ab05f8b9c17b"),
+    (dict(beta=0.03, seed_id=25, crn_stream_id=7, horizon=150),
+     "61f78ea71f20d5cfab5461638695cac6a274ac5465d5bf34ce55b45aaa6f03b0"),
+    (dict(beta=1.0, seed_id=9, crn_stream_id=0, n_agents=300, contact_radius=30.0),
+     "ef684fa8cdecc66f12bf37e7c0707d467716b194ecf0639792009f8e862645f5"),
+    (dict(beta=0.12, seed_id=0, crn_stream_id=1, n_agents=1000, infectious_period=5),
+     "b60565653fbdac74bfe20f08d1fcaca6bbd371c19510e3a3b4274865b6c0bda4"),
+]
+
+
+def _counts(traj):
+    return (traj.infected_counts, traj.cumulative_infections,
+            traj.susceptible_counts, traj.recovered_counts)
+
+
+def test_golden_trajectory_hashes():
+    for overrides, digest in _GOLDEN:
+        h = hashlib.sha256()
+        for counts in _counts(sir_run(SirConfig(**overrides))):
+            h.update(np.ascontiguousarray(counts, dtype="<i8").tobytes())
+        assert h.hexdigest() == digest, overrides
+
+
+# ------------------------------------------------- all-pairs reference search
+
+
+def _reference_sir_run(config):
+    """The simulator with the all-pairs contact search: a dense infected x
+    susceptible distance matrix per step, its pairs read out row-major."""
+    n, horizon = config.n_agents, config.horizon
+    positions, steps = _movement(
+        int(config.crn_stream_id), n, float(config.grid_extent), horizon
+    )
+    start = 25.0 + config.seed_id
+    index_free = start + np.concatenate(
+        [np.zeros((1, 2)), np.cumsum(DIRECTIONS[steps[:, 0]], axis=0)]
+    )
+    index_path = _fold(index_free, config.grid_extent)
+
+    infect_rng = np.random.default_rng(
+        np.random.SeedSequence([int(config.crn_stream_id), 1])
+    )
+    state = np.zeros(n, dtype=np.int8)  # 0 S, 1 I, 2 R
+    state[0] = 1
+    infection_step = np.full(n, -1, dtype=np.int64)
+    infection_step[0] = 0
+
+    infected = np.zeros(horizon + 1, dtype=np.int64)
+    cumulative = np.zeros(horizon + 1, dtype=np.int64)
+    susceptible = np.zeros(horizon + 1, dtype=np.int64)
+    recovered = np.zeros(horizon + 1, dtype=np.int64)
+    infected[0] = 1
+    cumulative[0] = 1
+    susceptible[0] = n - 1
+
+    r2 = config.contact_radius**2
+    for t in range(1, horizon + 1):
+        inf_idx = np.flatnonzero(state == 1)
+        if inf_idx.size == 0:
+            infected[t:] = 0
+            cumulative[t:] = cumulative[t - 1]
+            susceptible[t:] = susceptible[t - 1]
+            recovered[t:] = recovered[t - 1]
+            break
+        sus_idx = np.flatnonzero(state == 0)
+        newly = np.empty(0, dtype=np.int64)
+        if sus_idx.size:
+            pos_inf = positions[t][inf_idx]
+            if inf_idx[0] == 0:
+                pos_inf[0] = index_path[t]
+            d2 = cdist(pos_inf, positions[t][sus_idx], "sqeuclidean")
+            pairs = np.argwhere(d2 <= r2)
+            if pairs.shape[0]:
+                u = infect_rng.random(pairs.shape[0])
+                hits = pairs[u < config.beta, 1]
+                newly = sus_idx[np.unique(hits)]
+        recovering = inf_idx[t - infection_step[inf_idx] >= config.infectious_period]
+        state[recovering] = 2
+        if newly.size:
+            state[newly] = 1
+            infection_step[newly] = t
+        infected[t] = np.count_nonzero(state == 1)
+        cumulative[t] = cumulative[t - 1] + newly.size
+        susceptible[t] = np.count_nonzero(state == 0)
+        recovered[t] = np.count_nonzero(state == 2)
+    return infected, cumulative, susceptible, recovered
+
+
+@st.composite
+def _sir_configs(draw):
+    extent = draw(st.one_of(st.integers(25, 60).map(float),
+                            st.floats(25.0, 80.0, allow_nan=False)))
+    far_wall = math.floor(extent - 25.0)
+    seed_id = draw(st.one_of(st.just(far_wall), st.integers(0, far_wall)))
+    radius = draw(st.one_of(
+        st.sampled_from([0.3, 1.5, 2.5, extent / 10, extent / 3, extent / 2, extent]),
+        st.floats(0.05, 1.2 * extent, allow_nan=False),
+    ))
+    return SirConfig(
+        beta=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        seed_id=seed_id,
+        crn_stream_id=draw(st.integers(0, 30)),
+        n_agents=draw(st.integers(1, 300)),
+        grid_extent=extent,
+        horizon=draw(st.integers(1, 40)),
+        infectious_period=draw(st.integers(1, 20)),
+        contact_radius=radius,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sir_configs())
+@example(SirConfig(beta=0.3, seed_id=0, n_agents=300, horizon=40, contact_radius=2.5))
+@example(SirConfig(beta=1.0, seed_id=3, n_agents=300, horizon=40, contact_radius=25.0))
+@example(SirConfig(beta=1.0, seed_id=0, n_agents=300, horizon=40, contact_radius=40.0))
+@example(SirConfig(beta=0.5, seed_id=1, n_agents=300, horizon=40, contact_radius=0.3))
+@example(SirConfig(beta=1.0, seed_id=0, n_agents=1, horizon=20))
+@example(SirConfig(beta=0.0, seed_id=0, n_agents=300, horizon=40))
+@example(SirConfig(beta=1.0, seed_id=25, n_agents=300, horizon=40))
+@example(SirConfig(beta=0.4, seed_id=5, n_agents=300, horizon=40, grid_extent=30.0,
+                   contact_radius=3.0))
+def test_matches_the_all_pairs_reference(config):
+    for ours, ref in zip(_counts(sir_run(config)), _reference_sir_run(config)):
+        assert np.array_equal(ours, ref)
