@@ -44,7 +44,7 @@ def main():
 
     # the fitted seed kernel: high off-diagonal correlation, because the
     # seed curves here are near-copies of each other
-    K = aware.kernel.seed.matrix
+    K = aware.seed_matrix
     off = K[~np.eye(nseeds, dtype=bool)]
     print(f"fitted seed-covariance off-diagonal: "
           f"min {off.min():.3f}, mean {off.mean():.3f}, max {off.max():.3f}")

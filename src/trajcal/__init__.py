@@ -40,14 +40,7 @@ from .grid import (
     mh_densify,
     resample_indices,
 )
-from .kernels import (
-    ContinuousKernelParams,
-    JointKernel,
-    SeedKernelParams,
-    cross_cov,
-    normalize_rows,
-    safe_cholesky,
-)
+from .kernels import cross_cov, normalize_rows, safe_cholesky, seed_matrix
 from .simulator import SirConfig, Trajectory, ground_truth, sir_run, to_table, toy_objective
 from .workflow import (
     RunTrace,
@@ -64,14 +57,12 @@ __all__ = [
     "AdaptiveGrid",
     "Bounds",
     "CandidateGrid",
-    "ContinuousKernelParams",
     "Dataset",
     "DesignPoint",
     "ExpansionConfig",
     "ExpansionState",
     "FixedGrid",
     "GridConfig",
-    "JointKernel",
     "LHSGrid",
     "NotFittedError",
     "NumericalError",
@@ -79,7 +70,6 @@ __all__ = [
     "ProgressError",
     "RunTrace",
     "SeedKernelGP",
-    "SeedKernelParams",
     "SirConfig",
     "Trajectory",
     "WorkflowConfig",
@@ -102,6 +92,7 @@ __all__ = [
     "run",
     "safe_cholesky",
     "sample_from_expansion",
+    "seed_matrix",
     "sir_run",
     "sse",
     "thompson_select",

@@ -10,14 +10,18 @@ Exit codes: 0 success, 2 invalid input, 3 numerical or progress failure
 columns are written with 17 significant digits so reruns diff bitwise.
 The environment variable ``TRAJCAL_OUTPUT_DIR``, when set, redirects all
 output into that directory.  ``calibrate`` only replaces an absent path,
-an empty directory, or an earlier bundle.
+an empty directory, or an earlier bundle.  Commands run OpenBLAS at one
+thread unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set;
+importing the package leaves the thread count alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
+import glob
 import io
 import json
 import math
@@ -27,6 +31,7 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy
 
 from .dataspace import Bounds, Dataset, DesignPoint, latin_hypercube, rescale, sse
 from .emulator import SeedKernelGP
@@ -150,6 +155,8 @@ def _scalar(value, name, kind, minimum, maximum):
         value = kind(value)
     except OverflowError:  # a JSON integer beyond float range
         raise ConfigError(f"{name}: must be within the range of a float") from None
+    if kind is float and not math.isfinite(value):  # NaN passes every range check
+        raise ConfigError(f"{name}: must be a finite number")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name}: must be >= {minimum}")
     if maximum is not None and value > maximum:
@@ -695,6 +702,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The thread-count setter of the OpenBLAS that numpy and that scipy each
+#: bundle in their wheels, in ``<package>.libs``.
+_OPENBLAS_SETTERS = ((np, "scipy_openblas_set_num_threads64_"),
+                     (scipy, "scipy_openblas_set_num_threads"))
+
+
+def _one_blas_thread() -> None:
+    """Run the bundled OpenBLAS libraries at one thread.
+
+    The matrices here have a few hundred rows at most, where a second
+    thread costs more than it saves.  An ``OPENBLAS_NUM_THREADS`` or
+    ``OMP_NUM_THREADS`` set by the user wins.  A library that is not
+    loaded, or lacks the setter, is left alone.
+    """
+    if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
+        return
+    for package, symbol in _OPENBLAS_SETTERS:
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs")
+        for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+            try:  # RTLD_NOLOAD only finds a library already loaded
+                setter = getattr(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY), symbol)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     args = _build_parser().parse_args(argv)
     return args.func(args)

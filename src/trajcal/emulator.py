@@ -8,14 +8,16 @@ the seed column and serves as the seed-agnostic baseline.  Hyperparameters
 are chosen by maximizing the log marginal likelihood with multi-start
 bounded Nelder-Mead on log-transformed parameters.
 
-Each ``fit`` builds, once, the index arrays that stay fixed while the
-optimizer runs: the flat position of every training pair in the k x k seed
-matrix, and the diagonal of the n x n training covariance.  Each likelihood
-evaluation then decodes the packed vector and builds the covariance
-directly, without the validated kernel objects of ``kernels``.  The
-floating-point operations and their order are those of
-``kernels.cross_cov``, so every likelihood value, and hence every fit, is
-bitwise the same as through the validated path.
+There is one kernel path, on arrays: ``_hyper`` decodes a packed vector,
+or the ``fixed=`` values checked once in the constructor, into
+lengthscales, a variance and a seed matrix (None without a seed space),
+which ``kernels.cross_cov`` and the likelihood take.  Each ``fit`` builds
+the index arrays that stay fixed while the optimizer runs, and
+``_finalize`` decodes the chosen parameters once for prediction.
+``predict_seedwise`` scores one point under every seed from a single row
+of continuous covariances, bitwise equal to ``predict_mean_var`` on the
+point repeated per seed.  LAPACK routines are called directly, as the
+scipy wrappers call them, so every value is bitwise theirs.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -34,9 +35,6 @@ from .kernels import (
     LENGTHSCALE_BOUNDS,
     SEED_V_BOUNDS,
     VARIANCE_BOUNDS,
-    ContinuousKernelParams,
-    JointKernel,
-    SeedKernelParams,
     normalize_rows,
     safe_cholesky,
 )
@@ -113,6 +111,13 @@ class SeedKernelGP:
         ``{"lengthscales", "variance", "nugget"}`` plus ``"B"`` and ``"v"``
         with a seed space; when given, ``fit`` skips optimization and uses
         these values.
+
+    Attributes
+    ----------
+    lengthscales, variance, seed_matrix
+        The fitted kernel: lengthscales (d,), variance, and the k x k seed
+        matrix ``B B^T + diag(v)`` with unit-norm ``B`` rows (None without a
+        seed space).  All three are None before the first fit.
     """
 
     def __init__(self, ndim: int, nseeds: int | None = None, rank: int | None = None,
@@ -138,30 +143,31 @@ class SeedKernelGP:
                 raise ValueError("rank must lie in 1..nseeds")
         self.family = family
         self.per_seed_v = bool(per_seed_v)
-        self.kernel: JointKernel | None = None
-        self._fixed_kernel = None
+        self.lengthscales = self.variance = self.seed_matrix = None
+        self._fixed = None
         self._fitted = False
         self._warm = None
         self.fit_report = None
         self.lml = None
         self.nugget = None
         if fixed is not None:
-            seed = None
-            if self.seeded:
-                seed = SeedKernelParams(
-                    B=np.atleast_2d(np.asarray(fixed["B"], dtype=float)),
-                    v=np.atleast_1d(np.asarray(fixed["v"], dtype=float)),
-                )
-                if seed.B.shape[0] != self.nseeds:
-                    raise ValueError("fixed B must have one row per seed")
-                self.rank = seed.B.shape[1]
-            cont = ContinuousKernelParams(
-                lengthscales=np.atleast_1d(np.asarray(fixed["lengthscales"], dtype=float)),
-                variance=float(fixed["variance"]),
-            )
-            if cont.ndim != self.ndim:
+            ls = np.atleast_1d(np.asarray(fixed["lengthscales"], dtype=float))
+            variance = float(fixed["variance"])
+            if ls.shape != (self.ndim,):
                 raise ValueError("fixed lengthscales must have one entry per dimension")
-            self._fixed_kernel = JointKernel(continuous=cont, seed=seed, family=self.family)
+            if np.any(ls <= 0.0) or not variance > 0.0:
+                raise ValueError("fixed lengthscales and variance must be positive")
+            S = None
+            if self.seeded:
+                B = np.atleast_2d(np.asarray(fixed["B"], dtype=float))
+                v = np.atleast_1d(np.asarray(fixed["v"], dtype=float))
+                if B.ndim != 2 or B.shape[0] != self.nseeds:
+                    raise ValueError("fixed B must have one row per seed")
+                if v.shape != (self.nseeds,) or np.any(v < 0.0):
+                    raise ValueError("fixed v must hold one nonnegative entry per seed")
+                self.rank = B.shape[1]
+                S = kernels.seed_matrix(normalize_rows(B), v)
+            self._fixed = (ls, variance, S)
             g = float(fixed.get("nugget", self.nugget_bounds[0]))
             self.nugget_bounds = (g, g)
 
@@ -195,7 +201,7 @@ class SeedKernelGP:
         return float(np.exp(packed[-1]))
 
     def _pack_bounds(self):
-        if self._fixed_kernel is not None:
+        if self._fixed is not None:
             return np.empty(0), np.empty(0)
         d = self.ndim
         lo = [math.log(LENGTHSCALE_BOUNDS[0])] * d + [math.log(VARIANCE_BOUNDS[0])]
@@ -240,26 +246,17 @@ class SeedKernelGP:
             v = np.full(k, float(v[0]))
         return ls, variance, B, v
 
-    def _unpack(self, packed):
-        if self._fixed_kernel is not None:
-            return self._fixed_kernel
-        ls, variance, B, v = self._decode(packed)
-        cont = ContinuousKernelParams(lengthscales=ls, variance=variance)
-        seed = None if B is None else SeedKernelParams(B=B, v=v)
-        return JointKernel(continuous=cont, seed=seed, family=self.family)
-
     def _hyper(self, packed):
-        """``(lengthscales, variance, seed matrix or None)`` of a packed vector.
+        """``(lengthscales, variance, seed matrix or None)`` of a packed
+        vector, or the fixed kernel when there is one.
 
-        Raises the ``ValueError``s that ``_unpack`` and ``cross_cov`` can
-        raise, without building their objects.  Rows of (cos t, sin t) are
-        unit length to within the no-op threshold of ``normalize_rows``, so
-        only raw-entry rows go through it; the seed matrix then has the
-        values ``SeedKernelParams.matrix`` computes, bit for bit.
+        Raises ``ValueError`` for a zero raw ``B`` row, and for lengthscales
+        or a variance that underflow to 0.  Rows of (cos t, sin t) are unit
+        length to within the no-op threshold of ``normalize_rows``, so only
+        raw-entry rows go through it.
         """
-        if self._fixed_kernel is not None:
-            cont, seed = self._fixed_kernel.continuous, self._fixed_kernel.seed
-            return cont.lengthscales, cont.variance, None if seed is None else seed.matrix
+        if self._fixed is not None:
+            return self._fixed
         ls, variance, B, v = self._decode(packed)
         # exp underflows to 0 far outside the box
         if variance <= 0.0 or np.any(ls <= 0.0):
@@ -268,9 +265,7 @@ class SeedKernelGP:
             return ls, variance, None
         if not self._uses_angles:
             B = normalize_rows(B)
-        S = B @ B.T
-        S.ravel()[:: S.shape[0] + 1] += v
-        return ls, variance, S
+        return ls, variance, kernels.seed_matrix(B, v)
 
     def _split_inputs(self, X):
         """Validate raw inputs; returns (coordinates, seed ids or None)."""
@@ -318,16 +313,28 @@ class SeedKernelGP:
         K.ravel()[self._diag] += nugget
         return K
 
-    def _kernel_matrix(self, A, B, kern):
+    def _cross_cov(self, A, B):
         (Xa, ra), (Xb, rb) = A, B
-        return kernels.cross_cov(Xa, ra, Xb, rb, kern)
+        return kernels.cross_cov(Xa, ra, Xb, rb, self.lengthscales, self.variance,
+                                 self.seed_matrix, self.family)
 
-    def _kernel_diag(self, split):
-        X, r = split
-        variance = self.kernel.continuous.variance
+    def _solve_lower(self, B):
+        """``L^-1 B`` for the training factor ``L``.
+
+        ``L`` is C-ordered, so this is the ``dtrtrs`` call on ``L.T`` that
+        ``solve_triangular(L, B, lower=True)`` makes, without its checks.
+        """
+        return dtrtrs(self._L.T, B, lower=0, trans=1)[0]
+
+    def _mean_var(self, Ks, r):
+        """Posterior mean and variance from the training cross-covariance
+        ``Ks`` of new points with seed ids ``r`` (None without a seed space)."""
+        V = self._solve_lower(Ks)
         if r is None:
-            return np.full(X.shape[0], variance)
-        return variance * np.diag(self.kernel.seed.matrix)[r - 1]
+            prior = np.full(Ks.shape[1], self.variance)
+        else:
+            prior = self.variance * np.diag(self.seed_matrix)[r - 1]
+        return Ks.T @ self._alpha, prior - np.einsum("ij,ij->j", V, V)
 
     # -- fitting ------------------------------------------------------------
 
@@ -404,10 +411,11 @@ class SeedKernelGP:
         return self
 
     def _finalize(self, packed):
-        """Build and store the training factorization at the given parameters."""
-        self.kernel = self._unpack(packed)
+        """Decode the kernel once, and build and store the training
+        factorization and the per-fit tables prediction uses."""
+        self.lengthscales, self.variance, self.seed_matrix = self._hyper(packed)
         g = self._nugget_from_packed(packed)
-        K = self._train_cov(*self._hyper(packed), g)
+        K = self._train_cov(self.lengthscales, self.variance, self.seed_matrix, g)
         try:
             L = np.linalg.cholesky(K)
             jitter = 0.0
@@ -415,6 +423,10 @@ class SeedKernelGP:
             L, jitter = safe_cholesky(K)
         self._L = L
         self.lml, self._alpha = _chol_lml(L, self._Y)
+        X, r = self._train
+        self._Z = X / self.lengthscales
+        # row i holds the seed-matrix entries of training seed r_i against every seed
+        self._seed_rows = None if r is None else self.seed_matrix[r - 1]
         self.nugget = g
         self._jitter = jitter
         self._packed = packed.copy()
@@ -435,10 +447,10 @@ class SeedKernelGP:
         if X.shape[0] == 0:
             raise ValueError("need at least one prediction point")
         new = self._split_inputs(X)
-        Ks = self._kernel_matrix(self._train, new, self.kernel)
+        Ks = self._cross_cov(self._train, new)
         mean = Ks.T @ self._alpha
-        Kss = self._kernel_matrix(new, new, self.kernel)
-        V = solve_triangular(self._L, Ks, lower=True, check_finite=False)
+        Kss = self._cross_cov(new, new)
+        V = self._solve_lower(Ks)
         cov = Kss - V.T @ V
         return mean, 0.5 * (cov + cov.T)
 
@@ -447,11 +459,25 @@ class SeedKernelGP:
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=float))
         new = self._split_inputs(X)
-        Ks = self._kernel_matrix(self._train, new, self.kernel)
-        mean = Ks.T @ self._alpha
-        V = solve_triangular(self._L, Ks, lower=True, check_finite=False)
-        var = self._kernel_diag(new) - np.einsum("ij,ij->j", V, V)
-        return mean, var
+        return self._mean_var(self._cross_cov(self._train, new), new[1])
+
+    def predict_seedwise(self, x, k: int):
+        """Posterior mean and variance at coordinates ``x`` under seeds 1..k.
+
+        Bitwise equal to ``predict_mean_var`` on ``x`` repeated once per
+        seed with ids 1..k.  The n continuous covariances of ``x`` are
+        computed once and scaled by the per-fit seed rows, not k times;
+        ``x`` (shape ``(ndim,)``) and ``k`` are not checked beyond the seed
+        range.  Without a seed space the k results are equal.
+        """
+        self._check_fitted()
+        if self.seeded and not 1 <= k <= self.nseeds:
+            raise ValueError(f"k must lie in 1..{self.nseeds}")
+        s2 = cdist(self._Z, (x / self.lengthscales)[None, :], "sqeuclidean")
+        c = kernels.FROM_SQ_DISTS[self.family](s2, self.variance)
+        if self._seed_rows is None:
+            return self._mean_var(c * np.ones(k), None)
+        return self._mean_var(c * self._seed_rows[:, :k], np.arange(1, k + 1))
 
     def sample(self, X, size: int = 1, rng=None) -> np.ndarray:
         """Joint posterior draws at new inputs; deterministic given ``rng``."""
@@ -475,7 +501,7 @@ class SeedKernelGP:
             raise ValueError("seed space can only grow")
         if new_nseeds == self.nseeds:
             return
-        if self._fixed_kernel is not None:
+        if self._fixed is not None:
             raise ValueError("cannot expand a fixed-parameter emulator")
         added = new_nseeds - self.nseeds
         if self._warm is not None:

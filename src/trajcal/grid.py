@@ -85,6 +85,11 @@ class CandidateGrid:
         return h.hexdigest()
 
 
+def _beats_incumbent(mean: np.ndarray, var: np.ndarray, tau: float) -> np.ndarray:
+    sd = np.maximum(np.sqrt(np.maximum(var, 0.0)), SIGMA_FLOOR)
+    return np.maximum(ndtr((tau - mean) / sd), LIKELIHOOD_FLOOR)
+
+
 def likelihood_values(X: np.ndarray, seeds: np.ndarray, emulator, tau: float) -> np.ndarray:
     """Probability each candidate's latent objective beats the incumbent tau.
 
@@ -92,9 +97,13 @@ def likelihood_values(X: np.ndarray, seeds: np.ndarray, emulator, tau: float) ->
     at 1e-8 and the result floored at 1e-300 so weights stay positive.
     """
     joint = np.column_stack([np.atleast_2d(X), np.asarray(seeds, dtype=float)])
-    mean, var = emulator.predict_mean_var(joint)
-    sd = np.maximum(np.sqrt(np.maximum(var, 0.0)), SIGMA_FLOOR)
-    return np.maximum(ndtr((tau - mean) / sd), LIKELIHOOD_FLOOR)
+    return _beats_incumbent(*emulator.predict_mean_var(joint), tau)
+
+
+def _seedwise_likelihood(x: np.ndarray, k: int, emulator, tau: float) -> np.ndarray:
+    """``likelihood_values`` of coordinates ``x`` under each of seeds 1..k,
+    through the emulator's ``predict_seedwise``; the values are the same."""
+    return _beats_incumbent(*emulator.predict_seedwise(x, k), tau)
 
 
 def resample_indices(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,6 +224,8 @@ class AdaptiveGrid:
     distinct points via ``mh_densify``, whose Gaussian random-walk proposal
     has scale ``step`` in unit-hypercube units.  Set ``reuse_previous=False``
     to restart from a fresh LHS every call instead of carrying the grid over.
+    The emulator must provide ``predict_mean_var`` and ``predict_seedwise``,
+    as ``SeedKernelGP`` does.
     """
 
     def __init__(self, config: GridConfig, step: float = 0.05,
@@ -246,14 +257,9 @@ class AdaptiveGrid:
                 seen.add(key)
                 entries.append((prev.X[i], int(prev.seeds[i]), float(weights[i])))
 
-        all_seeds = np.arange(1, k + 1)
-
-        def seedwise_likelihood(x):
-            return likelihood_values(np.tile(x, (k, 1)), all_seeds, emulator, tau)
-
         entries = mh_densify(
-            entries, seedwise_likelihood, k, M, self.step, rng,
-            MAX_ATTEMPTS_PER_POINT * M,
+            entries, lambda x: _seedwise_likelihood(x, k, emulator, tau), k, M,
+            self.step, rng, MAX_ATTEMPTS_PER_POINT * M,
         )
         grid = CandidateGrid(
             X=np.array([e[0] for e in entries]),

@@ -1,17 +1,18 @@
 """Covariance matrices over the joint (continuous, seed) search space.
 
-Continuous coordinates use a stationary kernel (Matérn-5/2 by default,
-squared-exponential as the alternative).  Seed ids use a low-rank index
-kernel ``B B^T + diag(v)`` whose ``B`` rows are normalized to unit length so
-``B B^T`` has a unit diagonal.  The joint covariance is their product, or
-the continuous kernel alone when a :class:`JointKernel` carries no seed
-kernel.  Every function works on batches of points and returns a matrix.
+A kernel is plain arrays: the lengthscales and variance of a stationary
+kernel on the continuous coordinates (Matérn-5/2 by default,
+squared-exponential as the alternative), and a k x k seed matrix ``S``, or
+None.  ``S`` is the low-rank index kernel ``B B^T + diag(v)`` over seed ids;
+:func:`seed_matrix` builds it from a factor ``B`` whose rows
+:func:`normalize_rows` has scaled to unit length, so ``B B^T`` has a unit
+diagonal.  The joint covariance is the product of the two, or the
+continuous kernel alone when ``S`` is None.  Every function works on
+batches of points and returns a matrix.  The hyperparameters are checked
+once by whoever decodes them (the emulator), not on every call here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -19,12 +20,9 @@ from scipy.spatial.distance import cdist
 from .errors import NumericalError
 
 __all__ = [
-    "ContinuousKernelParams",
-    "SeedKernelParams",
-    "JointKernel",
     "continuous_cov",
     "normalize_rows",
-    "seed_cov",
+    "seed_matrix",
     "cross_cov",
     "safe_cholesky",
 ]
@@ -36,27 +34,6 @@ VARIANCE_BOUNDS = (1e-4, 1e2)
 SEED_V_BOUNDS = (0.0, 10.0)
 
 _SQRT5 = np.sqrt(5.0)
-
-
-@dataclass(frozen=True)
-class ContinuousKernelParams:
-    """Stationary-kernel hyperparameters for the continuous coordinates."""
-
-    lengthscales: np.ndarray
-    variance: float
-
-    def __post_init__(self):
-        ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
-        if ls.ndim != 1 or np.any(ls <= 0.0):
-            raise ValueError("lengthscales must be a 1-d array of positive reals")
-        if self.variance <= 0.0:
-            raise ValueError("variance must be positive")
-        object.__setattr__(self, "lengthscales", ls)
-        object.__setattr__(self, "variance", float(self.variance))
-
-    @property
-    def ndim(self) -> int:
-        return self.lengthscales.shape[0]
 
 
 def normalize_rows(B: np.ndarray) -> np.ndarray:
@@ -77,71 +54,11 @@ def normalize_rows(B: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SeedKernelParams:
-    """Low-rank index-kernel parameters over ``k`` seeds.
-
-    Parameters
-    ----------
-    B : ndarray, shape (k, q)
-        Low-rank factor; rows are normalized to unit norm on evaluation so
-        ``B B^T`` has a unit diagonal.
-    v : ndarray, shape (k,)
-        Nonnegative per-seed diagonal inflation.
-    """
-
-    B: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        if B.ndim != 2:
-            raise ValueError("B must be a 2-d array")
-        if v.ndim != 1 or v.shape[0] != B.shape[0]:
-            raise ValueError("v must be 1-d with one entry per row of B")
-        if np.any(v < 0.0):
-            raise ValueError("v entries must be nonnegative")
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def nseeds(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.B.shape[1]
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The full k x k index-kernel matrix ``B B^T + diag(v)``."""
-        Bn = normalize_rows(self.B)
-        return Bn @ Bn.T + np.diag(self.v)
-
-
-@dataclass(frozen=True)
-class JointKernel:
-    """Product kernel: a stationary continuous kernel times a seed index kernel.
-
-    ``seed=None`` fixes the seed factor to 1, so seed ids are ignored.
-    """
-
-    continuous: ContinuousKernelParams
-    seed: SeedKernelParams | None
-    family: str = "matern52"
-
-    def __post_init__(self):
-        if self.family not in FROM_SQ_DISTS:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-
-
-def _scaled_sq_dists(X1, X2, lengthscales) -> np.ndarray:
-    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-    X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-    if X1.shape[1] != lengthscales.shape[0] or X2.shape[1] != lengthscales.shape[0]:
-        raise ValueError("point dimensions must match the lengthscales")
-    return cdist(X1 / lengthscales, X2 / lengthscales, "sqeuclidean")
+def seed_matrix(B: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The k x k index kernel ``B B^T + diag(v)`` of a unit-row factor ``B``."""
+    S = B @ B.T
+    S.ravel()[:: S.shape[0] + 1] += v
+    return S
 
 
 def _matern52_from_s2(s2: np.ndarray, variance: float) -> np.ndarray:
@@ -157,35 +74,37 @@ def _rbf_from_s2(s2: np.ndarray, variance: float) -> np.ndarray:
 FROM_SQ_DISTS = {"matern52": _matern52_from_s2, "rbf": _rbf_from_s2}
 
 
-def continuous_cov(X1, X2, params: ContinuousKernelParams, family: str = "matern52") -> np.ndarray:
+def continuous_cov(X1, X2, lengthscales, variance: float,
+                   family: str = "matern52") -> np.ndarray:
     """Stationary covariance matrix between two sets of continuous points."""
     if family not in FROM_SQ_DISTS:
         raise ValueError(f"unknown kernel family {family!r}")
-    s2 = _scaled_sq_dists(X1, X2, params.lengthscales)
-    return FROM_SQ_DISTS[family](s2, params.variance)
+    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+    X2 = np.atleast_2d(np.asarray(X2, dtype=float))
+    lengthscales = np.asarray(lengthscales, dtype=float)
+    if X1.shape[1] != lengthscales.shape[0] or X2.shape[1] != lengthscales.shape[0]:
+        raise ValueError("point dimensions must match the lengthscales")
+    s2 = cdist(X1 / lengthscales, X2 / lengthscales, "sqeuclidean")
+    return FROM_SQ_DISTS[family](s2, variance)
 
 
-def seed_cov(r1, r2, params: SeedKernelParams) -> np.ndarray:
-    """Index-kernel matrix between two arrays of seed ids (1-based)."""
-    r1 = np.asarray(r1, dtype=np.int64)
-    r2 = np.asarray(r2, dtype=np.int64)
-    k = params.nseeds
-    if np.any(r1 < 1) or np.any(r1 > k) or np.any(r2 < 1) or np.any(r2 > k):
-        raise ValueError(f"seed ids must lie in 1..{k}")
-    return params.matrix[np.ix_(r1 - 1, r2 - 1)]
-
-
-def cross_cov(X1, r1, X2, r2, kernel: JointKernel) -> np.ndarray:
+def cross_cov(X1, r1, X2, r2, lengthscales, variance: float, S=None,
+              family: str = "matern52") -> np.ndarray:
     """Product covariance matrix between two batches of joint points.
 
     ``X1``/``X2`` hold continuous coordinates (rows), ``r1``/``r2`` the
-    matching 1-based seed ids.  Without a seed kernel the seed ids are
-    ignored (and may be None).
+    matching 1-based seed ids into the seed matrix ``S``.  Without a seed
+    matrix the seed ids are ignored (and may be None).
     """
-    cont = continuous_cov(X1, X2, kernel.continuous, kernel.family)
-    if kernel.seed is None:
+    cont = continuous_cov(X1, X2, lengthscales, variance, family)
+    if S is None:
         return cont
-    return cont * seed_cov(r1, r2, kernel.seed)
+    r1 = np.asarray(r1, dtype=np.int64)
+    r2 = np.asarray(r2, dtype=np.int64)
+    k = S.shape[0]
+    if np.any(r1 < 1) or np.any(r1 > k) or np.any(r2 < 1) or np.any(r2 > k):
+        raise ValueError(f"seed ids must lie in 1..{k}")
+    return cont * S[np.ix_(r1 - 1, r2 - 1)]
 
 
 def safe_cholesky(a: np.ndarray, jitter: float = 0.0, max_escalations: int = 5):

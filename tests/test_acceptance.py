@@ -39,13 +39,7 @@ from trajcal.grid import (
     mh_densify,
     resample_indices,
 )
-from trajcal.kernels import (
-    ContinuousKernelParams,
-    JointKernel,
-    SeedKernelParams,
-    continuous_cov,
-    cross_cov,
-)
+from trajcal.kernels import continuous_cov, cross_cov, normalize_rows, seed_matrix
 from trajcal.simulator import SirConfig, sir_run, toy_objective
 from trajcal.workflow import WorkflowConfig, component_stream, run, thompson_select
 
@@ -55,9 +49,8 @@ from trajcal.workflow import WorkflowConfig, component_stream, run, thompson_sel
 
 
 def test_matern_closed_form_at_unit_distance():
-    params = ContinuousKernelParams(lengthscales=[1.0], variance=1.0)
     expected = (1.0 + math.sqrt(5.0) + 5.0 / 3.0) * math.exp(-math.sqrt(5.0))
-    assert abs(continuous_cov(np.array([[0.0]]), np.array([[1.0]]), params)[0, 0]
+    assert abs(continuous_cov(np.array([[0.0]]), np.array([[1.0]]), np.array([1.0]), 1.0)[0, 0]
                - expected) <= 1e-12
 
 
@@ -66,11 +59,11 @@ def test_seed_kernel_diagonal_is_exact_after_normalization():
     for k, q in ((1, 1), (3, 2), (6, 3)):
         # rows drawn far from unit norm, so normalization has real work to do
         B = rng.normal(size=(k, q)) * rng.uniform(0.1, 10.0, size=(k, 1))
-        plain = SeedKernelParams(B=B, v=np.zeros(k))
-        assert np.max(np.abs(np.diag(plain.matrix) - 1.0)) <= 1e-12
+        plain = seed_matrix(normalize_rows(B), np.zeros(k))
+        assert np.max(np.abs(np.diag(plain) - 1.0)) <= 1e-12
         v = rng.uniform(0.0, 2.0, size=k)
-        inflated = SeedKernelParams(B=B, v=v)
-        assert np.max(np.abs(np.diag(inflated.matrix) - (1.0 + v))) <= 1e-12
+        inflated = seed_matrix(normalize_rows(B), v)
+        assert np.max(np.abs(np.diag(inflated) - (1.0 + v))) <= 1e-12
 
 
 def test_gram_matrices_stay_positive_semidefinite():
@@ -81,16 +74,12 @@ def test_gram_matrices_stay_positive_semidefinite():
         k = int(rng.integers(1, 7))
         q = int(rng.integers(1, k + 1))
         n = int(rng.integers(2, 41))
-        kernel = JointKernel(
-            continuous=ContinuousKernelParams(
-                lengthscales=np.exp(rng.uniform(np.log(0.05), np.log(2.0), size=d)),
-                variance=float(np.exp(rng.uniform(np.log(0.1), np.log(10.0)))),
-            ),
-            seed=SeedKernelParams(
-                B=rng.normal(size=(k, q)),
-                v=rng.uniform(0.0, 1.0, size=k) * float(rng.random() < 0.7),
-            ),
-            family="matern52" if trial % 2 == 0 else "rbf",
+        kernel = (
+            np.exp(rng.uniform(np.log(0.05), np.log(2.0), size=d)),
+            float(np.exp(rng.uniform(np.log(0.1), np.log(10.0)))),
+            seed_matrix(normalize_rows(rng.normal(size=(k, q))),
+                        rng.uniform(0.0, 1.0, size=k) * float(rng.random() < 0.7)),
+            "matern52" if trial % 2 == 0 else "rbf",
         )
         X = rng.random((n, d))
         r = rng.integers(1, k + 1, size=n)
@@ -98,7 +87,7 @@ def test_gram_matrices_stay_positive_semidefinite():
             # exact duplicates push the matrix toward singularity
             X[1] = X[0]
             r[1] = r[0]
-        G = cross_cov(X, r, X, r, kernel)
+        G = cross_cov(X, r, X, r, *kernel)
         floor = -1e-8 * float(np.max(np.diag(G)))
         assert np.linalg.eigvalsh(G).min() >= floor
 

@@ -3,16 +3,23 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trajcal
 import trajcal.cli as cli
 from trajcal.cli import ConfigError, load_config, main
 from trajcal.errors import ProgressError
 from trajcal.workflow import run as workflow_run
+
+#: The directory holding the package under test, for child interpreters.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(trajcal.__file__)))
 
 
 def _toy_config(outdir):
@@ -238,6 +245,7 @@ class _Huge(int):
 
 _HUGE = _Huge(10**400)
 _TOO_BIG = "must be within the range of a float"
+_NOT_FINITE = "must be a finite number"
 
 # one fault per schema row, pinned to the exact message: a wrong type, a value
 # below the minimum, above the maximum, and a missing required key
@@ -328,6 +336,21 @@ _FAULTS = [
     ("toy", "output.rmse_cutoff", None, "output.rmse_cutoff: must be a number"),
     ("toy", "output.rmse_cutoff", -1, "output.rmse_cutoff: must be >= 0.0"),
     ("toy", "output.rmse_cutoff", _HUGE, f"output.rmse_cutoff: {_TOO_BIG}"),
+    # JSON NaN in every float row, and Infinity in each one without a maximum
+    ("toy", "problem.lower", [math.nan], f"problem.lower[0]: {_NOT_FINITE}"),
+    ("toy", "problem.lower", [-math.inf], f"problem.lower[0]: {_NOT_FINITE}"),
+    ("toy", "problem.upper", [math.nan], f"problem.upper[0]: {_NOT_FINITE}"),
+    ("toy", "problem.upper", [math.inf], f"problem.upper[0]: {_NOT_FINITE}"),
+    ("sir", "problem.truth", {"beta": math.nan}, f"problem.truth.beta: {_NOT_FINITE}"),
+    ("sir", "problem.grid_extent", math.nan, f"problem.grid_extent: {_NOT_FINITE}"),
+    ("sir", "problem.grid_extent", math.inf, f"problem.grid_extent: {_NOT_FINITE}"),
+    ("sir", "problem.contact_radius", math.nan, f"problem.contact_radius: {_NOT_FINITE}"),
+    ("sir", "problem.contact_radius", math.inf, f"problem.contact_radius: {_NOT_FINITE}"),
+    ("toy", "grid.proposal_step", math.nan, f"grid.proposal_step: {_NOT_FINITE}"),
+    ("toy", "grid.proposal_step", math.inf, f"grid.proposal_step: {_NOT_FINITE}"),
+    ("toy", "expansion.p", math.nan, f"expansion.p: {_NOT_FINITE}"),
+    ("toy", "output.rmse_cutoff", math.nan, f"output.rmse_cutoff: {_NOT_FINITE}"),
+    ("toy", "output.rmse_cutoff", math.inf, f"output.rmse_cutoff: {_NOT_FINITE}"),
     # unknown keys, per section, in the truth object, and SIR-only keys on toy
     ("toy", "zeta", 1, "config: unknown key 'zeta'"),
     ("toy", "problem.zeta", 1, "problem: unknown key 'zeta'"),
@@ -492,6 +515,94 @@ def test_calibrate_is_bitwise_reproducible(tmp_path, kind):
     assert sa == sb
 
 
+def _child_env(threads):
+    """The environment of a fresh interpreter that imports the package under
+    test, with ``OPENBLAS_NUM_THREADS`` set to ``threads`` (None: no thread
+    variable at all)."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", cli.OUTPUT_DIR_ENV)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    return env
+
+
+def test_calibrate_bundle_is_the_same_at_any_blas_thread_count(tmp_path):
+    """The command runs OpenBLAS at one thread unless told otherwise; the
+    bundle must not depend on that."""
+    outs = []
+    for threads in (None, 2):
+        outdir = tmp_path / f"threads-{threads}"
+        cfg = _toy_config(outdir)
+        cfg["grid"] = {"kind": "adaptive", "ngrid": 30}
+        code = "import sys; from trajcal.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "calibrate", _write(tmp_path, cfg, f"{threads}.json")],
+            env=_child_env(threads), capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(outdir)
+    a, b = outs
+    assert (a / "design.csv").read_bytes() == (b / "design.csv").read_bytes()
+    assert (a / "trace.jsonl").read_bytes() == (b / "trace.jsonl").read_bytes()
+
+
+# Prints the thread counts of the OpenBLAS bundled with numpy and with scipy:
+# before importing the package, after importing it, and after ``main``.  An
+# argument is a thread count to set first, as a library user might.
+_BLAS_THREADS = """
+import contextlib, ctypes, glob, io, json, os, sys
+import numpy, scipy.linalg
+
+libs = []
+for package, suffix in ((numpy, "64_"), (scipy, "")):
+    where = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                         package.__name__ + ".libs")
+    for path in glob.glob(os.path.join(where, "libscipy_openblas*.so")):
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        get.argtypes, get.restype = [], ctypes.c_int
+        put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        put.argtypes, put.restype = [ctypes.c_int], None
+        libs.append((get, put))
+
+if sys.argv[1:]:
+    for _, put in libs:
+        put(int(sys.argv[1]))
+counts = [[get() for get, _ in libs]]
+import trajcal, trajcal.cli
+counts.append([get() for get, _ in libs])
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        trajcal.cli.main(["--help"])
+except SystemExit:
+    pass
+counts.append([get() for get, _ in libs])
+print(json.dumps(counts))
+"""
+
+
+def _blas_thread_counts(env_threads, *args):
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS, *args],
+                          env=_child_env(env_threads), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, imported, after = json.loads(proc.stdout)
+    if not before:
+        pytest.skip("no OpenBLAS bundled in numpy.libs or scipy.libs")
+    return before, imported, after
+
+
+def test_import_leaves_blas_threads_alone_and_main_sets_one():
+    before, imported, after = _blas_thread_counts(None, "3")
+    assert before == imported == [3] * len(before)
+    assert after == [1] * len(before)
+
+
+def test_blas_thread_variable_overrides_main():
+    before, imported, after = _blas_thread_counts(2)
+    assert before == imported == after
+
+
 def test_calibrate_budget_equal_to_initial_design(tmp_path):
     outdir = tmp_path / "out"
     cfg = _toy_config(outdir)
@@ -585,6 +696,22 @@ def test_calibrate_huge_integer_exits_2(tmp_path, capsys):
     cfg["problem"] = dict(_SIR_PROBLEM, grid_extent=10**400)
     assert main(["calibrate", _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err == f"error: problem.grid_extent: {_TOO_BIG}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value,name", [
+    ("lower", [math.nan], "problem.lower[0]"),
+    ("contact_radius", math.nan, "problem.contact_radius"),
+    ("grid_extent", math.inf, "problem.grid_extent"),
+])
+def test_calibrate_non_finite_number_exits_2(tmp_path, capsys, key, value, name):
+    # NaN passes a range check, since every comparison with it is false; it
+    # used to fail each evaluation (exit 3) or, as a radius, to run with no
+    # contacts at all
+    cfg = _toy_config(tmp_path / "out")
+    cfg["problem"] = dict(_SIR_PROBLEM, **{key: value})
+    assert main(["calibrate", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {name}: {_NOT_FINITE}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from trajcal import kernels
 from trajcal.emulator import SeedKernelGP, _chol_lml, draw_mvn
@@ -136,7 +137,7 @@ def test_posterior_variance_below_prior():
     em.fit(X, Y)
     grid = np.linspace(0, 1, 50)[:, None]
     _, var = em.predict_mean_var(grid)
-    assert var.max() <= em.kernel.continuous.variance + 1e-10
+    assert var.max() <= em.variance + 1e-10
 
 
 def test_mean_linearity_in_targets():
@@ -331,7 +332,7 @@ def test_seedless_gp_packs_no_seed_parameters():
     lo, _ = em._pack_bounds()
     assert lo.shape == (3,)
     em.fit(np.column_stack([X, np.full(10, 99.0)]), Y)
-    assert em.kernel.seed is None
+    assert em.seed_matrix is None
     em.expand_seed_space(5)
     assert em.nseeds is None
     mean, _ = em.predict_mean_var(X)
@@ -358,6 +359,18 @@ def test_fixed_lengthscales_must_match_the_dimension():
         SeedKernelGP(ndim=2, fixed={"lengthscales": [0.5], "variance": 1.0})
 
 
+@pytest.mark.parametrize("nseeds", [None, 3])
+def test_solve_lower_is_solve_triangular(nseeds):
+    """The direct LAPACK call gives the bits of the scipy wrapper it replaces."""
+    rng = np.random.default_rng(34)
+    em = SeedKernelGP(ndim=2, nseeds=nseeds, nstarts=1, maxfev=20,
+                      rng=np.random.default_rng(35))
+    em.fit(*_seeded_data(rng, 30, [1, 2, 3]))
+    for m in (1, 3, 50):
+        B = rng.normal(size=(30, m))
+        assert np.array_equal(em._solve_lower(B), solve_triangular(em._L, B, lower=True))
+
+
 def test_fit_report_tracks_starts():
     rng = np.random.default_rng(30)
     X, Y = _smooth_1d(10, rng, noise=0.1)
@@ -368,11 +381,21 @@ def test_fit_report_tracks_starts():
     assert report["neg_lml"] <= min(report["start_neg_lml"]) + 1e-9
 
 
+def _reference_seed_matrix(B, v):
+    Bn = kernels.normalize_rows(B)  # every row, angle rows too
+    return Bn @ Bn.T + np.diag(v)
+
+
 def _reference_neg_lml(em, p):
-    """Negative LML of packed ``p`` through the validated kernel API: the
-    path the emulator's per-fit fast path must match bit for bit."""
+    """Negative LML of packed ``p`` through the public kernel functions, with
+    the checks a fixed kernel gets: the path the emulator's per-fit fast
+    path must match bit for bit."""
+    ls, variance, B, v = em._decode(p)
     try:
-        K = kernels.cross_cov(*em._train, *em._train, em._unpack(p))
+        if variance <= 0.0 or np.any(ls <= 0.0):
+            raise ValueError("lengthscales and variance must be positive")
+        S = None if B is None else _reference_seed_matrix(B, v)
+        K = kernels.cross_cov(*em._train, *em._train, ls, variance, S, em.family)
         L = np.linalg.cholesky(K + em._nugget_from_packed(p) * np.eye(K.shape[0]))
     except ValueError:  # also LinAlgError
         return np.inf
@@ -415,7 +438,7 @@ def test_neg_lml_fast_path_is_inf_where_the_reference_raises():
     p = em._packed.copy()
     p[3] = 0.0  # a zero raw B row: normalize_rows raises ValueError
     with pytest.raises(ValueError):
-        em._unpack(p).seed.matrix
+        kernels.normalize_rows(em._decode(p)[2])
     assert _reference_neg_lml(em, p) == np.inf
     assert em._neg_lml(p) == np.inf
 
@@ -430,7 +453,7 @@ def test_neg_lml_fast_path_is_inf_where_the_reference_raises():
                       rng=np.random.default_rng(43))
     em.fit(*_seeded_data(rng, 30, [1]))
     p = np.array([math.log(2.0), math.log(2.0), math.log(1e12), math.log(1e-8)])
-    K = kernels.cross_cov(*em._train, *em._train, em._unpack(p))
+    K = kernels.cross_cov(*em._train, *em._train, *em._hyper(p), "rbf")
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(K + 1e-8 * np.eye(K.shape[0]))
     assert em._neg_lml(p) == _reference_neg_lml(em, p) == np.inf

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajcal.dataspace import Dataset
+from trajcal.emulator import SeedKernelGP
 from trajcal.errors import ProgressError
 from trajcal.grid import (
     AdaptiveGrid,
@@ -12,6 +15,7 @@ from trajcal.grid import (
     GridConfig,
     LHSGrid,
     _reflect_unit,
+    _seedwise_likelihood,
     likelihood_values,
     mh_densify,
     resample_indices,
@@ -31,6 +35,9 @@ class StubEmulator:
 
     def predict_mean_var(self, joint):
         return self.mean_fn(joint), self.var_fn(joint)
+
+    def predict_seedwise(self, x, k):
+        return self.predict_mean_var(np.column_stack([np.tile(x, (k, 1)), np.arange(1, k + 1)]))
 
 
 def test_config_validation():
@@ -247,3 +254,43 @@ def test_grid_digest_tracks_content():
     g3 = CandidateGrid(np.array([[0.2]]), np.array([1]))
     assert g1.digest() == g2.digest()
     assert g1.digest() != g3.digest()
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(["matern52", "rbf"]),
+       rank=st.sampled_from([None, 1, 2, 3]),
+       per_seed_v=st.booleans(),
+       fixed_nugget=st.booleans(),
+       nseeds=st.integers(min_value=3, max_value=6),
+       ndim=st.integers(min_value=1, max_value=3),
+       n=st.integers(min_value=2, max_value=40),
+       data_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_seedwise_likelihood_equals_tiled_likelihood_values(
+        family, rank, per_seed_v, fixed_nugget, nseeds, ndim, n, data_seed):
+    """The MH walk's seed-wise likelihood at x is bitwise the likelihood of x
+    repeated once per seed, and so are the underlying mean and variance."""
+    rng = np.random.default_rng(data_seed)
+    em = SeedKernelGP(ndim=ndim, nseeds=None if rank is None else nseeds, rank=rank,
+                      family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=20,
+                      nugget_bounds=(1e-6, 1e-6) if fixed_nugget else (1e-8, 1.0),
+                      rng=np.random.default_rng(data_seed))
+    X = np.column_stack([rng.random((n, ndim)), rng.integers(1, nseeds + 1, size=n)])
+    em.fit(X, rng.normal(size=n))
+    for _ in range(5):
+        x, k, tau = rng.random(ndim), int(rng.integers(1, nseeds + 1)), rng.normal()
+        seeds = np.arange(1, k + 1)
+        assert np.array_equal(_seedwise_likelihood(x, k, em, tau),
+                              likelihood_values(np.tile(x, (k, 1)), seeds, em, tau))
+        mean, var = em.predict_seedwise(x, k)
+        mean_t, var_t = em.predict_mean_var(np.column_stack([np.tile(x, (k, 1)), seeds]))
+        assert mean.tobytes() == mean_t.tobytes() and var.tobytes() == var_t.tobytes()
+
+
+def test_predict_seedwise_checks_the_seed_range():
+    em = SeedKernelGP(ndim=1, nseeds=3, fixed={"lengthscales": [0.5], "variance": 1.0,
+                                               "B": np.eye(3), "v": np.zeros(3)})
+    em.fit(np.array([[0.2, 1.0], [0.7, 3.0]]), np.array([0.1, -0.2]))
+    with pytest.raises(ValueError):
+        em.predict_seedwise(np.array([0.5]), 4)
+    with pytest.raises(ValueError):
+        em.predict_seedwise(np.array([0.5]), 0)
