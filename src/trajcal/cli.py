@@ -9,10 +9,12 @@ Exit codes: 0 success, 2 invalid input, 3 numerical or progress failure
 (with the partial trace preserved in the bundle).  All numeric table
 columns are written with 17 significant digits so reruns diff bitwise.
 The environment variable ``TRAJCAL_OUTPUT_DIR``, when set, redirects all
-output into that directory.  ``calibrate`` only replaces an absent path,
-an empty directory, or an earlier bundle.  Commands run OpenBLAS at one
-thread unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set;
-importing the package leaves the thread count alone.
+output into that directory; ``_resolve_outdir`` is its one reader.
+``calibrate`` only replaces an absent path, an empty directory, or an
+earlier bundle.  A malformed bundle makes ``report`` exit 2 with a message
+naming the fault.  Commands run OpenBLAS at one thread unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; importing the
+package leaves the thread count alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import csv
 import ctypes
 import dataclasses
 import glob
-import io
 import json
 import math
 import os
@@ -33,15 +34,15 @@ import tempfile
 import numpy as np
 import scipy
 
-from .dataspace import Bounds, Dataset, DesignPoint, latin_hypercube, rescale, sse
+from .dataspace import (
+    Bounds, Dataset, DesignPoint, ObjectiveTransform, latin_hypercube, rescale, sse,
+)
 from .emulator import SeedKernelGP
 from .errors import NumericalError, ProgressError
 from .expansion import ExpansionConfig
 from .grid import AdaptiveGrid, FixedGrid, GridConfig, LHSGrid
 from .simulator import SirConfig, sir_run, to_table, toy_objective
-from .workflow import (
-    EvalRecord, WorkflowConfig, best_observed, component_stream, evaluate, run,
-)
+from .workflow import WorkflowConfig, best_observed, component_stream, evaluate, run
 
 __all__ = ["main", "ConfigError", "load_config", "cmd_simulate", "cmd_calibrate", "cmd_report"]
 
@@ -281,7 +282,7 @@ def _read_truth_file(path: str, expected_len: int) -> np.ndarray:
     return series
 
 
-def _build_objective(problem: dict):
+def _build_objective(problem: dict, bounds: Bounds):
     """Returns (objective callable, rmse denominator or None)."""
     if problem["kind"] == "toy":
         return toy_objective, None
@@ -297,7 +298,6 @@ def _build_objective(problem: dict):
         except ValueError as exc:
             raise ConfigError(f"problem: {exc}") from None
         target = sir_run(truth_cfg).infected_counts.astype(float)
-    bounds = Bounds(lower=np.array(problem["lower"]), upper=np.array(problem["upper"]))
     cache: dict = {}
 
     def objective(point) -> float:
@@ -359,10 +359,9 @@ def _build_components(cfg: dict):
 
 
 def _resolve_outdir(directory: str) -> str:
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return env
-    return directory
+    """Where a command writes: ``TRAJCAL_OUTPUT_DIR`` when set, else
+    ``directory``.  The one reader of that variable."""
+    return os.environ.get(OUTPUT_DIR_ENV) or directory
 
 
 def _check_outdir(outdir: str) -> None:
@@ -389,33 +388,21 @@ def _check_outdir(outdir: str) -> None:
     )
 
 
-def _design_rows(dataset: Dataset, bounds: Bounds, rmse_denominator):
-    native = rescale(dataset.X, bounds)
-    for i in range(len(dataset)):
-        rmse_truth = (
-            math.sqrt(dataset.y_raw[i] / rmse_denominator)
-            if rmse_denominator is not None
-            else float("nan")
-        )
-        yield (
-            [int(dataset.iteration[i])]
-            + [_fmt(v) for v in np.atleast_1d(native[i])]
-            + [int(dataset.seeds[i]), _fmt(dataset.y_raw[i]), _fmt(dataset.y_std[i]),
-               _fmt(rmse_truth)]
-        )
-
-
-def _write_design(path: str, dataset: Dataset, bounds: Bounds, rmse_denominator):
-    buf = io.StringIO()
-    buf.write(f"# {DESIGN_FORMAT}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    cols = (["iteration"] + [f"x{j + 1}" for j in range(dataset.ndim)]
-            + ["seed", "y_raw", "y_std", "rmse_truth"])
-    writer.writerow(cols)
-    for row in _design_rows(dataset, bounds, rmse_denominator):
-        writer.writerow(row)
+def _write_design(path: str, dataset: Dataset, native: np.ndarray, rmse: np.ndarray):
     with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(f"# {DESIGN_FORMAT}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["iteration"] + [f"x{j + 1}" for j in range(dataset.ndim)]
+                        + ["seed", "y_raw", "y_std", "rmse_truth"])
+        for i in range(len(dataset)):
+            writer.writerow([int(dataset.iteration[i])] + [_fmt(v) for v in native[i]]
+                            + [int(dataset.seeds[i]), _fmt(dataset.y_raw[i]),
+                               _fmt(dataset.y_std[i]), _fmt(rmse[i])])
+
+
+def _transform(trace) -> dict:
+    """The trace's final transform as the bundle records it."""
+    return dataclasses.asdict(ObjectiveTransform(*trace.final_transform))
 
 
 def _write_trace(path: str, trace):
@@ -423,59 +410,43 @@ def _write_trace(path: str, trace):
               {"event": "run", "master_seed": trace.master_seed, "budget": trace.budget,
                "initial_size": trace.initial_size,
                "stream_derivation": trace.stream_derivation}]
-    for i, e in enumerate(trace.evaluations):
-        events.append({
-            "event": "evaluation", "index": i, "iteration": e.iteration,
-            "x": list(e.x), "seed": e.seed, "y_raw": e.y_raw,
-            "failed": e.failed, "error": e.error,
-        })
-    for rec in trace.iterations:
-        events.append({
-            "event": "iteration", "iteration": rec.iteration,
-            "grid_digest": rec.grid_digest, "tau": rec.tau,
-            "argmin_indices": rec.argmin_indices,
-            "batch": [[list(x), r] for x, r in rec.batch],
-            "expansion": list(rec.expansion) if rec.expansion else None,
-            "evaluated": rec.evaluated, "failed": rec.failed,
-        })
+    # tuples in the records serialize as JSON lists
+    events += [{"event": "evaluation", "index": i, **dataclasses.asdict(e)}
+               for i, e in enumerate(trace.evaluations)]
+    events += [{"event": "iteration", **dataclasses.asdict(rec)} for rec in trace.iterations]
     for iteration, new_seed in trace.expansion_events:
         events.append({"event": "expansion", "iteration": iteration, "new_seed": new_seed})
     final = {"event": "final", "completed": trace.completed}
     if trace.final_transform is not None:
-        eps, mean, std = trace.final_transform
-        final["transform"] = {"epsilon": eps, "mean": mean, "std": std}
+        final["transform"] = _transform(trace)
     events.append(final)
     with open(path, "w", newline="") as fh:
         for ev in events:
             fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
-def _acceptance(dataset: Dataset, rmse_denominator, cutoff: float):
-    if rmse_denominator is None:
-        return None
-    rmse_vals = np.sqrt(dataset.y_raw / rmse_denominator)
+def _acceptance(rmse_vals: np.ndarray, cutoff: float) -> dict:
+    """Which runs lie within ``cutoff`` RMSE of the truth, for the summary
+    and the report alike."""
     accepted = np.flatnonzero(rmse_vals <= cutoff)
     return {
         "rmse_cutoff": cutoff,
-        "proportion": float(accepted.size / len(dataset)),
+        "proportion": float(accepted.size / rmse_vals.size),
         "accepted_ids": [int(i) for i in accepted],
     }
 
 
-def _summary_payload(cfg: dict, trace, dataset: Dataset, bounds: Bounds,
-                     rmse_denominator) -> dict:
+def _summary_payload(cfg: dict, trace, dataset: Dataset, native: np.ndarray, rmse) -> dict:
     best_seq = best_observed(trace)
     best_i = int(np.argmin(dataset.y_std))
-    native = rescale(dataset.X, bounds)
     best = {
-        "x_native": [float(v) for v in np.atleast_1d(native[best_i])],
+        "x_native": [float(v) for v in native[best_i]],
         "seed": int(dataset.seeds[best_i]),
         "y_raw": float(dataset.y_raw[best_i]),
         "y_std": float(dataset.y_std[best_i]),
     }
-    if rmse_denominator is not None:
-        best["rmse_truth"] = math.sqrt(dataset.y_raw[best_i] / rmse_denominator)
-    eps, mean, std = trace.final_transform
+    if rmse is not None:
+        best["rmse_truth"] = float(rmse[best_i])
     return {
         "format": SUMMARY_FORMAT,
         "completed": trace.completed,
@@ -485,24 +456,29 @@ def _summary_payload(cfg: dict, trace, dataset: Dataset, bounds: Bounds,
         "iterations": len(trace.iterations),
         "best_observed": [float(v) for v in best_seq],
         "best": best,
-        "acceptance": _acceptance(dataset, rmse_denominator,
-                                  cfg["output"]["rmse_cutoff"]),
+        "acceptance": None if rmse is None else _acceptance(rmse, cfg["output"]["rmse_cutoff"]),
         "expansion_events": [list(ev) for ev in trace.expansion_events],
-        "final_transform": {"epsilon": eps, "mean": mean, "std": std},
+        "final_transform": _transform(trace),
         "config": cfg,
     }
 
 
 def _write_bundle(outdir: str, cfg: dict, trace, dataset: Dataset, bounds: Bounds,
                   rmse_denominator) -> None:
+    """Write design.csv, trace.jsonl and summary.json to a fresh directory,
+    then swap it in for ``outdir``.  Each run's RMSE to the truth is
+    computed here, once, or is None when the truth is unknown."""
+    native = rescale(dataset.X, bounds)
+    rmse = None if rmse_denominator is None else np.sqrt(dataset.y_raw / rmse_denominator)
     outdir = os.path.abspath(outdir)
     parent = os.path.dirname(outdir)
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".trajcal-bundle-", dir=parent)
     try:
-        _write_design(os.path.join(tmp, "design.csv"), dataset, bounds, rmse_denominator)
+        _write_design(os.path.join(tmp, "design.csv"), dataset, native,
+                      np.full(len(dataset), np.nan) if rmse is None else rmse)
         _write_trace(os.path.join(tmp, "trace.jsonl"), trace)
-        payload = _summary_payload(cfg, trace, dataset, bounds, rmse_denominator)
+        payload = _summary_payload(cfg, trace, dataset, native, rmse)
         with open(os.path.join(tmp, "summary.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -526,11 +502,10 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     trajectory = sir_run(config)
-    out = args.out
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        os.makedirs(env, exist_ok=True)
-        out = os.path.join(env, os.path.basename(out))
+    out_dir = _resolve_outdir(os.path.dirname(args.out))
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    out = os.path.join(out_dir, os.path.basename(args.out))
     with open(out, "w", newline="") as fh:
         fh.write(f"# {TRAJECTORY_FORMAT}\n")
         fh.write(to_table(trajectory))
@@ -543,125 +518,132 @@ def cmd_calibrate(args) -> int:
         cfg = load_config(args.config)
         outdir = _resolve_outdir(cfg["output"]["directory"])
         _check_outdir(outdir)
-        objective, rmse_denominator = _build_objective(cfg["problem"])
+        bounds = Bounds(lower=np.array(cfg["problem"]["lower"]),
+                        upper=np.array(cfg["problem"]["upper"]))
+        objective, rmse_denominator = _build_objective(cfg["problem"], bounds)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emulator, strategy, wf_config = _build_components(cfg)
-    bounds = Bounds(lower=np.array(cfg["problem"]["lower"]),
-                    upper=np.array(cfg["problem"]["upper"]))
 
-    d = cfg["problem"]["ndim"]
     n0 = cfg["workflow"]["initial_design"]
+    X0 = latin_hypercube(n0, cfg["problem"]["ndim"],
+                         component_stream(cfg["workflow"]["master_seed"], "init", 0))
     k0 = cfg["expansion"]["nseeds"]
-    init_rng = component_stream(cfg["workflow"]["master_seed"], "init", 0)
-    X0 = latin_hypercube(n0, d, init_rng)
-    seeds0 = 1 + np.arange(n0, dtype=np.int64) % k0
     initial = []  # every design point's EvalRecord, in design order
-    ok_rows, ok_seeds, ok_y = [], [], []
-    for i in range(n0):
-        y, error = evaluate(objective, DesignPoint(x=X0[i], r=int(seeds0[i])))
-        initial.append(EvalRecord(iteration=0, x=tuple(float(v) for v in X0[i]),
-                                  seed=int(seeds0[i]), y_raw=y,
-                                  failed=error is not None, error=error))
-        if error is not None:
-            print(f"warning: initial evaluation failed: {error}", file=sys.stderr)
-            continue
-        ok_rows.append(X0[i])
-        ok_seeds.append(int(seeds0[i]))
-        ok_y.append(y)
-    if not ok_y:
+    X, seeds, y = evaluate(objective, [DesignPoint(x=x, r=1 + i % k0) for i, x in enumerate(X0)],
+                           0, initial)
+    for rec in initial:
+        if rec.failed:
+            print(f"warning: initial evaluation failed: {rec.error}", file=sys.stderr)
+    if not y.size:
         print("error: every initial evaluation failed", file=sys.stderr)
         return 3
-    dataset = Dataset(np.array(ok_rows), np.array(ok_seeds), np.array(ok_y))
+    dataset = Dataset(X, seeds, y)
 
     try:
-        trace = run(dataset, objective, wf_config, emulator, strategy)
+        trace, failure = run(dataset, objective, wf_config, emulator, strategy), None
     except (NumericalError, ProgressError) as exc:
-        trace = getattr(exc, "trace", None)
-        if trace is not None:
-            _trace_initial_design(trace, initial)
-            _write_bundle(outdir, cfg, trace, dataset, bounds, rmse_denominator)
-            print(f"error: {exc} (partial results in {outdir})", file=sys.stderr)
-        else:
+        trace, failure = getattr(exc, "trace", None), exc
+        if trace is None:
             print(f"error: {exc}", file=sys.stderr)
-        return 3
-    _trace_initial_design(trace, initial)
+            return 3
+    # head the trace with every initial evaluation, failed ones included, in
+    # design order; ``run`` recorded only the successful ones it was given
+    trace.evaluations[: y.size] = initial
     _write_bundle(outdir, cfg, trace, dataset, bounds, rmse_denominator)
+    if failure is not None:
+        print(f"error: {failure} (partial results in {outdir})", file=sys.stderr)
+        return 3
     print(outdir)
     return 0
 
 
-def _trace_initial_design(trace, initial) -> None:
-    """Head the trace with every initial evaluation, failed ones included, in
-    design order; ``run`` recorded only the successful ones it was given."""
-    trace.evaluations[: sum(not rec.failed for rec in initial)] = initial
+def _number(value, where: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: {value!r} is not a number") from None
 
 
 def _read_bundle(bundle_dir: str):
-    design_path = os.path.join(bundle_dir, "design.csv")
-    trace_path = os.path.join(bundle_dir, "trace.jsonl")
+    """What ``report`` reads from a bundle: the iteration and rmse_truth
+    columns of design.csv, the raw values of the trace's successful
+    evaluations in order, and its final transform.  A missing or malformed
+    part raises ValueError naming it."""
     try:
-        with open(design_path, newline="") as fh:
+        with open(os.path.join(bundle_dir, "design.csv"), newline="") as fh:
             first = fh.readline().strip()
             if first != f"# {DESIGN_FORMAT}":
                 raise ValueError(f"design.csv: unexpected format line {first!r}")
             reader = csv.DictReader(fh)
             rows = list(reader)
-        with open(trace_path) as fh:
+        with open(os.path.join(bundle_dir, "trace.jsonl")) as fh:
             events = [json.loads(line) for line in fh if line.strip()]
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read bundle: {exc}") from exc
-    if not events or events[0].get("version") != TRACE_FORMAT:
+    columns = []
+    for name, kind in (("iteration", int), ("rmse_truth", float)):
+        if name not in (reader.fieldnames or ()):
+            raise ValueError(f"design.csv: no {name} column")
+        columns.append(np.array([_number(row[name], f"design.csv: row {i} {name}", kind)
+                                 for i, row in enumerate(rows, start=1)]))
+    if not events or not all(isinstance(e, dict) for e in events) \
+            or events[0].get("version") != TRACE_FORMAT:
         raise ValueError("trace.jsonl: missing or unexpected format event")
-    return rows, events
+    raw = []
+    for e in events:
+        if e.get("event") != "evaluation":
+            continue
+        if "y_raw" not in e or "failed" not in e:
+            raise ValueError(f"trace.jsonl: evaluation {e.get('index')} lacks y_raw or failed")
+        if not e["failed"]:
+            raw.append(_number(e["y_raw"], f"trace.jsonl: evaluation {e.get('index')} y_raw"))
+    final = [e for e in events if e.get("event") == "final"]
+    if not final or not isinstance(final[0].get("transform"), dict):
+        raise ValueError("trace.jsonl carries no final transform")
+    try:
+        transform = ObjectiveTransform(**{k: float(v) for k, v in final[0]["transform"].items()})
+    except (TypeError, ValueError) as exc:  # a missing, unknown or bad field
+        raise ValueError(f"trace.jsonl: malformed final transform: {exc}") from None
+    return *columns, np.array(raw), transform
 
 
 def cmd_report(args) -> int:
     try:
-        rows, events = _read_bundle(args.bundle)
+        iterations, rmse_vals, raw, transform = _read_bundle(args.bundle)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    final = [e for e in events if e["event"] == "final"]
-    if not final or "transform" not in final[0]:
-        print("error: trace.jsonl carries no final transform", file=sys.stderr)
-        return 2
-    tf = final[0]["transform"]
-    evals = [e for e in events if e["event"] == "evaluation" and not e["failed"]]
-    logs = np.log(np.maximum(np.array([e["y_raw"] for e in evals]), tf["epsilon"]))
-    best_seq = np.minimum.accumulate((logs - tf["mean"]) / tf["std"])
-
+    best_seq = np.minimum.accumulate(transform.apply(raw))
     cutoff = args.rmse_cutoff
-    rmse_vals = np.array([float(r["rmse_truth"]) for r in rows])
-    iterations = np.array([int(r["iteration"]) for r in rows])
     truth_known = bool(rmse_vals.size) and not np.all(np.isnan(rmse_vals))
-    accepted = np.flatnonzero(rmse_vals <= cutoff) if truth_known else np.empty(0, int)
+    acceptance = _acceptance(rmse_vals, cutoff) if truth_known else None
     per_iteration = []
     if truth_known:
         for it in sorted(set(iterations.tolist())):
             mask = iterations <= it
             per_iteration.append({
-                "iteration": int(it),
+                "iteration": it,
                 "evaluations": int(mask.sum()),
-                "proportion": float((rmse_vals[mask] <= cutoff).mean()),
+                "proportion": _acceptance(rmse_vals[mask], cutoff)["proportion"],
             })
     payload = {
         "format": REPORT_FORMAT,
         "rmse_cutoff": cutoff,
         "best_observed": [float(v) for v in best_seq],
-        "proportion": float(accepted.size / len(rows)) if truth_known else None,
-        "accepted_ids": [int(i) for i in accepted],
+        "proportion": acceptance["proportion"] if truth_known else None,
+        "accepted_ids": acceptance["accepted_ids"] if truth_known else [],
         "per_iteration_acceptance": per_iteration,
     }
-    out_dir = os.environ.get(OUTPUT_DIR_ENV) or args.bundle
+    out_dir = _resolve_outdir(args.bundle)
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "report.json")
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if truth_known:
-        print(f"accepted {accepted.size}/{len(rows)} at rmse <= {cutoff:g}")
+        print(f"accepted {len(acceptance['accepted_ids'])}/{rmse_vals.size} at rmse <= {cutoff:g}")
     else:
         print("truth unknown; no acceptance computed")
     print(out_path)

@@ -4,12 +4,14 @@ The search space couples continuous coordinates on the unit hypercube
 ``[0, 1]^d`` with a positive integer seed identifier.  Everything downstream
 (kernels, emulators, grids, the workflow) operates on this normalized
 representation; callers rescale to native units and map seed ids to
-simulator-native seeds themselves.
+simulator-native seeds themselves.  This module owns the design-array
+checks (equal lengths, coordinates in ``[0, 1]``, seed ids ``>= 1``, finite
+values); design points, datasets and candidate grids all run them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,16 +55,9 @@ class DesignPoint:
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
         if x.ndim != 1:
             raise ValueError("x must be one-dimensional")
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise ValueError(f"coordinates must lie in [0, 1], got {x}")
-        if int(self.r) < 1:
-            raise ValueError(f"seed id must be >= 1, got {self.r}")
+        _check_design(x[None, :], [self.r])
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "r", int(self.r))
-
-    @property
-    def ndim(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -81,10 +76,6 @@ class Bounds:
             raise ValueError("require lower[i] < upper[i] for all i")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-
-    @property
-    def ndim(self) -> int:
-        return self.lower.shape[0]
 
 
 def latin_hypercube(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -115,9 +106,36 @@ def latin_hypercube(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _check_design(X, seeds, y_raw=None, label: str = ""):
+    """Design arrays as float ``(n, d)``, int64 ``(n,)`` and float ``(n,)``.
+
+    The one owner of the design checks: equal lengths, coordinates in
+    ``[0, 1]``, seed ids ``>= 1`` and, when ``y_raw`` is given, finite
+    values.  ``label`` prefixes the messages of the range checks.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    seeds = np.asarray(seeds, dtype=np.int64).ravel()
+    if y_raw is None:
+        if X.shape[0] != seeds.shape[0]:
+            raise ValueError("X and seeds must have the same length")
+    else:
+        y_raw = np.asarray(y_raw, dtype=float).ravel()
+        if not (X.shape[0] == seeds.shape[0] == y_raw.shape[0]):
+            raise ValueError("X, seeds, and y_raw must have equal lengths")
+    outside = np.flatnonzero(~np.all((X >= 0.0) & (X <= 1.0), axis=1))  # NaN is outside
+    if outside.size:
+        raise ValueError(f"{label}coordinates must lie in [0, 1], got {X[outside[0]]}")
+    below = np.flatnonzero(seeds < 1)
+    if below.size:
+        raise ValueError(f"{label}seed ids must be >= 1, got {seeds[below[0]]}")
+    if y_raw is not None and not np.all(np.isfinite(y_raw)):
+        raise ValueError("y_raw must be finite")
+    return X, seeds, y_raw
+
+
 def _check_unit(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(u > 1.0):
+    if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN is outside
         raise ValueError("point lies outside the unit hypercube")
     return u
 
@@ -198,15 +216,13 @@ def fit_transform(
     y_raw = np.asarray(y_raw, dtype=float)
     if y_raw.ndim != 1 or y_raw.size == 0:
         raise ValueError("y_raw must be a nonempty 1-d array")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
     logs = np.log(np.maximum(y_raw, epsilon))
     mean = float(np.mean(logs))
     std = float(np.std(logs))  # population (1/n) std, deterministic
     if std < STD_FLOOR:
         std = 1.0
     transform = ObjectiveTransform(epsilon=epsilon, mean=mean, std=std)
-    return transform, (logs - mean) / std
+    return transform, transform.apply(y_raw)
 
 
 class Dataset:
@@ -232,17 +248,7 @@ class Dataset:
     """
 
     def __init__(self, X, seeds, y_raw, iteration=None, epsilon: float = DEFAULT_EPSILON):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        seeds = np.asarray(seeds, dtype=np.int64).ravel()
-        y_raw = np.asarray(y_raw, dtype=float).ravel()
-        if not (X.shape[0] == seeds.shape[0] == y_raw.shape[0]):
-            raise ValueError("X, seeds, and y_raw must have equal lengths")
-        if np.any(X < 0.0) or np.any(X > 1.0):
-            raise ValueError("coordinates must lie in [0, 1]")
-        if np.any(seeds < 1):
-            raise ValueError("seed ids must be >= 1")
-        if not np.all(np.isfinite(y_raw)):
-            raise ValueError("y_raw must be finite")
+        X, seeds, y_raw = _check_design(X, seeds, y_raw)
         if iteration is None:
             iteration = np.zeros(X.shape[0], dtype=np.int64)
         else:
@@ -291,21 +297,9 @@ class Dataset:
 
     def append(self, X, seeds, y_raw, iteration: int) -> None:
         """Append a batch of evaluated points acquired at ``iteration``."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        seeds = np.asarray(seeds, dtype=np.int64).ravel()
-        y_raw = np.asarray(y_raw, dtype=float).ravel()
-        if not (X.shape[0] == seeds.shape[0] == y_raw.shape[0]):
-            raise ValueError("X, seeds, and y_raw must have equal lengths")
-        if X.shape[0] == 0:
-            return
+        X, seeds, y_raw = _check_design(X, seeds, y_raw)
         if X.shape[1] != self.ndim:
             raise ValueError(f"expected {self.ndim} columns, got {X.shape[1]}")
-        if np.any(X < 0.0) or np.any(X > 1.0):
-            raise ValueError("coordinates must lie in [0, 1]")
-        if np.any(seeds < 1):
-            raise ValueError("seed ids must be >= 1")
-        if not np.all(np.isfinite(y_raw)):
-            raise ValueError("y_raw must be finite")
         self._X = np.vstack([self._X, X])
         self._seeds = np.concatenate([self._seeds, seeds])
         self._y_raw = np.concatenate([self._y_raw, y_raw])

@@ -23,6 +23,7 @@ scipy wrappers call them, so every value is bitwise theirs.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
@@ -30,6 +31,7 @@ from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from . import kernels
+from .dataspace import latin_hypercube
 from .errors import NotFittedError
 from .kernels import (
     LENGTHSCALE_BOUNDS,
@@ -66,17 +68,6 @@ def _chol_lml(L: np.ndarray, Y: np.ndarray):
     n = Y.shape[0]
     lml = -0.5 * float(Y @ alpha) - float(np.log(np.diag(L)).sum()) - 0.5 * n * _LOG_2PI
     return lml, alpha
-
-
-def _lhs_starts(lo: np.ndarray, hi: np.ndarray, nstarts: int, rng: np.random.Generator):
-    """Latin-hypercube starting points inside the packed-parameter box."""
-    p = lo.shape[0]
-    out = np.empty((nstarts, p))
-    for j in range(p):
-        perm = rng.permutation(nstarts)
-        u = (perm + rng.random(nstarts)) / nstarts
-        out[:, j] = lo[j] + u * (hi[j] - lo[j])
-    return [out[i] for i in range(nstarts)]
 
 
 class SeedKernelGP:
@@ -170,80 +161,68 @@ class SeedKernelGP:
             self._fixed = (ls, variance, S)
             g = float(fixed.get("nugget", self.nugget_bounds[0]))
             self.nugget_bounds = (g, g)
-
-    def __str__(self):
-        if not self.seeded:
-            return f"SeedKernelGP({self.family})"
-        return f"SeedKernelGP({self.family}, k={self.nseeds}, q={self.rank})"
+        self._set_layout()
 
     @property
     def seeded(self) -> bool:
         """Whether the covariance carries a seed factor."""
         return self.nseeds is not None
 
-    # packed layout: [log ls (d), log var, theta-or-B, log v (1 or k), log nugget?];
-    # without a seed space the theta-or-B and log v blocks are absent.
-    # rank 2 parametrizes each row of B by an angle; other ranks use raw entries.
-
     @property
     def _uses_angles(self):
         return self.rank == 2
 
-    def _n_bpars(self):
-        return self.nseeds if self._uses_angles else self.nseeds * self.rank
-
     def _nugget_is_fixed(self):
         return self.nugget_bounds[0] == self.nugget_bounds[1]
+
+    def _set_layout(self):
+        """Store the slices of the packed vector's blocks, in order: log
+        lengthscales (d), log variance, B (rank 2 gives each row an angle,
+        other ranks use raw entries), log v (one, or one per seed) and log
+        nugget.  The B and v blocks are empty without a seed space, the
+        nugget block when the nugget is pinned.  The one owner of the
+        layout; it changes only with the seed space."""
+        k = self.nseeds or 0
+        sizes = (self.ndim, 1, k if self._uses_angles else k * (self.rank or 0),
+                 k if self.per_seed_v else min(k, 1), 0 if self._nugget_is_fixed() else 1)
+        self._blocks = [slice(end - n, end) for n, end in zip(sizes, accumulate(sizes))]
 
     def _nugget_from_packed(self, packed):
         if self._nugget_is_fixed():
             return self.nugget_bounds[0]
-        return float(np.exp(packed[-1]))
+        return float(np.exp(packed[self._blocks[4].start]))
 
     def _pack_bounds(self):
         if self._fixed is not None:
             return np.empty(0), np.empty(0)
-        d = self.ndim
-        lo = [math.log(LENGTHSCALE_BOUNDS[0])] * d + [math.log(VARIANCE_BOUNDS[0])]
-        hi = [math.log(LENGTHSCALE_BOUNDS[1])] * d + [math.log(VARIANCE_BOUNDS[1])]
-        if self.seeded:
-            k = self.nseeds
-            if self._uses_angles:
-                lo += [0.0] * k
-                hi += [math.pi] * k
+        v_box = (max(SEED_V_BOUNDS[0], 1e-6), SEED_V_BOUNDS[1])
+        boxes = (LENGTHSCALE_BOUNDS, VARIANCE_BOUNDS, None, v_box, self.nugget_bounds)
+        lo, hi = [], []
+        for block, box in zip(self._blocks, boxes):
+            if box is None:  # B's entries are not log-scaled
+                a, b = (0.0, math.pi) if self._uses_angles else (-1.0, 1.0)
             else:
-                lo += [-1.0] * (k * self.rank)
-                hi += [1.0] * (k * self.rank)
-            nv = k if self.per_seed_v else 1
-            v_lo = max(SEED_V_BOUNDS[0], 1e-6)
-            lo += [math.log(v_lo)] * nv
-            hi += [math.log(SEED_V_BOUNDS[1])] * nv
-        if not self._nugget_is_fixed():
-            lo.append(math.log(self.nugget_bounds[0]))
-            hi.append(math.log(self.nugget_bounds[1]))
+                a, b = math.log(box[0]), math.log(box[1])
+            lo += [a] * (block.stop - block.start)
+            hi += [b] * (block.stop - block.start)
         return np.array(lo), np.array(hi)
 
     def _decode(self, packed):
         """``(lengthscales, variance, B, v)`` of a packed vector; ``B`` and
         ``v`` are None without a seed space.  ``B`` rows are not normalized."""
-        d = self.ndim
-        ls = np.exp(packed[:d])
-        variance = float(np.exp(packed[d]))
+        ls_block, var_block, b_block, v_block, _ = self._blocks
+        ls = np.exp(packed[ls_block])
+        variance = float(np.exp(packed[var_block.start]))
         if not self.seeded:
             return ls, variance, None, None
-        k = self.nseeds
-        pos = d + 1
-        nb = self._n_bpars()
-        bpars = packed[pos : pos + nb]
+        bpars = packed[b_block]
         if self._uses_angles:
             B = np.column_stack([np.cos(bpars), np.sin(bpars)])
         else:
-            B = bpars.reshape(k, self.rank)
-        pos += nb
-        nv = k if self.per_seed_v else 1
-        v = np.exp(packed[pos : pos + nv])
-        if nv == 1:
-            v = np.full(k, float(v[0]))
+            B = bpars.reshape(self.nseeds, self.rank)
+        v = np.exp(packed[v_block])
+        if v.shape[0] == 1:
+            v = np.full(self.nseeds, float(v[0]))
         return ls, variance, B, v
 
     def _hyper(self, packed):
@@ -387,7 +366,7 @@ class SeedKernelGP:
             starts = []
             if warm_start and self._warm is not None and self._warm.shape[0] == lo.shape[0]:
                 starts.append(np.clip(self._warm, lo, hi))
-            starts.extend(_lhs_starts(lo, hi, self.nstarts, self.rng))
+            starts.extend(lo + latin_hypercube(self.nstarts, lo.shape[0], self.rng) * (hi - lo))
             maxfev = self.maxfev if self.maxfev is not None else min(250 * lo.shape[0], 3000)
             best = None
             start_vals = []
@@ -451,8 +430,7 @@ class SeedKernelGP:
         mean = Ks.T @ self._alpha
         Kss = self._cross_cov(new, new)
         V = self._solve_lower(Ks)
-        cov = Kss - V.T @ V
-        return mean, 0.5 * (cov + cov.T)
+        return mean, Kss - V.T @ V  # both terms are exactly symmetric (V.T @ V is a syrk)
 
     def predict_mean_var(self, X):
         """Posterior mean and pointwise variance without the full covariance."""
@@ -481,7 +459,6 @@ class SeedKernelGP:
 
     def sample(self, X, size: int = 1, rng=None) -> np.ndarray:
         """Joint posterior draws at new inputs; deterministic given ``rng``."""
-        self._check_fitted()
         if size < 1:
             raise ValueError("size must be >= 1")
         gen = rng if rng is not None else self.rng
@@ -505,30 +482,26 @@ class SeedKernelGP:
             raise ValueError("cannot expand a fixed-parameter emulator")
         added = new_nseeds - self.nseeds
         if self._warm is not None:
-            d, k = self.ndim, self.nseeds
-            pos = d + 1
-            nb = self._n_bpars()
-            head = self._warm[:pos]
-            bpars = self._warm[pos : pos + nb]
-            tail = self._warm[pos + nb :]
+            _, _, b_block, v_block, nugget_block = self._blocks
+            bpars, v_logs = self._warm[b_block], self._warm[v_block]
             if self._uses_angles:
                 mean_vec = np.array([np.mean(np.cos(bpars)), np.mean(np.sin(bpars))])
                 theta_new = math.atan2(mean_vec[1], mean_vec[0]) if np.linalg.norm(mean_vec) > 0 else math.pi / 2
                 theta_new = min(max(theta_new, 0.0), math.pi)
                 bpars = np.concatenate([bpars, np.full(added, theta_new)])
             else:
-                B = bpars.reshape(k, self.rank)
+                B = bpars.reshape(self.nseeds, self.rank)
                 new_row = np.mean(normalize_rows(B), axis=0)
                 norm = np.linalg.norm(new_row)
                 new_row = new_row / norm if norm > 0 else np.full(self.rank, 1.0 / math.sqrt(self.rank))
                 bpars = np.concatenate([B, np.tile(new_row, (added, 1))]).ravel()
             if self.per_seed_v:
-                nugget_tail = [] if self._nugget_is_fixed() else [tail[-1]]
-                v_logs = tail[:k] if self._nugget_is_fixed() else tail[:-1]
                 v_new = math.log(float(np.mean(np.exp(v_logs))))
-                tail = np.concatenate([v_logs, np.full(added, v_new), nugget_tail])
-            self._warm = np.concatenate([head, bpars, tail])
+                v_logs = np.concatenate([v_logs, np.full(added, v_new)])
+            self._warm = np.concatenate(
+                [self._warm[: b_block.start], bpars, v_logs, self._warm[nugget_block]])
         self.nseeds = int(new_nseeds)
+        self._set_layout()
         self._fitted = False  # the stored factor no longer matches the seed space
 
 

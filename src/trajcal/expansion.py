@@ -101,10 +101,6 @@ def sample_from_expansion(grid, nexpansion: int, new_seed: int,
     """
     if nexpansion < 0:
         raise ValueError("nexpansion must be >= 0")
-    if len(grid) == 0:
-        raise ValueError("refined grid must be nonempty")
-    if nexpansion == 0:
-        return []
     replace = nexpansion > len(grid)
     idx = rng.choice(len(grid), size=nexpansion, replace=replace)
     return [DesignPoint(x=grid.X[i], r=int(new_seed)) for i in idx]
@@ -119,15 +115,7 @@ def reseed_incumbents(dataset, nexpansion: int, new_seed: int) -> list[DesignPoi
     """
     if nexpansion < 0:
         raise ValueError("nexpansion must be >= 0")
-    order = np.argsort(dataset.y_std, kind="stable")
-    points = []
-    seen = set()
-    for i in order:
-        key = dataset.X[i].tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        points.append(DesignPoint(x=dataset.X[i], r=int(new_seed)))
-        if len(points) == nexpansion:
-            break
-    return points
+    best = {}  # the best index of each distinct coordinate vector, best first
+    for i in np.argsort(dataset.y_std, kind="stable"):
+        best.setdefault(dataset.X[i].tobytes(), i)
+    return [DesignPoint(x=dataset.X[i], r=int(new_seed)) for i in list(best.values())[:nexpansion]]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .dataspace import latin_hypercube
+from .dataspace import _check_design, latin_hypercube
 from .errors import ProgressError
 
 __all__ = [
@@ -56,16 +56,9 @@ class CandidateGrid:
     """An ordered set of (coordinates, seed) candidates in the unit cube."""
 
     def __init__(self, X: np.ndarray, seeds: np.ndarray):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        seeds = np.asarray(seeds, dtype=np.int64).ravel()
-        if X.shape[0] != seeds.shape[0]:
-            raise ValueError("X and seeds must have the same length")
+        X, seeds, _ = _check_design(X, seeds, label="grid ")
         if X.shape[0] == 0:
             raise ValueError("grid must be nonempty")
-        if np.any(X < 0.0) or np.any(X > 1.0):
-            raise ValueError("grid coordinates must lie in [0, 1]")
-        if np.any(seeds < 1):
-            raise ValueError("grid seeds must be >= 1")
         self.X = X
         self.seeds = seeds
         self.X.setflags(write=False)
@@ -249,13 +242,10 @@ class AdaptiveGrid:
         tau = float(dataset.incumbent())
         weights = likelihood_values(prev.X, prev.seeds, emulator, tau)
         idx = resample_indices(weights, M, rng)
-        entries = []
-        seen = set()
+        first = {}  # the first draw of each distinct (x, seed) pair, in draw order
         for i in idx:
-            key = (prev.X[i].tobytes(), int(prev.seeds[i]))
-            if key not in seen:
-                seen.add(key)
-                entries.append((prev.X[i], int(prev.seeds[i]), float(weights[i])))
+            first.setdefault((prev.X[i].tobytes(), int(prev.seeds[i])), i)
+        entries = [(prev.X[i], int(prev.seeds[i]), float(weights[i])) for i in first.values()]
 
         entries = mh_densify(
             entries, lambda x: _seedwise_likelihood(x, k, emulator, tau), k, M,

@@ -62,7 +62,7 @@ def seed_matrix(B: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _matern52_from_s2(s2: np.ndarray, variance: float) -> np.ndarray:
-    s = np.sqrt(np.maximum(s2, 0.0))
+    s = np.sqrt(s2)  # squared distances from cdist, never negative
     return variance * (1.0 + _SQRT5 * s + (5.0 / 3.0) * s2) * np.exp(-_SQRT5 * s)
 
 

@@ -87,14 +87,14 @@ class SirConfig:
             raise ValueError("crn_stream_id must be nonnegative")
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
-        if self.grid_extent <= 0:
-            raise ValueError("grid_extent must be positive")
+        if not 0 < self.grid_extent < math.inf:
+            raise ValueError("grid_extent must be positive and finite")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.infectious_period < 1:
             raise ValueError("infectious_period must be >= 1")
-        if self.contact_radius <= 0:
-            raise ValueError("contact_radius must be positive")
+        if not 0 < self.contact_radius < math.inf:  # NaN fails both comparisons
+            raise ValueError("contact_radius must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ simulator until the evaluation budget is spent.
 Every random decision draws from a stream derived as
 ``default_rng(SeedSequence([master_seed, component_id, iteration]))``, so a
 run is a pure function of (initial data, simulator, master_seed).
+``evaluate`` owns the evaluation records: it decides when a simulator call
+failed and records every call, for the loop and the CLI's initial design.
 """
 
 from __future__ import annotations
@@ -133,34 +135,41 @@ def thompson_select(emulator, grid, nTS_samp: int, rng: np.random.Generator):
     """
     if nTS_samp < 1:
         raise ValueError("nTS_samp must be >= 1")
-    if len(grid) == 0:
-        raise ValueError("grid must be nonempty")
     draws = emulator.sample(grid.joint(), size=nTS_samp, rng=rng)
-    argmins = np.argmin(draws, axis=1)
-    order: list[int] = []
-    seen = set()
-    for a in argmins:
-        i = int(a)
-        if i not in seen:
-            seen.add(i)
-            order.append(i)
-    points = [DesignPoint(x=grid.X[i], r=int(grid.seeds[i])) for i in order]
-    return points, [int(a) for a in argmins]
+    argmins = [int(a) for a in np.argmin(draws, axis=1)]
+    points = [DesignPoint(x=grid.X[i], r=int(grid.seeds[i])) for i in dict.fromkeys(argmins)]
+    return points, argmins
 
 
-def evaluate(simulator, point: DesignPoint) -> tuple[float | None, str | None]:
-    """One simulator call, as ``(value, None)`` or, when it failed, ``(None, error)``.
+def evaluate(simulator, points, iteration: int, records: list):
+    """Run the simulator on ``points`` in order and record every call.
 
-    The call fails when the simulator raises or returns NaN or an infinity;
-    ``error`` is the text the trace records.
+    The one owner of evaluation records: appends one ``EvalRecord`` per
+    point to ``records``.  A call fails when the simulator raises or returns
+    NaN or an infinity; its record carries the error text and no value.
+
+    Returns
+    -------
+    (X, seeds, y_raw) : ndarrays
+        Coordinates, seed ids and values of the calls that succeeded.
     """
-    try:
-        y = float(simulator(point))
-    except Exception as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-    if not math.isfinite(y):
-        return None, f"non-finite objective: {y}"
-    return y, None
+    xs, seeds, ys = [], [], []
+    for p in points:
+        try:
+            y = float(simulator(p))
+        except Exception as exc:
+            y, error = None, f"{type(exc).__name__}: {exc}"
+        else:
+            error = None if math.isfinite(y) else f"non-finite objective: {y}"
+        failed = error is not None
+        records.append(EvalRecord(iteration=iteration, x=tuple(float(v) for v in p.x),
+                                  seed=p.r, y_raw=None if failed else y, failed=failed,
+                                  error=error))
+        if not failed:
+            xs.append(p.x)
+            seeds.append(p.r)
+            ys.append(y)
+    return np.array(xs), np.array(seeds), np.array(ys)
 
 
 def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
@@ -250,23 +259,7 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
                 expansion_event = (iteration, new_seed)
             batch = batch[: config.budget - completed]
 
-            ok_x, ok_seeds, ok_y = [], [], []
-            for p in batch:
-                y, error = evaluate(simulator, p)
-                trace.evaluations.append(
-                    EvalRecord(
-                        iteration=iteration,
-                        x=tuple(float(v) for v in p.x),
-                        seed=p.r,
-                        y_raw=y,
-                        failed=error is not None,
-                        error=error,
-                    )
-                )
-                if error is None:
-                    ok_x.append(p.x)
-                    ok_seeds.append(p.r)
-                    ok_y.append(y)
+            ok_x, ok_seeds, ok_y = evaluate(simulator, batch, iteration, trace.evaluations)
             trace.iterations.append(
                 IterationRecord(
                     iteration=iteration,
@@ -279,11 +272,11 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
                     failed=len(batch) - len(ok_y),
                 )
             )
-            if not ok_y:
+            if not ok_y.size:
                 raise ProgressError(
                     f"every simulator evaluation failed at iteration {iteration}"
                 )
-            dataset.append(np.array(ok_x), np.array(ok_seeds), np.array(ok_y), iteration)
+            dataset.append(ok_x, ok_seeds, ok_y, iteration)
             completed += len(ok_y)
             state.sims_since_expansion += len(ok_y)
     except (NumericalError, ProgressError) as exc:

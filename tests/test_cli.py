@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -431,6 +432,13 @@ def test_simulate_rejects_out_of_range_inputs(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["simulate", "--beta", "-0.1",
                  "--out", str(tmp_path / "t.csv")]) == 2
+    capsys.readouterr()
+    for flag, value in [("--contact-radius", "nan"), ("--contact-radius", "inf"),
+                        ("--grid-extent", "inf")]:
+        assert main(["simulate", "--beta", "1.0", "--n-agents", "200", "--horizon", "10",
+                     flag, value, "--out", str(tmp_path / "t.csv")]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_simulate_respects_output_dir_env(tmp_path, capsys, monkeypatch):
@@ -844,6 +852,58 @@ def test_report_zero_cutoff_accepts_nothing(sir_bundle):
     assert report["proportion"] == 0.0
     assert report["accepted_ids"] == []
     assert all(p["proportion"] == 0.0 for p in report["per_iteration_acceptance"])
+
+
+def _damaged_copy(bundle, dest, name, edit):
+    shutil.copytree(bundle, dest, ignore=shutil.ignore_patterns("report.json"))
+    path = dest / name
+    path.write_text(edit(path.read_text()))
+    return dest
+
+
+def _edit_design(text, column, value=None):
+    """Drop ``column`` from design.csv, or set its cell in the first row."""
+    head, *rows = text.splitlines()
+    cells = [row.split(",") for row in rows]
+    j = cells[0].index(column)
+    if value is None:
+        cells = [c[:j] + c[j + 1:] for c in cells]
+    else:
+        cells[1][j] = value
+    return "\n".join([head] + [",".join(c) for c in cells]) + "\n"
+
+
+def _drop_event_key(text, key):
+    events = [json.loads(ln) for ln in text.splitlines()]
+    del next(e for e in events if e["event"] == "evaluation")[key]
+    return "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("design.csv", lambda t: _edit_design(t, "rmse_truth"), "design.csv: no rmse_truth column"),
+    ("design.csv", lambda t: _edit_design(t, "iteration"), "design.csv: no iteration column"),
+    ("design.csv", lambda t: _edit_design(t, "rmse_truth", "abc"),
+     "design.csv: row 1 rmse_truth: 'abc' is not a number"),
+    ("design.csv", lambda t: _edit_design(t, "iteration", "abc"),
+     "design.csv: row 1 iteration: 'abc' is not a number"),
+    ("trace.jsonl", lambda t: _drop_event_key(t, "y_raw"),
+     "trace.jsonl: evaluation 0 lacks y_raw or failed"),
+    ("trace.jsonl", lambda t: _drop_event_key(t, "failed"),
+     "trace.jsonl: evaluation 0 lacks y_raw or failed"),
+    ("trace.jsonl", lambda t: re.sub(r'"y_raw": [^,}]+', '"y_raw": "x"', t, count=1),
+     "trace.jsonl: evaluation 0 y_raw: 'x' is not a number"),
+    ("trace.jsonl", lambda t: re.sub(r'"std": [^,}]+', '"std": -1', t, count=1),
+     "trace.jsonl: malformed final transform: std must be positive"),
+    ("trace.jsonl", lambda t: t + "[]\n", "trace.jsonl: missing or unexpected format event"),
+])
+def test_report_names_the_fault_in_a_malformed_bundle(sir_bundle, tmp_path, capsys,
+                                                      name, edit, message):
+    bad = _damaged_copy(sir_bundle, tmp_path / "bad", name, edit)
+    assert main(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert not (bad / "report.json").exists()
 
 
 def test_report_rejects_a_missing_or_malformed_bundle(tmp_path, capsys):

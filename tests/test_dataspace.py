@@ -26,6 +26,8 @@ def test_design_point_validates_domain():
         DesignPoint(x=np.array([1.2]), r=1)
     with pytest.raises(ValueError):
         DesignPoint(x=np.array([0.5]), r=0)
+    with pytest.raises(ValueError, match="coordinates must lie in"):
+        DesignPoint(x=np.array([0.5, np.nan]), r=1)
 
 
 def test_bounds_ordering_enforced():
@@ -92,6 +94,8 @@ def test_rescale_rejects_outside_unit_cube():
     bounds = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
     with pytest.raises(ValueError):
         rescale(np.array([1.5]), bounds)
+    with pytest.raises(ValueError):
+        rescale(np.array([np.nan]), bounds)
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,6 +225,8 @@ def test_dataset_rejects_non_finite_objectives():
             ds.append(np.array([[0.5]]), np.array([2]), np.array([bad]), iteration=1)
         assert len(ds) == 1
         assert np.isfinite(ds.transform.mean) and np.isfinite(ds.transform.std)
+    with pytest.raises(ValueError, match="coordinates must lie in"):
+        Dataset(np.array([[0.1], [np.nan]]), np.array([1, 2]), np.array([1.0, 2.0]))
 
 
 def test_dataset_length_mismatch_rejected():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from trajcal import kernels
@@ -128,6 +130,27 @@ def test_posterior_summary_shape_and_symmetry():
     mean_pw, var_pw = em.predict_mean_var(grid)
     assert np.array_equal(mean_pw, mean)
     assert np.abs(var_pw - cov.diagonal()).max() <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(["matern52", "rbf"]), rank=st.sampled_from([None, 1, 2, 3]),
+       nseeds=st.integers(1, 5), per_seed_v=st.booleans(), npoints=st.integers(1, 12),
+       repeats=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_posterior_covariance_is_exactly_symmetric(family, rank, nseeds, per_seed_v,
+                                                   npoints, repeats, seed):
+    """``Kss - V.T @ V`` is symmetric bit for bit, so ``_posterior`` returns it
+    without averaging it with its transpose; repeated candidates, and
+    candidates that repeat training points, included."""
+    rng = np.random.default_rng(seed)
+    k = max(nseeds, rank or 1)
+    em = SeedKernelGP(ndim=2, nseeds=None if rank is None else k, rank=rank, family=family,
+                      per_seed_v=per_seed_v, nstarts=1, maxfev=30, rng=rng)
+    X = np.column_stack([rng.uniform(size=(10, 2)), rng.integers(1, k + 1, size=10)])
+    em.fit(X, rng.normal(size=10))
+    new = np.column_stack([rng.uniform(size=(npoints, 2)), rng.integers(1, k + 1, size=npoints)])
+    new = np.vstack([new, new[rng.integers(npoints, size=repeats)], X[:repeats]])
+    _, cov = em._posterior(new)
+    assert np.array_equal(cov, cov.T)
 
 
 def test_posterior_variance_below_prior():

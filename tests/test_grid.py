@@ -56,6 +56,8 @@ def test_candidate_grid_validates_domain():
         CandidateGrid(np.array([[1.5]]), np.array([1]))
     with pytest.raises(ValueError):
         CandidateGrid(np.array([[0.5]]), np.array([0]))
+    with pytest.raises(ValueError, match="grid coordinates must lie in"):
+        CandidateGrid(np.array([[np.nan]]), np.array([1]))
     with pytest.raises(ValueError):
         CandidateGrid(np.empty((0, 1)), np.empty(0, dtype=int))
 

@@ -35,6 +35,11 @@ def test_config_validation():
         SirConfig(beta=0.1, seed_id=-1)
     with pytest.raises(ValueError):
         SirConfig(beta=0.1, seed_id=0, horizon=0)
+    # NaN passes a bare ``<= 0`` check, and a NaN radius finds no contacts
+    for field, value in [("contact_radius", math.nan), ("contact_radius", math.inf),
+                         ("contact_radius", -math.inf), ("grid_extent", math.inf)]:
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SirConfig(beta=0.1, seed_id=0, **{field: value})
 
 
 def test_beta_zero_single_case_recovers():
