@@ -23,20 +23,19 @@ def main():
     xs = latin_hypercube(60, 1, rng)[:, 0]
     seeds = 1 + np.arange(60) % nseeds
     y = objective(xs, seeds)
-    joint = np.column_stack([xs, seeds])
 
     xs_te = rng.random(200)
     seeds_te = 1 + rng.integers(0, nseeds, size=200)
-    joint_te = np.column_stack([xs_te, seeds_te])
     y_te = objective(xs_te, seeds_te)
 
-    plain = SeedKernelGP(ndim=1, rng=np.random.default_rng(0))  # no seed space
-    plain.fit(xs[:, None], y)
-    pred_plain, _ = plain.predict_mean_var(xs_te[:, None])
+    # the same data for both; the GP without a seed space ignores the ids
+    plain = SeedKernelGP(ndim=1, rng=np.random.default_rng(0))
+    plain.fit(xs[:, None], seeds, y)
+    pred_plain, _ = plain.predict_mean_var(xs_te[:, None], seeds_te)
 
     aware = SeedKernelGP(ndim=1, nseeds=nseeds, rng=np.random.default_rng(0))
-    aware.fit(joint, y)
-    pred_aware, _ = aware.predict_mean_var(joint_te)
+    aware.fit(xs[:, None], seeds, y)
+    pred_aware, _ = aware.predict_mean_var(xs_te[:, None], seeds_te)
 
     rmse = lambda p: float(np.sqrt(np.mean((p - y_te) ** 2)))
     print(f"holdout rmse, seed-agnostic GP : {rmse(pred_plain):.5f}")
@@ -53,8 +52,7 @@ def main():
     grid = np.linspace(0, 1, 501)
     print("\nseed   true minimum   predicted minimum")
     for r in range(1, nseeds + 1):
-        jg = np.column_stack([grid, np.full_like(grid, r)])
-        mu, _ = aware.predict_mean_var(jg)
+        mu, _ = aware.predict_mean_var(grid[:, None], np.full(grid.size, r))
         print(f"  {r}      {0.5 + 0.02 * (r - 1):.3f}          "
               f"{grid[int(np.argmin(mu))]:.3f}")
 

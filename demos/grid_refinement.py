@@ -34,7 +34,7 @@ def main():
         "lengthscales": [0.25], "variance": 1.0, "nugget": 1.5,
         "B": np.column_stack([np.cos(ang), np.sin(ang)]), "v": [0.05] * NSEEDS,
     })
-    em.fit(ds.joint(), ds.y_std)
+    em.fit(ds.X, ds.seeds, ds.y_std)
 
     cfg = GridConfig(ndim=1, nseeds=NSEEDS, ngrid=200)
     adaptive = AdaptiveGrid(cfg)

@@ -112,7 +112,7 @@ SCHEMA = (
     ("expansion", "sample_mode", ("explore", "exploit"), "explore", None, None),
     ("expansion", "p", float, None, 0.0, 1.0),
     ("workflow", "budget", int, REQUIRED, 1, None),
-    ("workflow", "initial_design", int, REQUIRED, 1, None),
+    ("workflow", "initial_design", int, REQUIRED, 2, None),
     ("workflow", "nTS_samp", int, 30, 1, None),
     ("workflow", "master_seed", int, 0, 0, None),
     ("output", "directory", PATH, REQUIRED, 1, None),
@@ -400,11 +400,6 @@ def _write_design(path: str, dataset: Dataset, native: np.ndarray, rmse: np.ndar
                                _fmt(dataset.y_std[i]), _fmt(rmse[i])])
 
 
-def _transform(trace) -> dict:
-    """The trace's final transform as the bundle records it."""
-    return dataclasses.asdict(ObjectiveTransform(*trace.final_transform))
-
-
 def _write_trace(path: str, trace):
     events = [{"event": "format", "version": TRACE_FORMAT},
               {"event": "run", "master_seed": trace.master_seed, "budget": trace.budget,
@@ -418,7 +413,7 @@ def _write_trace(path: str, trace):
         events.append({"event": "expansion", "iteration": iteration, "new_seed": new_seed})
     final = {"event": "final", "completed": trace.completed}
     if trace.final_transform is not None:
-        final["transform"] = _transform(trace)
+        final["transform"] = dataclasses.asdict(trace.final_transform)
     events.append(final)
     with open(path, "w", newline="") as fh:
         for ev in events:
@@ -458,7 +453,7 @@ def _summary_payload(cfg: dict, trace, dataset: Dataset, native: np.ndarray, rms
         "best": best,
         "acceptance": None if rmse is None else _acceptance(rmse, cfg["output"]["rmse_cutoff"]),
         "expansion_events": [list(ev) for ev in trace.expansion_events],
-        "final_transform": _transform(trace),
+        "final_transform": dataclasses.asdict(trace.final_transform),
         "config": cfg,
     }
 
@@ -536,8 +531,9 @@ def cmd_calibrate(args) -> int:
     for rec in initial:
         if rec.failed:
             print(f"warning: initial evaluation failed: {rec.error}", file=sys.stderr)
-    if not y.size:
-        print("error: every initial evaluation failed", file=sys.stderr)
+    if y.size < 2:  # the emulator needs two training points
+        print(f"error: {y.size} of {n0} initial evaluations succeeded; need at least 2",
+              file=sys.stderr)
         return 3
     dataset = Dataset(X, seeds, y)
 
@@ -610,13 +606,14 @@ def _read_bundle(bundle_dir: str):
 
 
 def cmd_report(args) -> int:
-    try:
+    _, _, kind, _, minimum, maximum = next(row for row in SCHEMA if row[1] == "rmse_cutoff")
+    try:  # a ConfigError is a ValueError
+        cutoff = _scalar(args.rmse_cutoff, "--rmse-cutoff", kind, minimum, maximum)
         iterations, rmse_vals, raw, transform = _read_bundle(args.bundle)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     best_seq = np.minimum.accumulate(transform.apply(raw))
-    cutoff = args.rmse_cutoff
     truth_known = bool(rmse_vals.size) and not np.all(np.isnan(rmse_vals))
     acceptance = _acceptance(rmse_vals, cutoff) if truth_known else None
     per_iteration = []

@@ -230,9 +230,9 @@ class Dataset:
 
     Stores the continuous coordinates, seed ids, raw discrepancies, their
     transformed values, and the acquisition iteration of every evaluation.
-    ``y_std`` is refreshed (and the transform refitted) via
-    :meth:`refresh_transform`, which the calibration loop calls before each
-    emulator refit.
+    The transform is fitted on construction and refitted by every
+    :meth:`append` (through :meth:`refresh_transform`), so ``y_std`` always
+    standardizes all raw values.
 
     Parameters
     ----------
@@ -290,10 +290,6 @@ class Dataset:
     @property
     def iteration(self) -> np.ndarray:
         return self._iteration
-
-    def joint(self) -> np.ndarray:
-        """Design matrix with the seed id appended as the last column."""
-        return np.column_stack([self._X, self._seeds.astype(float)])
 
     def append(self, X, seeds, y_raw, iteration: int) -> None:
         """Append a batch of evaluated points acquired at ``iteration``."""

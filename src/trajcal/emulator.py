@@ -4,7 +4,7 @@ One GP class, :class:`SeedKernelGP`.  Its covariance is a stationary
 kernel on the continuous coordinates times a low-rank seed index kernel
 ``B B^T + diag(v)`` (the intrinsic coregionalization model).  Built without
 a seed space (``nseeds=None``) the seed factor is fixed to 1: the GP ignores
-the seed column and serves as the seed-agnostic baseline.  Hyperparameters
+the seed ids and serves as the seed-agnostic baseline.  Hyperparameters
 are chosen by maximizing the log marginal likelihood with multi-start
 bounded Nelder-Mead on log-transformed parameters.
 
@@ -73,17 +73,17 @@ def _chol_lml(L: np.ndarray, Y: np.ndarray):
 class SeedKernelGP:
     """GP whose covariance is a continuous kernel times an optional seed kernel.
 
-    With a seed space, the design matrix must carry the (1-based, integer)
-    seed id in its last column.  The seed kernel is ``B B^T + diag(v)`` with
-    unit-norm rows of ``B``; by default ``B`` has rank ``min(2, nseeds)``
-    and ``v`` is tied across seeds during fitting (the model itself stores
-    a per-seed vector).  Without a seed space the GP accepts ``ndim`` or
-    ``ndim + 1`` columns and drops the seed column unchecked.
+    Inputs are coordinates ``X`` of shape ``(n, ndim)`` and, with a seed
+    space, one integer seed id in 1..k per row, as their own array.  The
+    seed kernel is ``B B^T + diag(v)`` with unit-norm rows of ``B``; by
+    default ``B`` has rank ``min(2, nseeds)`` and ``v`` is tied across seeds
+    during fitting (the model itself stores a per-seed vector).  Without a
+    seed space the seed ids are ignored and may be None.
 
     Parameters
     ----------
     ndim : int
-        Number of continuous coordinates (seed column excluded).
+        Number of continuous coordinates.
     nseeds : int or None
         Current seed-space size ``k``; grow it with ``expand_seed_space``.
         ``None`` fixes the seed factor to 1; ``rank`` and ``per_seed_v``
@@ -246,33 +246,30 @@ class SeedKernelGP:
             B = normalize_rows(B)
         return ls, variance, kernels.seed_matrix(B, v)
 
-    def _split_inputs(self, X):
-        """Validate raw inputs; returns (coordinates, seed ids or None)."""
+    def _check_inputs(self, X, seeds):
+        """``(coordinates, seed ids or None)`` as float ``(n, ndim)`` and
+        int64 ``(n,)`` arrays; without a seed space ``seeds`` is ignored."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.ndim:
+            raise ValueError(f"expected {self.ndim} coordinate columns, got {X.shape[1]}")
         if not self.seeded:
-            if X.shape[1] not in (self.ndim, self.ndim + 1):
-                raise ValueError(
-                    f"expected {self.ndim} or {self.ndim + 1} columns, got {X.shape[1]}"
-                )
-            return X[:, : self.ndim], None
-        if X.shape[1] != self.ndim + 1:
-            raise ValueError(
-                f"expected {self.ndim + 1} columns (coordinates plus seed id), got {X.shape[1]}"
-            )
-        seeds = X[:, -1]
-        rounded = np.rint(seeds)
-        if not np.allclose(seeds, rounded, atol=1e-9):
-            raise ValueError("seed column must contain integers")
-        r = rounded.astype(np.int64)
-        if np.any(r < 1) or np.any(r > self.nseeds):
-            raise ValueError(f"seed ids must lie in 1..{self.nseeds}")
-        return X[:, : self.ndim], r
+            return X, None
+        r = np.asarray(seeds)
+        if r.shape != (X.shape[0],) or not np.issubdtype(r.dtype, np.integer) \
+                or np.any(r < 1) or np.any(r > self.nseeds):
+            raise ValueError(f"need one integer seed id in 1..{self.nseeds} per point")
+        return X, r.astype(np.int64, copy=False)
 
-    def _set_train(self, X, Y):
+    def _set_train(self, X, seeds, Y):
         """Store the training data and the index arrays fixed for one fit."""
-        self._train = self._split_inputs(X)
-        self._Y = Y.copy()
+        X, r = self._check_inputs(X, seeds)
         n = X.shape[0]
-        r = self._train[1]
+        if n != Y.shape[0]:
+            raise ValueError("X and Y must have the same number of rows")
+        if n < 2:
+            raise ValueError("need at least 2 training points")
+        self._train = (X, r)
+        self._Y = Y.copy()
         # flat index of each training pair's entry in the k x k seed matrix
         self._pair = None if r is None else (r - 1)[:, None] * self.nseeds + (r - 1)[None, :]
         self._diag = np.arange(n) * (n + 1)
@@ -330,33 +327,27 @@ class SeedKernelGP:
             return np.inf
         return -_chol_lml(L, self._Y)[0]
 
-    def fit(self, X, Y, warm_start: bool = True):
+    def fit(self, X, seeds, Y):
         """Fit hyperparameters to training data by multi-start optimization.
 
         Parameters
         ----------
-        X : ndarray
-            Design matrix, seed id in the last column (optional without a
-            seed space).
+        X : ndarray, shape (n, ndim)
+            Continuous coordinates.
+        seeds : ndarray of int, shape (n,), or None
+            Seed ids in 1..k; ignored without a seed space.
         Y : ndarray, shape (n,)
             Standardized objective values.
-        warm_start : bool
-            Include the previous fit's optimum as an extra start.
 
         Notes
         -----
+        The previous fit's optimum, when there is one, is an extra start.
         The seed-pair and diagonal index arrays are built here, once per
         fit, for the current data and seed-space size.  The likelihood the
         optimizer evaluates is bitwise equal to the one computed through
         ``kernels.cross_cov`` and ``np.linalg.cholesky``.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.asarray(Y, dtype=float).ravel()
-        if X.shape[0] != Y.shape[0]:
-            raise ValueError("X and Y must have the same number of rows")
-        if X.shape[0] < 2:
-            raise ValueError("need at least 2 training points")
-        self._set_train(X, Y)
+        self._set_train(X, seeds, np.asarray(Y, dtype=float).ravel())
 
         lo, hi = self._pack_bounds()
         if lo.shape[0] == 0:
@@ -364,7 +355,7 @@ class SeedKernelGP:
             report = {"start_neg_lml": [], "neg_lml": self._neg_lml(best_packed)}
         else:
             starts = []
-            if warm_start and self._warm is not None and self._warm.shape[0] == lo.shape[0]:
+            if self._warm is not None and self._warm.shape[0] == lo.shape[0]:
                 starts.append(np.clip(self._warm, lo, hi))
             starts.extend(lo + latin_hypercube(self.nstarts, lo.shape[0], self.rng) * (hi - lo))
             maxfev = self.maxfev if self.maxfev is not None else min(250 * lo.shape[0], 3000)
@@ -395,11 +386,7 @@ class SeedKernelGP:
         self.lengthscales, self.variance, self.seed_matrix = self._hyper(packed)
         g = self._nugget_from_packed(packed)
         K = self._train_cov(self.lengthscales, self.variance, self.seed_matrix, g)
-        try:
-            L = np.linalg.cholesky(K)
-            jitter = 0.0
-        except np.linalg.LinAlgError:
-            L, jitter = safe_cholesky(K)
+        L, jitter = safe_cholesky(K)
         self._L = L
         self.lml, self._alpha = _chol_lml(L, self._Y)
         X, r = self._train
@@ -419,24 +406,22 @@ class SeedKernelGP:
         if not self._fitted:
             raise NotFittedError(f"{type(self).__name__} must be fitted before prediction")
 
-    def _posterior(self, X):
+    def _posterior(self, X, seeds):
         """Joint posterior mean and covariance at new inputs."""
         self._check_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[0] == 0:
+        new = self._check_inputs(X, seeds)
+        if new[0].shape[0] == 0:
             raise ValueError("need at least one prediction point")
-        new = self._split_inputs(X)
         Ks = self._cross_cov(self._train, new)
         mean = Ks.T @ self._alpha
         Kss = self._cross_cov(new, new)
         V = self._solve_lower(Ks)
         return mean, Kss - V.T @ V  # both terms are exactly symmetric (V.T @ V is a syrk)
 
-    def predict_mean_var(self, X):
+    def predict_mean_var(self, X, seeds):
         """Posterior mean and pointwise variance without the full covariance."""
         self._check_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        new = self._split_inputs(X)
+        new = self._check_inputs(X, seeds)
         return self._mean_var(self._cross_cov(self._train, new), new[1])
 
     def predict_seedwise(self, x, k: int):
@@ -457,12 +442,12 @@ class SeedKernelGP:
             return self._mean_var(c * np.ones(k), None)
         return self._mean_var(c * self._seed_rows[:, :k], np.arange(1, k + 1))
 
-    def sample(self, X, size: int = 1, rng=None) -> np.ndarray:
+    def sample(self, X, seeds, size: int = 1, rng=None) -> np.ndarray:
         """Joint posterior draws at new inputs; deterministic given ``rng``."""
         if size < 1:
             raise ValueError("size must be >= 1")
         gen = rng if rng is not None else self.rng
-        mean, cov = self._posterior(X)
+        mean, cov = self._posterior(X, seeds)
         return draw_mvn(mean, cov, size, gen)
 
     def expand_seed_space(self, new_nseeds: int) -> None:

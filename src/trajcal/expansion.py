@@ -9,7 +9,7 @@ default) or by re-seeding the incumbent best coordinates (exploitation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class ExpansionState:
 
     current_k: int
     sims_since_expansion: int = 0
-    expansion_events: list = field(default_factory=list)
 
     @classmethod
     def start(cls, config: ExpansionConfig, completed: int = 0) -> "ExpansionState":
@@ -79,8 +78,8 @@ def check_for_expansion(state: ExpansionState, config: ExpansionConfig,
     return bool(rng.random() < config.p)
 
 
-def expand(state: ExpansionState, config: ExpansionConfig, iteration: int) -> int:
-    """Add the next contiguous seed id and record the event.
+def expand(state: ExpansionState, config: ExpansionConfig) -> int:
+    """Add the next contiguous seed id and return it.
 
     The counter carries any overshoot past the by-sims interval instead of
     zeroing, so successive triggers stay aligned to absolute completed
@@ -88,7 +87,6 @@ def expand(state: ExpansionState, config: ExpansionConfig, iteration: int) -> in
     """
     state.current_k += 1
     state.sims_since_expansion = max(0, state.sims_since_expansion - config.nsims_expand)
-    state.expansion_events.append((int(iteration), state.current_k))
     return state.current_k
 
 

@@ -67,10 +67,6 @@ class CandidateGrid:
     def __len__(self):
         return self.X.shape[0]
 
-    def joint(self) -> np.ndarray:
-        """Candidates as one matrix with the seed id as the last column."""
-        return np.column_stack([self.X, self.seeds.astype(float)])
-
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.X).tobytes())
@@ -89,8 +85,7 @@ def likelihood_values(X: np.ndarray, seeds: np.ndarray, emulator, tau: float) ->
     Phi((tau - mu) / sigma) under the emulator posterior, with sigma floored
     at 1e-8 and the result floored at 1e-300 so weights stay positive.
     """
-    joint = np.column_stack([np.atleast_2d(X), np.asarray(seeds, dtype=float)])
-    return _beats_incumbent(*emulator.predict_mean_var(joint), tau)
+    return _beats_incumbent(*emulator.predict_mean_var(X, seeds), tau)
 
 
 def _seedwise_likelihood(x: np.ndarray, k: int, emulator, tau: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """The adaptive calibration loop: refit, refine, Thompson-select, expand.
 
-Each iteration restandardizes the data, refits the emulator, refreshes the
-candidate grid, picks a batch as the unique argmins of Thompson draws,
+Each iteration refits the emulator on the standardized data, refreshes
+the candidate grid, picks a batch as the unique argmins of Thompson draws,
 optionally grows the seed space, and evaluates the batch against the
-simulator until the evaluation budget is spent.
+simulator until the evaluation budget is spent; the dataset restandardizes
+itself on every append.
 
 Every random decision draws from a stream derived as
 ``default_rng(SeedSequence([master_seed, component_id, iteration]))``, so a
@@ -122,7 +123,7 @@ class RunTrace:
     evaluations: list = field(default_factory=list)
     iterations: list = field(default_factory=list)
     expansion_events: list = field(default_factory=list)
-    final_transform: tuple | None = None
+    final_transform: ObjectiveTransform | None = None
     completed: int = 0
 
 
@@ -135,7 +136,7 @@ def thompson_select(emulator, grid, nTS_samp: int, rng: np.random.Generator):
     """
     if nTS_samp < 1:
         raise ValueError("nTS_samp must be >= 1")
-    draws = emulator.sample(grid.joint(), size=nTS_samp, rng=rng)
+    draws = emulator.sample(grid.X, grid.seeds, size=nTS_samp, rng=rng)
     argmins = [int(a) for a in np.argmin(draws, axis=1)]
     points = [DesignPoint(x=grid.X[i], r=int(grid.seeds[i])) for i in dict.fromkeys(argmins)]
     return points, argmins
@@ -211,6 +212,7 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
         master_seed=config.master_seed,
         budget=config.budget,
         initial_size=len(initial),
+        completed=len(initial),
     )
     for i in range(len(initial)):
         trace.evaluations.append(
@@ -222,14 +224,12 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
             )
         )
     state = ExpansionState.start(config.expansion, completed=len(initial))
-    completed = len(initial)
     iteration = 0
     try:
-        while completed < config.budget:
+        while trace.completed < config.budget:
             iteration += 1
-            dataset.refresh_transform()
             emulator.rng = component_stream(config.master_seed, "fit", iteration)
-            emulator.fit(dataset.joint(), dataset.y_std)
+            emulator.fit(dataset.X, dataset.seeds, dataset.y_std)
             tau = dataset.incumbent()
             grid = grid_strategy.sample(
                 emulator=emulator,
@@ -246,7 +246,7 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
                 state, config.expansion,
                 component_stream(config.master_seed, "expansion", iteration),
             ):
-                new_seed = expand(state, config.expansion, iteration)
+                new_seed = expand(state, config.expansion)
                 emulator.expand_seed_space(new_seed)
                 if config.expansion_mode == "exploit":
                     extra = reseed_incumbents(dataset, config.expansion.nexpansion, new_seed)
@@ -257,7 +257,8 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
                     )
                 batch = batch + extra
                 expansion_event = (iteration, new_seed)
-            batch = batch[: config.budget - completed]
+                trace.expansion_events.append(expansion_event)
+            batch = batch[: config.budget - trace.completed]
 
             ok_x, ok_seeds, ok_y = evaluate(simulator, batch, iteration, trace.evaluations)
             trace.iterations.append(
@@ -277,21 +278,14 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
                     f"every simulator evaluation failed at iteration {iteration}"
                 )
             dataset.append(ok_x, ok_seeds, ok_y, iteration)
-            completed += len(ok_y)
+            trace.completed += len(ok_y)
             state.sims_since_expansion += len(ok_y)
     except (NumericalError, ProgressError) as exc:
-        _seal(trace, state, dataset, completed)
         exc.trace = trace
         raise
-    _seal(trace, state, dataset, completed)
+    finally:
+        trace.final_transform = dataset.transform
     return trace
-
-
-def _seal(trace: RunTrace, state: ExpansionState, dataset: Dataset, completed: int) -> None:
-    trace.expansion_events = list(state.expansion_events)
-    trace.completed = completed
-    t = dataset.transform
-    trace.final_transform = (t.epsilon, t.mean, t.std)
 
 
 def best_observed(trace: RunTrace) -> np.ndarray:
@@ -303,9 +297,7 @@ def best_observed(trace: RunTrace) -> np.ndarray:
     """
     if trace.final_transform is None:
         raise ValueError("trace carries no final transform state")
-    eps, mean, std = trace.final_transform
-    t = ObjectiveTransform(epsilon=eps, mean=mean, std=std)
     raw = np.array([e.y_raw for e in trace.evaluations if not e.failed])
     if raw.size == 0:
         raise ValueError("trace holds no successful evaluations")
-    return np.minimum.accumulate(t.apply(raw))
+    return np.minimum.accumulate(trace.final_transform.apply(raw))

@@ -101,8 +101,8 @@ def test_emulator_interpolates_noise_free_observations():
     X = np.linspace(0.0, 1.0, 20)[:, None]
     y = np.sin(2.0 * np.pi * X[:, 0]) + X[:, 0]
     em = SeedKernelGP(ndim=1, rng=np.random.default_rng(0))
-    em.fit(X, y)
-    mean, var = em.predict_mean_var(X)
+    em.fit(X, None, y)
+    mean, var = em.predict_mean_var(X, None)
     elapsed = time.perf_counter() - t0
     # noise-free data must drive the fitted nugget down to its box floor
     assert em.nugget <= 2.0 * NUGGET_BOUNDS[0]
@@ -122,8 +122,8 @@ def test_joint_posterior_draws_match_their_moments():
     angles = np.array([0.3, 0.8, 1.4])
     B = np.column_stack([np.cos(angles), np.sin(angles)])
     xs = np.array([0.02, 0.10, 0.18, 0.25, 0.78, 0.86, 0.93, 0.99])
-    Xtr = np.column_stack([xs, 1 + np.arange(8) % 3])
-    ytr = np.sin(2.0 * np.pi * Xtr[:, 0]) + 0.1 * Xtr[:, 1]
+    Xtr, rtr = xs[:, None], 1 + np.arange(8) % 3
+    ytr = np.sin(2.0 * np.pi * xs) + 0.1 * rtr
     em = SeedKernelGP(
         ndim=1,
         nseeds=3,
@@ -135,12 +135,12 @@ def test_joint_posterior_draws_match_their_moments():
             "v": [0.1, 0.1, 0.1],
         },
     )
-    em.fit(Xtr, ytr)
-    Xte = np.column_stack([[0.45, 0.48, 0.51, 0.54, 0.57], [1, 2, 3, 1, 2]])
-    post_mean, post_cov = em._posterior(Xte)
+    em.fit(Xtr, rtr, ytr)
+    Xte, rte = np.array([[0.45], [0.48], [0.51], [0.54], [0.57]]), np.array([1, 2, 3, 1, 2])
+    post_mean, post_cov = em._posterior(Xte, rte)
 
     n = 100_000
-    draws = em.sample(Xte, size=n, rng=np.random.default_rng(123))
+    draws = em.sample(Xte, rte, size=n, rng=np.random.default_rng(123))
     assert draws.shape == (n, 5)
 
     se = np.sqrt(np.diag(post_cov) / n)
@@ -228,7 +228,7 @@ def test_adaptive_grid_always_returns_full_in_domain_grids():
             "v": [0.1] * 4,
         },
     )
-    em.fit(ds.joint(), ds.y_std)
+    em.fit(ds.X, ds.seeds, ds.y_std)
     strategy = AdaptiveGrid(GridConfig(ndim=2, nseeds=4, ngrid=60))
     for _ in range(8):
         grid = strategy.sample(emulator=em, dataset=ds, nseeds=4, rng=rng)
@@ -255,12 +255,12 @@ def test_two_candidate_thompson_probability_matches_gaussian_formula():
     em = SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.08], "variance": 1.0, "nugget": 1e-6}
     )
-    em.fit(Xtr, ytr)
+    em.fit(Xtr, None, ytr)
     grid = CandidateGrid(np.array([[0.15], [0.85]]), np.array([1, 1]))
-    _, post_cov = em._posterior(grid.joint())
+    _, post_cov = em._posterior(grid.X, grid.seeds)
     assert abs(post_cov[0, 1]) < 1e-4
 
-    mu, var = em.predict_mean_var(grid.joint())
+    mu, var = em.predict_mean_var(grid.X, grid.seeds)
     z = (mu[1] - mu[0]) / math.sqrt(var[0] + var[1])
     analytic = 0.5 * math.erfc(-z / math.sqrt(2.0))
     _, argmins = thompson_select(em, grid, 100_000, np.random.default_rng(321))

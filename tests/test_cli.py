@@ -325,7 +325,8 @@ _FAULTS = [
     ("toy", "workflow.budget", 0, "workflow.budget: must be >= 1"),
     ("toy", "workflow.budget", _DELETE, "workflow.budget: required key missing"),
     ("toy", "workflow.initial_design", 8.0, "workflow.initial_design: must be an integer"),
-    ("toy", "workflow.initial_design", 0, "workflow.initial_design: must be >= 1"),
+    ("toy", "workflow.initial_design", 0, "workflow.initial_design: must be >= 2"),
+    ("toy", "workflow.initial_design", 1, "workflow.initial_design: must be >= 2"),
     ("toy", "workflow.initial_design", _DELETE, "workflow.initial_design: required key missing"),
     ("toy", "workflow.nTS_samp", {}, "workflow.nTS_samp: must be an integer"),
     ("toy", "workflow.nTS_samp", 0, "workflow.nTS_samp: must be >= 1"),
@@ -632,6 +633,28 @@ def test_calibrate_invalid_config_exits_2_without_a_bundle(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("successes", [0, 1])
+def test_calibrate_fewer_than_two_initial_successes_exits_3(tmp_path, monkeypatch, capsys,
+                                                            successes):
+    toy = cli.toy_objective
+    calls = []
+
+    def failing(point):
+        calls.append(point)
+        if len(calls) > successes:
+            raise ValueError("boom")
+        return toy(point)
+
+    monkeypatch.setattr(cli, "toy_objective", failing)
+    outdir = tmp_path / "never"
+    assert main(["calibrate", _write(tmp_path, _toy_config(outdir))]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"error: {successes} of 8 initial evaluations succeeded; need at least 2")
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
 def test_calibrate_refuses_to_replace_an_unrelated_directory(tmp_path, capsys):
     cfg = _toy_config(tmp_path / "out")
     cfg["workflow"]["budget"] = cfg["workflow"]["initial_design"] = 6
@@ -904,6 +927,17 @@ def test_report_names_the_fault_in_a_malformed_bundle(sir_bundle, tmp_path, caps
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
     assert not (bad / "report.json").exists()
+
+
+@pytest.mark.parametrize("cutoff, message", [
+    ("nan", "must be a finite number"), ("inf", "must be a finite number"),
+    ("-5", "must be >= 0.0"),
+])
+def test_report_rejects_a_bad_rmse_cutoff(sir_bundle, tmp_path, capsys, cutoff, message):
+    bundle = _damaged_copy(sir_bundle, tmp_path / "copy", "design.csv", lambda t: t)
+    assert main(["report", str(bundle), f"--rmse-cutoff={cutoff}"]) == 2
+    assert capsys.readouterr().err == f"error: --rmse-cutoff: {message}\n"
+    assert not (bundle / "report.json").exists()
 
 
 def test_report_rejects_a_missing_or_malformed_bundle(tmp_path, capsys):

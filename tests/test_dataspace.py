@@ -209,13 +209,6 @@ def test_dataset_incumbent_is_min_transformed():
     assert ds.incumbent() == pytest.approx(ds.y_std.min())
 
 
-def test_dataset_joint_carries_seed_column():
-    ds = Dataset(np.array([[0.25]]), np.array([4]), np.array([1.0]))
-    joint = ds.joint()
-    assert joint.shape == (1, 2)
-    assert joint[0, 1] == 4.0
-
-
 def test_dataset_rejects_non_finite_objectives():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):

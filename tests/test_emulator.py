@@ -24,17 +24,17 @@ def _smooth_1d(n, rng, noise=0.0):
 def test_fit_rejects_single_point():
     em = SeedKernelGP(ndim=1)
     with pytest.raises(ValueError):
-        em.fit(np.array([[0.5]]), np.array([1.0]))
+        em.fit(np.array([[0.5]]), None, np.array([1.0]))
 
 
 def test_predict_before_fit_raises():
     em = SeedKernelGP(ndim=1)
     with pytest.raises(NotFittedError):
-        em.predict_mean_var(np.array([[0.5]]))
+        em.predict_mean_var(np.array([[0.5]]), None)
     with pytest.raises(NotFittedError):
-        em._posterior(np.array([[0.5]]))
+        em._posterior(np.array([[0.5]]), None)
     with pytest.raises(NotFittedError):
-        em.sample(np.array([[0.5]]))
+        em.sample(np.array([[0.5]]), None)
 
 
 def test_fit_deterministic_given_stream():
@@ -42,8 +42,8 @@ def test_fit_deterministic_given_stream():
     X, Y = _smooth_1d(12, rng, noise=0.1)
     a = SeedKernelGP(ndim=1, rng=np.random.default_rng(42))
     b = SeedKernelGP(ndim=1, rng=np.random.default_rng(42))
-    a.fit(X, Y)
-    b.fit(X, Y)
+    a.fit(X, None, Y)
+    b.fit(X, None, Y)
     assert np.array_equal(a._packed, b._packed)
     assert a.lml == b.lml
 
@@ -57,7 +57,7 @@ def test_fixed_params_lml_matches_hand_solve():
     )
     X = np.array([[0.2], [0.7]])
     Y = np.array([0.3, -0.4])
-    em.fit(X, Y)
+    em.fit(X, None, Y)
 
     s5 = math.sqrt(5.0)
     k12 = (1.0 + s5 + 5.0 / 3.0) * math.exp(-s5)  # scaled distance is exactly 1
@@ -73,8 +73,8 @@ def test_interpolation_at_training_points():
     rng = np.random.default_rng(1)
     X, Y = _smooth_1d(8, rng)
     em = SeedKernelGP(ndim=1, rng=np.random.default_rng(2))
-    em.fit(X, Y)
-    mean, var = em.predict_mean_var(X)
+    em.fit(X, None, Y)
+    mean, var = em.predict_mean_var(X, None)
     assert np.abs(mean - Y).max() < 1e-5
     assert var.max() <= 1e-6
 
@@ -91,11 +91,10 @@ def test_single_informative_point_prediction():
         "nugget": g,
     }
     em = SeedKernelGP(ndim=1, nseeds=2, fixed=fixed)
-    X = np.array([[0.3, 1.0], [0.8, 2.0]])
+    X = np.array([[0.3], [0.8]])
     Y = np.array([1.5, -0.7])
-    em.fit(X, Y)
-    xstar = np.array([[0.45, 1.0]])
-    mean, _ = em.predict_mean_var(xstar)
+    em.fit(X, [1, 2], Y)
+    mean, _ = em.predict_mean_var(np.array([[0.45]]), [1])
 
     s5 = math.sqrt(5.0)
     s = abs(0.45 - 0.3) / 0.5
@@ -109,8 +108,8 @@ def test_far_prediction_reverts_to_prior():
     em = SeedKernelGP(ndim=1, fixed=fixed)
     X = np.array([[0.0], [0.02], [0.05]])
     Y = np.array([0.5, 0.4, 0.6])
-    em.fit(X, Y)
-    mean, var = em.predict_mean_var(np.array([[1.0]]))  # 19 lengthscales away
+    em.fit(X, None, Y)
+    mean, var = em.predict_mean_var(np.array([[1.0]]), None)  # 19 lengthscales away
     assert abs(mean[0]) <= 1e-3
     assert abs(var[0] - 1.0) <= 1e-3
 
@@ -119,15 +118,15 @@ def test_posterior_summary_shape_and_symmetry():
     rng = np.random.default_rng(3)
     X, Y = _smooth_1d(10, rng, noise=0.05)
     em = SeedKernelGP(ndim=1, rng=np.random.default_rng(4))
-    em.fit(X, Y)
+    em.fit(X, None, Y)
     grid = np.linspace(0, 1, 7)[:, None]
-    mean, cov = em._posterior(grid)
+    mean, cov = em._posterior(grid, None)
     assert mean.shape == (7,)
     assert cov.shape == (7, 7)
     assert np.abs(cov - cov.T).max() <= 1e-12
     assert cov.diagonal().min() >= -1e-10
     # the pointwise path agrees with the joint one
-    mean_pw, var_pw = em.predict_mean_var(grid)
+    mean_pw, var_pw = em.predict_mean_var(grid, None)
     assert np.array_equal(mean_pw, mean)
     assert np.abs(var_pw - cov.diagonal()).max() <= 1e-12
 
@@ -145,11 +144,13 @@ def test_posterior_covariance_is_exactly_symmetric(family, rank, nseeds, per_see
     k = max(nseeds, rank or 1)
     em = SeedKernelGP(ndim=2, nseeds=None if rank is None else k, rank=rank, family=family,
                       per_seed_v=per_seed_v, nstarts=1, maxfev=30, rng=rng)
-    X = np.column_stack([rng.uniform(size=(10, 2)), rng.integers(1, k + 1, size=10)])
-    em.fit(X, rng.normal(size=10))
-    new = np.column_stack([rng.uniform(size=(npoints, 2)), rng.integers(1, k + 1, size=npoints)])
-    new = np.vstack([new, new[rng.integers(npoints, size=repeats)], X[:repeats]])
-    _, cov = em._posterior(new)
+    X, seeds = rng.uniform(size=(10, 2)), rng.integers(1, k + 1, size=10)
+    em.fit(X, seeds, rng.normal(size=10))
+    new, new_seeds = rng.uniform(size=(npoints, 2)), rng.integers(1, k + 1, size=npoints)
+    again = rng.integers(npoints, size=repeats)
+    new = np.vstack([new, new[again], X[:repeats]])
+    new_seeds = np.concatenate([new_seeds, new_seeds[again], seeds[:repeats]])
+    _, cov = em._posterior(new, new_seeds)
     assert np.array_equal(cov, cov.T)
 
 
@@ -157,9 +158,9 @@ def test_posterior_variance_below_prior():
     rng = np.random.default_rng(5)
     X, Y = _smooth_1d(15, rng, noise=0.1)
     em = SeedKernelGP(ndim=1, rng=np.random.default_rng(6))
-    em.fit(X, Y)
+    em.fit(X, None, Y)
     grid = np.linspace(0, 1, 50)[:, None]
-    _, var = em.predict_mean_var(grid)
+    _, var = em.predict_mean_var(grid, None)
     assert var.max() <= em.variance + 1e-10
 
 
@@ -173,8 +174,8 @@ def test_mean_linearity_in_targets():
 
     def mean_for(y):
         em = SeedKernelGP(ndim=1, fixed=fixed)
-        em.fit(X, y)
-        return em.predict_mean_var(grid)[0]
+        em.fit(X, None, y)
+        return em.predict_mean_var(grid, None)[0]
 
     a, b = 0.7, -1.3
     combo = mean_for(a * Y1 + b * Y2)
@@ -182,17 +183,18 @@ def test_mean_linearity_in_targets():
 
 
 def test_baseline_ignores_seed_column():
+    """Without a seed space the seed ids, or None, change nothing."""
     rng = np.random.default_rng(9)
     X, Y = _smooth_1d(10, rng, noise=0.05)
-    seeds = rng.integers(1, 5, size=10).astype(float)
-    joint = np.column_stack([X, seeds])
-    shuffled = np.column_stack([X, np.roll(seeds, 3)])
-    a = SeedKernelGP(ndim=1, rng=np.random.default_rng(10))
-    b = SeedKernelGP(ndim=1, rng=np.random.default_rng(10))
-    a.fit(joint, Y)
-    b.fit(shuffled, Y)
+    seeds = rng.integers(1, 5, size=10)
     grid = np.linspace(0, 1, 9)[:, None]
-    assert np.array_equal(a.predict_mean_var(grid)[0], b.predict_mean_var(grid)[0])
+    means = []
+    for fit_seeds, grid_seeds in ((seeds, np.ones(9, dtype=int)), (np.roll(seeds, 3), None),
+                                  (None, None)):
+        em = SeedKernelGP(ndim=1, rng=np.random.default_rng(10))
+        em.fit(X, fit_seeds, Y)
+        means.append(em.predict_mean_var(grid, grid_seeds)[0])
+    assert np.array_equal(means[0], means[1]) and np.array_equal(means[0], means[2])
 
 
 def test_seed_gp_relabeling_invariance():
@@ -215,17 +217,15 @@ def test_seed_gp_relabeling_invariance():
     Y = rng.normal(size=12)
 
     em1 = build(B, v)
-    em1.fit(np.column_stack([X, seeds]), Y)
+    em1.fit(X, seeds, Y)
 
     inv = np.argsort(perm)
     em2 = build(B[inv], v[inv])
-    em2.fit(np.column_stack([X, perm[seeds - 1] + 1]), Y)
+    em2.fit(X, perm[seeds - 1] + 1, Y)
 
-    grid = np.column_stack([np.linspace(0, 1, 6), np.full(6, 2.0)])
-    grid_perm = grid.copy()
-    grid_perm[:, 1] = perm[1] + 1
-    mean1, _ = em1.predict_mean_var(grid)
-    mean2, _ = em2.predict_mean_var(grid_perm)
+    grid = np.linspace(0, 1, 6)[:, None]
+    mean1, _ = em1.predict_mean_var(grid, np.full(6, 2))
+    mean2, _ = em2.predict_mean_var(grid, np.full(6, perm[1] + 1))
     assert np.abs(mean1 - mean2).max() <= 1e-10
 
 
@@ -235,7 +235,7 @@ def test_lml_gradient_small_at_interior_optimum():
     rng = np.random.default_rng(0)
     X, Y = _smooth_1d(25, rng, noise=0.3)
     em = SeedKernelGP(ndim=1, rng=np.random.default_rng(5))
-    em.fit(X, Y)
+    em.fit(X, None, Y)
     lo, hi = em._pack_bounds()
     x = em._packed
     h = 1e-5
@@ -253,10 +253,10 @@ def test_sample_deterministic_given_rng():
     rng = np.random.default_rng(12)
     X, Y = _smooth_1d(8, rng, noise=0.05)
     em = SeedKernelGP(ndim=1, rng=np.random.default_rng(13))
-    em.fit(X, Y)
+    em.fit(X, None, Y)
     grid = np.linspace(0, 1, 5)[:, None]
-    d1 = em.sample(grid, size=3, rng=np.random.default_rng(99))
-    d2 = em.sample(grid, size=3, rng=np.random.default_rng(99))
+    d1 = em.sample(grid, None, size=3, rng=np.random.default_rng(99))
+    d2 = em.sample(grid, None, size=3, rng=np.random.default_rng(99))
     assert np.array_equal(d1, d2)
     assert d1.shape == (3, 5)
 
@@ -268,9 +268,9 @@ def test_sample_degenerate_covariance_collapses():
     )
     X = np.full((60, 1), 0.3)
     Y = np.full(60, 0.7)
-    em.fit(X, Y)
-    mu, _ = em.predict_mean_var(np.array([[0.3]]))
-    draws = em.sample(np.array([[0.3]]), size=50, rng=np.random.default_rng(14))
+    em.fit(X, None, Y)
+    mu, _ = em.predict_mean_var(np.array([[0.3]]), None)
+    draws = em.sample(np.array([[0.3]]), None, size=50, rng=np.random.default_rng(14))
     assert np.abs(draws - mu).max() <= 1e-4
 
 
@@ -284,21 +284,25 @@ def test_sample_moments_match_posterior():
     rng = np.random.default_rng(15)
     X, Y = _smooth_1d(10, rng, noise=0.1)
     em = SeedKernelGP(ndim=1, rng=np.random.default_rng(16))
-    em.fit(X, Y)
+    em.fit(X, None, Y)
     grid = np.linspace(0.1, 0.9, 4)[:, None]
-    mean, cov = em._posterior(grid)
-    draws = em.sample(grid, size=20_000, rng=np.random.default_rng(17))
+    mean, cov = em._posterior(grid, None)
+    draws = em.sample(grid, None, size=20_000, rng=np.random.default_rng(17))
     se = np.sqrt(cov.diagonal() / draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4.5 * se)
 
 
 def test_seed_gp_validates_seed_column():
     em = SeedKernelGP(ndim=1, nseeds=3)
-    X = np.array([[0.1, 1.0], [0.5, 5.0]])  # seed 5 out of range
-    with pytest.raises(ValueError):
-        em.fit(X, np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        em.fit(np.array([[0.1, 1.5], [0.5, 2.0]]), np.array([0.0, 1.0]))
+    X, Y = np.array([[0.1], [0.5]]), np.array([0.0, 1.0])
+    for seeds in ([1, 5], [0, 1], [1.5, 2.0], [1], [1, 2, 3]):  # range, 1.5, length
+        with pytest.raises(ValueError, match="seed id"):
+            em.fit(X, np.array(seeds), Y)
+    with pytest.raises(ValueError, match="coordinate columns"):
+        em.fit(np.array([[0.1, 1.0], [0.5, 2.0]]), np.array([1, 2]), Y)
+    em.fit(X, np.array([1, 3]), Y)
+    with pytest.raises(ValueError, match="seed id"):
+        em.predict_mean_var(X, None)
 
 
 def test_seed_gp_fits_and_predicts_across_seeds():
@@ -308,9 +312,8 @@ def test_seed_gp_fits_and_predicts_across_seeds():
     seeds = 1 + (np.arange(n) % 3)
     Y = np.sin(5 * X[:, 0]) + 0.05 * seeds
     em = SeedKernelGP(ndim=1, nseeds=3, rng=np.random.default_rng(19))
-    em.fit(np.column_stack([X, seeds]), Y)
-    grid = np.column_stack([np.linspace(0, 1, 8), np.ones(8)])
-    mean, var = em.predict_mean_var(grid)
+    em.fit(X, seeds, Y)
+    mean, var = em.predict_mean_var(np.linspace(0, 1, 8)[:, None], np.ones(8, dtype=int))
     assert mean.shape == (8,)
     assert np.all(var >= -1e-10)
 
@@ -323,8 +326,8 @@ def test_seed_gp_rank_one_and_per_seed_v():
     Y = rng.normal(size=n)
     for kwargs in ({"rank": 1}, {"per_seed_v": True}, {"rank": 3}):
         em = SeedKernelGP(ndim=1, nseeds=3, rng=np.random.default_rng(21), **kwargs)
-        em.fit(np.column_stack([X, seeds]), Y)
-        mean, _ = em.predict_mean_var(np.array([[0.5, 2.0]]))
+        em.fit(X, seeds, Y)
+        mean, _ = em.predict_mean_var(np.array([[0.5]]), [2])
         assert np.isfinite(mean[0])
 
 
@@ -335,33 +338,32 @@ def test_expand_seed_space_grows_then_requires_refit():
     seeds = 1 + (np.arange(n) % 3)
     Y = rng.normal(size=n)
     em = SeedKernelGP(ndim=1, nseeds=3, rng=np.random.default_rng(23))
-    em.fit(np.column_stack([X, seeds]), Y)
+    em.fit(X, seeds, Y)
     em.expand_seed_space(4)
     assert em.nseeds == 4
     with pytest.raises(NotFittedError):
-        em.predict_mean_var(np.array([[0.5, 4.0]]))
-    joint = np.vstack([np.column_stack([X, seeds]), [[0.5, 4.0]]])
-    em.fit(joint, np.append(Y, 0.1))
-    mean, _ = em.predict_mean_var(np.array([[0.5, 4.0]]))
+        em.predict_mean_var(np.array([[0.5]]), [4])
+    em.fit(np.vstack([X, [[0.5]]]), np.append(seeds, 4), np.append(Y, 0.1))
+    mean, _ = em.predict_mean_var(np.array([[0.5]]), [4])
     assert np.isfinite(mean[0])
 
 
 def test_seedless_gp_packs_no_seed_parameters():
     """Without a seed space the packed vector is [log ls, log var, log nugget],
-    any seed column is dropped unchecked, and expansion changes nothing."""
+    seed ids go unchecked, and expansion changes nothing."""
     rng = np.random.default_rng(32)
     X, Y = _smooth_1d(10, rng, noise=0.05)
     em = SeedKernelGP(ndim=1, rng=np.random.default_rng(33))
     lo, _ = em._pack_bounds()
     assert lo.shape == (3,)
-    em.fit(np.column_stack([X, np.full(10, 99.0)]), Y)
+    em.fit(X, np.full(10, 99), Y)
     assert em.seed_matrix is None
     em.expand_seed_space(5)
     assert em.nseeds is None
-    mean, _ = em.predict_mean_var(X)
+    mean, _ = em.predict_mean_var(X, None)
     assert np.all(np.isfinite(mean))
     with pytest.raises(ValueError):
-        em.predict_mean_var(np.zeros((2, 3)))
+        em.predict_mean_var(np.zeros((2, 2)), None)
 
 
 def test_expand_seed_space_rejects_shrink_and_fixed():
@@ -398,7 +400,7 @@ def test_fit_report_tracks_starts():
     rng = np.random.default_rng(30)
     X, Y = _smooth_1d(10, rng, noise=0.1)
     em = SeedKernelGP(ndim=1, rng=np.random.default_rng(31), nstarts=3)
-    em.fit(X, Y)
+    em.fit(X, None, Y)
     report = em.fit_report
     assert len(report["start_neg_lml"]) >= 3
     assert report["neg_lml"] <= min(report["start_neg_lml"]) + 1e-9
@@ -426,8 +428,8 @@ def _reference_neg_lml(em, p):
 
 
 def _seeded_data(rng, n, seeds):
-    X = np.column_stack([rng.uniform(0, 1, size=(n, 2)), rng.choice(seeds, size=n)])
-    return X, np.sin(4.0 * X[:, 0]) * X[:, 1] + 0.1 * rng.normal(size=n)
+    X, r = rng.uniform(0, 1, size=(n, 2)), rng.choice(seeds, size=n)
+    return X, r, np.sin(4.0 * X[:, 0]) * X[:, 1] + 0.1 * rng.normal(size=n)
 
 
 def _assert_fast_path_exact(em, rng, npoints=15):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from trajcal.dataspace import Dataset
+from trajcal.dataspace import Dataset, DesignPoint, latin_hypercube
+from trajcal.emulator import SeedKernelGP
 from trajcal.expansion import (
     ExpansionConfig,
     ExpansionState,
@@ -12,7 +13,9 @@ from trajcal.expansion import (
     reseed_incumbents,
     sample_from_expansion,
 )
-from trajcal.grid import CandidateGrid
+from trajcal.grid import CandidateGrid, GridConfig, LHSGrid
+from trajcal.simulator import toy_objective
+from trajcal.workflow import WorkflowConfig, run
 
 
 def test_config_validation():
@@ -52,13 +55,25 @@ def test_by_prob_degenerate():
 def test_expand_contiguous_ids():
     cfg = ExpansionConfig(nseeds=5, nsims_expand=50)
     state = ExpansionState.start(cfg)
-    assert expand(state, cfg, iteration=3) == 6
-    assert expand(state, cfg, iteration=7) == 7
-    assert state.expansion_events == [(3, 6), (7, 7)]
+    assert expand(state, cfg) == 6
+    assert expand(state, cfg) == 7
+    assert state.current_k == 7
 
     big = ExpansionConfig(nseeds=35, nsims_expand=50)
     s35 = ExpansionState.start(big)
-    assert expand(s35, big, iteration=1) == 36
+    assert expand(s35, big) == 36
+
+    # a run's trace lists every (iteration, new seed id) event once, in order
+    cfg = ExpansionConfig(nseeds=5, nsims_expand=4, nexpansion=2)
+    X = latin_hypercube(4, 1, np.random.default_rng(0))
+    seeds = np.array([1, 2, 3, 4])
+    initial = Dataset(X, seeds, [toy_objective(DesignPoint(x, r)) for x, r in zip(X, seeds)])
+    emulator = SeedKernelGP(ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0})
+    trace = run(initial, toy_objective, WorkflowConfig(budget=20, expansion=cfg, nTS_samp=4),
+                emulator, LHSGrid(GridConfig(ndim=1, nseeds=5, ngrid=20)))
+    assert len(trace.expansion_events) >= 2
+    assert [k for _, k in trace.expansion_events] == list(range(6, 6 + len(trace.expansion_events)))
+    assert trace.expansion_events == [it.expansion for it in trace.iterations if it.expansion]
 
 
 def test_expand_carries_counter_overshoot():
@@ -66,10 +81,10 @@ def test_expand_carries_counter_overshoot():
     # absolute completed counts
     cfg = ExpansionConfig(nseeds=3, policy="by-sims", nsims_expand=50)
     state = ExpansionState(current_k=3, sims_since_expansion=53)
-    expand(state, cfg, iteration=2)
+    expand(state, cfg)
     assert state.sims_since_expansion == 3
     state.sims_since_expansion = 20
-    expand(state, cfg, iteration=4)
+    expand(state, cfg)
     assert state.sims_since_expansion == 0
 
 

@@ -33,11 +33,11 @@ class StubEmulator:
         self.mean_fn = mean_fn
         self.var_fn = var_fn
 
-    def predict_mean_var(self, joint):
-        return self.mean_fn(joint), self.var_fn(joint)
+    def predict_mean_var(self, X, seeds):
+        return self.mean_fn(X), self.var_fn(X)
 
     def predict_seedwise(self, x, k):
-        return self.predict_mean_var(np.column_stack([np.tile(x, (k, 1)), np.arange(1, k + 1)]))
+        return self.predict_mean_var(np.tile(x, (k, 1)), np.arange(1, k + 1))
 
 
 def test_config_validation():
@@ -200,7 +200,7 @@ def test_lhs_grid_fresh_each_call_with_cycled_seeds():
 
 def _fitted_stub_setup(ngrid=30, nseeds=3):
     cfg = GridConfig(ndim=1, nseeds=nseeds, ngrid=ngrid)
-    em = StubEmulator(mean_fn=lambda J: (J[:, 0] - 0.4) ** 2 * 4.0)
+    em = StubEmulator(mean_fn=lambda X: (X[:, 0] - 0.4) ** 2 * 4.0)
     ds = Dataset(np.array([[0.2], [0.9]]), np.array([1, 2]), np.array([2.0, 5.0]))
     return cfg, em, ds
 
@@ -276,22 +276,22 @@ def test_seedwise_likelihood_equals_tiled_likelihood_values(
                       family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=20,
                       nugget_bounds=(1e-6, 1e-6) if fixed_nugget else (1e-8, 1.0),
                       rng=np.random.default_rng(data_seed))
-    X = np.column_stack([rng.random((n, ndim)), rng.integers(1, nseeds + 1, size=n)])
-    em.fit(X, rng.normal(size=n))
+    X, seeds = rng.random((n, ndim)), rng.integers(1, nseeds + 1, size=n)
+    em.fit(X, seeds, rng.normal(size=n))
     for _ in range(5):
         x, k, tau = rng.random(ndim), int(rng.integers(1, nseeds + 1)), rng.normal()
         seeds = np.arange(1, k + 1)
         assert np.array_equal(_seedwise_likelihood(x, k, em, tau),
                               likelihood_values(np.tile(x, (k, 1)), seeds, em, tau))
         mean, var = em.predict_seedwise(x, k)
-        mean_t, var_t = em.predict_mean_var(np.column_stack([np.tile(x, (k, 1)), seeds]))
+        mean_t, var_t = em.predict_mean_var(np.tile(x, (k, 1)), seeds)
         assert mean.tobytes() == mean_t.tobytes() and var.tobytes() == var_t.tobytes()
 
 
 def test_predict_seedwise_checks_the_seed_range():
     em = SeedKernelGP(ndim=1, nseeds=3, fixed={"lengthscales": [0.5], "variance": 1.0,
                                                "B": np.eye(3), "v": np.zeros(3)})
-    em.fit(np.array([[0.2, 1.0], [0.7, 3.0]]), np.array([0.1, -0.2]))
+    em.fit(np.array([[0.2], [0.7]]), np.array([1, 3]), np.array([0.1, -0.2]))
     with pytest.raises(ValueError):
         em.predict_seedwise(np.array([0.5]), 4)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Calibration loop: stream split, Thompson batches, budget, fault isolation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,8 +76,8 @@ class CannedSampler:
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=float)
 
-    def sample(self, joint, size, rng):
-        assert joint.shape[0] == self.draws.shape[1]
+    def sample(self, X, seeds, size, rng):
+        assert X.shape[0] == seeds.shape[0] == self.draws.shape[1]
         assert size == self.draws.shape[0]
         return self.draws
 
@@ -123,12 +125,12 @@ def test_thompson_rejects_bad_inputs():
 
 def test_thompson_real_emulator_prefers_low_mean_region():
     # trained on a V shape; nearly all draws should argmin near the trough
-    X = np.column_stack([np.linspace(0, 1, 9), np.ones(9)])
+    X = np.linspace(0, 1, 9)[:, None]
     y = np.abs(X[:, 0] - 0.5)
     em = SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 1e-8}
     )
-    em.fit(X, y)
+    em.fit(X, np.ones(9, dtype=int), y)
     grid = CandidateGrid(np.linspace(0, 1, 21)[:, None], np.ones(21, dtype=int))
     points, argmins = thompson_select(em, grid, 50, component_stream(0, "thompson"))
     assert np.mean(np.abs(grid.X[argmins, 0] - 0.5) < 0.2) > 0.9
@@ -252,8 +254,7 @@ def test_dataset_is_restandardized_after_the_run():
     initial, trace = _loop(budget=20)
     assert abs(float(np.mean(initial.y_std))) < 1e-9
     assert abs(float(np.std(initial.y_std)) - 1.0) < 1e-9
-    eps, mean, std = trace.final_transform
-    assert (mean, std) == (initial.transform.mean, initial.transform.std)
+    assert trace.final_transform == initial.transform
 
 
 # ---------------------------------------------------------- fault isolation
@@ -312,7 +313,7 @@ def test_non_finite_objective_is_a_failed_evaluation():
     assert trace.completed == 16
     assert len(initial) == 16
     assert np.all(np.isfinite(initial.y_raw))
-    assert all(np.isfinite(v) for v in trace.final_transform)
+    assert all(np.isfinite(v) for v in dataclasses.astuple(trace.final_transform))
 
 
 def test_total_failure_raises_progress_error_with_partial_trace():
@@ -428,7 +429,7 @@ def test_best_observed_is_a_running_minimum_of_transformed_values():
     trace.evaluations.insert(
         1, EvalRecord(iteration=0, x=(0.2,), seed=1, y_raw=None, failed=True, error="x")
     )
-    trace.final_transform = (1e-12, 0.5, 2.0)
+    trace.final_transform = ObjectiveTransform(1e-12, 0.5, 2.0)
     got = best_observed(trace)
     z = (np.log(np.array([3.0, 1.0, 2.0]) + 1e-12) - 0.5) / 2.0
     assert np.allclose(got, np.minimum.accumulate(z), atol=1e-12)
@@ -437,7 +438,7 @@ def test_best_observed_is_a_running_minimum_of_transformed_values():
 def test_best_observed_single_value():
     trace = RunTrace(master_seed=0, budget=1, initial_size=1)
     trace.evaluations.append(EvalRecord(iteration=0, x=(0.1,), seed=1, y_raw=4.0))
-    trace.final_transform = (1e-12, 0.0, 1.0)
+    trace.final_transform = ObjectiveTransform(1e-12, 0.0, 1.0)
     got = best_observed(trace)
     assert got.shape == (1,)
     assert got[0] == pytest.approx(np.log(4.0 + 1e-12))
@@ -448,7 +449,7 @@ def test_best_observed_requires_transform_and_successes():
     trace.evaluations.append(EvalRecord(iteration=0, x=(0.1,), seed=1, y_raw=4.0))
     with pytest.raises(ValueError):
         best_observed(trace)
-    trace.final_transform = (1e-12, 0.0, 1.0)
+    trace.final_transform = ObjectiveTransform(1e-12, 0.0, 1.0)
     trace.evaluations = [
         EvalRecord(iteration=0, x=(0.1,), seed=1, y_raw=None, failed=True, error="x")
     ]
@@ -457,10 +458,9 @@ def test_best_observed_requires_transform_and_successes():
 
 
 def test_best_observed_matches_replay_from_a_real_trace():
-    _, trace = _loop(budget=20)
+    initial, trace = _loop(budget=20)
     got = best_observed(trace)
-    eps, mean, std = trace.final_transform
-    t = ObjectiveTransform(epsilon=eps, mean=mean, std=std)
+    t = initial.transform  # the transform fitted to every successful value
     raw = np.array([e.y_raw for e in trace.evaluations if not e.failed])
     assert np.array_equal(got, np.minimum.accumulate(t.apply(raw)))
     assert np.all(np.diff(got) <= 0.0)
