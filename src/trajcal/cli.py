@@ -23,7 +23,6 @@ import argparse
 import csv
 import ctypes
 import dataclasses
-import glob
 import json
 import math
 import os
@@ -41,6 +40,7 @@ from .emulator import SeedKernelGP
 from .errors import NumericalError, ProgressError
 from .expansion import ExpansionConfig
 from .grid import AdaptiveGrid, FixedGrid, GridConfig, LHSGrid
+from .kernels import bundled_openblas
 from .simulator import SirConfig, sir_run, to_table, toy_objective
 from .workflow import WorkflowConfig, best_observed, component_stream, evaluate, run
 
@@ -682,7 +682,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 #: The thread-count setter of the OpenBLAS that numpy and that scipy each
-#: bundle in their wheels, in ``<package>.libs``.
+#: bundle in their wheels.
 _OPENBLAS_SETTERS = ((np, "scipy_openblas_set_num_threads64_"),
                      (scipy, "scipy_openblas_set_num_threads"))
 
@@ -698,13 +698,7 @@ def _one_blas_thread() -> None:
     if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
         return
     for package, symbol in _OPENBLAS_SETTERS:
-        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
-                            package.__name__ + ".libs")
-        for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
-            try:  # RTLD_NOLOAD only finds a library already loaded
-                setter = getattr(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY), symbol)
-            except (OSError, AttributeError):
-                continue
+        for setter in bundled_openblas(package, symbol):
             setter.argtypes = [ctypes.c_int]
             setter.restype = None
             setter(1)

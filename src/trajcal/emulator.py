@@ -12,16 +12,19 @@ There is one kernel path, on arrays: ``_hyper`` decodes a packed vector,
 or the ``fixed=`` values checked once in the constructor, into
 lengthscales, a variance and a seed matrix (None without a seed space),
 which ``kernels.cross_cov`` and the likelihood take.  Each ``fit`` builds
-the index arrays that stay fixed while the optimizer runs, and
+a workspace kept while the optimizer runs, one n x n buffer that
+``_fill_cov`` writes each distinct training pair into once, and
 ``_finalize`` decodes the chosen parameters once for prediction.
 ``predict_seedwise`` scores one point under every seed from a single row
 of continuous covariances, bitwise equal to ``predict_mean_var`` on the
 point repeated per seed.  LAPACK routines are called directly, as the
-scipy wrappers call them, so every value is bitwise theirs.
+numpy and scipy wrappers call them, so every value is bitwise theirs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from itertools import accumulate
 
@@ -63,11 +66,25 @@ def draw_mvn(mean: np.ndarray, cov: np.ndarray, size: int, rng: np.random.Genera
 
 
 def _chol_lml(L: np.ndarray, Y: np.ndarray):
-    """Log marginal likelihood and ``K^-1 Y`` from a lower Cholesky factor of K."""
+    """Log marginal likelihood and ``K^-1 Y`` from a lower Cholesky factor of
+    K; only the lower triangle of ``L`` is read."""
     alpha, _ = dpotrs(L, Y, lower=True)  # the routine behind cho_solve, without its checks
     n = Y.shape[0]
-    lml = -0.5 * float(Y @ alpha) - float(np.log(np.diag(L)).sum()) - 0.5 * n * _LOG_2PI
+    lml = -0.5 * float(Y @ alpha) - float(np.log(L.diagonal()).sum()) - 0.5 * n * _LOG_2PI
     return lml, alpha
+
+
+@functools.cache
+def _lapack_potrf():
+    """The ``dpotrf`` that ``np.linalg.cholesky`` calls, from numpy's bundled
+    OpenBLAS, or None where numpy bundles none.  Not scipy's: scipy bundles
+    another OpenBLAS release, whose factors differ in the last bits."""
+    potrf = next(kernels.bundled_openblas(np, "scipy_dpotrf_64_"), None)
+    if potrf is not None:
+        i64 = ctypes.POINTER(ctypes.c_int64)
+        potrf.argtypes = [ctypes.c_char_p, i64, ctypes.c_void_p, i64, i64]
+        potrf.restype = None
+    return potrf
 
 
 class SeedKernelGP:
@@ -95,13 +112,16 @@ class SeedKernelGP:
     nstarts : int
         Number of Latin-hypercube optimizer starts.
     nugget_bounds : (float, float)
-        Box for the estimated noise nugget; equal endpoints pin it.
+        Box for the estimated noise nugget, finite and from at least
+        ``NUGGET_BOUNDS[0]``; equal endpoints pin it.
     per_seed_v : bool
         Fit one diagonal-inflation entry per seed instead of a shared one.
     fixed : dict, optional
         ``{"lengthscales", "variance", "nugget"}`` plus ``"B"`` and ``"v"``
         with a seed space; when given, ``fit`` skips optimization and uses
-        these values.
+        these values.  All must be finite; lengthscales and variance
+        positive, ``v`` nonnegative and the nugget at least
+        ``NUGGET_BOUNDS[0]``.
 
     Attributes
     ----------
@@ -115,7 +135,10 @@ class SeedKernelGP:
                  family: str = "matern52", rng=None, nstarts: int = 5,
                  nugget_bounds=NUGGET_BOUNDS, per_seed_v: bool = False,
                  maxfev: int | None = None, fixed: dict | None = None):
-        if nugget_bounds[0] < NUGGET_BOUNDS[0]:
+        lo, hi = float(nugget_bounds[0]), float(nugget_bounds[1])
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError("nugget_bounds must be finite with lower <= upper")
+        if lo < NUGGET_BOUNDS[0]:
             raise ValueError(f"nugget floor is {NUGGET_BOUNDS[0]}")
         if ndim < 1 or (nseeds is not None and nseeds < 1):
             raise ValueError("ndim and nseeds must be >= 1")
@@ -123,7 +146,7 @@ class SeedKernelGP:
             raise ValueError(f"unknown kernel family {family!r}")
         self.rng = rng if rng is not None else np.random.default_rng()
         self.nstarts = int(nstarts)
-        self.nugget_bounds = (float(nugget_bounds[0]), float(nugget_bounds[1]))
+        self.nugget_bounds = (lo, hi)
         self.maxfev = maxfev
         self.ndim = int(ndim)
         self.nseeds = None if nseeds is None else int(nseeds)
@@ -146,20 +169,26 @@ class SeedKernelGP:
             variance = float(fixed["variance"])
             if ls.shape != (self.ndim,):
                 raise ValueError("fixed lengthscales must have one entry per dimension")
-            if np.any(ls <= 0.0) or not variance > 0.0:
-                raise ValueError("fixed lengthscales and variance must be positive")
+            if not (np.isfinite(ls).all() and (ls > 0.0).all()):
+                raise ValueError("fixed lengthscales must be finite and positive")
+            if not (math.isfinite(variance) and variance > 0.0):
+                raise ValueError("fixed variance must be finite and positive")
             S = None
             if self.seeded:
                 B = np.atleast_2d(np.asarray(fixed["B"], dtype=float))
                 v = np.atleast_1d(np.asarray(fixed["v"], dtype=float))
                 if B.ndim != 2 or B.shape[0] != self.nseeds:
                     raise ValueError("fixed B must have one row per seed")
-                if v.shape != (self.nseeds,) or np.any(v < 0.0):
-                    raise ValueError("fixed v must hold one nonnegative entry per seed")
+                if not np.isfinite(B).all():
+                    raise ValueError("fixed B must be finite")
+                if v.shape != (self.nseeds,) or not (np.isfinite(v).all() and (v >= 0.0).all()):
+                    raise ValueError("fixed v must hold one finite nonnegative entry per seed")
                 self.rank = B.shape[1]
                 S = kernels.seed_matrix(normalize_rows(B), v)
             self._fixed = (ls, variance, S)
-            g = float(fixed.get("nugget", self.nugget_bounds[0]))
+            g = float(fixed.get("nugget", lo))
+            if not (math.isfinite(g) and g >= NUGGET_BOUNDS[0]):
+                raise ValueError(f"fixed nugget must be finite and at least {NUGGET_BOUNDS[0]}")
             self.nugget_bounds = (g, g)
         self._set_layout()
 
@@ -217,12 +246,14 @@ class SeedKernelGP:
             return ls, variance, None, None
         bpars = packed[b_block]
         if self._uses_angles:
-            B = np.column_stack([np.cos(bpars), np.sin(bpars)])
+            B = np.empty((self.nseeds, 2))
+            np.cos(bpars, out=B[:, 0])
+            np.sin(bpars, out=B[:, 1])
         else:
             B = bpars.reshape(self.nseeds, self.rank)
         v = np.exp(packed[v_block])
         if v.shape[0] == 1:
-            v = np.full(self.nseeds, float(v[0]))
+            v = v.repeat(self.nseeds)
         return ls, variance, B, v
 
     def _hyper(self, packed):
@@ -238,7 +269,7 @@ class SeedKernelGP:
             return self._fixed
         ls, variance, B, v = self._decode(packed)
         # exp underflows to 0 far outside the box
-        if variance <= 0.0 or np.any(ls <= 0.0):
+        if variance <= 0.0 or (ls <= 0.0).any():
             raise ValueError("lengthscales and variance must be positive")
         if B is None:
             return ls, variance, None
@@ -261,7 +292,9 @@ class SeedKernelGP:
         return X, r.astype(np.int64, copy=False)
 
     def _set_train(self, X, seeds, Y):
-        """Store the training data and the index arrays fixed for one fit."""
+        """Store the training data and the workspace fixed for one fit: an
+        n x n buffer ``_K``, whose transpose holds the covariance in its
+        lower triangle, and the indices that fill it."""
         X, r = self._check_inputs(X, seeds)
         n = X.shape[0]
         if n != Y.shape[0]:
@@ -270,24 +303,35 @@ class SeedKernelGP:
             raise ValueError("need at least 2 training points")
         self._train = (X, r)
         self._Y = Y.copy()
-        # flat index of each training pair's entry in the k x k seed matrix
-        self._pair = None if r is None else (r - 1)[:, None] * self.nseeds + (r - 1)[None, :]
-        self._diag = np.arange(n) * (n + 1)
+        self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        if r is None:
+            self._seed_pair = self._seed_diag = None
+        else:  # the view's entry (j, i) below the diagonal is S[r_j, r_i]
+            self._seed_pair = ((r - 1)[None, :] * self.nseeds + (r - 1)[:, None])[self._upper]
+            self._seed_diag = (r - 1) * (self.nseeds + 1)
+        self._K = np.zeros((n, n))
 
-    def _train_cov(self, ls, variance, S, nugget):
-        """Training covariance plus ``nugget * I`` from decoded hyperparameters.
-
-        The floating-point operations and their order are those of
-        ``kernels.cross_cov`` on the training set, so every entry has the
-        same bits (adding in place only keeps the sign of an off-diagonal
-        zero); the per-fit index arrays replace its id checks and lookups.
-        """
+    def _fill_cov(self, ls, variance, S, nugget):
+        """Training covariance plus ``nugget * I`` in the lower triangle of
+        the returned Fortran-ordered workspace view; its strict upper triangle
+        stays zero.  Each distinct pair is computed once, with the operations
+        of ``kernels.cross_cov`` in its order, so with its bits; the diagonal
+        is ``variance * S[r, r] + nugget``, as the kernel at distance 0 is
+        exactly ``variance``."""
         Z = self._train[0] / ls
-        K = kernels.FROM_SQ_DISTS[self.family](cdist(Z, Z, "sqeuclidean"), variance)
-        if S is not None:
-            K *= S.ravel()[self._pair]
-        K.ravel()[self._diag] += nugget
-        return K
+        cont = kernels.FROM_SQ_DISTS[self.family](
+            cdist(Z, Z, "sqeuclidean")[self._upper], variance)
+        if S is None:
+            diag = variance + nugget
+        else:
+            cont *= S.take(self._seed_pair)
+            diag = S.take(self._seed_diag)
+            diag *= variance
+            diag += nugget
+        K = self._K
+        K[self._upper] = cont
+        K.reshape(-1)[:: K.shape[0] + 1] = diag
+        return K.T
 
     def _cross_cov(self, A, B):
         (Xa, ra), (Xb, rb) = A, B
@@ -318,14 +362,28 @@ class SeedKernelGP:
         """Negative log marginal likelihood of the packed parameters.
 
         ``inf`` where the kernel is invalid (a zero raw ``B`` row) or not
-        positive definite; ``LinAlgError`` is a ``ValueError``.
+        positive definite.
         """
         try:
-            K = self._train_cov(*self._hyper(packed), self._nugget_from_packed(packed))
-            L = np.linalg.cholesky(K)
+            K = self._fill_cov(*self._hyper(packed), self._nugget_from_packed(packed))
         except ValueError:
             return np.inf
-        return -_chol_lml(L, self._Y)[0]
+        L = self._factor(K)
+        return np.inf if L is None else -_chol_lml(L, self._Y)[0]
+
+    def _factor(self, K):
+        """Lower Cholesky factor of the workspace view ``K``, in place where
+        numpy's ``dpotrf`` is at hand; None if ``K`` is not positive definite."""
+        potrf = _lapack_potrf()
+        if potrf is None:
+            try:
+                return np.linalg.cholesky(K)
+            except np.linalg.LinAlgError:
+                return None
+        # K is _K.T: an F-contiguous float64 n x n array, leading dimension n
+        n, info = ctypes.c_int64(K.shape[0]), ctypes.c_int64(0)
+        potrf(b"L", n, K.ctypes.data, n, info)
+        return None if info.value else K
 
     def fit(self, X, seeds, Y):
         """Fit hyperparameters to training data by multi-start optimization.
@@ -342,17 +400,20 @@ class SeedKernelGP:
         Notes
         -----
         The previous fit's optimum, when there is one, is an extra start.
-        The seed-pair and diagonal index arrays are built here, once per
-        fit, for the current data and seed-space size.  The likelihood the
-        optimizer evaluates is bitwise equal to the one computed through
-        ``kernels.cross_cov`` and ``np.linalg.cholesky``.
+        The workspace is built here, once per fit, for the current data and
+        seed-space size.  The likelihood the optimizer evaluates is bitwise
+        equal to the one computed through ``kernels.cross_cov`` and
+        ``np.linalg.cholesky``.  ``fit_report`` holds each start's initial
+        negative LML, ``nfev`` and scipy ``status`` (1 when it stopped at
+        ``maxfev``), and the best negative LML.
         """
         self._set_train(X, seeds, np.asarray(Y, dtype=float).ravel())
 
         lo, hi = self._pack_bounds()
         if lo.shape[0] == 0:
             best_packed = lo
-            report = {"start_neg_lml": [], "neg_lml": self._neg_lml(best_packed)}
+            report = {"start_neg_lml": [], "start_nfev": [], "start_status": [],
+                      "neg_lml": self._neg_lml(best_packed)}
         else:
             starts = []
             if self._warm is not None and self._warm.shape[0] == lo.shape[0]:
@@ -360,7 +421,7 @@ class SeedKernelGP:
             starts.extend(lo + latin_hypercube(self.nstarts, lo.shape[0], self.rng) * (hi - lo))
             maxfev = self.maxfev if self.maxfev is not None else min(250 * lo.shape[0], 3000)
             best = None
-            start_vals = []
+            start_vals, nfev, status = [], [], []
             for x0 in starts:
                 res = minimize(
                     self._neg_lml,
@@ -370,10 +431,13 @@ class SeedKernelGP:
                     options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-6, "adaptive": True},
                 )
                 start_vals.append(float(self._neg_lml(x0)))
+                nfev.append(int(res.nfev))
+                status.append(int(res.status))
                 if best is None or res.fun < best.fun:
                     best = res
             best_packed = np.clip(best.x, lo, hi)
-            report = {"start_neg_lml": start_vals, "neg_lml": float(best.fun)}
+            report = {"start_neg_lml": start_vals, "start_nfev": nfev,
+                      "start_status": status, "neg_lml": float(best.fun)}
 
         self._finalize(best_packed)
         self.fit_report = report
@@ -385,7 +449,7 @@ class SeedKernelGP:
         factorization and the per-fit tables prediction uses."""
         self.lengthscales, self.variance, self.seed_matrix = self._hyper(packed)
         g = self._nugget_from_packed(packed)
-        K = self._train_cov(self.lengthscales, self.variance, self.seed_matrix, g)
+        K = self._fill_cov(self.lengthscales, self.variance, self.seed_matrix, g)
         L, jitter = safe_cholesky(K)
         self._L = L
         self.lml, self._alpha = _chol_lml(L, self._Y)

@@ -10,9 +10,15 @@ diagonal.  The joint covariance is the product of the two, or the
 continuous kernel alone when ``S`` is None.  Every function works on
 batches of points and returns a matrix.  The hyperparameters are checked
 once by whoever decodes them (the emulator), not on every call here.
+:func:`bundled_openblas` finds functions of the OpenBLAS that numpy and
+scipy bundle, for callers that use them directly.
 """
 
 from __future__ import annotations
+
+import ctypes
+import glob
+import os
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -62,15 +68,30 @@ def seed_matrix(B: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _matern52_from_s2(s2: np.ndarray, variance: float) -> np.ndarray:
+    """``variance * (1 + sqrt5 s + (5/3) s2) * exp(-sqrt5 s)``, written
+    over ``s2`` and returned; every operation rounds as in that expression."""
     s = np.sqrt(s2)  # squared distances from cdist, never negative
-    return variance * (1.0 + _SQRT5 * s + (5.0 / 3.0) * s2) * np.exp(-_SQRT5 * s)
+    s *= _SQRT5
+    e = np.negative(s)
+    np.exp(e, out=e)
+    s += 1.0
+    s2 *= 5.0 / 3.0
+    s2 += s
+    s2 *= variance
+    s2 *= e
+    return s2
 
 
 def _rbf_from_s2(s2: np.ndarray, variance: float) -> np.ndarray:
-    return variance * np.exp(-0.5 * s2)
+    """``variance * exp(-s2 / 2)``, written over ``s2`` and returned."""
+    s2 *= -0.5
+    np.exp(s2, out=s2)
+    s2 *= variance
+    return s2
 
 
-# Each family as a function of squared scaled distances and the variance.
+# Each family as a function of squared scaled distances and the variance;
+# each overwrites its distance array, so callers pass one they own.
 FROM_SQ_DISTS = {"matern52": _matern52_from_s2, "rbf": _rbf_from_s2}
 
 
@@ -105,6 +126,20 @@ def cross_cov(X1, r1, X2, r2, lengthscales, variance: float, S=None,
     if np.any(r1 < 1) or np.any(r1 > k) or np.any(r2 < 1) or np.any(r2 > k):
         raise ValueError(f"seed ids must lie in 1..{k}")
     return cont * S[np.ix_(r1 - 1, r2 - 1)]
+
+
+def bundled_openblas(package, symbol: str):
+    """Yield ``symbol`` from each OpenBLAS that ``package`` (numpy or scipy)
+    bundles in ``<package>.libs``, skipping a library that is not loaded
+    or lacks it; on other builds nothing is yielded."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                        package.__name__ + ".libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        try:  # RTLD_NOLOAD only finds a library already loaded
+            function = getattr(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY), symbol)
+        except (OSError, AttributeError):
+            continue
+        yield function
 
 
 def safe_cholesky(a: np.ndarray, jitter: float = 0.0, max_escalations: int = 5):

@@ -1,6 +1,9 @@
 """The GP emulator: fitting, prediction, sampling, seed growth, seedless mode."""
 
+import glob
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from trajcal import kernels
-from trajcal.emulator import SeedKernelGP, _chol_lml, draw_mvn
+from trajcal import emulator, kernels
+from trajcal.emulator import NUGGET_BOUNDS, SeedKernelGP, _chol_lml, draw_mvn
 from trajcal.errors import NotFittedError
 
 
@@ -384,6 +387,35 @@ def test_fixed_lengthscales_must_match_the_dimension():
         SeedKernelGP(ndim=2, fixed={"lengthscales": [0.5], "variance": 1.0})
 
 
+_GOOD_FIXED = {"lengthscales": [0.5], "variance": 1.0, "B": np.eye(2), "v": [0.1, 0.1]}
+
+
+@pytest.mark.parametrize("field, fixed, bounds", [
+    ("lengthscales", {"lengthscales": [math.nan]}, None),
+    ("lengthscales", {"lengthscales": [math.inf]}, None),
+    ("variance", {"variance": math.inf}, None),
+    ("variance", {"variance": math.nan}, None),
+    ("B", {"B": [[1.0, math.nan], [0.0, 1.0]]}, None),
+    ("v", {"v": [0.1, math.inf]}, None),
+    ("v", {"v": [math.nan, 0.1]}, None),
+    ("nugget", {"nugget": math.nan}, None),
+    ("nugget", {"nugget": math.inf}, None),
+    ("nugget", {"nugget": -1.0}, None),
+    ("nugget", {"nugget": 0.5 * NUGGET_BOUNDS[0]}, None),
+    ("nugget_bounds", None, (1e-8, math.nan)),
+    ("nugget_bounds", None, (1e-8, math.inf)),
+    ("nugget_bounds", None, (1e-4, 1e-6)),
+])
+def test_constructor_rejects_bad_kernel_settings(field, fixed, bounds):
+    """Non-finite or out-of-range kernel settings are refused up front,
+    naming the field, rather than reaching the fit."""
+    kwargs = {"nugget_bounds": bounds} if bounds is not None else {}
+    if fixed is not None:
+        kwargs["fixed"] = {**_GOOD_FIXED, **fixed}
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        SeedKernelGP(ndim=1, nseeds=2, **kwargs)
+
+
 @pytest.mark.parametrize("nseeds", [None, 3])
 def test_solve_lower_is_solve_triangular(nseeds):
     """The direct LAPACK call gives the bits of the scipy wrapper it replaces."""
@@ -404,6 +436,18 @@ def test_fit_report_tracks_starts():
     report = em.fit_report
     assert len(report["start_neg_lml"]) >= 3
     assert report["neg_lml"] <= min(report["start_neg_lml"]) + 1e-9
+    assert len(report["start_nfev"]) == len(report["start_status"]) == len(report["start_neg_lml"])
+
+
+def test_fit_report_shows_starts_stopped_at_maxfev():
+    rng = np.random.default_rng(32)
+    X, r, Y = _seeded_data(rng, 25, [1, 2, 3])
+    em = SeedKernelGP(ndim=2, nseeds=3, nstarts=3, maxfev=30, rng=np.random.default_rng(33))
+    em.fit(X, r, Y)
+    em.fit(X, r, Y)  # the previous optimum is a fourth start
+    report = em.fit_report
+    assert report["start_nfev"] == [30] * 4
+    assert report["start_status"] == [1] * 4  # scipy: maximum evaluations reached
 
 
 def _reference_seed_matrix(B, v):
@@ -440,22 +484,61 @@ def _assert_fast_path_exact(em, rng, npoints=15):
     assert em._neg_lml(em._packed) == -em.lml  # the fitted factor needed no jitter
 
 
+def _factor_paths(monkeypatch):
+    """Yield twice: first with the likelihood factored in place by numpy's
+    ``dpotrf`` (where numpy bundles it), then with ``np.linalg.cholesky``
+    forced."""
+    yield
+    with monkeypatch.context() as m:
+        m.setattr(emulator, "_lapack_potrf", lambda: None)
+        yield
+
+
 @pytest.mark.parametrize("family", ["matern52", "rbf"])
 @pytest.mark.parametrize("rank", [None, 1, 2, 3])
 @pytest.mark.parametrize("per_seed_v", [False, True])
 @pytest.mark.parametrize("nugget", ["free", "fixed"])
-def test_neg_lml_fast_path_equals_reference(family, rank, per_seed_v, nugget):
-    rng = np.random.default_rng(40)
-    em = SeedKernelGP(ndim=2, nseeds=None if rank is None else 3, rank=rank,
-                      family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=20,
-                      nugget_bounds=(1e-8, 1.0) if nugget == "free" else (1e-6, 1e-6),
-                      rng=np.random.default_rng(41))
-    for n in (7, 40):
-        em.fit(*_seeded_data(rng, n, [1, 2, 3]))
-        _assert_fast_path_exact(em, rng)
+def test_neg_lml_fast_path_equals_reference(family, rank, per_seed_v, nugget, monkeypatch):
+    for _ in _factor_paths(monkeypatch):
+        rng = np.random.default_rng(40)
+        em = SeedKernelGP(ndim=2, nseeds=None if rank is None else 3, rank=rank,
+                          family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=20,
+                          nugget_bounds=(1e-8, 1.0) if nugget == "free" else (1e-6, 1e-6),
+                          rng=np.random.default_rng(41))
+        for n in (2, 7, 40, 150):
+            em.fit(*_seeded_data(rng, n, [1, 2, 3]))
+            _assert_fast_path_exact(em, rng)
 
 
-def test_neg_lml_fast_path_is_inf_where_the_reference_raises():
+def test_numpy_bundles_the_dpotrf_the_likelihood_calls():
+    """Where numpy's wheel bundles OpenBLAS, the in-place path is the one in use."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    if not glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        pytest.skip("numpy bundles no 64-bit-integer OpenBLAS here")
+    assert emulator._lapack_potrf() is not None
+
+
+def test_a_fitted_emulator_pickles_with_its_workspace():
+    """The per-fit workspace holds no pointers, so a copy evaluates and
+    predicts on its own buffers."""
+    rng = np.random.default_rng(46)
+    em = SeedKernelGP(ndim=2, nseeds=3, nstarts=1, maxfev=20, rng=np.random.default_rng(47))
+    em.fit(*_seeded_data(rng, 20, [1, 2, 3]))
+    twin = pickle.loads(pickle.dumps(em))
+    lo, hi = em._pack_bounds()
+    p = lo + rng.uniform(size=lo.shape) * (hi - lo)
+    assert twin._neg_lml(p) == em._neg_lml(p)
+    X, r = rng.uniform(size=(5, 2)), np.array([1, 2, 3, 1, 2])
+    assert all(np.array_equal(a, b) for a, b in
+               zip(twin.predict_mean_var(X, r), em.predict_mean_var(X, r)))
+
+
+def test_neg_lml_fast_path_is_inf_where_the_reference_raises(monkeypatch):
+    for _ in _factor_paths(monkeypatch):
+        _check_inf_where_the_reference_raises()
+
+
+def _check_inf_where_the_reference_raises():
     rng = np.random.default_rng(42)
     em = SeedKernelGP(ndim=2, nseeds=3, rank=1, nstarts=1, maxfev=20,
                       rng=np.random.default_rng(43))

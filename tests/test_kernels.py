@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajcal import kernels
 from trajcal.emulator import SeedKernelGP
 from trajcal.errors import NumericalError
 from trajcal.kernels import (
@@ -102,6 +103,25 @@ def test_rbf_closed_form():
     assert continuous_cov(x1, x2, _ls([0.5]), 2.0, family="rbf")[0, 0] == pytest.approx(
         2.0 * math.exp(-0.5 * s2), abs=1e-14
     )
+
+
+@pytest.mark.parametrize("family", ["matern52", "rbf"])
+def test_kernel_functions_equal_the_textbook_expression(family):
+    """Each family overwrites and returns its squared-distance argument,
+    with the bits of the expression written out in numpy."""
+    rng = np.random.default_rng(8)
+    s2 = rng.uniform(0.0, 30.0, size=(37, 5))
+    s2[0, :2] = 0.0
+    variance = 1.7
+    if family == "matern52":
+        s = np.sqrt(s2)
+        expected = variance * (1.0 + np.sqrt(5.0) * s + (5.0 / 3.0) * s2) * np.exp(-np.sqrt(5.0) * s)
+    else:
+        expected = variance * np.exp(-0.5 * s2)
+    work = s2.copy()
+    got = kernels.FROM_SQ_DISTS[family](work, variance)
+    assert got is work
+    assert np.array_equal(got, expected)
 
 
 def test_normalize_rows_unit_norm():
