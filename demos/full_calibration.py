@@ -52,7 +52,7 @@ def main():
     best = min(ok, key=lambda e: e.y_raw)
     npts = len(target)
     print(f"truth: beta = {TRUTH_BETA}, seed 0 (never searched)")
-    print(f"completed {trace.completed} simulations")
+    print(f"completed {len(ds)} simulations")
     print(f"best match: beta = {float(rescale(best.x, BOUNDS)[0]):.4f}, "
           f"seed {best.seed}, rmse {np.sqrt(best.y_raw / npts):.2f}")
 

@@ -38,7 +38,7 @@ def main():
     trace = run(ds, toy_objective, cfg, em,
                 LHSGrid(GridConfig(ndim=1, nseeds=k0, ngrid=60)))
 
-    print(f"completed {trace.completed} simulations "
+    print(f"completed {len(ds)} simulations "
           f"over {len(trace.iterations)} iterations")
     print(f"seed space grew {k0} -> {em.nseeds}\n")
 

@@ -16,7 +16,6 @@ from .dataspace import (
     fit_transform,
     latin_hypercube,
     rescale,
-    rmse,
     sse,
     unrescale,
 )
@@ -41,11 +40,10 @@ from .grid import (
     resample_indices,
 )
 from .kernels import cross_cov, normalize_rows, safe_cholesky, seed_matrix
-from .simulator import SirConfig, Trajectory, ground_truth, sir_run, to_table, toy_objective
+from .simulator import SirConfig, Trajectory, sir_run, to_table, toy_objective
 from .workflow import (
     RunTrace,
     WorkflowConfig,
-    best_observed,
     component_stream,
     run,
     thompson_select,
@@ -73,14 +71,12 @@ __all__ = [
     "SirConfig",
     "Trajectory",
     "WorkflowConfig",
-    "best_observed",
     "check_for_expansion",
     "component_stream",
     "cross_cov",
     "draw_mvn",
     "expand",
     "fit_transform",
-    "ground_truth",
     "latin_hypercube",
     "likelihood_values",
     "mh_densify",
@@ -88,7 +84,6 @@ __all__ = [
     "rescale",
     "reseed_incumbents",
     "resample_indices",
-    "rmse",
     "run",
     "safe_cholesky",
     "sample_from_expansion",

@@ -3,18 +3,19 @@
 Three subcommands: ``simulate`` runs the SIR model once and writes a
 trajectory table; ``calibrate`` executes the full loop from a JSON config
 file and writes a results bundle (design.csv, trace.jsonl, summary.json);
-``report`` recomputes summary statistics from an existing bundle.
+``report`` recomputes summary statistics from an existing bundle's
+design.csv, which holds every successful run in order.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical or progress failure
 (with the partial trace preserved in the bundle).  All numeric table
 columns are written with 17 significant digits so reruns diff bitwise.
 The environment variable ``TRAJCAL_OUTPUT_DIR``, when set, redirects all
 output into that directory; ``_resolve_outdir`` is its one reader.
-``calibrate`` only replaces an absent path, an empty directory, or an
-earlier bundle.  A malformed bundle makes ``report`` exit 2 with a message
-naming the fault.  Commands run OpenBLAS at one thread unless
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; importing the
-package leaves the thread count alone.
+``calibrate`` only replaces an absent path not under a file, an empty
+directory, or an earlier bundle.  A malformed design.csv makes ``report``
+exit 2 with a message naming the fault.  Commands run OpenBLAS at one
+thread unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set;
+importing the package leaves the thread count alone.
 """
 
 from __future__ import annotations
@@ -33,16 +34,14 @@ import tempfile
 import numpy as np
 import scipy
 
-from .dataspace import (
-    Bounds, Dataset, DesignPoint, ObjectiveTransform, latin_hypercube, rescale, sse,
-)
+from .dataspace import Bounds, Dataset, DesignPoint, latin_hypercube, rescale, sse
 from .emulator import SeedKernelGP
 from .errors import NumericalError, ProgressError
 from .expansion import ExpansionConfig
 from .grid import AdaptiveGrid, FixedGrid, GridConfig, LHSGrid
 from .kernels import bundled_openblas
 from .simulator import SirConfig, sir_run, to_table, toy_objective
-from .workflow import WorkflowConfig, best_observed, component_stream, evaluate, run
+from .workflow import WorkflowConfig, component_stream, evaluate, run
 
 __all__ = ["main", "ConfigError", "load_config", "cmd_simulate", "cmd_calibrate", "cmd_report"]
 
@@ -367,10 +366,16 @@ def _resolve_outdir(directory: str) -> str:
 def _check_outdir(outdir: str) -> None:
     """Refuse an output path that a finished run could not safely replace.
 
-    Accepted: an absent path, an empty directory, or an earlier bundle
-    (recognised by the format line of its summary.json).
+    Accepted: an absent path whose nearest existing ancestor is a
+    directory, an empty directory, or an earlier bundle (recognised by the
+    format line of its summary.json).
     """
     if not os.path.lexists(outdir):
+        ancestor = os.path.dirname(os.path.abspath(outdir))
+        while not os.path.lexists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise ConfigError(f"output directory {outdir}: {ancestor} is not a directory")
         return
     if os.path.isdir(outdir) and not os.path.islink(outdir):
         if not os.listdir(outdir):
@@ -400,7 +405,7 @@ def _write_design(path: str, dataset: Dataset, native: np.ndarray, rmse: np.ndar
                                _fmt(dataset.y_std[i]), _fmt(rmse[i])])
 
 
-def _write_trace(path: str, trace):
+def _write_trace(path: str, trace, dataset: Dataset):
     events = [{"event": "format", "version": TRACE_FORMAT},
               {"event": "run", "master_seed": trace.master_seed, "budget": trace.budget,
                "initial_size": trace.initial_size,
@@ -411,10 +416,8 @@ def _write_trace(path: str, trace):
     events += [{"event": "iteration", **dataclasses.asdict(rec)} for rec in trace.iterations]
     for iteration, new_seed in trace.expansion_events:
         events.append({"event": "expansion", "iteration": iteration, "new_seed": new_seed})
-    final = {"event": "final", "completed": trace.completed}
-    if trace.final_transform is not None:
-        final["transform"] = dataclasses.asdict(trace.final_transform)
-    events.append(final)
+    events.append({"event": "final", "completed": len(dataset),
+                   "transform": dataclasses.asdict(dataset.transform)})
     with open(path, "w", newline="") as fh:
         for ev in events:
             fh.write(json.dumps(ev, sort_keys=True) + "\n")
@@ -432,7 +435,6 @@ def _acceptance(rmse_vals: np.ndarray, cutoff: float) -> dict:
 
 
 def _summary_payload(cfg: dict, trace, dataset: Dataset, native: np.ndarray, rmse) -> dict:
-    best_seq = best_observed(trace)
     best_i = int(np.argmin(dataset.y_std))
     best = {
         "x_native": [float(v) for v in native[best_i]],
@@ -444,16 +446,16 @@ def _summary_payload(cfg: dict, trace, dataset: Dataset, native: np.ndarray, rms
         best["rmse_truth"] = float(rmse[best_i])
     return {
         "format": SUMMARY_FORMAT,
-        "completed": trace.completed,
+        "completed": len(dataset),
         "budget": trace.budget,
         "initial_size": trace.initial_size,
         "master_seed": trace.master_seed,
         "iterations": len(trace.iterations),
-        "best_observed": [float(v) for v in best_seq],
+        "best_observed": [float(v) for v in np.minimum.accumulate(dataset.y_std)],
         "best": best,
         "acceptance": None if rmse is None else _acceptance(rmse, cfg["output"]["rmse_cutoff"]),
         "expansion_events": [list(ev) for ev in trace.expansion_events],
-        "final_transform": dataclasses.asdict(trace.final_transform),
+        "final_transform": dataclasses.asdict(dataset.transform),
         "config": cfg,
     }
 
@@ -472,7 +474,7 @@ def _write_bundle(outdir: str, cfg: dict, trace, dataset: Dataset, bounds: Bound
     try:
         _write_design(os.path.join(tmp, "design.csv"), dataset, native,
                       np.full(len(dataset), np.nan) if rmse is None else rmse)
-        _write_trace(os.path.join(tmp, "trace.jsonl"), trace)
+        _write_trace(os.path.join(tmp, "trace.jsonl"), trace, dataset)
         payload = _summary_payload(cfg, trace, dataset, native, rmse)
         with open(os.path.join(tmp, "summary.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -498,12 +500,16 @@ def cmd_simulate(args) -> int:
         return 2
     trajectory = sir_run(config)
     out_dir = _resolve_outdir(os.path.dirname(args.out))
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     out = os.path.join(out_dir, os.path.basename(args.out))
-    with open(out, "w", newline="") as fh:
-        fh.write(f"# {TRAJECTORY_FORMAT}\n")
-        fh.write(to_table(trajectory))
+    try:  # a directory, no file name, or a path under a file is an input error
+        if out_dir and os.path.basename(args.out):
+            os.makedirs(out_dir, exist_ok=True)
+        with open(out, "w", newline="") as fh:
+            fh.write(f"# {TRAJECTORY_FORMAT}\n")
+            fh.write(to_table(trajectory))
+    except OSError as exc:
+        print(f"error: cannot write --out {out}: {exc}", file=sys.stderr)
+        return 2
     print(out)
     return 0
 
@@ -539,11 +545,8 @@ def cmd_calibrate(args) -> int:
 
     try:
         trace, failure = run(dataset, objective, wf_config, emulator, strategy), None
-    except (NumericalError, ProgressError) as exc:
-        trace, failure = getattr(exc, "trace", None), exc
-        if trace is None:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+    except (NumericalError, ProgressError) as exc:  # ``run`` attaches its partial trace
+        trace, failure = exc.trace, exc
     # head the trace with every initial evaluation, failed ones included, in
     # design order; ``run`` recorded only the successful ones it was given
     trace.evaluations[: y.size] = initial
@@ -563,10 +566,9 @@ def _number(value, where: str, kind=float):
 
 
 def _read_bundle(bundle_dir: str):
-    """What ``report`` reads from a bundle: the iteration and rmse_truth
-    columns of design.csv, the raw values of the trace's successful
-    evaluations in order, and its final transform.  A missing or malformed
-    part raises ValueError naming it."""
+    """What ``report`` reads from a bundle: the iteration, y_std and
+    rmse_truth columns of design.csv.  A missing or malformed part raises
+    ValueError naming it."""
     try:
         with open(os.path.join(bundle_dir, "design.csv"), newline="") as fh:
             first = fh.readline().strip()
@@ -574,46 +576,29 @@ def _read_bundle(bundle_dir: str):
                 raise ValueError(f"design.csv: unexpected format line {first!r}")
             reader = csv.DictReader(fh)
             rows = list(reader)
-        with open(os.path.join(bundle_dir, "trace.jsonl")) as fh:
-            events = [json.loads(line) for line in fh if line.strip()]
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read bundle: {exc}") from exc
     columns = []
-    for name, kind in (("iteration", int), ("rmse_truth", float)):
+    for name, kind in (("iteration", int), ("y_std", float), ("rmse_truth", float)):
         if name not in (reader.fieldnames or ()):
             raise ValueError(f"design.csv: no {name} column")
         columns.append(np.array([_number(row[name], f"design.csv: row {i} {name}", kind)
                                  for i, row in enumerate(rows, start=1)]))
-    if not events or not all(isinstance(e, dict) for e in events) \
-            or events[0].get("version") != TRACE_FORMAT:
-        raise ValueError("trace.jsonl: missing or unexpected format event")
-    raw = []
-    for e in events:
-        if e.get("event") != "evaluation":
-            continue
-        if "y_raw" not in e or "failed" not in e:
-            raise ValueError(f"trace.jsonl: evaluation {e.get('index')} lacks y_raw or failed")
-        if not e["failed"]:
-            raw.append(_number(e["y_raw"], f"trace.jsonl: evaluation {e.get('index')} y_raw"))
-    final = [e for e in events if e.get("event") == "final"]
-    if not final or not isinstance(final[0].get("transform"), dict):
-        raise ValueError("trace.jsonl carries no final transform")
-    try:
-        transform = ObjectiveTransform(**{k: float(v) for k, v in final[0]["transform"].items()})
-    except (TypeError, ValueError) as exc:  # a missing, unknown or bad field
-        raise ValueError(f"trace.jsonl: malformed final transform: {exc}") from None
-    return *columns, np.array(raw), transform
+    return columns
+
+
+#: The SCHEMA row of the acceptance cutoff, which ``report`` shares.
+_CUTOFF_ROW = next(row for row in SCHEMA if row[:2] == ("output", "rmse_cutoff"))
 
 
 def cmd_report(args) -> int:
-    _, _, kind, _, minimum, maximum = next(row for row in SCHEMA if row[1] == "rmse_cutoff")
+    _, _, kind, _, minimum, maximum = _CUTOFF_ROW
     try:  # a ConfigError is a ValueError
         cutoff = _scalar(args.rmse_cutoff, "--rmse-cutoff", kind, minimum, maximum)
-        iterations, rmse_vals, raw, transform = _read_bundle(args.bundle)
+        iterations, y_std, rmse_vals = _read_bundle(args.bundle)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    best_seq = np.minimum.accumulate(transform.apply(raw))
     truth_known = bool(rmse_vals.size) and not np.all(np.isnan(rmse_vals))
     acceptance = _acceptance(rmse_vals, cutoff) if truth_known else None
     per_iteration = []
@@ -628,7 +613,7 @@ def cmd_report(args) -> int:
     payload = {
         "format": REPORT_FORMAT,
         "rmse_cutoff": cutoff,
-        "best_observed": [float(v) for v in best_seq],
+        "best_observed": [float(v) for v in np.minimum.accumulate(y_std)],
         "proportion": acceptance["proportion"] if truth_known else None,
         "accepted_ids": acceptance["accepted_ids"] if truth_known else [],
         "per_iteration_acceptance": per_iteration,
@@ -676,7 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="recompute summary statistics from a bundle")
     rep.add_argument("bundle", help="path to a results bundle directory")
-    rep.add_argument("--rmse-cutoff", type=float, default=20.0)
+    rep.add_argument("--rmse-cutoff", type=float, default=_CUTOFF_ROW[3])
     rep.set_defaults(func=cmd_report)
     return parser
 

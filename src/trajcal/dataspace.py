@@ -24,7 +24,6 @@ __all__ = [
     "rescale",
     "unrescale",
     "sse",
-    "rmse",
     "fit_transform",
 ]
 
@@ -167,11 +166,6 @@ def sse(y_sim: np.ndarray, y_obs: np.ndarray) -> float:
         )
     diff = y_sim - y_obs
     return float(diff @ diff)
-
-
-def rmse(y_sim: np.ndarray, y_obs: np.ndarray) -> float:
-    """Root mean squared error between two equal-length series."""
-    return float(np.sqrt(sse(y_sim, y_obs) / np.asarray(y_sim).size))
 
 
 @dataclass(frozen=True)

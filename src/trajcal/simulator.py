@@ -37,7 +37,6 @@ __all__ = [
     "SirConfig",
     "Trajectory",
     "sir_run",
-    "ground_truth",
     "toy_objective",
     "to_table",
 ]
@@ -267,13 +266,6 @@ def sir_run(config: SirConfig) -> Trajectory:
         cumulative_infections=cumulative,
         susceptible_counts=susceptible,
         recovered_counts=recovered,
-    )
-
-
-def ground_truth(crn_stream_id: int = 0, **overrides) -> Trajectory:
-    """The reference trajectory: beta = 0.069 with the index case centered."""
-    return sir_run(
-        SirConfig(beta=0.069, seed_id=0, crn_stream_id=crn_stream_id, **overrides)
     )
 
 

@@ -3,8 +3,9 @@
 Each iteration refits the emulator on the standardized data, refreshes
 the candidate grid, picks a batch as the unique argmins of Thompson draws,
 optionally grows the seed space, and evaluates the batch against the
-simulator until the evaluation budget is spent; the dataset restandardizes
-itself on every append.
+simulator until the evaluation budget is spent.  The dataset holds what
+the run produced and restandardizes itself on every append; the trace
+records how it got there.
 
 Every random decision draws from a stream derived as
 ``default_rng(SeedSequence([master_seed, component_id, iteration]))``, so a
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataspace import Dataset, DesignPoint, ObjectiveTransform
+from .dataspace import Dataset, DesignPoint
 from .errors import NumericalError, ProgressError
 from .expansion import (
     ExpansionConfig,
@@ -40,7 +41,6 @@ __all__ = [
     "thompson_select",
     "evaluate",
     "run",
-    "best_observed",
 ]
 
 #: Component ids for the counter-based stream split.
@@ -114,7 +114,7 @@ class IterationRecord:
 
 @dataclass
 class RunTrace:
-    """Complete run record: evaluations in order plus per-iteration events."""
+    """How a run went: each evaluation in order, plus per-iteration events."""
 
     master_seed: int
     budget: int
@@ -123,8 +123,6 @@ class RunTrace:
     evaluations: list = field(default_factory=list)
     iterations: list = field(default_factory=list)
     expansion_events: list = field(default_factory=list)
-    final_transform: ObjectiveTransform | None = None
-    completed: int = 0
 
 
 def thompson_select(emulator, grid, nTS_samp: int, rng: np.random.Generator):
@@ -195,6 +193,8 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
     Returns
     -------
     RunTrace
+        ``initial`` itself holds the results: every successful evaluation,
+        in order, under the transform fitted to all of them.
 
     Raises
     ------
@@ -208,12 +208,8 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
     if config.budget < len(initial):
         raise ValueError("budget must be >= the initial design size")
     dataset = initial
-    trace = RunTrace(
-        master_seed=config.master_seed,
-        budget=config.budget,
-        initial_size=len(initial),
-        completed=len(initial),
-    )
+    trace = RunTrace(master_seed=config.master_seed, budget=config.budget,
+                     initial_size=len(initial))
     for i in range(len(initial)):
         trace.evaluations.append(
             EvalRecord(
@@ -226,7 +222,7 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
     state = ExpansionState.start(config.expansion, completed=len(initial))
     iteration = 0
     try:
-        while trace.completed < config.budget:
+        while len(dataset) < config.budget:
             iteration += 1
             emulator.rng = component_stream(config.master_seed, "fit", iteration)
             emulator.fit(dataset.X, dataset.seeds, dataset.y_std)
@@ -258,7 +254,7 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
                 batch = batch + extra
                 expansion_event = (iteration, new_seed)
                 trace.expansion_events.append(expansion_event)
-            batch = batch[: config.budget - trace.completed]
+            batch = batch[: config.budget - len(dataset)]
 
             ok_x, ok_seeds, ok_y = evaluate(simulator, batch, iteration, trace.evaluations)
             trace.iterations.append(
@@ -278,26 +274,8 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
                     f"every simulator evaluation failed at iteration {iteration}"
                 )
             dataset.append(ok_x, ok_seeds, ok_y, iteration)
-            trace.completed += len(ok_y)
             state.sims_since_expansion += len(ok_y)
     except (NumericalError, ProgressError) as exc:
         exc.trace = trace
         raise
-    finally:
-        trace.final_transform = dataset.transform
     return trace
-
-
-def best_observed(trace: RunTrace) -> np.ndarray:
-    """Running minimum of transformed objectives in evaluation order.
-
-    Transforms every successful evaluation's raw value under the trace's
-    final transform state; the log-standardize map is monotone, so the
-    minimizing indices agree with a raw-value running minimum.
-    """
-    if trace.final_transform is None:
-        raise ValueError("trace carries no final transform state")
-    raw = np.array([e.y_raw for e in trace.evaluations if not e.failed])
-    if raw.size == 0:
-        raise ValueError("trace holds no successful evaluations")
-    return np.minimum.accumulate(trace.final_transform.apply(raw))

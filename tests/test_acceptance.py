@@ -334,7 +334,7 @@ def test_expansion_triggers_replay_against_the_simulation_counter():
     )
     trace = run(ds, toy_objective, cfg, em, LHSGrid(GridConfig(ndim=1, nseeds=k0, ngrid=100)))
 
-    assert trace.completed == 200
+    assert len(ds) == 200
     assert [k for _, k in trace.expansion_events] == [6, 7, 8]
 
     starts = {}

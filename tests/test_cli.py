@@ -442,6 +442,21 @@ def test_simulate_rejects_out_of_range_inputs(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("out", ["adir", "adir/", "fresh/", "afile/t.csv", "afile/sub/t.csv"])
+def test_simulate_refuses_an_out_it_cannot_write(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("keep me\n")
+    assert main(["simulate", "--beta", "0.1", "--n-agents", "100", "--horizon", "5",
+                 "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {out}: ")
+    assert "Traceback" not in err
+    assert (tmp_path / "afile").read_text() == "keep me\n"
+    assert list((tmp_path / "adir").iterdir()) == []
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_simulate_respects_output_dir_env(tmp_path, capsys, monkeypatch):
     env_dir = tmp_path / "redirected"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(env_dir))
@@ -686,6 +701,23 @@ def test_calibrate_refuses_to_replace_an_unrelated_directory(tmp_path, capsys):
     assert (outdir / "trace.jsonl").read_bytes() == first
 
 
+@pytest.mark.parametrize("below", [["bundle"], ["deeper", "bundle"]],
+                         ids=["child", "grandchild"])
+def test_calibrate_output_under_a_file_exits_2_before_any_run(tmp_path, monkeypatch, capsys,
+                                                               below):
+    calls = []
+    monkeypatch.setattr(cli, "toy_objective", lambda point: calls.append(point) or 1.0)
+    afile = tmp_path / "afile"
+    afile.write_text("keep me\n")
+    outdir = afile.joinpath(*below)
+    assert main(["calibrate", _write(tmp_path, _toy_config(outdir))]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output directory {outdir}: {afile} is not a directory\n")
+    assert calls == []
+    assert afile.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+
 def _sir_truth_file_config(tmp_path, truth_file):
     cfg = _toy_config(tmp_path / "out")
     cfg["problem"] = {"kind": "sir", "ndim": 1, "lower": [0.02], "upper": [0.12],
@@ -838,9 +870,23 @@ def test_report_on_a_toy_bundle_has_no_acceptance(toy_bundle, capsys, monkeypatc
     assert report["proportion"] is None
     assert report["accepted_ids"] == []
     assert report["per_iteration_acceptance"] == []
-    # replay of the trace reproduces the summary's best-observed curve exactly
+    # the design table's y_std column reproduces the summary's curve exactly
     summary = json.loads((toy_bundle / "summary.json").read_text())
     assert report["best_observed"] == summary["best_observed"]
+
+
+@pytest.mark.parametrize("cutoff", [[], ["--rmse-cutoff", "40"]])
+def test_report_reads_the_design_table_alone(sir_bundle, tmp_path, cutoff):
+    assert main(["report", str(sir_bundle), *cutoff]) == 0
+    copy = tmp_path / "copy"
+    shutil.copytree(sir_bundle, copy, ignore=shutil.ignore_patterns("trace.jsonl", "report.json"))
+    assert main(["report", str(copy), *cutoff]) == 0
+    assert (copy / "report.json").read_bytes() == (sir_bundle / "report.json").read_bytes()
+
+
+def test_report_cutoff_defaults_to_the_config_default(tmp_path):
+    args = cli._build_parser().parse_args(["report", str(tmp_path)])
+    assert args.rmse_cutoff == _load(tmp_path, lambda cfg: None)["output"]["rmse_cutoff"]
 
 
 def test_report_is_pure_and_repeatable(sir_bundle):
@@ -896,28 +942,16 @@ def _edit_design(text, column, value=None):
     return "\n".join([head] + [",".join(c) for c in cells]) + "\n"
 
 
-def _drop_event_key(text, key):
-    events = [json.loads(ln) for ln in text.splitlines()]
-    del next(e for e in events if e["event"] == "evaluation")[key]
-    return "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
-
-
 @pytest.mark.parametrize("name, edit, message", [
     ("design.csv", lambda t: _edit_design(t, "rmse_truth"), "design.csv: no rmse_truth column"),
     ("design.csv", lambda t: _edit_design(t, "iteration"), "design.csv: no iteration column"),
+    ("design.csv", lambda t: _edit_design(t, "y_std"), "design.csv: no y_std column"),
     ("design.csv", lambda t: _edit_design(t, "rmse_truth", "abc"),
      "design.csv: row 1 rmse_truth: 'abc' is not a number"),
     ("design.csv", lambda t: _edit_design(t, "iteration", "abc"),
      "design.csv: row 1 iteration: 'abc' is not a number"),
-    ("trace.jsonl", lambda t: _drop_event_key(t, "y_raw"),
-     "trace.jsonl: evaluation 0 lacks y_raw or failed"),
-    ("trace.jsonl", lambda t: _drop_event_key(t, "failed"),
-     "trace.jsonl: evaluation 0 lacks y_raw or failed"),
-    ("trace.jsonl", lambda t: re.sub(r'"y_raw": [^,}]+', '"y_raw": "x"', t, count=1),
-     "trace.jsonl: evaluation 0 y_raw: 'x' is not a number"),
-    ("trace.jsonl", lambda t: re.sub(r'"std": [^,}]+', '"std": -1', t, count=1),
-     "trace.jsonl: malformed final transform: std must be positive"),
-    ("trace.jsonl", lambda t: t + "[]\n", "trace.jsonl: missing or unexpected format event"),
+    ("design.csv", lambda t: _edit_design(t, "y_std", "abc"),
+     "design.csv: row 1 y_std: 'abc' is not a number"),
 ])
 def test_report_names_the_fault_in_a_malformed_bundle(sir_bundle, tmp_path, capsys,
                                                       name, edit, message):
@@ -945,6 +979,5 @@ def test_report_rejects_a_missing_or_malformed_bundle(tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "design.csv").write_text("not a design table\n")
-    (bad / "trace.jsonl").write_text("{}\n")
     assert main(["report", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from trajcal.dataspace import (
     fit_transform,
     latin_hypercube,
     rescale,
-    rmse,
     sse,
     unrescale,
 )
@@ -127,15 +126,6 @@ def test_sse_constant_offset():
 def test_sse_length_mismatch():
     with pytest.raises(ValueError):
         sse(np.array([1.0]), np.array([1.0, 2.0]))
-
-
-def test_rmse_values():
-    y = np.array([1.0, 2.0])
-    assert rmse(y, y) == 0.0
-    assert rmse(y + 2.0, y) == pytest.approx(2.0)
-    assert rmse(np.array([3.0, 4.0]), np.array([0.0, 0.0])) == pytest.approx(
-        3.5355339059327378, abs=1e-14
-    )
 
 
 def test_sse_nonnegative_and_zero_iff_equal():

@@ -12,7 +12,6 @@ from scipy.spatial.distance import cdist
 from trajcal.dataspace import DesignPoint
 from trajcal.simulator import (
     SirConfig,
-    ground_truth,
     sir_run,
     to_table,
     toy_objective,
@@ -126,13 +125,6 @@ def test_mean_outbreak_monotone_in_beta():
         ]
         means.append(np.mean(finals))
     assert means[0] <= means[1] <= means[2]
-
-
-def test_ground_truth_matches_direct_run():
-    t1 = ground_truth(crn_stream_id=0, **SMALL)
-    t2 = sir_run(SirConfig(beta=0.069, seed_id=0, crn_stream_id=0, **SMALL))
-    assert np.array_equal(t1.infected_counts, t2.infected_counts)
-    assert t1.infected_counts[0] == 1
 
 
 def test_toy_objective_known_values():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trajcal.dataspace import Dataset, DesignPoint, ObjectiveTransform, latin_hypercube
+from trajcal.dataspace import Dataset, DesignPoint, fit_transform, latin_hypercube
 from trajcal.emulator import SeedKernelGP
 from trajcal.errors import ProgressError
 from trajcal.expansion import ExpansionConfig
@@ -13,10 +13,7 @@ from trajcal.grid import CandidateGrid, FixedGrid, GridConfig, LHSGrid
 from trajcal.simulator import toy_objective
 from trajcal.workflow import (
     COMPONENTS,
-    EvalRecord,
-    RunTrace,
     WorkflowConfig,
-    best_observed,
     component_stream,
     run,
     thompson_select,
@@ -191,18 +188,17 @@ def test_run_rejects_empty_initial():
 def test_budget_equal_to_initial_design_runs_zero_iterations():
     initial, trace = _loop(budget=6, n0=6)
     assert trace.iterations == []
-    assert trace.completed == 6
+    assert len(initial) == 6
     assert len(trace.evaluations) == 6
     assert all(e.iteration == 0 and not e.failed for e in trace.evaluations)
-    assert trace.final_transform is not None
-    assert best_observed(trace).shape == (6,)
+    assert initial.transform is not None
+    assert np.minimum.accumulate(initial.y_std).shape == (6,)
 
 
 def test_budget_is_hit_exactly():
     # 17 is not 6 plus a multiple of anything; the last batch must be trimmed
     initial, trace = _loop(budget=17)
     ok = [e for e in trace.evaluations if not e.failed]
-    assert trace.completed == 17
     assert len(ok) == 17
     assert len(initial) == 17  # run() appends into the caller's dataset
     assert sum(it.evaluated for it in trace.iterations) == 11
@@ -234,13 +230,13 @@ def test_trace_metadata_names_the_stream_derivation():
 
 
 def test_identical_master_seed_reproduces_the_trace_bitwise():
-    _, t1 = _loop(budget=18, master_seed=42)
-    _, t2 = _loop(budget=18, master_seed=42)
+    d1, t1 = _loop(budget=18, master_seed=42)
+    d2, t2 = _loop(budget=18, master_seed=42)
     key = lambda t: [(e.iteration, e.x, e.seed, e.y_raw, e.failed) for e in t.evaluations]
     assert key(t1) == key(t2)
     assert [it.grid_digest for it in t1.iterations] == [it.grid_digest for it in t2.iterations]
     assert [it.argmin_indices for it in t1.iterations] == [it.argmin_indices for it in t2.iterations]
-    assert t1.final_transform == t2.final_transform
+    assert d1.transform == d2.transform
 
 
 def test_different_master_seeds_diverge():
@@ -254,7 +250,7 @@ def test_dataset_is_restandardized_after_the_run():
     initial, trace = _loop(budget=20)
     assert abs(float(np.mean(initial.y_std))) < 1e-9
     assert abs(float(np.std(initial.y_std)) - 1.0) < 1e-9
-    assert trace.final_transform == initial.transform
+    assert initial.transform == fit_transform(initial.y_raw)[0]
 
 
 # ---------------------------------------------------------- fault isolation
@@ -288,7 +284,6 @@ def test_single_simulator_failure_is_logged_and_does_not_consume_budget():
     assert failed[0].y_raw is None
     assert failed[0].error == "RuntimeError: solver diverged"
     assert failed[0].iteration >= 1
-    assert trace.completed == 16
     assert len(ok) == 16
     assert len(initial) == 16  # the failed point never enters the dataset
     assert sum(it.failed for it in trace.iterations) == 1
@@ -310,10 +305,11 @@ def test_non_finite_objective_is_a_failed_evaluation():
     assert all(e.seed == 2 and e.y_raw is None for e in failed)
     assert all(e.error == "non-finite objective: nan" for e in failed)
     assert sum(it.failed for it in trace.iterations) == len(failed)
-    assert trace.completed == 16
     assert len(initial) == 16
     assert np.all(np.isfinite(initial.y_raw))
-    assert all(np.isfinite(v) for v in dataclasses.astuple(trace.final_transform))
+    assert all(np.isfinite(v) for v in dataclasses.astuple(initial.transform))
+    # the dataset holds the successes alone, in trace order
+    assert [e.y_raw for e in trace.evaluations if not e.failed] == initial.y_raw.tolist()
 
 
 def test_total_failure_raises_progress_error_with_partial_trace():
@@ -326,8 +322,8 @@ def test_total_failure_raises_progress_error_with_partial_trace():
         run(initial, broken, config, _fixed_emulator(),
             LHSGrid(GridConfig(ndim=1, nseeds=3, ngrid=30)))
     trace = err.value.trace
-    assert trace.completed == 6
-    assert trace.final_transform is not None
+    assert len(initial) == 6
+    assert initial.transform is not None
     assert len(trace.iterations) == 1
     assert trace.iterations[0].evaluated == 0
     assert trace.iterations[0].failed == len(trace.iterations[0].batch)
@@ -419,50 +415,17 @@ def test_exploit_mode_reseeds_previously_evaluated_coordinates():
             assert tuple(e.x) in evaluated_before[e.iteration]
 
 
-# ------------------------------------------------------------ best_observed
+# ------------------------------------------------------- the run's results
 
 
-def test_best_observed_is_a_running_minimum_of_transformed_values():
-    trace = RunTrace(master_seed=0, budget=4, initial_size=3)
-    for i, y in enumerate([3.0, 1.0, 2.0]):
-        trace.evaluations.append(EvalRecord(iteration=0, x=(0.1,), seed=1, y_raw=y))
-    trace.evaluations.insert(
-        1, EvalRecord(iteration=0, x=(0.2,), seed=1, y_raw=None, failed=True, error="x")
-    )
-    trace.final_transform = ObjectiveTransform(1e-12, 0.5, 2.0)
-    got = best_observed(trace)
-    z = (np.log(np.array([3.0, 1.0, 2.0]) + 1e-12) - 0.5) / 2.0
-    assert np.allclose(got, np.minimum.accumulate(z), atol=1e-12)
-
-
-def test_best_observed_single_value():
-    trace = RunTrace(master_seed=0, budget=1, initial_size=1)
-    trace.evaluations.append(EvalRecord(iteration=0, x=(0.1,), seed=1, y_raw=4.0))
-    trace.final_transform = ObjectiveTransform(1e-12, 0.0, 1.0)
-    got = best_observed(trace)
-    assert got.shape == (1,)
-    assert got[0] == pytest.approx(np.log(4.0 + 1e-12))
-
-
-def test_best_observed_requires_transform_and_successes():
-    trace = RunTrace(master_seed=0, budget=1, initial_size=1)
-    trace.evaluations.append(EvalRecord(iteration=0, x=(0.1,), seed=1, y_raw=4.0))
-    with pytest.raises(ValueError):
-        best_observed(trace)
-    trace.final_transform = ObjectiveTransform(1e-12, 0.0, 1.0)
-    trace.evaluations = [
-        EvalRecord(iteration=0, x=(0.1,), seed=1, y_raw=None, failed=True, error="x")
-    ]
-    with pytest.raises(ValueError):
-        best_observed(trace)
-
-
-def test_best_observed_matches_replay_from_a_real_trace():
+def test_dataset_holds_the_traced_successes_in_order():
+    # the bundle's design rows and best-observed curve read the dataset
     initial, trace = _loop(budget=20)
-    got = best_observed(trace)
-    t = initial.transform  # the transform fitted to every successful value
-    raw = np.array([e.y_raw for e in trace.evaluations if not e.failed])
-    assert np.array_equal(got, np.minimum.accumulate(t.apply(raw)))
+    ok = [e for e in trace.evaluations if not e.failed]
+    assert [(e.iteration, e.seed, e.y_raw) for e in ok] == list(
+        zip(initial.iteration.tolist(), initial.seeds.tolist(), initial.y_raw.tolist()))
+    assert np.array_equal(initial.y_std, initial.transform.apply(initial.y_raw))
+    got = np.minimum.accumulate(initial.y_std)
     assert np.all(np.diff(got) <= 0.0)
     # monotone transform: the minimizing index agrees with the raw argmin
-    assert int(np.argmin(got)) == int(np.argmin(np.minimum.accumulate(raw)))
+    assert int(np.argmin(got)) == int(np.argmin(np.minimum.accumulate(initial.y_raw)))
