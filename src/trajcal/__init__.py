@@ -17,7 +17,6 @@ from .dataspace import (
     latin_hypercube,
     rescale,
     sse,
-    unrescale,
 )
 from .emulator import SeedKernelGP, draw_mvn
 from .errors import NotFittedError, NumericalError, ProgressError
@@ -93,6 +92,5 @@ __all__ = [
     "thompson_select",
     "to_table",
     "toy_objective",
-    "unrescale",
     "__version__",
 ]

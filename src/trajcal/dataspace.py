@@ -22,7 +22,6 @@ __all__ = [
     "Dataset",
     "latin_hypercube",
     "rescale",
-    "unrescale",
     "sse",
     "fit_transform",
 ]
@@ -147,12 +146,6 @@ def rescale(u: np.ndarray, bounds: Bounds) -> np.ndarray:
     """
     u = _check_unit(u)
     return bounds.lower + u * (bounds.upper - bounds.lower)
-
-
-def unrescale(x: np.ndarray, bounds: Bounds) -> np.ndarray:
-    """Inverse of :func:`rescale`: native units back to the unit hypercube."""
-    x = np.asarray(x, dtype=float)
-    return (x - bounds.lower) / (bounds.upper - bounds.lower)
 
 
 def sse(y_sim: np.ndarray, y_obs: np.ndarray) -> float:

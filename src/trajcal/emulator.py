@@ -480,7 +480,8 @@ class SeedKernelGP:
         mean = Ks.T @ self._alpha
         Kss = self._cross_cov(new, new)
         V = self._solve_lower(Ks)
-        return mean, Kss - V.T @ V  # both terms are exactly symmetric (V.T @ V is a syrk)
+        Kss -= V.T @ V  # both terms are exactly symmetric (V.T @ V is a syrk)
+        return mean, Kss
 
     def predict_mean_var(self, X, seeds):
         """Posterior mean and pointwise variance without the full covariance."""

@@ -125,7 +125,8 @@ def cross_cov(X1, r1, X2, r2, lengthscales, variance: float, S=None,
     k = S.shape[0]
     if np.any(r1 < 1) or np.any(r1 > k) or np.any(r2 < 1) or np.any(r2 > k):
         raise ValueError(f"seed ids must lie in 1..{k}")
-    return cont * S[np.ix_(r1 - 1, r2 - 1)]
+    cont *= S[np.ix_(r1 - 1, r2 - 1)]
+    return cont
 
 
 def bundled_openblas(package, symbol: str):
@@ -165,10 +166,14 @@ def safe_cholesky(a: np.ndarray, jitter: float = 0.0, max_escalations: int = 5):
     floor = 1e-12 * max(1.0, scale)
     j = float(jitter)
     tried = j
+    m = a
     for attempt in range(max_escalations + 1):
         tried = j
+        if j > 0.0:
+            if m is a:  # one copy for every retry, with the bits of a + j * I:
+                m = a + 0.0  # + 0.0 turns -0.0 into +0.0, as adding 0 * I does
+            np.fill_diagonal(m, np.diag(a) + j)
         try:
-            m = a + j * np.eye(n) if j > 0.0 else a
             return np.linalg.cholesky(m), j
         except np.linalg.LinAlgError:
             j = j * 10.0 if j > 0.0 else floor

@@ -21,6 +21,9 @@ agents into cells at least ``contact_radius`` wide and tests each infected
 agent only against its 3 x 3 cell neighbourhood.  It finds exactly the
 pairs an all-pairs distance matrix would, with the same squared distances,
 and sorts them into the order of item 3, so the draws are unchanged.
+
+Each stream's walk is built once, in place, and cached: a (horizon + 1, n, 2)
+table of positions and the (horizon, n) table of direction draws.
 """
 
 from __future__ import annotations
@@ -110,9 +113,10 @@ class Trajectory:
 
 
 def _fold(z: np.ndarray, extent: float) -> np.ndarray:
-    """Map free-walk coordinates into [0, extent] by boundary reflection."""
-    m = np.mod(z, 2.0 * extent)
-    return np.where(m > extent, 2.0 * extent - m, m)
+    """Map free-walk coordinates into [0, extent] by boundary reflection,
+    in place; returns ``z``."""
+    np.mod(z, 2.0 * extent, out=z)
+    return np.subtract(2.0 * extent, z, out=z, where=z > extent)
 
 
 @lru_cache(maxsize=4)
@@ -123,14 +127,22 @@ def _movement(crn_stream_id: int, n_agents: int, extent: float, horizon: int):
     step t assuming its drawn starting point; steps[t - 1, i] is the raw
     direction draw.  The index case overrides its start elsewhere, so its
     column here is recomputed per run from the same step draws.
+
+    The step vectors are written into rows 1..horizon of the table, summed
+    row by row in step order (the sums ``cumsum`` makes), shifted by the
+    starts and folded, all in place: the build needs little beyond the two
+    arrays it keeps.
     """
     rng = np.random.default_rng(np.random.SeedSequence([crn_stream_id, 0]))
     init = rng.uniform(0.0, extent, size=(n_agents, 2))
     steps = rng.integers(0, 9, size=(horizon, n_agents))
-    free = np.concatenate(
-        [np.zeros((1, n_agents, 2)), np.cumsum(DIRECTIONS[steps], axis=0)]
-    )
-    positions = _fold(init[None, :, :] + free, extent)
+    positions = np.zeros((horizon + 1, n_agents, 2))
+    # draws lie in 0..8, so "clip" changes none; it lets numpy write in place
+    np.take(DIRECTIONS, steps, axis=0, out=positions[1:], mode="clip")
+    for t in range(2, horizon + 1):
+        np.add(positions[t - 1], positions[t], out=positions[t])
+    positions += init
+    _fold(positions, extent)
     positions.setflags(write=False)
     steps.setflags(write=False)
     return positions, steps

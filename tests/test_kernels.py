@@ -273,3 +273,26 @@ def test_safe_cholesky_recovers_semidefinite():
     a = np.ones((3, 3))  # rank one, singular
     L, j = safe_cholesky(a, jitter=1e-10)
     assert np.allclose(L @ L.T, a + j * np.eye(3), atol=1e-6)
+
+
+def test_safe_cholesky_retries_with_the_bits_of_added_jitter():
+    """Each retry factors the matrix ``a + j * I`` would give, bit for bit,
+    negative zeros included (``a + j * I`` turns -0.0 into +0.0)."""
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 4)))
+    block = q @ np.diag([3.0, 1.0, 0.5, -5e-11]) @ q.T
+    block = (block + block.T) / 2
+    a = np.full((7, 7), -0.0)
+    a[:4, :4] = block
+    a[4:, 4:] = np.eye(3)
+    before = a.copy()
+    L, j = safe_cholesky(a)
+    floor = 1e-12 * np.max(np.diag(a))
+    for want in [0.0] + [floor * 10.0**e for e in range(5)]:
+        try:
+            expected = np.linalg.cholesky(a + want * np.eye(7) if want else a)
+            break
+        except np.linalg.LinAlgError:
+            pass
+    assert j == want and j >= 10.0 * floor  # at least two escalations
+    assert np.array_equal(L.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(a.view(np.int64), before.view(np.int64))  # a untouched

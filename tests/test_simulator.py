@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,47 @@ def test_positions_stay_inside_grid():
     positions, _ = _movement(3, 250, 50.0, 60)
     assert positions.min() >= 0.0
     assert positions.max() <= 50.0
+
+
+def _reference_movement(crn_stream_id, n_agents, extent, horizon):
+    """The walk table as whole-array expressions: cumulative sums of the
+    step vectors after a zero row, shifted by the starts, then reflected."""
+    rng = np.random.default_rng(np.random.SeedSequence([crn_stream_id, 0]))
+    init = rng.uniform(0.0, extent, size=(n_agents, 2))
+    steps = rng.integers(0, 9, size=(horizon, n_agents))
+    free = np.concatenate(
+        [np.zeros((1, n_agents, 2)), np.cumsum(DIRECTIONS[steps], axis=0)]
+    )
+    m = np.mod(init[None, :, :] + free, 2.0 * extent)
+    return np.where(m > extent, 2.0 * extent - m, m), steps
+
+
+@pytest.mark.parametrize("args", [
+    (0, 1, 50.0, 40),    # one agent
+    (4, 120, 50.0, 1),   # one step
+    (2, 300, 26.0, 60),  # an integer extent
+    (9, 200, 37.3, 80),  # a non-integer extent
+])
+def test_movement_matches_the_whole_array_reference(args):
+    positions, steps = _movement(*args)
+    ref_positions, ref_steps = _reference_movement(*args)
+    assert positions.shape == ref_positions.shape
+    assert np.array_equal(positions.view(np.int64), ref_positions.view(np.int64))
+    assert np.array_equal(steps, ref_steps)
+
+
+def test_movement_builds_in_little_more_than_it_keeps():
+    """The build's traced peak is at most the kept table plus 1 MiB; the
+    whole-array build held about four more tables of positions at once."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = _movement.__wrapped__(5, 2000, 50.0, 100)  # bypass the cache
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in kept) <= current - base
+    assert peak - base <= (current - base) + 2**20
 
 
 def test_mean_outbreak_monotone_in_beta():
