@@ -46,7 +46,7 @@ def main():
         master_seed=ms,
     )
     trace = run(ds, objective, cfg, em,
-                AdaptiveGrid(GridConfig(ndim=1, nseeds=k0, ngrid=80)))
+                AdaptiveGrid(GridConfig(ndim=1, ngrid=80)))
 
     ok = [e for e in trace.evaluations if not e.failed]
     best = min(ok, key=lambda e: e.y_raw)

@@ -36,7 +36,7 @@ def main():
     })
     em.fit(ds.X, ds.seeds, ds.y_std)
 
-    cfg = GridConfig(ndim=1, nseeds=NSEEDS, ngrid=200)
+    cfg = GridConfig(ndim=1, ngrid=200)
     adaptive = AdaptiveGrid(cfg)
     lhs = LHSGrid(cfg)
 

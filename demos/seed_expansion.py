@@ -36,7 +36,7 @@ def main():
         master_seed=ms,
     )
     trace = run(ds, toy_objective, cfg, em,
-                LHSGrid(GridConfig(ndim=1, nseeds=k0, ngrid=60)))
+                LHSGrid(GridConfig(ndim=1, ngrid=60)))
 
     print(f"completed {len(ds)} simulations "
           f"over {len(trace.iterations)} iterations")

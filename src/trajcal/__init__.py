@@ -8,89 +8,38 @@ Thompson sampling picks batches of candidate runs, and the candidate grid is
 refined around the current best observation as evidence accumulates.
 """
 
-from .dataspace import (
-    Bounds,
-    Dataset,
-    DesignPoint,
-    ObjectiveTransform,
-    fit_transform,
-    latin_hypercube,
-    rescale,
-    sse,
-)
-from .emulator import SeedKernelGP, draw_mvn
+from .dataspace import Bounds, Dataset, DesignPoint, latin_hypercube, rescale, sse
+from .emulator import SeedKernelGP
 from .errors import NotFittedError, NumericalError, ProgressError
-from .expansion import (
-    ExpansionConfig,
-    ExpansionState,
-    check_for_expansion,
-    expand,
-    reseed_incumbents,
-    sample_from_expansion,
-)
-from .grid import (
-    AdaptiveGrid,
-    CandidateGrid,
-    FixedGrid,
-    GridConfig,
-    LHSGrid,
-    likelihood_values,
-    mh_densify,
-    resample_indices,
-)
-from .kernels import cross_cov, normalize_rows, safe_cholesky, seed_matrix
-from .simulator import SirConfig, Trajectory, sir_run, to_table, toy_objective
-from .workflow import (
-    RunTrace,
-    WorkflowConfig,
-    component_stream,
-    run,
-    thompson_select,
-)
+from .expansion import ExpansionConfig
+from .grid import AdaptiveGrid, FixedGrid, GridConfig, LHSGrid
+from .simulator import SirConfig, sir_run, toy_objective
+from .workflow import RunTrace, WorkflowConfig, component_stream, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveGrid",
     "Bounds",
-    "CandidateGrid",
     "Dataset",
     "DesignPoint",
     "ExpansionConfig",
-    "ExpansionState",
     "FixedGrid",
     "GridConfig",
     "LHSGrid",
     "NotFittedError",
     "NumericalError",
-    "ObjectiveTransform",
     "ProgressError",
     "RunTrace",
     "SeedKernelGP",
     "SirConfig",
-    "Trajectory",
     "WorkflowConfig",
-    "check_for_expansion",
     "component_stream",
-    "cross_cov",
-    "draw_mvn",
-    "expand",
-    "fit_transform",
     "latin_hypercube",
-    "likelihood_values",
-    "mh_densify",
-    "normalize_rows",
     "rescale",
-    "reseed_incumbents",
-    "resample_indices",
     "run",
-    "safe_cholesky",
-    "sample_from_expansion",
-    "seed_matrix",
     "sir_run",
     "sse",
-    "thompson_select",
-    "to_table",
     "toy_objective",
     "__version__",
 ]

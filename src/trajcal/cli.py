@@ -322,11 +322,11 @@ def _build_components(cfg: dict):
         rank=em_cfg["rank"], family=em_cfg["family"], nstarts=em_cfg["nstarts"],
         per_seed_v=em_cfg["per_seed_v"], maxfev=em_cfg["maxfev"],
     )
-    gcfg = GridConfig(ndim=d, nseeds=k0, ngrid=cfg["grid"]["ngrid"])
+    gcfg = GridConfig(ndim=d, ngrid=cfg["grid"]["ngrid"])
     kind = cfg["grid"]["kind"]
     if kind == "fixed":
         strategy = FixedGrid.from_lhs(
-            gcfg, component_stream(cfg["workflow"]["master_seed"], "grid", 0)
+            gcfg, k0, component_stream(cfg["workflow"]["master_seed"], "grid", 0)
         )
     elif kind == "lhs":
         strategy = LHSGrid(gcfg)

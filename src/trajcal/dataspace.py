@@ -22,6 +22,7 @@ __all__ = [
     "Dataset",
     "latin_hypercube",
     "rescale",
+    "reflect",
     "sse",
     "fit_transform",
 ]
@@ -148,6 +149,13 @@ def rescale(u: np.ndarray, bounds: Bounds) -> np.ndarray:
     return bounds.lower + u * (bounds.upper - bounds.lower)
 
 
+def reflect(z: np.ndarray, extent: float) -> np.ndarray:
+    """Fold coordinates into ``[0, extent]`` by reflection at both walls,
+    in place; returns ``z``."""
+    np.mod(z, 2.0 * extent, out=z)
+    return np.subtract(2.0 * extent, z, out=z, where=z > extent)
+
+
 def sse(y_sim: np.ndarray, y_obs: np.ndarray) -> float:
     """Sum of squared errors between two equal-length series."""
     y_sim = np.asarray(y_sim, dtype=float)
@@ -185,15 +193,13 @@ class ObjectiveTransform:
         return (logs - self.mean) / self.std
 
 
-def fit_transform(
-    y_raw: np.ndarray, epsilon: float = DEFAULT_EPSILON
-) -> tuple[ObjectiveTransform, np.ndarray]:
+def fit_transform(y_raw: np.ndarray) -> tuple[ObjectiveTransform, np.ndarray]:
     """Fit the log-standardize transform to raw objective values.
 
-    Logs are taken after flooring at ``epsilon``; the mean and population
-    standard deviation of the logs define the standardization.  A degenerate
-    sample (std below ``1e-12``) standardizes with std 1 so the transform
-    stays total.
+    Logs are taken after flooring at ``DEFAULT_EPSILON``; the mean and
+    population standard deviation of the logs define the standardization.  A
+    degenerate sample (std below ``1e-12``) standardizes with std 1 so the
+    transform stays total.
 
     Returns
     -------
@@ -203,12 +209,12 @@ def fit_transform(
     y_raw = np.asarray(y_raw, dtype=float)
     if y_raw.ndim != 1 or y_raw.size == 0:
         raise ValueError("y_raw must be a nonempty 1-d array")
-    logs = np.log(np.maximum(y_raw, epsilon))
+    logs = np.log(np.maximum(y_raw, DEFAULT_EPSILON))
     mean = float(np.mean(logs))
     std = float(np.std(logs))  # population (1/n) std, deterministic
     if std < STD_FLOOR:
         std = 1.0
-    transform = ObjectiveTransform(epsilon=epsilon, mean=mean, std=std)
+    transform = ObjectiveTransform(epsilon=DEFAULT_EPSILON, mean=mean, std=std)
     return transform, transform.apply(y_raw)
 
 
@@ -216,7 +222,8 @@ class Dataset:
     """Append-only collection of evaluated design points.
 
     Stores the continuous coordinates, seed ids, raw discrepancies, their
-    transformed values, and the acquisition iteration of every evaluation.
+    transformed values, and the acquisition iteration of every evaluation:
+    0 for the points it is built with, the ``append`` argument after.
     The transform is fitted on construction and refitted by every
     :meth:`append` (through :meth:`refresh_transform`), so ``y_std`` always
     standardizes all raw values.
@@ -230,23 +237,14 @@ class Dataset:
     y_raw : ndarray, shape (n,)
         Raw scalar discrepancies (e.g. sum of squared errors); must be
         finite.
-    iteration : ndarray of int, optional
-        Acquisition iteration per point; defaults to 0 (initial design).
     """
 
-    def __init__(self, X, seeds, y_raw, iteration=None, epsilon: float = DEFAULT_EPSILON):
+    def __init__(self, X, seeds, y_raw):
         X, seeds, y_raw = _check_design(X, seeds, y_raw)
-        if iteration is None:
-            iteration = np.zeros(X.shape[0], dtype=np.int64)
-        else:
-            iteration = np.asarray(iteration, dtype=np.int64).ravel()
-            if iteration.shape[0] != X.shape[0]:
-                raise ValueError("iteration must match the number of points")
         self._X = X
         self._seeds = seeds
         self._y_raw = y_raw
-        self._iteration = iteration
-        self._epsilon = float(epsilon)
+        self._iteration = np.zeros(X.shape[0], dtype=np.int64)
         self.transform: ObjectiveTransform | None = None
         self._y_std: np.ndarray | None = None
         self.refresh_transform()
@@ -293,7 +291,7 @@ class Dataset:
 
     def refresh_transform(self) -> ObjectiveTransform:
         """Refit the log-standardize transform on all raw values."""
-        self.transform, self._y_std = fit_transform(self._y_raw, self._epsilon)
+        self.transform, self._y_std = fit_transform(self._y_raw)
         return self.transform
 
     def incumbent(self) -> float:

@@ -10,11 +10,12 @@ bounded Nelder-Mead on log-transformed parameters.
 
 There is one kernel path, on arrays: ``_hyper`` decodes a packed vector,
 or the ``fixed=`` values checked once in the constructor, into
-lengthscales, a variance and a seed matrix (None without a seed space),
-which ``kernels.cross_cov`` and the likelihood take.  Each ``fit`` builds
-a workspace kept while the optimizer runs, one n x n buffer that
-``_fill_cov`` writes each distinct training pair into once, and
-``_finalize`` decodes the chosen parameters once for prediction.
+lengthscales, a variance, a seed matrix (None without a seed space) and a
+nugget, which ``kernels.cross_cov`` and the likelihood take.  The nugget
+is estimated in the box ``NUGGET_BOUNDS``; only a ``fixed=`` kernel pins
+it.  Each ``fit`` builds a workspace kept while the optimizer runs, one
+n x n buffer that ``_fill_cov`` writes each distinct training pair into
+once, and ``_finalize`` decodes the chosen parameters once for prediction.
 ``predict_seedwise`` scores one point under every seed from a single row
 of continuous covariances, bitwise equal to ``predict_mean_var`` on the
 point repeated per seed.  LAPACK routines are called directly, as the
@@ -110,18 +111,18 @@ class SeedKernelGP:
     family : {"matern52", "rbf"}
         Stationary kernel family.
     nstarts : int
-        Number of Latin-hypercube optimizer starts.
-    nugget_bounds : (float, float)
-        Box for the estimated noise nugget, finite and from at least
-        ``NUGGET_BOUNDS[0]``; equal endpoints pin it.
+        Number of Latin-hypercube optimizer starts, at least 1.
     per_seed_v : bool
         Fit one diagonal-inflation entry per seed instead of a shared one.
+    maxfev : int, optional
+        Cap on likelihood evaluations per start, at least 1; defaults to
+        ``min(250 * parameters, 3000)``.
     fixed : dict, optional
         ``{"lengthscales", "variance", "nugget"}`` plus ``"B"`` and ``"v"``
         with a seed space; when given, ``fit`` skips optimization and uses
         these values.  All must be finite; lengthscales and variance
-        positive, ``v`` nonnegative and the nugget at least
-        ``NUGGET_BOUNDS[0]``.
+        positive, ``v`` nonnegative and the nugget, ``NUGGET_BOUNDS[0]``
+        when omitted, at least that.
 
     Attributes
     ----------
@@ -133,20 +134,18 @@ class SeedKernelGP:
 
     def __init__(self, ndim: int, nseeds: int | None = None, rank: int | None = None,
                  family: str = "matern52", rng=None, nstarts: int = 5,
-                 nugget_bounds=NUGGET_BOUNDS, per_seed_v: bool = False,
-                 maxfev: int | None = None, fixed: dict | None = None):
-        lo, hi = float(nugget_bounds[0]), float(nugget_bounds[1])
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError("nugget_bounds must be finite with lower <= upper")
-        if lo < NUGGET_BOUNDS[0]:
-            raise ValueError(f"nugget floor is {NUGGET_BOUNDS[0]}")
+                 per_seed_v: bool = False, maxfev: int | None = None,
+                 fixed: dict | None = None):
         if ndim < 1 or (nseeds is not None and nseeds < 1):
             raise ValueError("ndim and nseeds must be >= 1")
         if family not in kernels.FROM_SQ_DISTS:
             raise ValueError(f"unknown kernel family {family!r}")
+        if nstarts < 1:
+            raise ValueError(f"nstarts must be >= 1, got {nstarts}")
+        if maxfev is not None and maxfev < 1:
+            raise ValueError(f"maxfev must be >= 1, got {maxfev}")
         self.rng = rng if rng is not None else np.random.default_rng()
         self.nstarts = int(nstarts)
-        self.nugget_bounds = (lo, hi)
         self.maxfev = maxfev
         self.ndim = int(ndim)
         self.nseeds = None if nseeds is None else int(nseeds)
@@ -185,11 +184,10 @@ class SeedKernelGP:
                     raise ValueError("fixed v must hold one finite nonnegative entry per seed")
                 self.rank = B.shape[1]
                 S = kernels.seed_matrix(normalize_rows(B), v)
-            self._fixed = (ls, variance, S)
-            g = float(fixed.get("nugget", lo))
+            g = float(fixed.get("nugget", NUGGET_BOUNDS[0]))
             if not (math.isfinite(g) and g >= NUGGET_BOUNDS[0]):
                 raise ValueError(f"fixed nugget must be finite and at least {NUGGET_BOUNDS[0]}")
-            self.nugget_bounds = (g, g)
+            self._fixed = (ls, variance, S, g)
         self._set_layout()
 
     @property
@@ -201,31 +199,22 @@ class SeedKernelGP:
     def _uses_angles(self):
         return self.rank == 2
 
-    def _nugget_is_fixed(self):
-        return self.nugget_bounds[0] == self.nugget_bounds[1]
-
     def _set_layout(self):
         """Store the slices of the packed vector's blocks, in order: log
         lengthscales (d), log variance, B (rank 2 gives each row an angle,
         other ranks use raw entries), log v (one, or one per seed) and log
-        nugget.  The B and v blocks are empty without a seed space, the
-        nugget block when the nugget is pinned.  The one owner of the
-        layout; it changes only with the seed space."""
+        nugget.  The B and v blocks are empty without a seed space.  The
+        one owner of the layout; it changes only with the seed space."""
         k = self.nseeds or 0
         sizes = (self.ndim, 1, k if self._uses_angles else k * (self.rank or 0),
-                 k if self.per_seed_v else min(k, 1), 0 if self._nugget_is_fixed() else 1)
+                 k if self.per_seed_v else min(k, 1), 1)
         self._blocks = [slice(end - n, end) for n, end in zip(sizes, accumulate(sizes))]
-
-    def _nugget_from_packed(self, packed):
-        if self._nugget_is_fixed():
-            return self.nugget_bounds[0]
-        return float(np.exp(packed[self._blocks[4].start]))
 
     def _pack_bounds(self):
         if self._fixed is not None:
             return np.empty(0), np.empty(0)
         v_box = (max(SEED_V_BOUNDS[0], 1e-6), SEED_V_BOUNDS[1])
-        boxes = (LENGTHSCALE_BOUNDS, VARIANCE_BOUNDS, None, v_box, self.nugget_bounds)
+        boxes = (LENGTHSCALE_BOUNDS, VARIANCE_BOUNDS, None, v_box, NUGGET_BOUNDS)
         lo, hi = [], []
         for block, box in zip(self._blocks, boxes):
             if box is None:  # B's entries are not log-scaled
@@ -257,8 +246,8 @@ class SeedKernelGP:
         return ls, variance, B, v
 
     def _hyper(self, packed):
-        """``(lengthscales, variance, seed matrix or None)`` of a packed
-        vector, or the fixed kernel when there is one.
+        """``(lengthscales, variance, seed matrix or None, nugget)`` of a
+        packed vector, or the fixed kernel when there is one.
 
         Raises ``ValueError`` for a zero raw ``B`` row, and for lengthscales
         or a variance that underflow to 0.  Rows of (cos t, sin t) are unit
@@ -271,11 +260,12 @@ class SeedKernelGP:
         # exp underflows to 0 far outside the box
         if variance <= 0.0 or (ls <= 0.0).any():
             raise ValueError("lengthscales and variance must be positive")
+        nugget = float(np.exp(packed[self._blocks[4].start]))
         if B is None:
-            return ls, variance, None
+            return ls, variance, None, nugget
         if not self._uses_angles:
             B = normalize_rows(B)
-        return ls, variance, kernels.seed_matrix(B, v)
+        return ls, variance, kernels.seed_matrix(B, v), nugget
 
     def _check_inputs(self, X, seeds):
         """``(coordinates, seed ids or None)`` as float ``(n, ndim)`` and
@@ -365,7 +355,7 @@ class SeedKernelGP:
         positive definite.
         """
         try:
-            K = self._fill_cov(*self._hyper(packed), self._nugget_from_packed(packed))
+            K = self._fill_cov(*self._hyper(packed))
         except ValueError:
             return np.inf
         L = self._factor(K)
@@ -447,9 +437,8 @@ class SeedKernelGP:
     def _finalize(self, packed):
         """Decode the kernel once, and build and store the training
         factorization and the per-fit tables prediction uses."""
-        self.lengthscales, self.variance, self.seed_matrix = self._hyper(packed)
-        g = self._nugget_from_packed(packed)
-        K = self._fill_cov(self.lengthscales, self.variance, self.seed_matrix, g)
+        self.lengthscales, self.variance, self.seed_matrix, self.nugget = self._hyper(packed)
+        K = self._fill_cov(self.lengthscales, self.variance, self.seed_matrix, self.nugget)
         L, jitter = safe_cholesky(K)
         self._L = L
         self.lml, self._alpha = _chol_lml(L, self._Y)
@@ -457,7 +446,6 @@ class SeedKernelGP:
         self._Z = X / self.lengthscales
         # row i holds the seed-matrix entries of training seed r_i against every seed
         self._seed_rows = None if r is None else self.seed_matrix[r - 1]
-        self.nugget = g
         self._jitter = jitter
         self._packed = packed.copy()
         self._fitted = True

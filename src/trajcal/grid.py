@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .dataspace import _check_design, latin_hypercube
+from .dataspace import _check_design, latin_hypercube, reflect
 from .errors import ProgressError
 
 __all__ = [
@@ -37,17 +37,18 @@ MAX_ATTEMPTS_PER_POINT = 10_000
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Candidate-set dimensions: d coordinates, k seeds, M grid points."""
+    """Candidate-set dimensions: d coordinates, M grid points.
+
+    The seed count grows during a run, so each ``sample`` call and
+    ``FixedGrid.from_lhs`` take the current one as ``nseeds``.
+    """
 
     ndim: int
-    nseeds: int
     ngrid: int = 100
 
     def __post_init__(self):
         if self.ndim < 1:
             raise ValueError("ndim must be >= 1")
-        if self.nseeds < 1:
-            raise ValueError("nseeds must be >= 1")
         if self.ngrid < 1:
             raise ValueError("ngrid must be >= 1")
 
@@ -107,12 +108,6 @@ def resample_indices(weights: np.ndarray, size: int, rng: np.random.Generator) -
     return rng.choice(w.size, size=size, replace=True, p=w / total)
 
 
-def _reflect_unit(z: np.ndarray) -> np.ndarray:
-    """Fold coordinates into [0, 1] by reflection at both boundaries."""
-    m = np.mod(z, 2.0)
-    return np.where(m > 1.0, 2.0 - m, m)
-
-
 def mh_densify(entries, likelihood_fn, nseeds: int, target: int, step: float,
                rng: np.random.Generator, max_attempts: int, record=None):
     """Grow ``entries`` to ``target`` distinct (x, seed) pairs by MH moves.
@@ -150,7 +145,7 @@ def mh_densify(entries, likelihood_fn, nseeds: int, target: int, step: float,
             )
         attempts += 1
         x_cur, r_cur, l_cur = out[rng.integers(len(out))]
-        x_can = _reflect_unit(x_cur + rng.normal(0.0, step, size=x_cur.shape[0]))
+        x_can = reflect(x_cur + rng.normal(0.0, step, size=x_cur.shape[0]), 1.0)
         l_can = np.asarray(likelihood_fn(x_can), dtype=float)
         for j in range(nseeds):
             alpha = min(1.0, l_can[j] / l_cur)
@@ -184,9 +179,10 @@ class FixedGrid:
         self._grid = grid
 
     @classmethod
-    def from_lhs(cls, config: GridConfig, rng: np.random.Generator) -> "FixedGrid":
-        """One-time Latin-hypercube initialization, then frozen."""
-        return cls(_lhs_grid(config.ngrid, config.ndim, config.nseeds, rng))
+    def from_lhs(cls, config: GridConfig, nseeds: int,
+                 rng: np.random.Generator) -> "FixedGrid":
+        """One-time Latin-hypercube initialization over ``nseeds`` seeds, then frozen."""
+        return cls(_lhs_grid(config.ngrid, config.ndim, nseeds, rng))
 
     def sample(self, **_) -> CandidateGrid:
         return self._grid
@@ -198,9 +194,8 @@ class LHSGrid:
     def __init__(self, config: GridConfig):
         self.config = config
 
-    def sample(self, *, nseeds=None, rng=None, **_) -> CandidateGrid:
-        k = int(nseeds) if nseeds is not None else self.config.nseeds
-        return _lhs_grid(self.config.ngrid, self.config.ndim, k, rng)
+    def sample(self, *, nseeds, rng, **_) -> CandidateGrid:
+        return _lhs_grid(self.config.ngrid, self.config.ndim, int(nseeds), rng)
 
 
 class AdaptiveGrid:
@@ -225,12 +220,9 @@ class AdaptiveGrid:
         self.reuse_previous = bool(reuse_previous)
         self._previous: CandidateGrid | None = None
 
-    def sample(self, *, emulator=None, dataset=None, nseeds=None,
-               rng=None) -> CandidateGrid:
-        if emulator is None or dataset is None or rng is None:
-            raise ValueError("adaptive sampling needs an emulator, dataset, and rng")
+    def sample(self, *, emulator, dataset, nseeds, rng) -> CandidateGrid:
         M = self.config.ngrid
-        k = int(nseeds) if nseeds is not None else self.config.nseeds
+        k = int(nseeds)
         prev = self._previous if self.reuse_previous else None
         if prev is None:
             prev = _lhs_grid(M, self.config.ndim, k, rng)

@@ -39,6 +39,9 @@ LENGTHSCALE_BOUNDS = (1e-2, 2.0)
 VARIANCE_BOUNDS = (1e-4, 1e2)
 SEED_V_BOUNDS = (0.0, 10.0)
 
+#: Jitter escalations ``safe_cholesky`` tries before it gives up.
+MAX_ESCALATIONS = 5
+
 _SQRT5 = np.sqrt(5.0)
 
 
@@ -143,12 +146,12 @@ def bundled_openblas(package, symbol: str):
         yield function
 
 
-def safe_cholesky(a: np.ndarray, jitter: float = 0.0, max_escalations: int = 5):
+def safe_cholesky(a: np.ndarray):
     """Lower Cholesky factor of ``a + jitter * I`` with escalating jitter.
 
-    The initial jitter is tried first; each failure multiplies it by 10
-    (starting from a matrix-scaled floor when the initial jitter is zero),
-    up to ``max_escalations`` times.
+    ``a`` itself is tried first; each failure sets the jitter to a
+    matrix-scaled floor, then multiplies it by 10, up to
+    ``MAX_ESCALATIONS`` times.
 
     Returns
     -------
@@ -164,10 +167,9 @@ def safe_cholesky(a: np.ndarray, jitter: float = 0.0, max_escalations: int = 5):
     n = a.shape[0]
     scale = float(np.max(np.diag(a))) if n else 0.0
     floor = 1e-12 * max(1.0, scale)
-    j = float(jitter)
-    tried = j
+    j = 0.0
     m = a
-    for attempt in range(max_escalations + 1):
+    for attempt in range(MAX_ESCALATIONS + 1):
         tried = j
         if j > 0.0:
             if m is a:  # one copy for every retry, with the bits of a + j * I:
@@ -178,5 +180,5 @@ def safe_cholesky(a: np.ndarray, jitter: float = 0.0, max_escalations: int = 5):
         except np.linalg.LinAlgError:
             j = j * 10.0 if j > 0.0 else floor
     raise NumericalError(
-        f"Cholesky failed after {max_escalations} jitter escalations", jitter=tried
+        f"Cholesky failed after {MAX_ESCALATIONS} jitter escalations", jitter=tried
     )

@@ -23,7 +23,7 @@ pairs an all-pairs distance matrix would, with the same squared distances,
 and sorts them into the order of item 3, so the draws are unchanged.
 
 Each stream's walk is built once, in place, and cached: a (horizon + 1, n, 2)
-table of positions and the (horizon, n) table of direction draws.
+table of positions and the index agent's column of direction draws.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dataspace import DesignPoint
+from .dataspace import DesignPoint, reflect
 
 __all__ = [
     "SirConfig",
@@ -112,26 +112,21 @@ class Trajectory:
         return self.infected_counts.shape[0]
 
 
-def _fold(z: np.ndarray, extent: float) -> np.ndarray:
-    """Map free-walk coordinates into [0, extent] by boundary reflection,
-    in place; returns ``z``."""
-    np.mod(z, 2.0 * extent, out=z)
-    return np.subtract(2.0 * extent, z, out=z, where=z > extent)
-
-
 @lru_cache(maxsize=4)
 def _movement(crn_stream_id: int, n_agents: int, extent: float, horizon: int):
     """Integrated reflected-walk positions shared by every run of one stream.
 
-    Returns (positions, steps): positions[t, i] is agent i's location after
-    step t assuming its drawn starting point; steps[t - 1, i] is the raw
-    direction draw.  The index case overrides its start elsewhere, so its
-    column here is recomputed per run from the same step draws.
+    Returns (positions, index_steps): positions[t, i] is agent i's location
+    after step t assuming its drawn starting point; index_steps[t - 1] is
+    the index agent's raw direction draw at step t.  The index case
+    overrides its start elsewhere, so its column of positions is recomputed
+    per run from those draws; no other draw is kept.
 
     The step vectors are written into rows 1..horizon of the table, summed
     row by row in step order (the sums ``cumsum`` makes), shifted by the
-    starts and folded, all in place: the build needs little beyond the two
-    arrays it keeps.
+    starts and folded, all in place.  The build needs little beyond the
+    positions it keeps and the whole table of draws, which ``rng.integers``
+    makes in one call.
     """
     rng = np.random.default_rng(np.random.SeedSequence([crn_stream_id, 0]))
     init = rng.uniform(0.0, extent, size=(n_agents, 2))
@@ -142,10 +137,11 @@ def _movement(crn_stream_id: int, n_agents: int, extent: float, horizon: int):
     for t in range(2, horizon + 1):
         np.add(positions[t - 1], positions[t], out=positions[t])
     positions += init
-    _fold(positions, extent)
+    reflect(positions, extent)
+    index_steps = steps[:, _INDEX_AGENT].copy()
     positions.setflags(write=False)
-    steps.setflags(write=False)
-    return positions, steps
+    index_steps.setflags(write=False)
+    return positions, index_steps
 
 
 class _CellGrid:
@@ -207,14 +203,14 @@ def sir_run(config: SirConfig) -> Trajectory:
     infected x susceptible; the draw order of item 3 is unchanged.
     """
     n, horizon = config.n_agents, config.horizon
-    positions, steps = _movement(
+    positions, index_steps = _movement(
         int(config.crn_stream_id), n, float(config.grid_extent), horizon
     )
     start = 25.0 + config.seed_id
     index_free = start + np.concatenate(
-        [np.zeros((1, 2)), np.cumsum(DIRECTIONS[steps[:, _INDEX_AGENT]], axis=0)]
+        [np.zeros((1, 2)), np.cumsum(DIRECTIONS[index_steps], axis=0)]
     )
-    index_path = _fold(index_free, config.grid_extent)
+    index_path = reflect(index_free, config.grid_extent)
 
     infect_rng = np.random.default_rng(
         np.random.SeedSequence([int(config.crn_stream_id), 1])

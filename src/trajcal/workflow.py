@@ -59,11 +59,10 @@ STREAM_DERIVATION = (
 )
 
 
-def component_stream(master_seed: int, component: str | int, iteration: int = 0) -> np.random.Generator:
-    """Independent generator for one component at one iteration."""
-    cid = COMPONENTS[component] if isinstance(component, str) else int(component)
+def component_stream(master_seed: int, component: str, iteration: int = 0) -> np.random.Generator:
+    """Independent generator for one named component at one iteration."""
     return np.random.default_rng(
-        np.random.SeedSequence([int(master_seed), cid, int(iteration)])
+        np.random.SeedSequence([int(master_seed), COMPONENTS[component], int(iteration)])
     )
 
 

@@ -229,7 +229,7 @@ def test_adaptive_grid_always_returns_full_in_domain_grids():
         },
     )
     em.fit(ds.X, ds.seeds, ds.y_std)
-    strategy = AdaptiveGrid(GridConfig(ndim=2, nseeds=4, ngrid=60))
+    strategy = AdaptiveGrid(GridConfig(ndim=2, ngrid=60))
     for _ in range(8):
         grid = strategy.sample(emulator=em, dataset=ds, nseeds=4, rng=rng)
         assert len(grid) == 60
@@ -332,7 +332,7 @@ def test_expansion_triggers_replay_against_the_simulation_counter():
         nTS_samp=30,
         master_seed=ms,
     )
-    trace = run(ds, toy_objective, cfg, em, LHSGrid(GridConfig(ndim=1, nseeds=k0, ngrid=100)))
+    trace = run(ds, toy_objective, cfg, em, LHSGrid(GridConfig(ndim=1, ngrid=100)))
 
     assert len(ds) == 200
     assert [k for _, k in trace.expansion_events] == [6, 7, 8]
@@ -447,10 +447,10 @@ def _calibrate_sir(master_seed: int, seed_aware: bool):
     dataset = Dataset(X0, seeds0, np.array(y0))
     if seed_aware:
         emulator = SeedKernelGP(ndim=1, nseeds=k0, nstarts=2, maxfev=150)
-        strategy = AdaptiveGrid(GridConfig(ndim=1, nseeds=k0, ngrid=100))
+        strategy = AdaptiveGrid(GridConfig(ndim=1, ngrid=100))
     else:
         emulator = SeedKernelGP(ndim=1, nstarts=2, maxfev=150)
-        strategy = LHSGrid(GridConfig(ndim=1, nseeds=k0, ngrid=100))
+        strategy = LHSGrid(GridConfig(ndim=1, ngrid=100))
     config = WorkflowConfig(
         budget=200,
         # a huge interval disables seed growth; both arms search seeds 1..20

@@ -401,6 +401,18 @@ def test_readme_minimal_config_loads(tmp_path):
     assert cfg["problem"]["n_agents"] == 2000
     assert cfg["workflow"]["budget"] == 200
 
+
+def test_readme_python_imports_exist():
+    """Every name the README's Python example imports from the package is
+    a top-level export."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    names = [name for block in blocks
+             for group in re.findall(r"^from trajcal import (\([^)]*\)|.*)$", block, re.M)
+             for name in re.findall(r"\w+", group)]
+    assert names
+    assert set(names) <= set(trajcal.__all__), sorted(set(names) - set(trajcal.__all__))
+
 # ----------------------------------------------------------------- simulate
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajcal.dataspace import (
+    DEFAULT_EPSILON,
     Bounds,
     Dataset,
     DesignPoint,
@@ -151,9 +152,9 @@ def test_fit_transform_hand_example():
 
 
 def test_fit_transform_floors_zero():
-    eps = 1e-12
-    tf, _ = fit_transform(np.array([0.0, 1.0]), epsilon=eps)
-    logs = np.log(np.maximum(np.array([0.0, 1.0]), eps))
+    tf, _ = fit_transform(np.array([0.0, 1.0]))
+    logs = np.log(np.maximum(np.array([0.0, 1.0]), DEFAULT_EPSILON))
+    assert tf.epsilon == DEFAULT_EPSILON
     assert tf.mean == pytest.approx(logs.mean())
 
 

@@ -390,7 +390,7 @@ def test_fixed_lengthscales_must_match_the_dimension():
 _GOOD_FIXED = {"lengthscales": [0.5], "variance": 1.0, "B": np.eye(2), "v": [0.1, 0.1]}
 
 
-@pytest.mark.parametrize("field, fixed, bounds", [
+@pytest.mark.parametrize("field, fixed, extra", [
     ("lengthscales", {"lengthscales": [math.nan]}, None),
     ("lengthscales", {"lengthscales": [math.inf]}, None),
     ("variance", {"variance": math.inf}, None),
@@ -402,14 +402,13 @@ _GOOD_FIXED = {"lengthscales": [0.5], "variance": 1.0, "B": np.eye(2), "v": [0.1
     ("nugget", {"nugget": math.inf}, None),
     ("nugget", {"nugget": -1.0}, None),
     ("nugget", {"nugget": 0.5 * NUGGET_BOUNDS[0]}, None),
-    ("nugget_bounds", None, (1e-8, math.nan)),
-    ("nugget_bounds", None, (1e-8, math.inf)),
-    ("nugget_bounds", None, (1e-4, 1e-6)),
+    ("nstarts", None, {"nstarts": 0}),
+    ("maxfev", None, {"maxfev": 0}),
 ])
-def test_constructor_rejects_bad_kernel_settings(field, fixed, bounds):
-    """Non-finite or out-of-range kernel settings are refused up front,
-    naming the field, rather than reaching the fit."""
-    kwargs = {"nugget_bounds": bounds} if bounds is not None else {}
+def test_constructor_rejects_bad_kernel_settings(field, fixed, extra):
+    """Non-finite or out-of-range kernel and optimizer settings are refused
+    up front, naming the field, rather than reaching the fit."""
+    kwargs = dict(extra or {})
     if fixed is not None:
         kwargs["fixed"] = {**_GOOD_FIXED, **fixed}
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
@@ -455,17 +454,22 @@ def _reference_seed_matrix(B, v):
     return Bn @ Bn.T + np.diag(v)
 
 
-def _reference_neg_lml(em, p):
-    """Negative LML of packed ``p`` through the public kernel functions, with
-    the checks a fixed kernel gets: the path the emulator's per-fit fast
-    path must match bit for bit."""
-    ls, variance, B, v = em._decode(p)
+def _reference_neg_lml(em, p, fixed=None):
+    """Negative LML of packed ``p``, or of the ``fixed`` kernel settings,
+    through the public kernel functions, with the checks a fixed kernel
+    gets: the path the emulator's per-fit fast path must match bit for bit."""
+    if fixed is None:
+        ls, variance, B, v = em._decode(p)
+        nugget = np.exp(p[em._blocks[4].start])
+    else:
+        ls, variance, B, v, nugget = (
+            fixed.get(key) for key in ("lengthscales", "variance", "B", "v", "nugget"))
     try:
         if variance <= 0.0 or np.any(ls <= 0.0):
             raise ValueError("lengthscales and variance must be positive")
         S = None if B is None else _reference_seed_matrix(B, v)
         K = kernels.cross_cov(*em._train, *em._train, ls, variance, S, em.family)
-        L = np.linalg.cholesky(K + em._nugget_from_packed(p) * np.eye(K.shape[0]))
+        L = np.linalg.cholesky(K + nugget * np.eye(K.shape[0]))
     except ValueError:  # also LinAlgError
         return np.inf
     return -_chol_lml(L, em._Y)[0]
@@ -476,11 +480,21 @@ def _seeded_data(rng, n, seeds):
     return X, r, np.sin(4.0 * X[:, 0]) * X[:, 1] + 0.1 * rng.normal(size=n)
 
 
-def _assert_fast_path_exact(em, rng, npoints=15):
+def _random_fixed(rng, ndim, nseeds, rank, nugget):
+    """``fixed=`` settings at random values: lengthscales short enough that
+    a 150-point Gram matrix plus the nugget needs no jitter."""
+    fixed = {"lengthscales": rng.uniform(0.05, 0.3, ndim),
+             "variance": float(rng.uniform(0.5, 2.0)), "nugget": nugget}
+    if nseeds is not None:
+        fixed.update(B=rng.normal(size=(nseeds, rank)), v=rng.uniform(0.0, 0.5, nseeds))
+    return fixed
+
+
+def _assert_fast_path_exact(em, rng, npoints=15, fixed=None):
     lo, hi = em._pack_bounds()
     for _ in range(npoints):
         p = lo + rng.uniform(size=lo.shape) * (hi - lo)
-        assert em._neg_lml(p) == _reference_neg_lml(em, p)
+        assert em._neg_lml(p) == _reference_neg_lml(em, p, fixed)
     assert em._neg_lml(em._packed) == -em.lml  # the fitted factor needed no jitter
 
 
@@ -499,15 +513,20 @@ def _factor_paths(monkeypatch):
 @pytest.mark.parametrize("per_seed_v", [False, True])
 @pytest.mark.parametrize("nugget", ["free", "fixed"])
 def test_neg_lml_fast_path_equals_reference(family, rank, per_seed_v, nugget, monkeypatch):
+    """A free nugget is estimated; a fixed kernel pins it at 1e-6."""
+    nseeds = None if rank is None else 3
     for _ in _factor_paths(monkeypatch):
         rng = np.random.default_rng(40)
-        em = SeedKernelGP(ndim=2, nseeds=None if rank is None else 3, rank=rank,
-                          family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=20,
-                          nugget_bounds=(1e-8, 1.0) if nugget == "free" else (1e-6, 1e-6),
-                          rng=np.random.default_rng(41))
+        common = dict(ndim=2, nseeds=nseeds, rank=rank, family=family,
+                      per_seed_v=per_seed_v, nstarts=1, maxfev=20,
+                      rng=np.random.default_rng(41))
+        em, fixed = SeedKernelGP(**common), None
         for n in (2, 7, 40, 150):
+            if nugget == "fixed":
+                fixed = _random_fixed(rng, 2, nseeds, rank, 1e-6)
+                em = SeedKernelGP(**common, fixed=fixed)
             em.fit(*_seeded_data(rng, n, [1, 2, 3]))
-            _assert_fast_path_exact(em, rng)
+            _assert_fast_path_exact(em, rng, fixed=fixed)
 
 
 def test_numpy_bundles_the_dpotrf_the_likelihood_calls():
@@ -561,7 +580,7 @@ def _check_inf_where_the_reference_raises():
                       rng=np.random.default_rng(43))
     em.fit(*_seeded_data(rng, 30, [1]))
     p = np.array([math.log(2.0), math.log(2.0), math.log(1e12), math.log(1e-8)])
-    K = kernels.cross_cov(*em._train, *em._train, *em._hyper(p), "rbf")
+    K = kernels.cross_cov(*em._train, *em._train, *em._hyper(p)[:3], "rbf")
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(K + 1e-8 * np.eye(K.shape[0]))
     assert em._neg_lml(p) == _reference_neg_lml(em, p) == np.inf

@@ -70,7 +70,7 @@ def test_expand_contiguous_ids():
     initial = Dataset(X, seeds, [toy_objective(DesignPoint(x, r)) for x, r in zip(X, seeds)])
     emulator = SeedKernelGP(ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0})
     trace = run(initial, toy_objective, WorkflowConfig(budget=20, expansion=cfg, nTS_samp=4),
-                emulator, LHSGrid(GridConfig(ndim=1, nseeds=5, ngrid=20)))
+                emulator, LHSGrid(GridConfig(ndim=1, ngrid=20)))
     assert len(trace.expansion_events) >= 2
     assert [k for _, k in trace.expansion_events] == list(range(6, 6 + len(trace.expansion_events)))
     assert trace.expansion_events == [it.expansion for it in trace.iterations if it.expansion]

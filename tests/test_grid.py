@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajcal.dataspace import Dataset
+from trajcal.dataspace import Dataset, reflect
 from trajcal.emulator import SeedKernelGP
 from trajcal.errors import ProgressError
 from trajcal.grid import (
@@ -14,7 +14,6 @@ from trajcal.grid import (
     FixedGrid,
     GridConfig,
     LHSGrid,
-    _reflect_unit,
     _seedwise_likelihood,
     likelihood_values,
     mh_densify,
@@ -41,13 +40,13 @@ class StubEmulator:
 
 
 def test_config_validation():
-    GridConfig(ndim=1, nseeds=1, ngrid=1)
+    GridConfig(ndim=1, ngrid=1)
     with pytest.raises(ValueError):
-        GridConfig(ndim=0, nseeds=1)
+        GridConfig(ndim=0)
     with pytest.raises(ValueError):
-        GridConfig(ndim=1, nseeds=1, ngrid=0)
+        GridConfig(ndim=1, ngrid=0)
     with pytest.raises(ValueError):
-        AdaptiveGrid(GridConfig(ndim=1, nseeds=1), step=0.0)
+        AdaptiveGrid(GridConfig(ndim=1), step=0.0)
 
 
 def test_candidate_grid_validates_domain():
@@ -119,9 +118,24 @@ def test_resample_multiplicities_match_weights():
 
 def test_reflect_unit_folds_into_box():
     z = np.array([-0.3, 0.4, 1.2, 2.6])
-    out = _reflect_unit(z)
+    out = reflect(z, 1.0)
+    assert out is z  # in place
     assert out == pytest.approx([0.3, 0.4, 0.8, 0.6])
-    assert np.array_equal(_reflect_unit(np.array([0.25])), np.array([0.25]))
+    assert np.array_equal(reflect(np.array([0.25]), 1.0), np.array([0.25]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
+       extent=st.sampled_from([1.0, 0.5, 26.0, 37.3, 50.0]) | st.floats(1e-3, 1e3))
+def test_reflect_equals_the_where_expression(z, extent):
+    """In-place reflection has the bits of the whole-array expression the
+    grid and the simulator each used, at the unit extent and others."""
+    z = np.array(z)
+    m = np.mod(z, 2.0 * extent)
+    want = np.where(m > extent, 2.0 * extent - m, m)
+    got = reflect(z.copy(), extent)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert ((0.0 <= got) & (got <= extent)).all()
 
 
 def test_mh_densify_uniform_likelihood_accepts_first():
@@ -180,8 +194,8 @@ def test_fixed_grid_returns_same_object_every_call():
 
 
 def test_fixed_grid_from_lhs_stratified():
-    cfg = GridConfig(ndim=1, nseeds=4, ngrid=100)
-    strat = FixedGrid.from_lhs(cfg, np.random.default_rng(7))
+    cfg = GridConfig(ndim=1, ngrid=100)
+    strat = FixedGrid.from_lhs(cfg, 4, np.random.default_rng(7))
     grid = strat.sample()
     bins = np.floor(np.sort(grid.X[:, 0]) * 100).astype(int)
     assert np.minimum(bins, 99).tolist() == list(range(100))
@@ -189,17 +203,17 @@ def test_fixed_grid_from_lhs_stratified():
 
 
 def test_lhs_grid_fresh_each_call_with_cycled_seeds():
-    cfg = GridConfig(ndim=2, nseeds=5, ngrid=10)
+    cfg = GridConfig(ndim=2, ngrid=10)
     strat = LHSGrid(cfg)
     rng = np.random.default_rng(8)
-    g1 = strat.sample(rng=rng)
-    g2 = strat.sample(rng=rng)
+    g1 = strat.sample(nseeds=5, rng=rng)
+    g2 = strat.sample(nseeds=5, rng=rng)
     assert not np.array_equal(g1.X, g2.X)
     assert np.bincount(g1.seeds, minlength=6)[1:].tolist() == [2, 2, 2, 2, 2]
 
 
-def _fitted_stub_setup(ngrid=30, nseeds=3):
-    cfg = GridConfig(ndim=1, nseeds=nseeds, ngrid=ngrid)
+def _fitted_stub_setup(ngrid=30):
+    cfg = GridConfig(ndim=1, ngrid=ngrid)
     em = StubEmulator(mean_fn=lambda X: (X[:, 0] - 0.4) ** 2 * 4.0)
     ds = Dataset(np.array([[0.2], [0.9]]), np.array([1, 2]), np.array([2.0, 5.0]))
     return cfg, em, ds
@@ -262,20 +276,26 @@ def test_grid_digest_tracks_content():
 @given(family=st.sampled_from(["matern52", "rbf"]),
        rank=st.sampled_from([None, 1, 2, 3]),
        per_seed_v=st.booleans(),
-       fixed_nugget=st.booleans(),
+       fixed_kernel=st.booleans(),
        nseeds=st.integers(min_value=3, max_value=6),
        ndim=st.integers(min_value=1, max_value=3),
        n=st.integers(min_value=2, max_value=40),
        data_seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_seedwise_likelihood_equals_tiled_likelihood_values(
-        family, rank, per_seed_v, fixed_nugget, nseeds, ndim, n, data_seed):
+        family, rank, per_seed_v, fixed_kernel, nseeds, ndim, n, data_seed):
     """The MH walk's seed-wise likelihood at x is bitwise the likelihood of x
-    repeated once per seed, and so are the underlying mean and variance."""
+    repeated once per seed, and so are the underlying mean and variance,
+    for a fitted kernel and for a fixed one with its nugget pinned at 1e-6."""
     rng = np.random.default_rng(data_seed)
+    fixed = None
+    if fixed_kernel:
+        fixed = {"lengthscales": rng.uniform(0.05, 1.0, ndim),
+                 "variance": float(rng.uniform(0.5, 2.0)), "nugget": 1e-6}
+        if rank is not None:
+            fixed.update(B=rng.normal(size=(nseeds, rank)), v=rng.uniform(0.0, 0.5, nseeds))
     em = SeedKernelGP(ndim=ndim, nseeds=None if rank is None else nseeds, rank=rank,
                       family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=20,
-                      nugget_bounds=(1e-6, 1e-6) if fixed_nugget else (1e-8, 1.0),
-                      rng=np.random.default_rng(data_seed))
+                      fixed=fixed, rng=np.random.default_rng(data_seed))
     X, seeds = rng.random((n, ndim)), rng.integers(1, nseeds + 1, size=n)
     em.fit(X, seeds, rng.normal(size=n))
     for _ in range(5):

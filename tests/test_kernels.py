@@ -265,13 +265,15 @@ def test_safe_cholesky_escalates_then_fails():
     # a matrix with a negative eigenvalue cannot be rescued by tiny jitter
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NumericalError) as err:
-        safe_cholesky(bad, jitter=1e-10, max_escalations=2)
-    assert err.value.jitter > 1e-10
+        safe_cholesky(bad)
+    # the floor 1e-12, then MAX_ESCALATIONS - 1 tenfold escalations
+    assert err.value.jitter == pytest.approx(1e-12 * 10.0 ** (kernels.MAX_ESCALATIONS - 1))
 
 
 def test_safe_cholesky_recovers_semidefinite():
     a = np.ones((3, 3))  # rank one, singular
-    L, j = safe_cholesky(a, jitter=1e-10)
+    L, j = safe_cholesky(a)
+    assert j > 0.0
     assert np.allclose(L @ L.T, a + j * np.eye(3), atol=1e-6)
 
 

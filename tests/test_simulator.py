@@ -10,14 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from trajcal.dataspace import DesignPoint
+from trajcal.dataspace import DesignPoint, reflect
 from trajcal.simulator import (
     SirConfig,
     sir_run,
     to_table,
     toy_objective,
 )
-from trajcal.simulator import DIRECTIONS, _fold, _movement
+from trajcal.simulator import DIRECTIONS, _movement
 
 # small population keeps unit tests fast; full-scale runs live in acceptance
 SMALL = dict(n_agents=250, horizon=40)
@@ -135,25 +135,32 @@ def _reference_movement(crn_stream_id, n_agents, extent, horizon):
     (9, 200, 37.3, 80),  # a non-integer extent
 ])
 def test_movement_matches_the_whole_array_reference(args):
-    positions, steps = _movement(*args)
+    positions, index_steps = _movement(*args)
     ref_positions, ref_steps = _reference_movement(*args)
     assert positions.shape == ref_positions.shape
     assert np.array_equal(positions.view(np.int64), ref_positions.view(np.int64))
-    assert np.array_equal(steps, ref_steps)
+    assert index_steps.shape == (args[3],)
+    assert np.array_equal(index_steps, ref_steps[:, 0])
 
 
 def test_movement_builds_in_little_more_than_it_keeps():
-    """The build's traced peak is at most the kept table plus 1 MiB; the
-    whole-array build held about four more tables of positions at once."""
+    """The build's traced peak is at most the positions table, the table of
+    draws and 1 MiB; the whole-array build held about four more tables of
+    positions at once.  Of the draws only the index agent's column is kept."""
+    n, horizon = 2000, 100
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        kept = _movement.__wrapped__(5, 2000, 50.0, 100)  # bypass the cache
+        kept = _movement.__wrapped__(5, n, 50.0, horizon)  # bypass the cache
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(a.nbytes for a in kept) <= current - base
-    assert peak - base <= (current - base) + 2**20
+    positions, index_steps = kept
+    draws = horizon * n * np.dtype(np.int64).itemsize
+    assert positions.shape == (horizon + 1, n, 2) and index_steps.shape == (horizon,)
+    assert positions.nbytes + index_steps.nbytes <= current - base
+    assert current - base <= positions.nbytes + index_steps.nbytes + 2**16
+    assert peak - base <= positions.nbytes + draws + 2**20
 
 
 def test_mean_outbreak_monotone_in_beta():
@@ -237,14 +244,14 @@ def _reference_sir_run(config):
     """The simulator with the all-pairs contact search: a dense infected x
     susceptible distance matrix per step, its pairs read out row-major."""
     n, horizon = config.n_agents, config.horizon
-    positions, steps = _movement(
+    positions, index_steps = _movement(
         int(config.crn_stream_id), n, float(config.grid_extent), horizon
     )
     start = 25.0 + config.seed_id
     index_free = start + np.concatenate(
-        [np.zeros((1, 2)), np.cumsum(DIRECTIONS[steps[:, 0]], axis=0)]
+        [np.zeros((1, 2)), np.cumsum(DIRECTIONS[index_steps], axis=0)]
     )
-    index_path = _fold(index_free, config.grid_extent)
+    index_path = reflect(index_free, config.grid_extent)
 
     infect_rng = np.random.default_rng(
         np.random.SeedSequence([int(config.crn_stream_id), 1])

@@ -35,12 +35,6 @@ def test_component_stream_repeatable():
     assert np.array_equal(a, b)
 
 
-def test_component_stream_accepts_numeric_id():
-    a = component_stream(5, "grid", 1).random(3)
-    b = component_stream(5, COMPONENTS["grid"], 1).random(3)
-    assert np.array_equal(a, b)
-
-
 def test_component_streams_distinct_across_components_and_iterations():
     draws = {
         (name, it): tuple(component_stream(0, name, it).random(2))
@@ -162,7 +156,7 @@ def _loop(budget, n0=6, k0=3, master_seed=0, simulator=toy_objective,
         master_seed=master_seed,
         **kw,
     )
-    strategy = LHSGrid(GridConfig(ndim=1, nseeds=k0, ngrid=30))
+    strategy = LHSGrid(GridConfig(ndim=1, ngrid=30))
     return initial, run(initial, simulator, config, _fixed_emulator(), strategy)
 
 
@@ -171,7 +165,7 @@ def test_run_rejects_budget_below_initial_design():
     config = WorkflowConfig(budget=5, expansion=ExpansionConfig(nseeds=3))
     with pytest.raises(ValueError):
         run(initial, toy_objective, config, _fixed_emulator(),
-            LHSGrid(GridConfig(ndim=1, nseeds=3)))
+            LHSGrid(GridConfig(ndim=1)))
 
 
 def test_run_rejects_empty_initial():
@@ -182,7 +176,7 @@ def test_run_rejects_empty_initial():
     config = WorkflowConfig(budget=5, expansion=ExpansionConfig(nseeds=3))
     with pytest.raises(ValueError):
         run(Empty(), toy_objective, config, _fixed_emulator(),
-            LHSGrid(GridConfig(ndim=1, nseeds=3)))
+            LHSGrid(GridConfig(ndim=1)))
 
 
 def test_budget_equal_to_initial_design_runs_zero_iterations():
@@ -277,7 +271,7 @@ def test_single_simulator_failure_is_logged_and_does_not_consume_budget():
         ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 0.3}
     )
     trace = run(initial, flaky, config, emulator,
-                LHSGrid(GridConfig(ndim=1, nseeds=3, ngrid=30)))
+                LHSGrid(GridConfig(ndim=1, ngrid=30)))
     failed = [e for e in trace.evaluations if e.failed]
     ok = [e for e in trace.evaluations if not e.failed]
     assert len(failed) == 1
@@ -299,7 +293,7 @@ def test_non_finite_objective_is_a_failed_evaluation():
         ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 0.3}
     )
     trace = run(initial, nan_on_seed_two, config, emulator,
-                LHSGrid(GridConfig(ndim=1, nseeds=3, ngrid=30)))
+                LHSGrid(GridConfig(ndim=1, ngrid=30)))
     failed = [e for e in trace.evaluations if e.failed]
     assert failed
     assert all(e.seed == 2 and e.y_raw is None for e in failed)
@@ -320,7 +314,7 @@ def test_total_failure_raises_progress_error_with_partial_trace():
     config = WorkflowConfig(budget=12, expansion=ExpansionConfig(nseeds=3))
     with pytest.raises(ProgressError) as err:
         run(initial, broken, config, _fixed_emulator(),
-            LHSGrid(GridConfig(ndim=1, nseeds=3, ngrid=30)))
+            LHSGrid(GridConfig(ndim=1, ngrid=30)))
     trace = err.value.trace
     assert len(initial) == 6
     assert initial.transform is not None
@@ -345,7 +339,7 @@ def _expansion_run(mode):
         expansion_mode=mode,
     )
     emulator = SeedKernelGP(ndim=1, nseeds=k0, nstarts=1, maxfev=60)
-    strategy = LHSGrid(GridConfig(ndim=1, nseeds=k0, ngrid=30))
+    strategy = LHSGrid(GridConfig(ndim=1, ngrid=30))
     return initial, run(initial, toy_objective, config, emulator, strategy), emulator
 
 
