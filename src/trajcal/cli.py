@@ -582,8 +582,15 @@ def _read_bundle(bundle_dir: str):
     for name, kind in (("iteration", int), ("y_std", float), ("rmse_truth", float)):
         if name not in (reader.fieldnames or ()):
             raise ValueError(f"design.csv: no {name} column")
-        columns.append(np.array([_number(row[name], f"design.csv: row {i} {name}", kind)
-                                 for i, row in enumerate(rows, start=1)]))
+        column = np.array([_number(row[name], f"design.csv: row {i} {name}", kind)
+                           for i, row in enumerate(rows, start=1)])
+        # a bundle whose truth is unknown writes a NaN rmse_truth
+        bad = np.isinf(column) if name == "rmse_truth" else ~np.isfinite(column)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"design.csv: row {i + 1} {name}: "
+                             f"{rows[i][name]!r} is not a finite number")
+        columns.append(column)
     return columns
 
 

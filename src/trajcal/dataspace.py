@@ -71,8 +71,8 @@ class Bounds:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-d arrays of equal length")
-        if np.any(lower >= upper):
-            raise ValueError("require lower[i] < upper[i] for all i")
+        if not np.all(np.isfinite(lower) & np.isfinite(upper) & (lower < upper)):
+            raise ValueError("require finite lower[i] < upper[i] for all i")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

@@ -10,6 +10,7 @@ points with a Metropolis-Hastings random walk over (coordinates, seed).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +214,8 @@ class AdaptiveGrid:
 
     def __init__(self, config: GridConfig, step: float = 0.05,
                  reuse_previous: bool = True):
-        if step <= 0:
-            raise ValueError("proposal step must be positive")
+        if not 0 < step < math.inf:  # NaN fails both comparisons
+            raise ValueError("proposal step must be positive and finite")
         self.config = config
         self.step = step
         self.reuse_previous = bool(reuse_previous)

@@ -23,7 +23,11 @@ pairs an all-pairs distance matrix would, with the same squared distances,
 and sorts them into the order of item 3, so the draws are unchanged.
 
 Each stream's walk is built once, in place, and cached: a (horizon + 1, n, 2)
-table of positions and the index agent's column of direction draws.
+table of positions and the index agent's column of direction draws.  Next
+to it, per stream and radius, sits a read-only (horizon + 1, n) int16 table
+of every agent's cell at every step, so a run gathers its agents' cells
+instead of recomputing them; only the index agent's cells, which depend on
+the seed id, are computed per run.
 """
 
 from __future__ import annotations
@@ -144,19 +148,26 @@ def _movement(crn_stream_id: int, n_agents: int, extent: float, horizon: int):
     return positions, index_steps
 
 
+#: cells along a side at most, so every id, ring included, is below
+#: (179 + 2)^2 = 32,761 and fits int16
+_MAX_SIDE = 179
+
+
 class _CellGrid:
     """Uniform cells over the [0, extent]^2 area, each wider than the radius.
 
     Two points within ``radius`` of each other then lie in the same or in
     adjacent cells.  The width carries a relative margin of 1e-9 over the
     radius, so a cell index rounded by one ulp at a boundary cannot drop a
-    pair.  There are at most about as many cells as points (a coarser grid
-    only adds candidates), and a ring of empty cells borders the grid so
-    every cell has all eight neighbours.
+    pair.  There are at most about as many cells as points, and at most
+    ``_MAX_SIDE`` along a side so that ids fit int16 (a coarser grid only
+    adds candidates).  A ring of empty cells borders the grid so every cell
+    has all eight neighbours.
     """
 
     def __init__(self, extent: float, radius: float, npoints: int):
-        side = min(math.isqrt(npoints) + 1, extent / (radius * (1.0 + 1e-9)))
+        side = min(math.isqrt(npoints) + 1, extent / (radius * (1.0 + 1e-9)),
+                   _MAX_SIDE)
         self.m = max(1, int(side))
         self.scale = self.m / extent
         self.stride = self.m + 2
@@ -172,10 +183,11 @@ class _CellGrid:
 
     def candidates(self, cell_a: np.ndarray, cell_b: np.ndarray):
         """Every (i, j) with point j of b in the 3 x 3 cells around point i
-        of a, as two index arrays: ordered by i, then by cell, then by j."""
-        nb = cell_b.size
-        # b's indices by cell, then by index: one sort of unique keys
-        order = np.sort(cell_b * nb + np.arange(nb)) % nb
+        of a, as two index arrays: ordered by i, then by cell, then by j.
+
+        b's indices go by cell with a stable sort, which keeps equal cells
+        in index order; on int16 ids numpy sorts them by radix."""
+        order = np.argsort(cell_b, kind="stable")
         size = np.bincount(cell_b, minlength=self.stride * self.stride)
         first = np.cumsum(size) - size
         near = cell_a[:, None] + self.neighbours
@@ -186,6 +198,25 @@ class _CellGrid:
         cols = order[np.arange(shift.size) + shift]
         rows = np.repeat(np.arange(cell_a.size), count.reshape(-1, 9).sum(axis=1))
         return rows, cols
+
+
+@lru_cache(maxsize=4)
+def _cell_ids(crn_stream_id: int, n_agents: int, extent: float, horizon: int,
+              radius: float):
+    """The contact grid of one stream and radius, and its id table.
+
+    Returns (cells, ids): ids[t, i] is the ``cells`` id of agent i after
+    step t at its walked position, as ``_movement`` gives it; the index
+    case's own path is not in it.  The read-only int16 table is filled one
+    step at a time, so the build holds little beyond the table.
+    """
+    positions, _ = _movement(crn_stream_id, n_agents, extent, horizon)
+    cells = _CellGrid(extent, radius, n_agents)
+    ids = np.empty((horizon + 1, n_agents), dtype=np.int16)
+    for t in range(horizon + 1):
+        ids[t] = cells.ids(positions[t, :, 0], positions[t, :, 1])
+    ids.setflags(write=False)
+    return cells, ids
 
 
 def sir_run(config: SirConfig) -> Trajectory:
@@ -200,17 +231,19 @@ def sir_run(config: SirConfig) -> Trajectory:
 
     Contacts come from a cell list (see ``_CellGrid``), so a step costs
     about the number of agents plus the number of nearby pairs, not
-    infected x susceptible; the draw order of item 3 is unchanged.
+    infected x susceptible; the draw order of item 3 is unchanged.  The
+    agents' cells come from the stream's cached table (``_cell_ids``).
     """
     n, horizon = config.n_agents, config.horizon
-    positions, index_steps = _movement(
-        int(config.crn_stream_id), n, float(config.grid_extent), horizon
-    )
+    stream, extent = int(config.crn_stream_id), float(config.grid_extent)
+    positions, index_steps = _movement(stream, n, extent, horizon)
+    cells, cell_ids = _cell_ids(stream, n, extent, horizon, float(config.contact_radius))
     start = 25.0 + config.seed_id
     index_free = start + np.concatenate(
         [np.zeros((1, 2)), np.cumsum(DIRECTIONS[index_steps], axis=0)]
     )
     index_path = reflect(index_free, config.grid_extent)
+    index_cells = cells.ids(index_path[:, 0], index_path[:, 1])
 
     infect_rng = np.random.default_rng(
         np.random.SeedSequence([int(config.crn_stream_id), 1])
@@ -229,7 +262,6 @@ def sir_run(config: SirConfig) -> Trajectory:
     susceptible[0] = n - 1
 
     r2 = config.contact_radius**2
-    cells = _CellGrid(float(config.grid_extent), float(config.contact_radius), n)
     for t in range(1, horizon + 1):
         inf_idx = np.flatnonzero(state == _INFECTED)
         if inf_idx.size == 0:
@@ -244,10 +276,12 @@ def sir_run(config: SirConfig) -> Trajectory:
         if sus_idx.size:
             x, y = positions[t].T
             xi, yi = x[inf_idx], y[inf_idx]
+            ci = cell_ids[t, inf_idx]
             if inf_idx[0] == _INDEX_AGENT:
                 xi[0], yi[0] = index_path[t]
+                ci[0] = index_cells[t]
             xs, ys = x[sus_idx], y[sus_idx]
-            rows, cols = cells.candidates(cells.ids(xi, yi), cells.ids(xs, ys))
+            rows, cols = cells.candidates(ci, cell_ids[t, sus_idx])
             # the arithmetic of an all-pairs squared-distance matrix, so a
             # pair exactly on the radius is kept or dropped as it was there
             dx = xi[rows] - xs[cols]
@@ -258,16 +292,18 @@ def sir_run(config: SirConfig) -> Trajectory:
             if pairs.size:
                 u = infect_rng.random(pairs.size)
                 hits = pairs[u < config.beta] % sus_idx.size
-                newly = sus_idx[np.unique(hits)]
+                # the distinct hits, ascending
+                newly = sus_idx[np.flatnonzero(np.bincount(hits, minlength=sus_idx.size))]
         recovering = inf_idx[t - infection_step[inf_idx] >= config.infectious_period]
         state[recovering] = _RECOVERED
         if newly.size:
             state[newly] = _INFECTED
             infection_step[newly] = t
-        infected[t] = np.count_nonzero(state == _INFECTED)
+        # newly infected agents were susceptible, so the two sets are disjoint
+        infected[t] = infected[t - 1] - recovering.size + newly.size
         cumulative[t] = cumulative[t - 1] + newly.size
-        susceptible[t] = np.count_nonzero(state == _SUSCEPTIBLE)
-        recovered[t] = np.count_nonzero(state == _RECOVERED)
+        susceptible[t] = susceptible[t - 1] - newly.size
+        recovered[t] = recovered[t - 1] + recovering.size
 
     return Trajectory(
         infected_counts=infected,

@@ -964,6 +964,14 @@ def _edit_design(text, column, value=None):
      "design.csv: row 1 iteration: 'abc' is not a number"),
     ("design.csv", lambda t: _edit_design(t, "y_std", "abc"),
      "design.csv: row 1 y_std: 'abc' is not a number"),
+    # a NaN y_std would make every later best_observed NaN
+    ("design.csv", lambda t: _edit_design(t, "y_std", "nan"),
+     "design.csv: row 1 y_std: 'nan' is not a finite number"),
+    ("design.csv", lambda t: _edit_design(t, "y_std", "-inf"),
+     "design.csv: row 1 y_std: '-inf' is not a finite number"),
+    # NaN is how a bundle says its truth is unknown; an infinity is not
+    ("design.csv", lambda t: _edit_design(t, "rmse_truth", "inf"),
+     "design.csv: row 1 rmse_truth: 'inf' is not a finite number"),
 ])
 def test_report_names_the_fault_in_a_malformed_bundle(sir_bundle, tmp_path, capsys,
                                                       name, edit, message):

@@ -33,6 +33,11 @@ def test_bounds_ordering_enforced():
     Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
     with pytest.raises(ValueError):
         Bounds(lower=np.array([1.0]), upper=np.array([1.0]))
+    # NaN passes a bare ``lower >= upper`` check, and rescale then returns NaN
+    for lower, upper in [([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0], [np.inf]),
+                         ([-np.inf], [1.0]), ([0.0, np.nan], [1.0, 2.0])]:
+        with pytest.raises(ValueError, match="require finite lower"):
+            Bounds(lower=np.array(lower), upper=np.array(upper))
 
 
 def test_latin_hypercube_single_point():

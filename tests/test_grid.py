@@ -45,8 +45,10 @@ def test_config_validation():
         GridConfig(ndim=0)
     with pytest.raises(ValueError):
         GridConfig(ndim=1, ngrid=0)
-    with pytest.raises(ValueError):
-        AdaptiveGrid(GridConfig(ndim=1), step=0.0)
+    # NaN passes a bare ``step <= 0`` check
+    for step in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            AdaptiveGrid(GridConfig(ndim=1, ngrid=10), step=step)
 
 
 def test_candidate_grid_validates_domain():

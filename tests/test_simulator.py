@@ -17,7 +17,7 @@ from trajcal.simulator import (
     to_table,
     toy_objective,
 )
-from trajcal.simulator import DIRECTIONS, _movement
+from trajcal.simulator import DIRECTIONS, _cell_ids, _CellGrid, _movement
 
 # small population keeps unit tests fast; full-scale runs live in acceptance
 SMALL = dict(n_agents=250, horizon=40)
@@ -161,6 +161,72 @@ def test_movement_builds_in_little_more_than_it_keeps():
     assert positions.nbytes + index_steps.nbytes <= current - base
     assert current - base <= positions.nbytes + index_steps.nbytes + 2**16
     assert peak - base <= positions.nbytes + draws + 2**20
+
+
+def test_cell_ids_build_in_little_more_than_they_keep():
+    """The id table is built one step at a time: the build keeps the int16
+    table and a grid object, and its traced peak adds one step's
+    temporaries, well under 1 MiB, to the table."""
+    n, horizon = 2000, 100
+    _movement(5, n, 50.0, horizon)  # the walk is cached, so is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = _cell_ids.__wrapped__(5, n, 50.0, horizon, 1.5)  # bypass the cache
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells, ids = kept
+    assert ids.shape == (horizon + 1, n) and ids.dtype == np.int16
+    assert not ids.flags.writeable
+    assert ids.nbytes <= current - base <= ids.nbytes + 2**16
+    assert peak - base <= ids.nbytes + 2**20
+    positions, _ = _movement(5, n, 50.0, horizon)
+    for t in (0, 1, horizon):
+        assert np.array_equal(ids[t], cells.ids(*positions[t].T))
+
+
+def test_cell_grid_side_cap_keeps_ids_in_int16_and_finds_every_pair():
+    """At 40,000 points on a 400-wide area the side would be 201 cells; the
+    cap makes it 179, so ids fit int16, and the wider cells still hold every
+    pair within the radius."""
+    extent, radius = 400.0, 1.0
+    cells = _CellGrid(extent, radius, 40_000)
+    assert cells.m == 179
+    assert cells.stride**2 - 1 <= np.iinfo(np.int16).max
+    rng = np.random.default_rng(11)
+    # spread points, a dense corner at the far walls, and the far corner itself
+    pts = np.concatenate([
+        rng.uniform(0.0, extent, (100, 2)),
+        rng.uniform(extent - 6.0, extent, (199, 2)),
+        [[extent, extent]],
+    ])
+    ids = cells.ids(pts[:, 0], pts[:, 1])
+    assert ids.max() <= np.iinfo(np.int16).max
+    ids = ids.astype(np.int16)
+    rows, cols = cells.candidates(ids, ids)
+    d2 = ((pts[rows] - pts[cols]) ** 2).sum(axis=1)
+    found = set(zip(rows[d2 <= radius**2].tolist(), cols[d2 <= radius**2].tolist()))
+    expected = set(map(tuple, np.argwhere(cdist(pts, pts, "sqeuclidean") <= radius**2).tolist()))
+    assert len(expected) > 2 * len(pts)  # the corner holds pairs beyond the self-pairs
+    assert found == expected
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size  # no repeats
+
+
+def test_the_radius_keys_the_cell_id_cache():
+    """One stream at radius 0.3, then 1.5, then 0.3 and 1.5 again: each run
+    reads the grid and id table of its own radius, so each equals the
+    all-pairs reference.  On this area radius 0.3 gives 18 cells a side,
+    1.39 wide, and 1.5 gives 16, so radius 1.5 on the finer grid would miss
+    pairs (the other way round only adds candidates)."""
+    _cell_ids.cache_clear()
+    grids = {r: _cell_ids(13, 300, 25.0, 40, r)[0].m for r in (0.3, 1.5)}
+    assert grids == {0.3: 18, 1.5: 16}
+    for radius in (0.3, 1.5, 0.3, 1.5):
+        config = SirConfig(beta=1.0, seed_id=0, crn_stream_id=13, n_agents=300,
+                           grid_extent=25.0, horizon=40, contact_radius=radius)
+        for ours, ref in zip(_counts(sir_run(config)), _reference_sir_run(config)):
+            assert np.array_equal(ours, ref)
 
 
 def test_mean_outbreak_monotone_in_beta():
