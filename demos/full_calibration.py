@@ -8,12 +8,12 @@ the command-line equivalent is shown at the end.
 
 import numpy as np
 
-from trajcal.dataspace import Bounds, Dataset, DesignPoint, latin_hypercube, rescale, sse
+from trajcal.dataspace import Bounds, rescale, sse
 from trajcal.emulator import SeedKernelGP
 from trajcal.expansion import ExpansionConfig
-from trajcal.grid import AdaptiveGrid, GridConfig
+from trajcal.grid import AdaptiveGrid
 from trajcal.simulator import SirConfig, sir_run
-from trajcal.workflow import WorkflowConfig, component_stream, run
+from trajcal.workflow import WorkflowConfig, run
 
 BOUNDS = Bounds(lower=np.array([0.02]), upper=np.array([0.12]))
 TRUTH_BETA = 0.07
@@ -29,24 +29,17 @@ def main():
         traj = sir_run(SirConfig(beta=beta, seed_id=point.r, **SIM))
         return sse(traj.infected_counts.astype(float), target)
 
-    ms, k0, n0 = 2, 8, 12
-    rng = component_stream(ms, "init", 0)
-    X0 = latin_hypercube(n0, 1, rng)
-    seeds0 = 1 + np.arange(n0, dtype=np.int64) % k0
-    y0 = np.array([objective(DesignPoint(x=X0[i], r=int(seeds0[i])))
-                   for i in range(n0)])
-    ds = Dataset(X0, seeds0, y0)
-
+    k0 = 8
     em = SeedKernelGP(ndim=1, nseeds=k0, nstarts=1, maxfev=100,
                       rng=np.random.default_rng(0))
     cfg = WorkflowConfig(
         budget=90,
+        initial_design=12,
         expansion=ExpansionConfig(nseeds=k0, nsims_expand=10**9),
         nTS_samp=20,
-        master_seed=ms,
+        master_seed=2,
     )
-    trace = run(ds, objective, cfg, em,
-                AdaptiveGrid(GridConfig(ndim=1, ngrid=80)))
+    ds, trace = run(objective, cfg, em, AdaptiveGrid(ngrid=80))
 
     ok = [e for e in trace.evaluations if not e.failed]
     best = min(ok, key=lambda e: e.y_raw)

@@ -10,7 +10,7 @@ import numpy as np
 
 from trajcal.dataspace import Dataset, latin_hypercube
 from trajcal.emulator import SeedKernelGP
-from trajcal.grid import AdaptiveGrid, GridConfig, LHSGrid
+from trajcal.grid import AdaptiveGrid, LHSGrid
 
 NSEEDS = 4
 OPT = 0.55
@@ -36,15 +36,14 @@ def main():
     })
     em.fit(ds.X, ds.seeds, ds.y_std)
 
-    cfg = GridConfig(ndim=1, ngrid=200)
-    adaptive = AdaptiveGrid(cfg)
-    lhs = LHSGrid(cfg)
+    adaptive = AdaptiveGrid(ngrid=200)
+    lhs = LHSGrid(ngrid=200)
 
     print(f"fraction of candidates within 0.1 of the optimum ({OPT})")
     print("round   adaptive   lhs")
     for round_ in range(1, 9):
         g_ad = adaptive.sample(emulator=em, dataset=ds, nseeds=NSEEDS, rng=rng)
-        g_lhs = lhs.sample(nseeds=NSEEDS, rng=rng)
+        g_lhs = lhs.sample(dataset=ds, nseeds=NSEEDS, rng=rng)
         print(f"  {round_}      {near_opt(g_ad):.3f}      {near_opt(g_lhs):.3f}")
 
     # both grids always come back at full size with in-range seeds

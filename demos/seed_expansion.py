@@ -8,35 +8,25 @@ queues a few samples at the new seed so it gets data right away.
 
 import numpy as np
 
-from trajcal.dataspace import Dataset, DesignPoint, latin_hypercube
 from trajcal.emulator import SeedKernelGP
 from trajcal.expansion import ExpansionConfig
-from trajcal.grid import GridConfig, LHSGrid
+from trajcal.grid import LHSGrid
 from trajcal.simulator import toy_objective
-from trajcal.workflow import WorkflowConfig, component_stream, run
+from trajcal.workflow import WorkflowConfig, run
 
 
 def main():
-    ms = 5
     k0 = 3
-
-    rng = component_stream(ms, "init", 0)
-    X0 = latin_hypercube(20, 1, rng)
-    seeds0 = 1 + np.arange(20, dtype=np.int64) % k0
-    y0 = np.array([toy_objective(DesignPoint(x=X0[i], r=int(seeds0[i])))
-                   for i in range(20)])
-    ds = Dataset(X0, seeds0, y0)
-
     em = SeedKernelGP(ndim=1, nseeds=k0, nstarts=1, maxfev=80,
                       rng=np.random.default_rng(0))
     cfg = WorkflowConfig(
         budget=80,
+        initial_design=20,
         expansion=ExpansionConfig(nseeds=k0, nsims_expand=15, nexpansion=4),
         nTS_samp=10,
-        master_seed=ms,
+        master_seed=5,
     )
-    trace = run(ds, toy_objective, cfg, em,
-                LHSGrid(GridConfig(ndim=1, ngrid=60)))
+    ds, trace = run(toy_objective, cfg, em, LHSGrid(ngrid=60))
 
     print(f"completed {len(ds)} simulations "
           f"over {len(trace.iterations)} iterations")

@@ -12,7 +12,7 @@ from .dataspace import Bounds, Dataset, DesignPoint, latin_hypercube, rescale, s
 from .emulator import SeedKernelGP
 from .errors import NotFittedError, NumericalError, ProgressError
 from .expansion import ExpansionConfig
-from .grid import AdaptiveGrid, FixedGrid, GridConfig, LHSGrid
+from .grid import AdaptiveGrid, FixedGrid, LHSGrid
 from .simulator import SirConfig, sir_run, toy_objective
 from .workflow import RunTrace, WorkflowConfig, component_stream, run
 
@@ -25,7 +25,6 @@ __all__ = [
     "DesignPoint",
     "ExpansionConfig",
     "FixedGrid",
-    "GridConfig",
     "LHSGrid",
     "NotFittedError",
     "NumericalError",

@@ -1,21 +1,24 @@
 """Command-line surface: single simulations, calibrations, and reports.
 
 Three subcommands: ``simulate`` runs the SIR model once and writes a
-trajectory table; ``calibrate`` executes the full loop from a JSON config
-file and writes a results bundle (design.csv, trace.jsonl, summary.json);
-``report`` recomputes summary statistics from an existing bundle's
-design.csv, which holds every successful run in order.
+trajectory table; ``calibrate`` builds the objective and the components
+from a JSON config file, hands them to ``workflow.run``, which owns the
+initial design and the loop, and writes a results bundle (design.csv,
+trace.jsonl, summary.json); ``report`` recomputes summary statistics from
+an existing bundle's design.csv, which holds every successful run in order.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical or progress failure
-(with the partial trace preserved in the bundle).  All numeric table
-columns are written with 17 significant digits so reruns diff bitwise.
-The environment variable ``TRAJCAL_OUTPUT_DIR``, when set, redirects all
-output into that directory; ``_resolve_outdir`` is its one reader.
-``calibrate`` only replaces an absent path not under a file, an empty
-directory, or an earlier bundle.  A malformed design.csv makes ``report``
-exit 2 with a message naming the fault.  Commands run OpenBLAS at one
-thread unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set;
-importing the package leaves the thread count alone.
+(with the partial trace preserved in the bundle; no bundle when fewer than
+two initial evaluations succeed).  All numeric table columns are written
+with 17 significant digits so reruns diff bitwise.  The environment
+variable ``TRAJCAL_OUTPUT_DIR``, when set, redirects all output into that
+directory; ``_resolve_outdir`` is its one reader.  ``calibrate`` only
+replaces an absent path not under a file, an empty directory, or an
+earlier bundle that holds only the files trajcal writes there.  A
+malformed design.csv makes ``report`` exit 2 with a message naming the
+fault.  Commands run OpenBLAS at one thread unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; importing the
+package leaves the thread count alone.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ import tempfile
 import numpy as np
 import scipy
 
-from .dataspace import Bounds, Dataset, DesignPoint, latin_hypercube, rescale, sse
+from .dataspace import Bounds, Dataset, rescale, sse
 from .emulator import SeedKernelGP
 from .errors import NumericalError, ProgressError
 from .expansion import ExpansionConfig
-from .grid import AdaptiveGrid, FixedGrid, GridConfig, LHSGrid
+from .grid import AdaptiveGrid, FixedGrid, LHSGrid
 from .kernels import bundled_openblas
 from .simulator import SirConfig, sir_run, to_table, toy_objective
-from .workflow import WorkflowConfig, component_stream, evaluate, run
+from .workflow import WorkflowConfig, component_stream, run
 
 __all__ = ["main", "ConfigError", "load_config", "cmd_simulate", "cmd_calibrate", "cmd_report"]
 
@@ -53,6 +56,9 @@ REPORT_FORMAT = "trajcal-report-v1"
 TRAJECTORY_FORMAT = "trajcal-trajectory-v1"
 
 OUTPUT_DIR_ENV = "TRAJCAL_OUTPUT_DIR"
+
+#: The files ``calibrate`` and ``report`` write into a bundle directory.
+BUNDLE_FILES = ("design.csv", "trace.jsonl", "summary.json", "report.json")
 
 
 class ConfigError(ValueError):
@@ -174,6 +180,8 @@ def _cross_field(cfg: dict, after: str) -> None:
     elif after == "problem.upper":
         if any(lo >= hi for lo, hi in zip(problem["lower"], problem["upper"])):
             raise ConfigError("problem.lower: each entry must be < the matching upper")
+        if problem["kind"] == "sir" and (min(problem["lower"]) < 0 or max(problem["upper"]) > 1):
+            raise ConfigError("problem: the sir box must lie in [0, 1]; beta is a probability")
     elif after == "expansion.p":
         if expansion["policy"] == "by-prob" and expansion["p"] is None:
             raise ConfigError("expansion.p: required for the by-prob policy")
@@ -224,9 +232,9 @@ def load_config(path: str) -> dict:
     """Read a calibration config file, check it against SCHEMA and the
     cross-field rules, and return it with every default filled in."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -253,9 +261,9 @@ def load_config(path: str) -> dict:
 
 def _read_truth_file(path: str, expected_len: int) -> np.ndarray:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"problem.truth_file: cannot read: {exc}") from exc
     if lines and lines[0].startswith("#"):
         lines = lines[1:]
@@ -322,17 +330,16 @@ def _build_components(cfg: dict):
         rank=em_cfg["rank"], family=em_cfg["family"], nstarts=em_cfg["nstarts"],
         per_seed_v=em_cfg["per_seed_v"], maxfev=em_cfg["maxfev"],
     )
-    gcfg = GridConfig(ndim=d, ngrid=cfg["grid"]["ngrid"])
-    kind = cfg["grid"]["kind"]
+    ngrid, kind = cfg["grid"]["ngrid"], cfg["grid"]["kind"]
     if kind == "fixed":
         strategy = FixedGrid.from_lhs(
-            gcfg, k0, component_stream(cfg["workflow"]["master_seed"], "grid", 0)
+            ngrid, d, k0, component_stream(cfg["workflow"]["master_seed"], "grid", 0)
         )
     elif kind == "lhs":
-        strategy = LHSGrid(gcfg)
+        strategy = LHSGrid(ngrid)
     else:
         strategy = AdaptiveGrid(
-            gcfg,
+            ngrid,
             step=cfg["grid"]["proposal_step"],
             reuse_previous=cfg["grid"]["reuse_previous"],
         )
@@ -345,6 +352,7 @@ def _build_components(cfg: dict):
     )
     wf = WorkflowConfig(
         budget=cfg["workflow"]["budget"],
+        initial_design=cfg["workflow"]["initial_design"],
         expansion=expansion,
         nTS_samp=cfg["workflow"]["nTS_samp"],
         master_seed=cfg["workflow"]["master_seed"],
@@ -367,8 +375,9 @@ def _check_outdir(outdir: str) -> None:
     """Refuse an output path that a finished run could not safely replace.
 
     Accepted: an absent path whose nearest existing ancestor is a
-    directory, an empty directory, or an earlier bundle (recognised by the
-    format line of its summary.json).
+    directory, an empty directory, or an earlier bundle: recognised by the
+    format line of its summary.json, and holding only ``BUNDLE_FILES``,
+    since replacing it deletes the whole directory.
     """
     if not os.path.lexists(outdir):
         ancestor = os.path.dirname(os.path.abspath(outdir))
@@ -378,7 +387,8 @@ def _check_outdir(outdir: str) -> None:
             raise ConfigError(f"output directory {outdir}: {ancestor} is not a directory")
         return
     if os.path.isdir(outdir) and not os.path.islink(outdir):
-        if not os.listdir(outdir):
+        entries = sorted(os.listdir(outdir))
+        if not entries:
             return
         try:
             with open(os.path.join(outdir, "summary.json")) as fh:
@@ -386,7 +396,12 @@ def _check_outdir(outdir: str) -> None:
         except (OSError, ValueError):
             summary = None
         if isinstance(summary, dict) and summary.get("format") == SUMMARY_FORMAT:
-            return
+            foreign = [name for name in entries if name not in BUNDLE_FILES
+                       or not os.path.isfile(os.path.join(outdir, name))]
+            if not foreign:
+                return
+            raise ConfigError(f"output directory {outdir}: holds {foreign[0]!r}, which is not "
+                              "a bundle file; refusing to replace it")
     raise ConfigError(
         f"output directory {outdir}: exists and is neither empty nor a trajcal "
         "bundle; refusing to replace it"
@@ -526,30 +541,16 @@ def cmd_calibrate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emulator, strategy, wf_config = _build_components(cfg)
-
-    n0 = cfg["workflow"]["initial_design"]
-    X0 = latin_hypercube(n0, cfg["problem"]["ndim"],
-                         component_stream(cfg["workflow"]["master_seed"], "init", 0))
-    k0 = cfg["expansion"]["nseeds"]
-    initial = []  # every design point's EvalRecord, in design order
-    X, seeds, y = evaluate(objective, [DesignPoint(x=x, r=1 + i % k0) for i, x in enumerate(X0)],
-                           0, initial)
-    for rec in initial:
-        if rec.failed:
-            print(f"warning: initial evaluation failed: {rec.error}", file=sys.stderr)
-    if y.size < 2:  # the emulator needs two training points
-        print(f"error: {y.size} of {n0} initial evaluations succeeded; need at least 2",
-              file=sys.stderr)
-        return 3
-    dataset = Dataset(X, seeds, y)
-
     try:
-        trace, failure = run(dataset, objective, wf_config, emulator, strategy), None
-    except (NumericalError, ProgressError) as exc:  # ``run`` attaches its partial trace
-        trace, failure = exc.trace, exc
-    # head the trace with every initial evaluation, failed ones included, in
-    # design order; ``run`` recorded only the successful ones it was given
-    trace.evaluations[: y.size] = initial
+        (dataset, trace), failure = run(objective, wf_config, emulator, strategy), None
+    except (NumericalError, ProgressError) as exc:  # ``run`` attaches its partial results
+        dataset, trace, failure = exc.dataset, exc.trace, exc
+    for rec in trace.evaluations:
+        if rec.iteration == 0 and rec.failed:
+            print(f"warning: initial evaluation failed: {rec.error}", file=sys.stderr)
+    if dataset is None:  # too few initial successes to build a dataset
+        print(f"error: {failure}", file=sys.stderr)
+        return 3
     _write_bundle(outdir, cfg, trace, dataset, bounds, rmse_denominator)
     if failure is not None:
         print(f"error: {failure} (partial results in {outdir})", file=sys.stderr)

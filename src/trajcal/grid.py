@@ -5,13 +5,15 @@ sampling: a frozen grid, a fresh Latin hypercube per call, and an adaptive
 grid that filters the previous candidates by importance resampling on a
 probability-of-improvement likelihood, then densifies back to M distinct
 points with a Metropolis-Hastings random walk over (coordinates, seed).
+``LHSGrid`` and ``AdaptiveGrid`` are built with their size M (``ngrid``);
+each ``sample`` call takes the dimension from the dataset and the current
+seed count as ``nseeds``, since the seed space grows during a run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -20,7 +22,6 @@ from .dataspace import _check_design, latin_hypercube, reflect
 from .errors import ProgressError
 
 __all__ = [
-    "GridConfig",
     "CandidateGrid",
     "FixedGrid",
     "LHSGrid",
@@ -34,24 +35,6 @@ SIGMA_FLOOR = 1e-8
 LIKELIHOOD_FLOOR = 1e-300
 #: MH proposals allowed per grid point before densification gives up.
 MAX_ATTEMPTS_PER_POINT = 10_000
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Candidate-set dimensions: d coordinates, M grid points.
-
-    The seed count grows during a run, so each ``sample`` call and
-    ``FixedGrid.from_lhs`` take the current one as ``nseeds``.
-    """
-
-    ndim: int
-    ngrid: int = 100
-
-    def __post_init__(self):
-        if self.ndim < 1:
-            raise ValueError("ndim must be >= 1")
-        if self.ngrid < 1:
-            raise ValueError("ngrid must be >= 1")
 
 
 class CandidateGrid:
@@ -180,53 +163,57 @@ class FixedGrid:
         self._grid = grid
 
     @classmethod
-    def from_lhs(cls, config: GridConfig, nseeds: int,
+    def from_lhs(cls, ngrid: int, ndim: int, nseeds: int,
                  rng: np.random.Generator) -> "FixedGrid":
-        """One-time Latin-hypercube initialization over ``nseeds`` seeds, then frozen."""
-        return cls(_lhs_grid(config.ngrid, config.ndim, nseeds, rng))
+        """One-time Latin hypercube of ``ngrid`` points in ``ndim``
+        dimensions over ``nseeds`` seeds, then frozen."""
+        return cls(_lhs_grid(ngrid, ndim, nseeds, rng))
 
     def sample(self, **_) -> CandidateGrid:
         return self._grid
 
 
 class LHSGrid:
-    """A fresh Latin hypercube per call, seeds cycling 1 + (i mod k)."""
+    """A fresh ``ngrid``-point Latin hypercube per call, in the dataset's
+    dimension, seeds cycling 1 + (i mod k)."""
 
-    def __init__(self, config: GridConfig):
-        self.config = config
+    def __init__(self, ngrid: int):
+        if ngrid < 1:
+            raise ValueError("ngrid must be >= 1")
+        self.ngrid = int(ngrid)
 
-    def sample(self, *, nseeds, rng, **_) -> CandidateGrid:
-        return _lhs_grid(self.config.ngrid, self.config.ndim, int(nseeds), rng)
+    def sample(self, *, dataset, nseeds, rng, **_) -> CandidateGrid:
+        return _lhs_grid(self.ngrid, dataset.ndim, int(nseeds), rng)
 
 
-class AdaptiveGrid:
-    """Importance-resampled, MH-densified candidate grid.
+class AdaptiveGrid(LHSGrid):
+    """Importance-resampled, MH-densified candidate grid of ``ngrid`` points.
 
-    Each call reweights the previous grid (or a bootstrap LHS on the first
-    call) by the probability of beating the incumbent, resamples M points
-    with replacement, collapses duplicates, and densifies back to M
-    distinct points via ``mh_densify``, whose Gaussian random-walk proposal
-    has scale ``step`` in unit-hypercube units.  Set ``reuse_previous=False``
-    to restart from a fresh LHS every call instead of carrying the grid over.
+    Each call reweights the previous grid (or, on the first call, the
+    ``LHSGrid`` draw it refines) by the probability of beating the
+    incumbent, resamples M points with replacement, collapses duplicates,
+    and densifies back to M distinct points via ``mh_densify``, whose
+    Gaussian random-walk proposal has scale ``step`` in unit-hypercube
+    units.  Set ``reuse_previous=False`` to restart from a fresh LHS every
+    call instead of carrying the grid over.
     The emulator must provide ``predict_mean_var`` and ``predict_seedwise``,
     as ``SeedKernelGP`` does.
     """
 
-    def __init__(self, config: GridConfig, step: float = 0.05,
-                 reuse_previous: bool = True):
+    def __init__(self, ngrid: int, step: float = 0.05, reuse_previous: bool = True):
         if not 0 < step < math.inf:  # NaN fails both comparisons
             raise ValueError("proposal step must be positive and finite")
-        self.config = config
+        super().__init__(ngrid)
         self.step = step
         self.reuse_previous = bool(reuse_previous)
         self._previous: CandidateGrid | None = None
 
     def sample(self, *, emulator, dataset, nseeds, rng) -> CandidateGrid:
-        M = self.config.ngrid
+        M = self.ngrid
         k = int(nseeds)
         prev = self._previous if self.reuse_previous else None
         if prev is None:
-            prev = _lhs_grid(M, self.config.ndim, k, rng)
+            prev = super().sample(dataset=dataset, nseeds=k, rng=rng)
         tau = float(dataset.incumbent())
         weights = likelihood_values(prev.X, prev.seeds, emulator, tau)
         idx = resample_indices(weights, M, rng)

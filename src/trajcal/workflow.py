@@ -7,11 +7,13 @@ simulator until the evaluation budget is spent.  The dataset holds what
 the run produced and restandardizes itself on every append; the trace
 records how it got there.
 
-Every random decision draws from a stream derived as
+A run starts with a space-filling initial design: a Latin hypercube of
+``initial_design`` points from the "init" stream, with seed ids cycling
+``1 + i % nseeds``.  Every random decision draws from a stream derived as
 ``default_rng(SeedSequence([master_seed, component_id, iteration]))``, so a
-run is a pure function of (initial data, simulator, master_seed).
+run is a pure function of its arguments, ``master_seed`` among them.
 ``evaluate`` owns the evaluation records: it decides when a simulator call
-failed and records every call, for the loop and the CLI's initial design.
+failed and records every call, for the initial design and the loop alike.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataspace import Dataset, DesignPoint
+from .dataspace import Dataset, DesignPoint, latin_hypercube
 from .errors import NumericalError, ProgressError
 from .expansion import (
     ExpansionConfig,
@@ -68,17 +70,22 @@ def component_stream(master_seed: int, component: str, iteration: int = 0) -> np
 
 @dataclass(frozen=True)
 class WorkflowConfig:
-    """Loop-level settings: budget, Thompson draws, seeding, expansion."""
+    """Run-level settings: budget (successful evaluations, the initial
+    design's included), initial design size (2 to ``budget``: the emulator
+    needs two training points), Thompson draws, seeding, expansion."""
 
     budget: int
+    initial_design: int
     expansion: ExpansionConfig
     nTS_samp: int = 30
     master_seed: int = 0
     expansion_mode: str = "explore"
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        if self.initial_design < 2:
+            raise ValueError("initial_design must be >= 2")
+        if self.budget < self.initial_design:
+            raise ValueError("budget must be >= initial_design")
         if self.nTS_samp < 1:
             raise ValueError("nTS_samp must be >= 1")
         if self.expansion_mode not in ("explore", "exploit"):
@@ -170,14 +177,13 @@ def evaluate(simulator, points, iteration: int, records: list):
     return np.array(xs), np.array(seeds), np.array(ys)
 
 
-def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
-        grid_strategy) -> RunTrace:
-    """Run the calibration loop until the budget is exhausted.
+def run(simulator, config: WorkflowConfig, emulator,
+        grid_strategy) -> tuple[Dataset, RunTrace]:
+    """Evaluate the initial design, then run the calibration loop until the
+    budget is exhausted.
 
     Parameters
     ----------
-    initial : Dataset
-        Evaluated initial design; counts toward the budget.
     simulator : callable
         Maps a DesignPoint to a raw scalar discrepancy.  An exception it
         raises, or a NaN or infinite value, marks that point failed; failed
@@ -186,41 +192,44 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
     config : WorkflowConfig
     emulator : SeedKernelGP
         Refit each iteration on all data; its ``rng`` is reseeded from the
-        fit stream so refits are reproducible.
+        fit stream so refits are reproducible.  Its ``ndim`` is the
+        dimension of the initial design.
     grid_strategy : FixedGrid, LHSGrid or AdaptiveGrid
 
     Returns
     -------
-    RunTrace
-        ``initial`` itself holds the results: every successful evaluation,
-        in order, under the transform fitted to all of them.
+    (Dataset, RunTrace)
+        The dataset holds the results: every successful evaluation, in
+        order, under the transform fitted to all of them.  The trace
+        records every evaluation, failed ones included, and each
+        iteration's decisions.
 
     Raises
     ------
     ProgressError
-        If every evaluation in some iteration fails.  The partial trace is
-        attached to the exception as ``exc.trace`` (NumericalError from the
-        emulator gets the same treatment).
+        If fewer than 2 initial evaluations succeed, or every evaluation in
+        some iteration fails.
+    NumericalError
+        From the emulator.  Either exception carries the partial results as
+        ``exc.dataset`` (None when the initial design failed) and
+        ``exc.trace``.
     """
-    if len(initial) == 0:
-        raise ValueError("initial dataset must be nonempty")
-    if config.budget < len(initial):
-        raise ValueError("budget must be >= the initial design size")
-    dataset = initial
+    k0 = config.expansion.nseeds
+    X0 = latin_hypercube(config.initial_design, emulator.ndim,
+                         component_stream(config.master_seed, "init", 0))
+    records = []
+    X, seeds, y = evaluate(simulator, [DesignPoint(x=x, r=1 + i % k0) for i, x in enumerate(X0)],
+                           0, records)
     trace = RunTrace(master_seed=config.master_seed, budget=config.budget,
-                     initial_size=len(initial))
-    for i in range(len(initial)):
-        trace.evaluations.append(
-            EvalRecord(
-                iteration=0,
-                x=tuple(float(v) for v in dataset.X[i]),
-                seed=int(dataset.seeds[i]),
-                y_raw=float(dataset.y_raw[i]),
-            )
-        )
-    state = ExpansionState.start(config.expansion, completed=len(initial))
+                     initial_size=y.size, evaluations=records)
+    dataset = None
     iteration = 0
     try:
+        if y.size < 2:  # the emulator needs two training points
+            raise ProgressError(f"{y.size} of {config.initial_design} initial evaluations "
+                                "succeeded; need at least 2")
+        dataset = Dataset(X, seeds, y)
+        state = ExpansionState.start(config.expansion, completed=y.size)
         while len(dataset) < config.budget:
             iteration += 1
             emulator.rng = component_stream(config.master_seed, "fit", iteration)
@@ -275,6 +284,6 @@ def run(initial: Dataset, simulator, config: WorkflowConfig, emulator,
             dataset.append(ok_x, ok_seeds, ok_y, iteration)
             state.sims_since_expansion += len(ok_y)
     except (NumericalError, ProgressError) as exc:
-        exc.trace = trace
+        exc.dataset, exc.trace = dataset, trace
         raise
-    return trace
+    return dataset, trace

@@ -21,27 +21,19 @@ import numpy as np
 from scipy import stats
 
 from trajcal.cli import main
-from trajcal.dataspace import (
-    Bounds,
-    Dataset,
-    DesignPoint,
-    latin_hypercube,
-    rescale,
-    sse,
-)
+from trajcal.dataspace import Bounds, Dataset, latin_hypercube, rescale, sse
 from trajcal.emulator import NUGGET_BOUNDS, SeedKernelGP
 from trajcal.expansion import ExpansionConfig
 from trajcal.grid import (
     AdaptiveGrid,
     CandidateGrid,
-    GridConfig,
     LHSGrid,
     mh_densify,
     resample_indices,
 )
 from trajcal.kernels import continuous_cov, cross_cov, normalize_rows, seed_matrix
 from trajcal.simulator import SirConfig, sir_run, toy_objective
-from trajcal.workflow import WorkflowConfig, component_stream, run, thompson_select
+from trajcal.workflow import WorkflowConfig, run, thompson_select
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +221,7 @@ def test_adaptive_grid_always_returns_full_in_domain_grids():
         },
     )
     em.fit(ds.X, ds.seeds, ds.y_std)
-    strategy = AdaptiveGrid(GridConfig(ndim=2, ngrid=60))
+    strategy = AdaptiveGrid(60)
     for _ in range(8):
         grid = strategy.sample(emulator=em, dataset=ds, nseeds=4, rng=rng)
         assert len(grid) == 60
@@ -314,25 +306,20 @@ def test_expansion_triggers_replay_against_the_simulation_counter():
     """Each expansion fires at the first iteration whose completed-run count
     crosses the next multiple of the expansion interval, and the extra
     samples it appends all carry the newly added seed."""
-    ms = 0
     k0, interval, nexpansion = 5, 50, 10
-    rng = component_stream(ms, "init", 0)
-    X0 = latin_hypercube(50, 1, rng)
-    seeds0 = 1 + np.arange(50, dtype=np.int64) % k0
-    y0 = [toy_objective(DesignPoint(x=X0[i], r=int(seeds0[i]))) for i in range(50)]
-    ds = Dataset(X0, seeds0, np.array(y0))
     em = SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 0.05}
     )
     cfg = WorkflowConfig(
         budget=200,
+        initial_design=50,
         expansion=ExpansionConfig(
             nseeds=k0, nsims_expand=interval, nexpansion=nexpansion
         ),
         nTS_samp=30,
-        master_seed=ms,
+        master_seed=0,
     )
-    trace = run(ds, toy_objective, cfg, em, LHSGrid(GridConfig(ndim=1, ngrid=100)))
+    ds, trace = run(toy_objective, cfg, em, LHSGrid(100))
 
     assert len(ds) == 200
     assert [k for _, k in trace.expansion_events] == [6, 7, 8]
@@ -439,26 +426,21 @@ def _sse_to_hidden_truth():
 def _calibrate_sir(master_seed: int, seed_aware: bool):
     """One calibration run; returns (proportion with RMSE < 20, best RMSE)."""
     k0 = 20
-    objective = _sse_to_hidden_truth()
-    rng = component_stream(master_seed, "init", 0)
-    X0 = latin_hypercube(50, 1, rng)
-    seeds0 = 1 + np.arange(50, dtype=np.int64) % k0
-    y0 = [objective(DesignPoint(x=X0[i], r=int(seeds0[i]))) for i in range(50)]
-    dataset = Dataset(X0, seeds0, np.array(y0))
     if seed_aware:
         emulator = SeedKernelGP(ndim=1, nseeds=k0, nstarts=2, maxfev=150)
-        strategy = AdaptiveGrid(GridConfig(ndim=1, ngrid=100))
+        strategy = AdaptiveGrid(100)
     else:
         emulator = SeedKernelGP(ndim=1, nstarts=2, maxfev=150)
-        strategy = LHSGrid(GridConfig(ndim=1, ngrid=100))
+        strategy = LHSGrid(100)
     config = WorkflowConfig(
         budget=200,
+        initial_design=50,
         # a huge interval disables seed growth; both arms search seeds 1..20
         expansion=ExpansionConfig(nseeds=k0, nsims_expand=10**9),
         nTS_samp=30,
         master_seed=master_seed,
     )
-    trace = run(dataset, objective, config, emulator, strategy)
+    _, trace = run(_sse_to_hidden_truth(), config, emulator, strategy)
     y = np.array([e.y_raw for e in trace.evaluations if not e.failed])
     rmse = np.sqrt(y / 101.0)  # horizon 100 -> 101 trajectory points
     return float(np.mean(rmse < 20.0)), float(rmse.min())

@@ -16,8 +16,6 @@ import pytest
 import trajcal
 import trajcal.cli as cli
 from trajcal.cli import ConfigError, load_config, main
-from trajcal.errors import ProgressError
-from trajcal.workflow import run as workflow_run
 
 #: The directory holding the package under test, for child interpreters.
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(trajcal.__file__)))
@@ -49,6 +47,22 @@ def _load(tmp_path, mutate):
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _fail_after(n, monkeypatch):
+    """Make the toy objective raise on every call after its first ``n``;
+    returns the list of calls."""
+    toy = cli.toy_objective
+    calls = []
+
+    def failing(point):
+        calls.append(point)
+        if len(calls) > n:
+            raise ValueError("boom")
+        return toy(point)
+
+    monkeypatch.setattr(cli, "toy_objective", failing)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +246,15 @@ def test_rejects_missing_file(tmp_path):
         load_config(str(tmp_path / "absent.json"))
 
 
+def test_calibrate_config_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["calibrate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file: ") and "utf-8" in err
+    assert "Traceback" not in err
+
+
 
 _DELETE = object()
 _SIR_PROBLEM = {"kind": "sir", "ndim": 1, "lower": [0.02], "upper": [0.12]}
@@ -247,6 +270,7 @@ class _Huge(int):
 _HUGE = _Huge(10**400)
 _TOO_BIG = "must be within the range of a float"
 _NOT_FINITE = "must be a finite number"
+_SIR_BOX = "the sir box must lie in [0, 1]; beta is a probability"
 
 # one fault per schema row, pinned to the exact message: a wrong type, a value
 # below the minimum, above the maximum, and a missing required key
@@ -265,6 +289,9 @@ _FAULTS = [
     ("toy", "problem.upper", [True], "problem.upper[0]: must be a number"),
     ("toy", "problem.upper", _DELETE, "problem.upper: required key missing"),
     ("toy", "problem.upper", [_HUGE], f"problem.upper[0]: {_TOO_BIG}"),
+    # the sir coordinate is beta, a probability
+    ("sir", "problem.lower", [-0.5], f"problem: {_SIR_BOX}"),
+    ("sir", "problem.upper", [2.5], f"problem: {_SIR_BOX}"),
     ("sir", "problem.crn_stream_id", 0.5, "problem.crn_stream_id: must be an integer"),
     ("sir", "problem.crn_stream_id", -1, "problem.crn_stream_id: must be >= 0"),
     ("sir", "problem.truth", [], "problem.truth: must be an object"),
@@ -663,16 +690,7 @@ def test_calibrate_invalid_config_exits_2_without_a_bundle(tmp_path, capsys):
 @pytest.mark.parametrize("successes", [0, 1])
 def test_calibrate_fewer_than_two_initial_successes_exits_3(tmp_path, monkeypatch, capsys,
                                                             successes):
-    toy = cli.toy_objective
-    calls = []
-
-    def failing(point):
-        calls.append(point)
-        if len(calls) > successes:
-            raise ValueError("boom")
-        return toy(point)
-
-    monkeypatch.setattr(cli, "toy_objective", failing)
+    _fail_after(successes, monkeypatch)
     outdir = tmp_path / "never"
     assert main(["calibrate", _write(tmp_path, _toy_config(outdir))]) == 3
     err = capsys.readouterr().err
@@ -713,6 +731,41 @@ def test_calibrate_refuses_to_replace_an_unrelated_directory(tmp_path, capsys):
     assert (outdir / "trace.jsonl").read_bytes() == first
 
 
+def test_calibrate_refuses_to_replace_a_bundle_holding_other_files(tmp_path, monkeypatch,
+                                                                   capsys):
+    # replacing a bundle deletes its directory, so it must hold only the
+    # files trajcal writes there: here the config itself and a note
+    outdir = tmp_path / "out"
+    cfg = _toy_config(outdir)
+    cfg["workflow"]["budget"] = cfg["workflow"]["initial_design"] = 6
+    assert main(["calibrate", _write(tmp_path, cfg)]) == 0
+    assert main(["report", str(outdir)]) == 0
+    assert main(["calibrate", _write(tmp_path, cfg)]) == 0  # report.json is a bundle file
+    first = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    path = _write(outdir, cfg)
+    (outdir / "notes.txt").write_text("keep me\n")
+    calls = []
+    monkeypatch.setattr(cli, "toy_objective", lambda point: calls.append(point) or 1.0)
+    capsys.readouterr()
+    assert main(["calibrate", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output directory {outdir}: holds 'config.json', which is not a bundle "
+        "file; refusing to replace it\n")
+    assert calls == []
+    assert (outdir / "notes.txt").read_text() == "keep me\n"
+    assert json.loads((outdir / "config.json").read_text()) == cfg
+    for name, data in first.items():
+        assert (outdir / name).read_bytes() == data
+
+    # a directory under a bundle file's name is foreign too
+    (outdir / "notes.txt").unlink()
+    (outdir / "config.json").unlink()
+    (outdir / "report.json").mkdir()
+    assert main(["calibrate", _write(tmp_path, cfg)]) == 2
+    assert "holds 'report.json'" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("below", [["bundle"], ["deeper", "bundle"]],
                          ids=["child", "grandchild"])
 def test_calibrate_output_under_a_file_exits_2_before_any_run(tmp_path, monkeypatch, capsys,
@@ -742,6 +795,38 @@ def test_calibrate_missing_truth_file_exits_2(tmp_path, capsys):
     assert main(["calibrate", path]) == 2
     assert capsys.readouterr().err.startswith("error: problem.truth_file: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_calibrate_truth_file_not_utf8_exits_2(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(b"\xff\xfestep,infected,cumulative\n0,1,1\n1,2,3\n2,1,3\n")
+    path = _sir_truth_file_config(tmp_path, truth)
+    assert main(["calibrate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem.truth_file: cannot read: ") and "utf-8" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_calibrate_against_a_simulated_truth_file_matches_the_inline_truth(
+        tmp_path, monkeypatch):
+    # the table ``simulate`` writes, format line and all, is the same target
+    # as the inline default truth (beta 0.069, seed 0)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    truth = tmp_path / "truth.csv"
+    assert main(["simulate", "--beta", "0.069", "--seed", "0", "--n-agents", "300",
+                 "--horizon", "30", "--out", str(truth)]) == 0
+    assert truth.read_text().startswith("# trajcal-trajectory-v1\n")
+    bundles = []
+    for name, target in (("inline", {}), ("file", {"truth_file": str(truth)})):
+        cfg = _toy_config(tmp_path / name)
+        cfg["problem"] = dict(_SIR_PROBLEM, n_agents=300, horizon=30, **target)
+        cfg["emulator"].update(nstarts=1, maxfev=60)
+        cfg["workflow"] = {"budget": 10, "initial_design": 8, "nTS_samp": 6}
+        assert main(["calibrate", _write(tmp_path, cfg, f"{name}.json")]) == 0
+        bundles.append(tmp_path / name)
+    inline, from_file = bundles
+    for name in ("design.csv", "trace.jsonl"):
+        assert (inline / name).read_bytes() == (from_file / name).read_bytes()
 
 
 def test_calibrate_non_integer_truth_count_exits_2(tmp_path, capsys):
@@ -787,6 +872,18 @@ def test_calibrate_non_finite_number_exits_2(tmp_path, capsys, key, value, name)
     cfg["problem"] = dict(_SIR_PROBLEM, **{key: value})
     assert main(["calibrate", _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err == f"error: {name}: {_NOT_FINITE}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_calibrate_sir_box_outside_the_unit_interval_exits_2(tmp_path, monkeypatch, capsys):
+    # every beta above 1 would fail its evaluation; the box is refused first
+    runs = []
+    monkeypatch.setattr(cli, "sir_run", lambda config: runs.append(config))
+    cfg = _toy_config(tmp_path / "out")
+    cfg["problem"] = dict(_SIR_PROBLEM, lower=[1.5], upper=[2.5])
+    assert main(["calibrate", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"error: problem: {_SIR_BOX}\n"
+    assert runs == []
     assert not (tmp_path / "out").exists()
 
 
@@ -849,23 +946,23 @@ def test_calibrate_respects_output_dir_env(tmp_path, monkeypatch):
 
 
 def test_calibrate_failure_mid_run_keeps_a_partial_bundle(tmp_path, monkeypatch, capsys):
-    # the run dies after the initial design; the bundle must still appear,
-    # carrying the sealed partial trace, and the exit code must say "failed"
-    def dying_run(dataset, objective, wf, emulator, strategy):
-        shrunk = type(wf)(budget=len(dataset), expansion=wf.expansion,
-                          nTS_samp=wf.nTS_samp, master_seed=wf.master_seed)
-        err = ProgressError("every simulator evaluation failed at iteration 1")
-        err.trace = workflow_run(dataset, objective, shrunk, emulator, strategy)
-        raise err
-
-    monkeypatch.setattr(cli, "run", dying_run)
+    # every evaluation after the initial design of 8 fails, so the run dies
+    # at iteration 1; the bundle must still appear, carrying the partial
+    # trace, and the exit code must say "failed"
+    calls = _fail_after(8, monkeypatch)
     outdir = tmp_path / "out"
     assert main(["calibrate", _write(tmp_path, _toy_config(outdir))]) == 3
-    assert "partial results" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == (f"error: every simulator evaluation failed at iteration 1 "
+                   f"(partial results in {outdir})\n")
     assert sorted(p.name for p in outdir.iterdir()) == [
         "design.csv", "summary.json", "trace.jsonl"]
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["completed"] == 8 < summary["config"]["workflow"]["budget"]
+    events = [json.loads(l) for l in (outdir / "trace.jsonl").read_text().splitlines()]
+    evaluations = [e for e in events if e["event"] == "evaluation"]
+    assert len(evaluations) == len(calls) > 8
+    assert [e["failed"] for e in evaluations] == [e["iteration"] == 1 for e in evaluations]
 
 
 # ------------------------------------------------------------------- report

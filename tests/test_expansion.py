@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trajcal.dataspace import Dataset, DesignPoint, latin_hypercube
+from trajcal.dataspace import Dataset
 from trajcal.emulator import SeedKernelGP
 from trajcal.expansion import (
     ExpansionConfig,
@@ -13,7 +13,7 @@ from trajcal.expansion import (
     reseed_incumbents,
     sample_from_expansion,
 )
-from trajcal.grid import CandidateGrid, GridConfig, LHSGrid
+from trajcal.grid import CandidateGrid, LHSGrid
 from trajcal.simulator import toy_objective
 from trajcal.workflow import WorkflowConfig, run
 
@@ -65,12 +65,10 @@ def test_expand_contiguous_ids():
 
     # a run's trace lists every (iteration, new seed id) event once, in order
     cfg = ExpansionConfig(nseeds=5, nsims_expand=4, nexpansion=2)
-    X = latin_hypercube(4, 1, np.random.default_rng(0))
-    seeds = np.array([1, 2, 3, 4])
-    initial = Dataset(X, seeds, [toy_objective(DesignPoint(x, r)) for x, r in zip(X, seeds)])
     emulator = SeedKernelGP(ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0})
-    trace = run(initial, toy_objective, WorkflowConfig(budget=20, expansion=cfg, nTS_samp=4),
-                emulator, LHSGrid(GridConfig(ndim=1, ngrid=20)))
+    _, trace = run(toy_objective,
+                   WorkflowConfig(budget=20, initial_design=4, expansion=cfg, nTS_samp=4),
+                   emulator, LHSGrid(ngrid=20))
     assert len(trace.expansion_events) >= 2
     assert [k for _, k in trace.expansion_events] == list(range(6, 6 + len(trace.expansion_events)))
     assert trace.expansion_events == [it.expansion for it in trace.iterations if it.expansion]

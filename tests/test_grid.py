@@ -12,7 +12,6 @@ from trajcal.grid import (
     AdaptiveGrid,
     CandidateGrid,
     FixedGrid,
-    GridConfig,
     LHSGrid,
     _seedwise_likelihood,
     likelihood_values,
@@ -40,15 +39,18 @@ class StubEmulator:
 
 
 def test_config_validation():
-    GridConfig(ndim=1, ngrid=1)
-    with pytest.raises(ValueError):
-        GridConfig(ndim=0)
-    with pytest.raises(ValueError):
-        GridConfig(ndim=1, ngrid=0)
+    LHSGrid(1)
+    AdaptiveGrid(1)
+    for build in (LHSGrid, AdaptiveGrid):
+        with pytest.raises(ValueError, match="ngrid must be >= 1"):
+            build(0)
+    for ngrid, ndim in ((0, 1), (10, 0)):
+        with pytest.raises(ValueError, match="n and d must be >= 1"):
+            FixedGrid.from_lhs(ngrid, ndim, 2, np.random.default_rng(0))
     # NaN passes a bare ``step <= 0`` check
     for step in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="step must be positive and finite"):
-            AdaptiveGrid(GridConfig(ndim=1, ngrid=10), step=step)
+            AdaptiveGrid(10, step=step)
 
 
 def test_candidate_grid_validates_domain():
@@ -196,8 +198,7 @@ def test_fixed_grid_returns_same_object_every_call():
 
 
 def test_fixed_grid_from_lhs_stratified():
-    cfg = GridConfig(ndim=1, ngrid=100)
-    strat = FixedGrid.from_lhs(cfg, 4, np.random.default_rng(7))
+    strat = FixedGrid.from_lhs(100, 1, 4, np.random.default_rng(7))
     grid = strat.sample()
     bins = np.floor(np.sort(grid.X[:, 0]) * 100).astype(int)
     assert np.minimum(bins, 99).tolist() == list(range(100))
@@ -205,25 +206,26 @@ def test_fixed_grid_from_lhs_stratified():
 
 
 def test_lhs_grid_fresh_each_call_with_cycled_seeds():
-    cfg = GridConfig(ndim=2, ngrid=10)
-    strat = LHSGrid(cfg)
+    strat = LHSGrid(10)
     rng = np.random.default_rng(8)
-    g1 = strat.sample(nseeds=5, rng=rng)
-    g2 = strat.sample(nseeds=5, rng=rng)
+    # the grid takes its dimension from the dataset
+    ds = Dataset(np.array([[0.2, 0.3], [0.9, 0.1]]), np.array([1, 2]), np.array([2.0, 5.0]))
+    g1 = strat.sample(dataset=ds, nseeds=5, rng=rng)
+    g2 = strat.sample(dataset=ds, nseeds=5, rng=rng)
+    assert g1.X.shape == g2.X.shape == (10, 2)
     assert not np.array_equal(g1.X, g2.X)
     assert np.bincount(g1.seeds, minlength=6)[1:].tolist() == [2, 2, 2, 2, 2]
 
 
 def _fitted_stub_setup(ngrid=30):
-    cfg = GridConfig(ndim=1, ngrid=ngrid)
     em = StubEmulator(mean_fn=lambda X: (X[:, 0] - 0.4) ** 2 * 4.0)
     ds = Dataset(np.array([[0.2], [0.9]]), np.array([1, 2]), np.array([2.0, 5.0]))
-    return cfg, em, ds
+    return ngrid, em, ds
 
 
 def test_adaptive_grid_exact_size_and_domain():
-    cfg, em, ds = _fitted_stub_setup()
-    strat = AdaptiveGrid(cfg)
+    ngrid, em, ds = _fitted_stub_setup()
+    strat = AdaptiveGrid(ngrid)
     for _ in range(3):
         grid = strat.sample(emulator=em, dataset=ds, nseeds=3,
                             rng=np.random.default_rng(9))
@@ -233,20 +235,20 @@ def test_adaptive_grid_exact_size_and_domain():
 
 
 def test_adaptive_grid_distinct_pairs():
-    cfg, em, ds = _fitted_stub_setup()
-    grid = AdaptiveGrid(cfg).sample(emulator=em, dataset=ds, nseeds=3,
+    ngrid, em, ds = _fitted_stub_setup()
+    grid = AdaptiveGrid(ngrid).sample(emulator=em, dataset=ds, nseeds=3,
                                     rng=np.random.default_rng(10))
     keys = {(x.tobytes(), int(r)) for x, r in zip(grid.X, grid.seeds)}
     assert len(keys) == len(grid)
 
 
 def test_adaptive_grid_reuse_switch():
-    cfg, em, ds = _fitted_stub_setup()
-    reusing = AdaptiveGrid(cfg, reuse_previous=True)
+    ngrid, em, ds = _fitted_stub_setup()
+    reusing = AdaptiveGrid(ngrid, reuse_previous=True)
     g1 = reusing.sample(emulator=em, dataset=ds, nseeds=3,
                         rng=np.random.default_rng(11))
     assert reusing._previous is g1
-    fresh = AdaptiveGrid(cfg, reuse_previous=False)
+    fresh = AdaptiveGrid(ngrid, reuse_previous=False)
     fresh.sample(emulator=em, dataset=ds, nseeds=3, rng=np.random.default_rng(11))
     # with reuse off the second call must not start from the stored grid
     g2 = fresh.sample(emulator=em, dataset=ds, nseeds=3,
@@ -256,8 +258,8 @@ def test_adaptive_grid_reuse_switch():
 
 def test_adaptive_grid_concentrates_near_minimum():
     """Low predicted mean near x=0.4 should attract candidates there."""
-    cfg, em, ds = _fitted_stub_setup(ngrid=60)
-    strat = AdaptiveGrid(cfg)
+    ngrid, em, ds = _fitted_stub_setup(ngrid=60)
+    strat = AdaptiveGrid(ngrid)
     rng = np.random.default_rng(13)
     grid = None
     for _ in range(6):

@@ -5,11 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trajcal.dataspace import Dataset, DesignPoint, fit_transform, latin_hypercube
+from trajcal.dataspace import DesignPoint, fit_transform, latin_hypercube
 from trajcal.emulator import SeedKernelGP
 from trajcal.errors import ProgressError
 from trajcal.expansion import ExpansionConfig
-from trajcal.grid import CandidateGrid, FixedGrid, GridConfig, LHSGrid
+from trajcal.grid import CandidateGrid, LHSGrid
 from trajcal.simulator import toy_objective
 from trajcal.workflow import (
     COMPONENTS,
@@ -49,13 +49,13 @@ def test_component_streams_distinct_across_components_and_iterations():
 
 def test_workflow_config_validation():
     exp = ExpansionConfig(nseeds=3)
-    WorkflowConfig(budget=10, expansion=exp)
+    WorkflowConfig(budget=10, initial_design=2, expansion=exp)
     with pytest.raises(ValueError):
-        WorkflowConfig(budget=0, expansion=exp)
+        WorkflowConfig(budget=0, initial_design=2, expansion=exp)
     with pytest.raises(ValueError):
-        WorkflowConfig(budget=10, expansion=exp, nTS_samp=0)
+        WorkflowConfig(budget=10, initial_design=2, expansion=exp, nTS_samp=0)
     with pytest.raises(ValueError):
-        WorkflowConfig(budget=10, expansion=exp, expansion_mode="greedy")
+        WorkflowConfig(budget=10, initial_design=2, expansion=exp, expansion_mode="greedy")
 
 
 # --------------------------------------------------------- thompson_select
@@ -130,53 +130,80 @@ def test_thompson_real_emulator_prefers_low_mean_region():
 # ------------------------------------------------------------ run plumbing
 
 
-def _initial(n0, k0, master_seed=0, objective=toy_objective):
-    rng = component_stream(master_seed, "init", 0)
-    X = latin_hypercube(n0, 1, rng)
-    seeds = 1 + np.arange(n0) % k0
-    y = [objective(DesignPoint(x=X[i], r=int(seeds[i]))) for i in range(n0)]
-    return Dataset(X, seeds, np.array(y))
-
-
-def _fixed_emulator():
+def _fixed_emulator(nugget=1e-6):
     # fixed hyperparameters: refits are a Cholesky, keeping loop tests fast
     return SeedKernelGP(
-        ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 1e-6}
+        ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": nugget}
     )
 
 
-def _loop(budget, n0=6, k0=3, master_seed=0, simulator=toy_objective,
-          nsims_expand=10_000, **kw):
-    initial = _initial(n0, k0, master_seed)
-    config = WorkflowConfig(
+def _config(budget, n0=6, k0=3, master_seed=0, nsims_expand=10_000, nexpansion=3,
+            nTS_samp=8, **kw):
+    return WorkflowConfig(
         budget=budget,
+        initial_design=n0,
         expansion=ExpansionConfig(nseeds=k0, nsims_expand=nsims_expand,
-                                  nexpansion=kw.pop("nexpansion", 3)),
-        nTS_samp=kw.pop("nTS_samp", 8),
+                                  nexpansion=nexpansion),
+        nTS_samp=nTS_samp,
         master_seed=master_seed,
         **kw,
     )
-    strategy = LHSGrid(GridConfig(ndim=1, ngrid=30))
-    return initial, run(initial, simulator, config, _fixed_emulator(), strategy)
+
+
+def _loop(budget, simulator=toy_objective, emulator=None, **kw):
+    if emulator is None:
+        emulator = _fixed_emulator()
+    return run(simulator, _config(budget, **kw), emulator, LHSGrid(ngrid=30))
+
+
+def _failing_after(n):
+    """The toy objective, raising on every call after its first ``n``."""
+    calls = []
+
+    def failing(point):
+        calls.append(point)
+        if len(calls) > n:
+            raise RuntimeError("boom")
+        return toy_objective(point)
+
+    return failing
 
 
 def test_run_rejects_budget_below_initial_design():
-    initial = _initial(6, 3)
-    config = WorkflowConfig(budget=5, expansion=ExpansionConfig(nseeds=3))
-    with pytest.raises(ValueError):
-        run(initial, toy_objective, config, _fixed_emulator(),
-            LHSGrid(GridConfig(ndim=1)))
+    with pytest.raises(ValueError, match="budget must be >= initial_design"):
+        _config(budget=5, n0=6)
 
 
 def test_run_rejects_empty_initial():
-    class Empty:
-        def __len__(self):
-            return 0
+    # the emulator needs two training points, so the design needs two points
+    for n0 in (0, 1):
+        with pytest.raises(ValueError, match="initial_design must be >= 2"):
+            _config(budget=5, n0=n0)
 
-    config = WorkflowConfig(budget=5, expansion=ExpansionConfig(nseeds=3))
-    with pytest.raises(ValueError):
-        run(Empty(), toy_objective, config, _fixed_emulator(),
-            LHSGrid(GridConfig(ndim=1)))
+
+def test_initial_design_is_the_documented_draw():
+    dataset, trace = _loop(budget=7, n0=7, k0=3, master_seed=4)
+    X0 = latin_hypercube(7, 1, component_stream(4, "init", 0))
+    assert np.array_equal(dataset.X, X0)
+    assert dataset.seeds.tolist() == [1, 2, 3, 1, 2, 3, 1]
+    assert dataset.iteration.tolist() == [0] * 7
+    assert dataset.y_raw.tolist() == [toy_objective(DesignPoint(x, r))
+                                      for x, r in zip(X0, dataset.seeds)]
+    assert [(e.x, e.seed) for e in trace.evaluations] == [
+        (tuple(x), r) for x, r in zip(X0.tolist(), dataset.seeds.tolist())]
+
+
+@pytest.mark.parametrize("successes", [0, 1])
+def test_too_few_initial_successes_raise_with_the_trace_and_no_dataset(successes):
+    with pytest.raises(ProgressError) as err:
+        _loop(budget=12, simulator=_failing_after(successes))
+    assert str(err.value) == f"{successes} of 6 initial evaluations succeeded; need at least 2"
+    assert err.value.dataset is None
+    trace = err.value.trace
+    assert trace.initial_size == successes
+    assert trace.iterations == []
+    assert [e.failed for e in trace.evaluations] == [i >= successes for i in range(6)]
+    assert all(e.error == "RuntimeError: boom" for e in trace.evaluations if e.failed)
 
 
 def test_budget_equal_to_initial_design_runs_zero_iterations():
@@ -255,23 +282,13 @@ def test_single_simulator_failure_is_logged_and_does_not_consume_budget():
 
     def flaky(point):
         calls["n"] += 1
-        if calls["n"] == 2:
+        if calls["n"] == 6 + 2:  # the second call after the initial design
             raise RuntimeError("solver diverged")
         return toy_objective(point)
 
     # a large fixed nugget keeps Thompson batches multi-point, so the one
     # failure shares its iteration with successes
-    initial = _initial(6, 3)
-    config = WorkflowConfig(
-        budget=16,
-        expansion=ExpansionConfig(nseeds=3),
-        nTS_samp=8,
-    )
-    emulator = SeedKernelGP(
-        ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 0.3}
-    )
-    trace = run(initial, flaky, config, emulator,
-                LHSGrid(GridConfig(ndim=1, ngrid=30)))
+    initial, trace = _loop(budget=16, simulator=flaky, emulator=_fixed_emulator(0.3))
     failed = [e for e in trace.evaluations if e.failed]
     ok = [e for e in trace.evaluations if not e.failed]
     assert len(failed) == 1
@@ -284,16 +301,13 @@ def test_single_simulator_failure_is_logged_and_does_not_consume_budget():
 
 
 def test_non_finite_objective_is_a_failed_evaluation():
-    def nan_on_seed_two(point):
-        return float("nan") if point.r == 2 else toy_objective(point)
+    calls = []
 
-    initial = _initial(6, 3)
-    config = WorkflowConfig(budget=16, expansion=ExpansionConfig(nseeds=3), nTS_samp=8)
-    emulator = SeedKernelGP(
-        ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 0.3}
-    )
-    trace = run(initial, nan_on_seed_two, config, emulator,
-                LHSGrid(GridConfig(ndim=1, ngrid=30)))
+    def nan_on_seed_two(point):  # after the initial design of 6
+        calls.append(point)
+        return float("nan") if point.r == 2 and len(calls) > 6 else toy_objective(point)
+
+    initial, trace = _loop(budget=16, simulator=nan_on_seed_two, emulator=_fixed_emulator(0.3))
     failed = [e for e in trace.evaluations if e.failed]
     assert failed
     assert all(e.seed == 2 and e.y_raw is None for e in failed)
@@ -307,15 +321,10 @@ def test_non_finite_objective_is_a_failed_evaluation():
 
 
 def test_total_failure_raises_progress_error_with_partial_trace():
-    def broken(point):
-        raise RuntimeError("boom")
-
-    initial = _initial(6, 3)
-    config = WorkflowConfig(budget=12, expansion=ExpansionConfig(nseeds=3))
+    # every call after the initial design fails
     with pytest.raises(ProgressError) as err:
-        run(initial, broken, config, _fixed_emulator(),
-            LHSGrid(GridConfig(ndim=1, ngrid=30)))
-    trace = err.value.trace
+        _loop(budget=12, simulator=_failing_after(6), nTS_samp=30)
+    initial, trace = err.value.dataset, err.value.trace
     assert len(initial) == 6
     assert initial.transform is not None
     assert len(trace.iterations) == 1
@@ -328,19 +337,10 @@ def test_total_failure_raises_progress_error_with_partial_trace():
 
 
 def _expansion_run(mode):
-    master_seed = 7
-    n0, k0 = 6, 2
-    initial = _initial(n0, k0, master_seed)
-    config = WorkflowConfig(
-        budget=30,
-        expansion=ExpansionConfig(nseeds=k0, nsims_expand=8, nexpansion=3),
-        nTS_samp=8,
-        master_seed=master_seed,
-        expansion_mode=mode,
-    )
-    emulator = SeedKernelGP(ndim=1, nseeds=k0, nstarts=1, maxfev=60)
-    strategy = LHSGrid(GridConfig(ndim=1, ngrid=30))
-    return initial, run(initial, toy_objective, config, emulator, strategy), emulator
+    emulator = SeedKernelGP(ndim=1, nseeds=2, nstarts=1, maxfev=60)
+    dataset, trace = _loop(budget=30, emulator=emulator, k0=2, master_seed=7,
+                           nsims_expand=8, expansion_mode=mode)
+    return dataset, trace, emulator
 
 
 def test_expansion_grows_seed_space_and_samples_the_new_seed():
