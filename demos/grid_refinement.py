@@ -41,9 +41,10 @@ def main():
 
     print(f"fraction of candidates within 0.1 of the optimum ({OPT})")
     print("round   adaptive   lhs")
+    g_ad = None
     for round_ in range(1, 9):
-        g_ad = adaptive.sample(emulator=em, dataset=ds, nseeds=NSEEDS, rng=rng)
-        g_lhs = lhs.sample(dataset=ds, nseeds=NSEEDS, rng=rng)
+        g_ad = adaptive.sample(emulator=em, dataset=ds, nseeds=NSEEDS, rng=rng, previous=g_ad)
+        g_lhs = lhs.sample(emulator=em, dataset=ds, nseeds=NSEEDS, rng=rng, previous=None)
         print(f"  {round_}      {near_opt(g_ad):.3f}      {near_opt(g_lhs):.3f}")
 
     # both grids always come back at full size with in-range seeds

@@ -27,6 +27,7 @@ import argparse
 import csv
 import ctypes
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -40,9 +41,9 @@ import scipy
 from .dataspace import Bounds, Dataset, rescale, sse
 from .emulator import SeedKernelGP
 from .errors import NumericalError, ProgressError
-from .expansion import ExpansionConfig
+from .expansion import POLICIES, SAMPLE_MODES, ExpansionConfig
 from .grid import AdaptiveGrid, FixedGrid, LHSGrid
-from .kernels import bundled_openblas
+from .kernels import FROM_SQ_DISTS, bundled_openblas
 from .simulator import SirConfig, sir_run, to_table, toy_objective
 from .workflow import WorkflowConfig, component_stream, run
 
@@ -79,12 +80,22 @@ REQUIRED = object()
 #: object checked against the rows filed under ``<section>.<key>``.
 PATH, BOUNDS, TABLE = "path", "bounds", "table"
 
-SIR_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SirConfig)
-                if f.default is not dataclasses.MISSING}
+
+def _defaults(cls) -> dict:
+    """The default of each defaulted parameter of ``cls``'s constructor."""
+    return {name: param.default for name, param in inspect.signature(cls).parameters.items()
+            if param.default is not param.empty}
+
+
+SIR_DEFAULTS = _defaults(SirConfig)
+_GP, _ADAPTIVE, _EXPANSION, _WORKFLOW = (
+    _defaults(cls) for cls in (SeedKernelGP, AdaptiveGrid, ExpansionConfig, WorkflowConfig))
 
 #: One row per key: (section, key, type, default, minimum, maximum), checked
 #: in this order.  A default of None also accepts null.  Rows of section
 #: "sir" are ``problem`` keys, accepted only when ``problem.kind`` is "sir".
+#: The keys of a component's section are its constructor's parameters, and
+#: their defaults and choices are the library's.
 SCHEMA = (
     ("problem", "kind", ("toy", "sir"), REQUIRED, None, None),
     ("problem", "ndim", int, REQUIRED, 1, None),
@@ -101,25 +112,25 @@ SCHEMA = (
     ("sir", "infectious_period", int, SIR_DEFAULTS["infectious_period"], 1, None),
     ("sir", "contact_radius", float, SIR_DEFAULTS["contact_radius"], 1e-9, None),
     ("emulator", "kind", ("baseline", "seed-product"), REQUIRED, None, None),
-    ("emulator", "family", ("matern52", "rbf"), "matern52", None, None),
-    ("emulator", "nstarts", int, 5, 1, None),
-    ("emulator", "rank", int, None, 1, None),
-    ("emulator", "per_seed_v", bool, False, None, None),
-    ("emulator", "maxfev", int, None, 1, None),
+    ("emulator", "family", tuple(FROM_SQ_DISTS), _GP["family"], None, None),
+    ("emulator", "nstarts", int, _GP["nstarts"], 1, None),
+    ("emulator", "rank", int, _GP["rank"], 1, None),
+    ("emulator", "per_seed_v", bool, _GP["per_seed_v"], None, None),
+    ("emulator", "maxfev", int, _GP["maxfev"], 1, None),
     ("grid", "kind", ("fixed", "lhs", "adaptive"), REQUIRED, None, None),
     ("grid", "ngrid", int, 100, 1, None),
-    ("grid", "proposal_step", float, 0.05, 1e-12, None),
-    ("grid", "reuse_previous", bool, True, None, None),
-    ("expansion", "policy", ("by-sims", "by-prob"), REQUIRED, None, None),
+    ("grid", "proposal_step", float, _ADAPTIVE["proposal_step"], 1e-12, None),
+    ("grid", "reuse_previous", bool, _ADAPTIVE["reuse_previous"], None, None),
+    ("expansion", "policy", POLICIES, REQUIRED, None, None),
     ("expansion", "nseeds", int, REQUIRED, 1, None),
-    ("expansion", "nexpansion", int, 10, 0, None),
-    ("expansion", "nsims_expand", int, 50, 1, None),
-    ("expansion", "sample_mode", ("explore", "exploit"), "explore", None, None),
-    ("expansion", "p", float, None, 0.0, 1.0),
+    ("expansion", "nexpansion", int, _EXPANSION["nexpansion"], 0, None),
+    ("expansion", "nsims_expand", int, _EXPANSION["nsims_expand"], 1, None),
+    ("expansion", "sample_mode", SAMPLE_MODES, _EXPANSION["sample_mode"], None, None),
+    ("expansion", "p", float, _EXPANSION["p"], 0.0, 1.0),
     ("workflow", "budget", int, REQUIRED, 1, None),
     ("workflow", "initial_design", int, REQUIRED, 2, None),
-    ("workflow", "nTS_samp", int, 30, 1, None),
-    ("workflow", "master_seed", int, 0, 0, None),
+    ("workflow", "nTS_samp", int, _WORKFLOW["nTS_samp"], 1, None),
+    ("workflow", "master_seed", int, _WORKFLOW["master_seed"], 0, None),
     ("output", "directory", PATH, REQUIRED, 1, None),
     ("output", "rmse_cutoff", float, 20.0, 0.0, None),
 )
@@ -321,44 +332,22 @@ def _build_objective(problem: dict, bounds: Bounds):
 
 
 def _build_components(cfg: dict):
-    d = cfg["problem"]["ndim"]
-    k0 = cfg["expansion"]["nseeds"]
-    em_cfg = cfg["emulator"]
+    """The emulator, grid strategy and run settings of a checked config; each
+    key but ``kind`` and ``ngrid`` is the parameter of the same name."""
+    em_cfg, grid_cfg = dict(cfg["emulator"]), dict(cfg["grid"])
+    seeded = em_cfg.pop("kind") == "seed-product"
+    kind, ngrid = grid_cfg.pop("kind"), grid_cfg.pop("ngrid")
+    expansion = ExpansionConfig(**cfg["expansion"])
     # the seed-agnostic baseline is the same GP without a seed space
-    emulator = SeedKernelGP(
-        ndim=d, nseeds=k0 if em_cfg["kind"] == "seed-product" else None,
-        rank=em_cfg["rank"], family=em_cfg["family"], nstarts=em_cfg["nstarts"],
-        per_seed_v=em_cfg["per_seed_v"], maxfev=em_cfg["maxfev"],
-    )
-    ngrid, kind = cfg["grid"]["ngrid"], cfg["grid"]["kind"]
+    emulator = SeedKernelGP(ndim=cfg["problem"]["ndim"],
+                            nseeds=expansion.nseeds if seeded else None, **em_cfg)
     if kind == "fixed":
-        strategy = FixedGrid.from_lhs(
-            ngrid, d, k0, component_stream(cfg["workflow"]["master_seed"], "grid", 0)
-        )
+        strategy = FixedGrid(ngrid, component_stream(cfg["workflow"]["master_seed"], "grid", 0))
     elif kind == "lhs":
         strategy = LHSGrid(ngrid)
     else:
-        strategy = AdaptiveGrid(
-            ngrid,
-            step=cfg["grid"]["proposal_step"],
-            reuse_previous=cfg["grid"]["reuse_previous"],
-        )
-    expansion = ExpansionConfig(
-        nseeds=k0,
-        nexpansion=cfg["expansion"]["nexpansion"],
-        policy=cfg["expansion"]["policy"],
-        nsims_expand=cfg["expansion"]["nsims_expand"],
-        p=cfg["expansion"]["p"],
-    )
-    wf = WorkflowConfig(
-        budget=cfg["workflow"]["budget"],
-        initial_design=cfg["workflow"]["initial_design"],
-        expansion=expansion,
-        nTS_samp=cfg["workflow"]["nTS_samp"],
-        master_seed=cfg["workflow"]["master_seed"],
-        expansion_mode=cfg["expansion"]["sample_mode"],
-    )
-    return emulator, strategy, wf
+        strategy = AdaptiveGrid(ngrid, **grid_cfg)
+    return emulator, strategy, WorkflowConfig(expansion=expansion, **cfg["workflow"])
 
 
 # ---------------------------------------------------------------------------

@@ -447,7 +447,6 @@ class SeedKernelGP:
         # row i holds the seed-matrix entries of training seed r_i against every seed
         self._seed_rows = None if r is None else self.seed_matrix[r - 1]
         self._jitter = jitter
-        self._packed = packed.copy()
         self._fitted = True
 
     # -- prediction ---------------------------------------------------------

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 POLICIES = ("by-sims", "by-prob")
+SAMPLE_MODES = ("explore", "exploit")
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,9 @@ class ExpansionConfig:
 
     policy "by-sims" triggers once ``nsims_expand`` simulations complete
     since the last expansion; "by-prob" triggers with probability ``p`` at
-    each check.
+    each check.  Each expansion queues ``nexpansion`` points on the new
+    seed: with ``sample_mode`` "explore", drawn uniformly from the refined
+    candidate grid; with "exploit", the best coordinates evaluated so far.
     """
 
     nseeds: int
@@ -41,6 +44,7 @@ class ExpansionConfig:
     policy: str = "by-sims"
     nsims_expand: int = 50
     p: float | None = None
+    sample_mode: str = "explore"
 
     def __post_init__(self):
         if self.nseeds < 1:
@@ -54,6 +58,8 @@ class ExpansionConfig:
         if self.policy == "by-prob":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError("by-prob policy needs p in [0, 1]")
+        if self.sample_mode not in SAMPLE_MODES:
+            raise ValueError(f"sample_mode must be one of {SAMPLE_MODES}")
 
 
 @dataclass

@@ -1,17 +1,21 @@
 """Candidate-grid strategies for the acquisition loop.
 
 Three ways to produce the M-point candidate set scored by Thompson
-sampling: a frozen grid, a fresh Latin hypercube per call, and an adaptive
-grid that filters the previous candidates by importance resampling on a
-probability-of-improvement likelihood, then densifies back to M distinct
-points with a Metropolis-Hastings random walk over (coordinates, seed).
-``LHSGrid`` and ``AdaptiveGrid`` are built with their size M (``ngrid``);
-each ``sample`` call takes the dimension from the dataset and the current
-seed count as ``nseeds``, since the seed space grows during a run.
+sampling: a grid frozen for the run, a fresh Latin hypercube per call, and
+an adaptive grid that filters the previous candidates by importance
+resampling on a probability-of-improvement likelihood, then densifies back
+to M distinct points with a Metropolis-Hastings random walk over
+(coordinates, seed).  Each strategy is built with its size M (``ngrid``)
+and its settings alone, the fixed grid's stream among them.  The run
+supplies the rest at every ``sample`` call: the emulator, the dataset
+(whose dimension the grid takes), the current seed count as ``nseeds``,
+since the seed space grows during a run, the grid stream, and the
+previous iteration's grid.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 
@@ -59,24 +63,15 @@ class CandidateGrid:
         return h.hexdigest()
 
 
-def _beats_incumbent(mean: np.ndarray, var: np.ndarray, tau: float) -> np.ndarray:
-    sd = np.maximum(np.sqrt(np.maximum(var, 0.0)), SIGMA_FLOOR)
-    return np.maximum(ndtr((tau - mean) / sd), LIKELIHOOD_FLOOR)
-
-
-def likelihood_values(X: np.ndarray, seeds: np.ndarray, emulator, tau: float) -> np.ndarray:
+def likelihood_values(mean: np.ndarray, var: np.ndarray, tau: float) -> np.ndarray:
     """Probability each candidate's latent objective beats the incumbent tau.
 
-    Phi((tau - mu) / sigma) under the emulator posterior, with sigma floored
-    at 1e-8 and the result floored at 1e-300 so weights stay positive.
+    Phi((tau - mu) / sigma) for posterior means ``mean`` and variances
+    ``var``, with sigma floored at 1e-8 and the result floored at 1e-300 so
+    weights stay positive.
     """
-    return _beats_incumbent(*emulator.predict_mean_var(X, seeds), tau)
-
-
-def _seedwise_likelihood(x: np.ndarray, k: int, emulator, tau: float) -> np.ndarray:
-    """``likelihood_values`` of coordinates ``x`` under each of seeds 1..k,
-    through the emulator's ``predict_seedwise``; the values are the same."""
-    return _beats_incumbent(*emulator.predict_seedwise(x, k), tau)
+    sd = np.maximum(np.sqrt(np.maximum(var, 0.0)), SIGMA_FLOOR)
+    return np.maximum(ndtr((tau - mean) / sd), LIKELIHOOD_FLOOR)
 
 
 def resample_indices(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,29 +145,6 @@ def mh_densify(entries, likelihood_fn, nseeds: int, target: int, step: float,
     return out
 
 
-def _lhs_grid(ngrid: int, ndim: int, nseeds: int, rng: np.random.Generator) -> CandidateGrid:
-    X = latin_hypercube(ngrid, ndim, rng)
-    seeds = 1 + np.arange(ngrid, dtype=np.int64) % nseeds
-    return CandidateGrid(X=X, seeds=seeds)
-
-
-class FixedGrid:
-    """A grid frozen at construction; every sample call returns it unchanged."""
-
-    def __init__(self, grid: CandidateGrid):
-        self._grid = grid
-
-    @classmethod
-    def from_lhs(cls, ngrid: int, ndim: int, nseeds: int,
-                 rng: np.random.Generator) -> "FixedGrid":
-        """One-time Latin hypercube of ``ngrid`` points in ``ndim``
-        dimensions over ``nseeds`` seeds, then frozen."""
-        return cls(_lhs_grid(ngrid, ndim, nseeds, rng))
-
-    def sample(self, **_) -> CandidateGrid:
-        return self._grid
-
-
 class LHSGrid:
     """A fresh ``ngrid``-point Latin hypercube per call, in the dataset's
     dimension, seeds cycling 1 + (i mod k)."""
@@ -182,40 +154,60 @@ class LHSGrid:
             raise ValueError("ngrid must be >= 1")
         self.ngrid = int(ngrid)
 
-    def sample(self, *, dataset, nseeds, rng, **_) -> CandidateGrid:
-        return _lhs_grid(self.ngrid, dataset.ndim, int(nseeds), rng)
+    def sample(self, *, emulator, dataset, nseeds, rng, previous) -> CandidateGrid:
+        X = latin_hypercube(self.ngrid, dataset.ndim, rng)
+        return CandidateGrid(X=X, seeds=1 + np.arange(self.ngrid, dtype=np.int64) % nseeds)
+
+
+class FixedGrid(LHSGrid):
+    """One ``LHSGrid`` draw, frozen for the run.
+
+    The first call of a run (``previous`` None) draws the grid from a copy
+    of ``rng``, so every run that uses this strategy draws the same one;
+    later calls return the previous grid unchanged.
+    """
+
+    def __init__(self, ngrid: int, rng: np.random.Generator):
+        super().__init__(ngrid)
+        self.rng = rng
+
+    def sample(self, *, emulator, dataset, nseeds, rng, previous) -> CandidateGrid:
+        if previous is not None:
+            return previous
+        return super().sample(emulator=emulator, dataset=dataset, nseeds=nseeds,
+                              rng=copy.deepcopy(self.rng), previous=None)
 
 
 class AdaptiveGrid(LHSGrid):
     """Importance-resampled, MH-densified candidate grid of ``ngrid`` points.
 
-    Each call reweights the previous grid (or, on the first call, the
+    Each call reweights the previous grid (or, on a run's first call, the
     ``LHSGrid`` draw it refines) by the probability of beating the
     incumbent, resamples M points with replacement, collapses duplicates,
     and densifies back to M distinct points via ``mh_densify``, whose
-    Gaussian random-walk proposal has scale ``step`` in unit-hypercube
-    units.  Set ``reuse_previous=False`` to restart from a fresh LHS every
-    call instead of carrying the grid over.
+    Gaussian random-walk proposal has scale ``proposal_step`` in
+    unit-hypercube units.  Set ``reuse_previous=False`` to restart from a
+    fresh LHS every call instead of carrying the grid over.
     The emulator must provide ``predict_mean_var`` and ``predict_seedwise``,
     as ``SeedKernelGP`` does.
     """
 
-    def __init__(self, ngrid: int, step: float = 0.05, reuse_previous: bool = True):
-        if not 0 < step < math.inf:  # NaN fails both comparisons
-            raise ValueError("proposal step must be positive and finite")
+    def __init__(self, ngrid: int, proposal_step: float = 0.05, reuse_previous: bool = True):
+        if not 0 < proposal_step < math.inf:  # NaN fails both comparisons
+            raise ValueError("proposal_step must be positive and finite")
         super().__init__(ngrid)
-        self.step = step
+        self.proposal_step = proposal_step
         self.reuse_previous = bool(reuse_previous)
-        self._previous: CandidateGrid | None = None
 
-    def sample(self, *, emulator, dataset, nseeds, rng) -> CandidateGrid:
+    def sample(self, *, emulator, dataset, nseeds, rng, previous) -> CandidateGrid:
         M = self.ngrid
         k = int(nseeds)
-        prev = self._previous if self.reuse_previous else None
+        prev = previous if self.reuse_previous else None
         if prev is None:
-            prev = super().sample(dataset=dataset, nseeds=k, rng=rng)
+            prev = super().sample(emulator=emulator, dataset=dataset, nseeds=k, rng=rng,
+                                  previous=None)
         tau = float(dataset.incumbent())
-        weights = likelihood_values(prev.X, prev.seeds, emulator, tau)
+        weights = likelihood_values(*emulator.predict_mean_var(prev.X, prev.seeds), tau)
         idx = resample_indices(weights, M, rng)
         first = {}  # the first draw of each distinct (x, seed) pair, in draw order
         for i in idx:
@@ -223,12 +215,10 @@ class AdaptiveGrid(LHSGrid):
         entries = [(prev.X[i], int(prev.seeds[i]), float(weights[i])) for i in first.values()]
 
         entries = mh_densify(
-            entries, lambda x: _seedwise_likelihood(x, k, emulator, tau), k, M,
-            self.step, rng, MAX_ATTEMPTS_PER_POINT * M,
+            entries, lambda x: likelihood_values(*emulator.predict_seedwise(x, k), tau), k, M,
+            self.proposal_step, rng, MAX_ATTEMPTS_PER_POINT * M,
         )
-        grid = CandidateGrid(
+        return CandidateGrid(
             X=np.array([e[0] for e in entries]),
             seeds=np.array([e[1] for e in entries], dtype=np.int64),
         )
-        self._previous = grid
-        return grid

@@ -72,14 +72,14 @@ def component_stream(master_seed: int, component: str, iteration: int = 0) -> np
 class WorkflowConfig:
     """Run-level settings: budget (successful evaluations, the initial
     design's included), initial design size (2 to ``budget``: the emulator
-    needs two training points), Thompson draws, seeding, expansion."""
+    needs two training points), Thompson draws, seeding, and seed-space
+    growth (``expansion``, where new-seed points go included)."""
 
     budget: int
     initial_design: int
     expansion: ExpansionConfig
     nTS_samp: int = 30
     master_seed: int = 0
-    expansion_mode: str = "explore"
 
     def __post_init__(self):
         if self.initial_design < 2:
@@ -88,8 +88,6 @@ class WorkflowConfig:
             raise ValueError("budget must be >= initial_design")
         if self.nTS_samp < 1:
             raise ValueError("nTS_samp must be >= 1")
-        if self.expansion_mode not in ("explore", "exploit"):
-            raise ValueError("expansion_mode must be 'explore' or 'exploit'")
 
 
 @dataclass
@@ -191,10 +189,15 @@ def run(simulator, config: WorkflowConfig, emulator,
         budget.
     config : WorkflowConfig
     emulator : SeedKernelGP
+        Unfitted, with ``nseeds`` None or ``config.expansion.nseeds``.
         Refit each iteration on all data; its ``rng`` is reseeded from the
         fit stream so refits are reproducible.  Its ``ndim`` is the
         dimension of the initial design.
     grid_strategy : FixedGrid, LHSGrid or AdaptiveGrid
+        Called once per iteration with the emulator, the dataset, the
+        current seed count, the grid stream and the previous iteration's
+        grid (None at the first); it holds only its settings, so one
+        strategy may serve several runs.
 
     Returns
     -------
@@ -206,6 +209,9 @@ def run(simulator, config: WorkflowConfig, emulator,
 
     Raises
     ------
+    ValueError
+        Before any evaluation, for an emulator that was fitted already or
+        whose seed count is not the config's.
     ProgressError
         If fewer than 2 initial evaluations succeed, or every evaluation in
         some iteration fails.
@@ -215,6 +221,11 @@ def run(simulator, config: WorkflowConfig, emulator,
         ``exc.trace``.
     """
     k0 = config.expansion.nseeds
+    if emulator.nseeds not in (None, k0):
+        raise ValueError(f"emulator.nseeds ({emulator.nseeds}) must be None or "
+                         f"expansion.nseeds ({k0})")
+    if emulator.fit_report is not None:
+        raise ValueError("the emulator was fitted already; a run starts from an unfitted one")
     X0 = latin_hypercube(config.initial_design, emulator.ndim,
                          component_stream(config.master_seed, "init", 0))
     records = []
@@ -222,7 +233,7 @@ def run(simulator, config: WorkflowConfig, emulator,
                            0, records)
     trace = RunTrace(master_seed=config.master_seed, budget=config.budget,
                      initial_size=y.size, evaluations=records)
-    dataset = None
+    dataset = grid = None
     iteration = 0
     try:
         if y.size < 2:  # the emulator needs two training points
@@ -240,6 +251,7 @@ def run(simulator, config: WorkflowConfig, emulator,
                 dataset=dataset,
                 nseeds=state.current_k,
                 rng=component_stream(config.master_seed, "grid", iteration),
+                previous=grid,
             )
             batch, argmins = thompson_select(
                 emulator, grid, config.nTS_samp,
@@ -252,7 +264,7 @@ def run(simulator, config: WorkflowConfig, emulator,
             ):
                 new_seed = expand(state, config.expansion)
                 emulator.expand_seed_space(new_seed)
-                if config.expansion_mode == "exploit":
+                if config.expansion.sample_mode == "exploit":
                     extra = reseed_incumbents(dataset, config.expansion.nexpansion, new_seed)
                 else:
                     extra = sample_from_expansion(

@@ -222,8 +222,9 @@ def test_adaptive_grid_always_returns_full_in_domain_grids():
     )
     em.fit(ds.X, ds.seeds, ds.y_std)
     strategy = AdaptiveGrid(60)
+    grid = None
     for _ in range(8):
-        grid = strategy.sample(emulator=em, dataset=ds, nseeds=4, rng=rng)
+        grid = strategy.sample(emulator=em, dataset=ds, nseeds=4, rng=rng, previous=grid)
         assert len(grid) == 60
         assert np.all(grid.X >= 0.0) and np.all(grid.X <= 1.0)
         assert np.all(grid.seeds >= 1) and np.all(grid.seeds <= 4)

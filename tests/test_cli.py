@@ -419,6 +419,52 @@ def test_schema_names_each_fault(tmp_path, base, path, value, message):
     assert str(info.value) == message
 
 
+#: (config changes, the component attribute they reach, its value); each
+#: value differs from the default and from the value of ``_toy_config``.
+_SETTINGS = [
+    ({"problem": {"ndim": 2, "lower": [0.0, 0.0], "upper": [1.0, 1.0]}},
+     lambda em, grid, wf: em.ndim, 2),
+    ({"emulator": {"kind": "baseline"}}, lambda em, grid, wf: em.nseeds, None),
+    ({"emulator": {"family": "rbf"}}, lambda em, grid, wf: em.family, "rbf"),
+    ({"emulator": {"nstarts": 3}}, lambda em, grid, wf: em.nstarts, 3),
+    ({"emulator": {"rank": 3}}, lambda em, grid, wf: em.rank, 3),
+    ({"emulator": {"per_seed_v": True}}, lambda em, grid, wf: em.per_seed_v, True),
+    ({"emulator": {"maxfev": 7}}, lambda em, grid, wf: em.maxfev, 7),
+    ({"grid": {"kind": "fixed"}}, lambda em, grid, wf: type(grid), cli.FixedGrid),
+    ({"grid": {"kind": "fixed"}, "workflow": {"master_seed": 9}},
+     lambda em, grid, wf: grid.rng.bit_generator.state,
+     cli.component_stream(9, "grid", 0).bit_generator.state),
+    ({"grid": {"kind": "adaptive"}}, lambda em, grid, wf: type(grid), cli.AdaptiveGrid),
+    ({"grid": {"ngrid": 17}}, lambda em, grid, wf: grid.ngrid, 17),
+    ({"grid": {"kind": "adaptive", "proposal_step": 0.2}},
+     lambda em, grid, wf: grid.proposal_step, 0.2),
+    ({"grid": {"kind": "adaptive", "reuse_previous": False}},
+     lambda em, grid, wf: grid.reuse_previous, False),
+    ({"expansion": {"policy": "by-prob", "p": 0.3}},
+     lambda em, grid, wf: (wf.expansion.policy, wf.expansion.p), ("by-prob", 0.3)),
+    ({"expansion": {"nseeds": 4}}, lambda em, grid, wf: (em.nseeds, wf.expansion.nseeds), (4, 4)),
+    ({"expansion": {"nexpansion": 2}}, lambda em, grid, wf: wf.expansion.nexpansion, 2),
+    ({"expansion": {"nsims_expand": 7}}, lambda em, grid, wf: wf.expansion.nsims_expand, 7),
+    ({"expansion": {"sample_mode": "exploit"}},
+     lambda em, grid, wf: wf.expansion.sample_mode, "exploit"),
+    ({"workflow": {"budget": 20}}, lambda em, grid, wf: wf.budget, 20),
+    ({"workflow": {"initial_design": 5}}, lambda em, grid, wf: wf.initial_design, 5),
+    ({"workflow": {"nTS_samp": 4}}, lambda em, grid, wf: wf.nTS_samp, 4),
+    ({"workflow": {"master_seed": 9}}, lambda em, grid, wf: wf.master_seed, 9),
+]
+
+
+@pytest.mark.parametrize("changes,attribute,want", _SETTINGS,
+                         ids=[",".join(f"{section}.{key}={value!r}" for section, sec in c.items()
+                                       for key, value in sec.items()) for c, _, _ in _SETTINGS])
+def test_build_components_passes_each_setting_through(tmp_path, changes, attribute, want):
+    def mutate(c):
+        for section, values in changes.items():
+            c[section].update(values)
+
+    assert attribute(*cli._build_components(_load(tmp_path, mutate))) == want
+
+
 def test_readme_minimal_config_loads(tmp_path):
     readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
     block = re.search(r"A minimal calibration config:\n\n```json\n(.*?)```", readme, re.S)

@@ -47,7 +47,7 @@ def test_fit_deterministic_given_stream():
     b = SeedKernelGP(ndim=1, rng=np.random.default_rng(42))
     a.fit(X, None, Y)
     b.fit(X, None, Y)
-    assert np.array_equal(a._packed, b._packed)
+    assert np.array_equal(a._warm, b._warm)
     assert a.lml == b.lml
 
 
@@ -240,7 +240,7 @@ def test_lml_gradient_small_at_interior_optimum():
     em = SeedKernelGP(ndim=1, rng=np.random.default_rng(5))
     em.fit(X, None, Y)
     lo, hi = em._pack_bounds()
-    x = em._packed
+    x = em._warm
     h = 1e-5
     for i in range(x.shape[0]):
         if x[i] <= lo[i] + 1e-9 or x[i] >= hi[i] - 1e-9:
@@ -495,7 +495,7 @@ def _assert_fast_path_exact(em, rng, npoints=15, fixed=None):
     for _ in range(npoints):
         p = lo + rng.uniform(size=lo.shape) * (hi - lo)
         assert em._neg_lml(p) == _reference_neg_lml(em, p, fixed)
-    assert em._neg_lml(em._packed) == -em.lml  # the fitted factor needed no jitter
+    assert em._neg_lml(em._warm) == -em.lml  # the fitted factor needed no jitter
 
 
 def _factor_paths(monkeypatch):
@@ -562,7 +562,7 @@ def _check_inf_where_the_reference_raises():
     em = SeedKernelGP(ndim=2, nseeds=3, rank=1, nstarts=1, maxfev=20,
                       rng=np.random.default_rng(43))
     em.fit(*_seeded_data(rng, 30, [1, 2, 3]))
-    p = em._packed.copy()
+    p = em._warm.copy()
     p[3] = 0.0  # a zero raw B row: normalize_rows raises ValueError
     with pytest.raises(ValueError):
         kernels.normalize_rows(em._decode(p)[2])
@@ -570,7 +570,7 @@ def _check_inf_where_the_reference_raises():
     assert em._neg_lml(p) == np.inf
 
     # lengthscales that underflow to zero, far outside the box
-    p = em._packed.copy()
+    p = em._warm.copy()
     p[0] = -1000.0
     assert _reference_neg_lml(em, p) == em._neg_lml(p) == np.inf
 

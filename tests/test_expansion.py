@@ -32,6 +32,8 @@ def test_config_validation():
         ExpansionConfig(nseeds=5, policy="by-prob", p=1.5)
     with pytest.raises(ValueError):
         ExpansionConfig(nseeds=5, policy="by-sims", nsims_expand=0)
+    with pytest.raises(ValueError, match="sample_mode must be one of"):
+        ExpansionConfig(nseeds=5, sample_mode="greedy")
 
 
 def test_by_sims_threshold():

@@ -13,7 +13,6 @@ from trajcal.grid import (
     CandidateGrid,
     FixedGrid,
     LHSGrid,
-    _seedwise_likelihood,
     likelihood_values,
     mh_densify,
     resample_indices,
@@ -39,18 +38,17 @@ class StubEmulator:
 
 
 def test_config_validation():
+    rng = np.random.default_rng(0)
     LHSGrid(1)
     AdaptiveGrid(1)
-    for build in (LHSGrid, AdaptiveGrid):
+    FixedGrid(1, rng)
+    for build in (LHSGrid, AdaptiveGrid, lambda ngrid: FixedGrid(ngrid, rng)):
         with pytest.raises(ValueError, match="ngrid must be >= 1"):
             build(0)
-    for ngrid, ndim in ((0, 1), (10, 0)):
-        with pytest.raises(ValueError, match="n and d must be >= 1"):
-            FixedGrid.from_lhs(ngrid, ndim, 2, np.random.default_rng(0))
     # NaN passes a bare ``step <= 0`` check
     for step in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="step must be positive and finite"):
-            AdaptiveGrid(10, step=step)
+            AdaptiveGrid(10, proposal_step=step)
 
 
 def test_candidate_grid_validates_domain():
@@ -66,31 +64,25 @@ def test_candidate_grid_validates_domain():
 
 
 def test_likelihood_at_incumbent_is_half():
-    em = StubEmulator(mean_fn=lambda X: np.zeros(X.shape[0]))
-    vals = likelihood_values(np.array([[0.5]]), np.array([1]), em, tau=0.0)
+    vals = likelihood_values(np.zeros(1), np.ones(1), tau=0.0)
     assert vals[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_likelihood_five_sigma_below():
-    em = StubEmulator(mean_fn=lambda X: np.full(X.shape[0], -5.0))
-    vals = likelihood_values(np.array([[0.5]]), np.array([1]), em, tau=0.0)
+    vals = likelihood_values(np.full(1, -5.0), np.ones(1), tau=0.0)
     assert vals[0] == pytest.approx(PHI_5, abs=1e-12)
 
 
 def test_likelihood_one_sigma_above():
-    em = StubEmulator(mean_fn=lambda X: np.ones(X.shape[0]))
-    vals = likelihood_values(np.array([[0.5]]), np.array([1]), em, tau=0.0)
+    vals = likelihood_values(np.ones(1), np.ones(1), tau=0.0)
     assert vals[0] == pytest.approx(PHI_MINUS_1, abs=1e-12)
 
 
 def test_likelihood_floors():
     # zero posterior sd hits the 1e-8 floor instead of dividing by zero
-    em = StubEmulator(mean_fn=lambda X: np.ones(X.shape[0]),
-                      var_fn=lambda X: np.zeros(X.shape[0]))
-    vals = likelihood_values(np.array([[0.5]]), np.array([1]), em, tau=0.0)
+    vals = likelihood_values(np.ones(1), np.zeros(1), tau=0.0)
     assert vals[0] >= 1e-300
-    em2 = StubEmulator(mean_fn=lambda X: np.full(X.shape[0], 60.0))
-    vals2 = likelihood_values(np.array([[0.5]]), np.array([1]), em2, tau=0.0)
+    vals2 = likelihood_values(np.full(1, 60.0), np.ones(1), tau=0.0)
     assert vals2[0] == 1e-300
 
 
@@ -187,22 +179,40 @@ def test_mh_densify_degenerate_surface_raises():
                    step=0.05, rng=np.random.default_rng(6), max_attempts=200)
 
 
+def _dataset(ndim=1):
+    return Dataset(np.full((2, ndim), 0.5), np.array([1, 2]), np.array([2.0, 5.0]))
+
+
 def test_fixed_grid_returns_same_object_every_call():
-    grid = CandidateGrid(np.array([[0.1], [0.5], [0.9]]), np.array([1, 2, 1]))
-    strat = FixedGrid(grid)
-    g1 = strat.sample()
-    g2 = strat.sample()
+    strat = FixedGrid(3, np.random.default_rng(7))
+    ds = _dataset()
+    g1 = strat.sample(emulator=None, dataset=ds, nseeds=2, rng=np.random.default_rng(1),
+                      previous=None)
+    # later calls of a run return the previous grid, whatever the seed count
+    g2 = strat.sample(emulator=None, dataset=ds, nseeds=3, rng=np.random.default_rng(2),
+                      previous=g1)
     assert g1 is g2
-    assert np.array_equal(g1.X, grid.X)
-    assert np.array_equal(g1.seeds, grid.seeds)
+    # a second run draws the same grid: the strategy never consumes its stream
+    g3 = strat.sample(emulator=None, dataset=ds, nseeds=2, rng=np.random.default_rng(3),
+                      previous=None)
+    assert g3.digest() == g1.digest()
 
 
-def test_fixed_grid_from_lhs_stratified():
-    strat = FixedGrid.from_lhs(100, 1, 4, np.random.default_rng(7))
-    grid = strat.sample()
+def test_fixed_grid_first_draw_is_stratified():
+    strat = FixedGrid(100, np.random.default_rng(7))
+    grid = strat.sample(emulator=None, dataset=_dataset(), nseeds=4,
+                        rng=np.random.default_rng(8), previous=None)
     bins = np.floor(np.sort(grid.X[:, 0]) * 100).astype(int)
     assert np.minimum(bins, 99).tolist() == list(range(100))
     assert np.array_equal(grid.seeds, 1 + np.arange(100) % 4)
+    # the draw is the LHSGrid draw from the strategy's own stream, in the
+    # dataset's dimension
+    want = LHSGrid(100).sample(emulator=None, dataset=_dataset(), nseeds=4,
+                               rng=np.random.default_rng(7), previous=None)
+    assert grid.digest() == want.digest()
+    wide = strat.sample(emulator=None, dataset=_dataset(3), nseeds=4,
+                        rng=np.random.default_rng(8), previous=None)
+    assert wide.X.shape == (100, 3)
 
 
 def test_lhs_grid_fresh_each_call_with_cycled_seeds():
@@ -210,8 +220,8 @@ def test_lhs_grid_fresh_each_call_with_cycled_seeds():
     rng = np.random.default_rng(8)
     # the grid takes its dimension from the dataset
     ds = Dataset(np.array([[0.2, 0.3], [0.9, 0.1]]), np.array([1, 2]), np.array([2.0, 5.0]))
-    g1 = strat.sample(dataset=ds, nseeds=5, rng=rng)
-    g2 = strat.sample(dataset=ds, nseeds=5, rng=rng)
+    g1 = strat.sample(emulator=None, dataset=ds, nseeds=5, rng=rng, previous=None)
+    g2 = strat.sample(emulator=None, dataset=ds, nseeds=5, rng=rng, previous=g1)
     assert g1.X.shape == g2.X.shape == (10, 2)
     assert not np.array_equal(g1.X, g2.X)
     assert np.bincount(g1.seeds, minlength=6)[1:].tolist() == [2, 2, 2, 2, 2]
@@ -226,9 +236,10 @@ def _fitted_stub_setup(ngrid=30):
 def test_adaptive_grid_exact_size_and_domain():
     ngrid, em, ds = _fitted_stub_setup()
     strat = AdaptiveGrid(ngrid)
+    grid = None
     for _ in range(3):
         grid = strat.sample(emulator=em, dataset=ds, nseeds=3,
-                            rng=np.random.default_rng(9))
+                            rng=np.random.default_rng(9), previous=grid)
         assert len(grid) == 30
         assert grid.X.min() >= 0.0 and grid.X.max() <= 1.0
         assert grid.seeds.min() >= 1 and grid.seeds.max() <= 3
@@ -237,23 +248,26 @@ def test_adaptive_grid_exact_size_and_domain():
 def test_adaptive_grid_distinct_pairs():
     ngrid, em, ds = _fitted_stub_setup()
     grid = AdaptiveGrid(ngrid).sample(emulator=em, dataset=ds, nseeds=3,
-                                    rng=np.random.default_rng(10))
+                                      rng=np.random.default_rng(10), previous=None)
     keys = {(x.tobytes(), int(r)) for x, r in zip(grid.X, grid.seeds)}
     assert len(keys) == len(grid)
 
 
 def test_adaptive_grid_reuse_switch():
     ngrid, em, ds = _fitted_stub_setup()
+
+    def digest(strat, previous):
+        return strat.sample(emulator=em, dataset=ds, nseeds=3,
+                            rng=np.random.default_rng(12), previous=previous).digest()
+
+    g1 = AdaptiveGrid(ngrid).sample(emulator=em, dataset=ds, nseeds=3,
+                                    rng=np.random.default_rng(11), previous=None)
     reusing = AdaptiveGrid(ngrid, reuse_previous=True)
-    g1 = reusing.sample(emulator=em, dataset=ds, nseeds=3,
-                        rng=np.random.default_rng(11))
-    assert reusing._previous is g1
     fresh = AdaptiveGrid(ngrid, reuse_previous=False)
-    fresh.sample(emulator=em, dataset=ds, nseeds=3, rng=np.random.default_rng(11))
-    # with reuse off the second call must not start from the stored grid
-    g2 = fresh.sample(emulator=em, dataset=ds, nseeds=3,
-                      rng=np.random.default_rng(12))
-    assert len(g2) == 30
+    # with reuse on the call refines the previous grid; with it off the call
+    # starts from a fresh LHS, as a run's first call does
+    assert digest(reusing, g1) != digest(reusing, None)
+    assert digest(fresh, g1) == digest(fresh, None) == digest(reusing, None)
 
 
 def test_adaptive_grid_concentrates_near_minimum():
@@ -263,7 +277,7 @@ def test_adaptive_grid_concentrates_near_minimum():
     rng = np.random.default_rng(13)
     grid = None
     for _ in range(6):
-        grid = strat.sample(emulator=em, dataset=ds, nseeds=3, rng=rng)
+        grid = strat.sample(emulator=em, dataset=ds, nseeds=3, rng=rng, previous=grid)
     near = np.abs(grid.X[:, 0] - 0.4) < 0.2
     assert near.mean() > 0.5
 
@@ -305,10 +319,10 @@ def test_seedwise_likelihood_equals_tiled_likelihood_values(
     for _ in range(5):
         x, k, tau = rng.random(ndim), int(rng.integers(1, nseeds + 1)), rng.normal()
         seeds = np.arange(1, k + 1)
-        assert np.array_equal(_seedwise_likelihood(x, k, em, tau),
-                              likelihood_values(np.tile(x, (k, 1)), seeds, em, tau))
         mean, var = em.predict_seedwise(x, k)
         mean_t, var_t = em.predict_mean_var(np.tile(x, (k, 1)), seeds)
+        assert np.array_equal(likelihood_values(mean, var, tau),
+                              likelihood_values(mean_t, var_t, tau))
         assert mean.tobytes() == mean_t.tobytes() and var.tobytes() == var_t.tobytes()
 
 

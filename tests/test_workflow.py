@@ -9,7 +9,7 @@ from trajcal.dataspace import DesignPoint, fit_transform, latin_hypercube
 from trajcal.emulator import SeedKernelGP
 from trajcal.errors import ProgressError
 from trajcal.expansion import ExpansionConfig
-from trajcal.grid import CandidateGrid, LHSGrid
+from trajcal.grid import AdaptiveGrid, CandidateGrid, FixedGrid, LHSGrid
 from trajcal.simulator import toy_objective
 from trajcal.workflow import (
     COMPONENTS,
@@ -54,8 +54,6 @@ def test_workflow_config_validation():
         WorkflowConfig(budget=0, initial_design=2, expansion=exp)
     with pytest.raises(ValueError):
         WorkflowConfig(budget=10, initial_design=2, expansion=exp, nTS_samp=0)
-    with pytest.raises(ValueError):
-        WorkflowConfig(budget=10, initial_design=2, expansion=exp, expansion_mode="greedy")
 
 
 # --------------------------------------------------------- thompson_select
@@ -138,22 +136,23 @@ def _fixed_emulator(nugget=1e-6):
 
 
 def _config(budget, n0=6, k0=3, master_seed=0, nsims_expand=10_000, nexpansion=3,
-            nTS_samp=8, **kw):
+            nTS_samp=8, sample_mode="explore"):
     return WorkflowConfig(
         budget=budget,
         initial_design=n0,
         expansion=ExpansionConfig(nseeds=k0, nsims_expand=nsims_expand,
-                                  nexpansion=nexpansion),
+                                  nexpansion=nexpansion, sample_mode=sample_mode),
         nTS_samp=nTS_samp,
         master_seed=master_seed,
-        **kw,
     )
 
 
-def _loop(budget, simulator=toy_objective, emulator=None, **kw):
+def _loop(budget, simulator=toy_objective, emulator=None, strategy=None, **kw):
     if emulator is None:
         emulator = _fixed_emulator()
-    return run(simulator, _config(budget, **kw), emulator, LHSGrid(ngrid=30))
+    if strategy is None:
+        strategy = LHSGrid(ngrid=30)
+    return run(simulator, _config(budget, **kw), emulator, strategy)
 
 
 def _failing_after(n):
@@ -179,6 +178,59 @@ def test_run_rejects_empty_initial():
     for n0 in (0, 1):
         with pytest.raises(ValueError, match="initial_design must be >= 2"):
             _config(budget=5, n0=n0)
+
+
+def _counted(calls):
+    """The toy objective, appending each point it is called on to ``calls``."""
+    def objective(point):
+        calls.append(point)
+        return toy_objective(point)
+
+    return objective
+
+
+def test_run_rejects_a_mismatched_or_fitted_emulator_before_any_evaluation():
+    calls = []
+    with pytest.raises(ValueError,
+                       match=r"emulator.nseeds \(2\) must be None or expansion.nseeds \(3\)"):
+        _loop(budget=12, simulator=_counted(calls), emulator=SeedKernelGP(ndim=1, nseeds=2))
+    # a fitted emulator would carry its warm start into the run
+    emulator = _fixed_emulator()
+    _loop(budget=8, emulator=emulator)
+    with pytest.raises(ValueError, match="the emulator was fitted already"):
+        _loop(budget=8, simulator=_counted(calls), emulator=emulator)
+    assert calls == []
+
+
+def test_fixed_grid_takes_the_dimension_from_the_data():
+    emulator = SeedKernelGP(ndim=2, fixed={"lengthscales": [0.3, 0.3], "variance": 1.0,
+                                           "nugget": 1e-6})
+    dataset, trace = _loop(budget=12, emulator=emulator,
+                           strategy=FixedGrid(10, np.random.default_rng(0)))
+    assert dataset.X.shape == (12, 2)
+    assert len(trace.iterations) >= 1
+    assert all(len(e.x) == 2 for e in trace.evaluations)
+    # the grid is drawn once and kept for the whole run
+    assert len({it.grid_digest for it in trace.iterations}) == 1
+
+
+@pytest.mark.parametrize("build", [lambda: LHSGrid(20), lambda: AdaptiveGrid(20),
+                                   lambda: FixedGrid(20, np.random.default_rng(5))],
+                         ids=["lhs", "adaptive", "fixed"])
+def test_a_reused_grid_strategy_gives_the_run_a_fresh_one_gives(build):
+    def one_run(strategy):
+        # each run grows the seed space, so a grid kept from the run before
+        # would not match the next run's fresh emulator
+        emulator = SeedKernelGP(ndim=1, nseeds=2, nstarts=1, maxfev=60)
+        dataset, trace = _loop(budget=16, emulator=emulator, strategy=strategy, k0=2,
+                               master_seed=7, nsims_expand=8)
+        assert trace.expansion_events
+        return (dataset.X.tobytes(), dataset.seeds.tobytes(), dataset.y_raw.tobytes(),
+                [it.grid_digest for it in trace.iterations])
+
+    strategy = build()
+    first = one_run(strategy)
+    assert one_run(strategy) == first == one_run(build())
 
 
 def test_initial_design_is_the_documented_draw():
@@ -339,7 +391,7 @@ def test_total_failure_raises_progress_error_with_partial_trace():
 def _expansion_run(mode):
     emulator = SeedKernelGP(ndim=1, nseeds=2, nstarts=1, maxfev=60)
     dataset, trace = _loop(budget=30, emulator=emulator, k0=2, master_seed=7,
-                           nsims_expand=8, expansion_mode=mode)
+                           nsims_expand=8, sample_mode=mode)
     return dataset, trace, emulator
 
 
