@@ -2,11 +2,14 @@
 
 One GP class, :class:`SeedKernelGP`.  Its covariance is a stationary
 kernel on the continuous coordinates times a low-rank seed index kernel
-``B B^T + diag(v)`` (the intrinsic coregionalization model).  Built without
+``B B^T + diag(v)`` (the intrinsic coregionalization model).  Each unit
+row of ``B`` is stored as ``rank - 1`` hyperspherical angles in [0, pi],
+at every rank, so the rows lie in the half-sphere whose last entry is
+nonnegative and rank 1 is one factor shared by all seeds.  Built without
 a seed space (``nseeds=None``) the seed factor is fixed to 1: the GP ignores
 the seed ids and serves as the seed-agnostic baseline.  Hyperparameters
 are chosen by maximizing the log marginal likelihood with multi-start
-bounded Nelder-Mead on log-transformed parameters.
+bounded Nelder-Mead on the angles and log-transformed other parameters.
 
 There is one kernel path, on arrays: ``_hyper`` decodes a packed vector,
 or the ``fixed=`` values checked once in the constructor, into
@@ -95,7 +98,8 @@ class SeedKernelGP:
     space, one integer seed id in 1..k per row, as their own array.  The
     seed kernel is ``B B^T + diag(v)`` with unit-norm rows of ``B``; by
     default ``B`` has rank ``min(2, nseeds)`` and ``v`` is tied across seeds
-    during fitting (the model itself stores a per-seed vector).  Without a
+    during fitting (the model itself stores a per-seed vector).  A fitted
+    ``B`` row has a nonnegative last entry; at rank 1 every row is 1.  Without a
     seed space the seed ids are ignored and may be None.
 
     Parameters
@@ -107,7 +111,8 @@ class SeedKernelGP:
         ``None`` fixes the seed factor to 1; ``rank`` and ``per_seed_v``
         then have no effect and ``expand_seed_space`` does nothing.
     rank : int, optional
-        Rank of ``B``; defaults to ``min(2, nseeds)``.
+        Rank of ``B``; defaults to ``min(2, nseeds)``.  Rank 1 fits no
+        seed correlations: ``B B^T`` is all ones.
     family : {"matern52", "rbf"}
         Stationary kernel family.
     nstarts : int
@@ -195,77 +200,67 @@ class SeedKernelGP:
         """Whether the covariance carries a seed factor."""
         return self.nseeds is not None
 
-    @property
-    def _uses_angles(self):
-        return self.rank == 2
-
     def _set_layout(self):
         """Store the slices of the packed vector's blocks, in order: log
-        lengthscales (d), log variance, B (rank 2 gives each row an angle,
-        other ranks use raw entries), log v (one, or one per seed) and log
-        nugget.  The B and v blocks are empty without a seed space.  The
-        one owner of the layout; it changes only with the seed space."""
+        lengthscales (d), log variance, B (``rank - 1`` angles per seed, so
+        none at rank 1), log v (one, or one per seed) and log nugget.  The
+        B and v blocks are empty without a seed space.  The one owner of
+        the layout; it changes only with the seed space."""
         k = self.nseeds or 0
-        sizes = (self.ndim, 1, k if self._uses_angles else k * (self.rank or 0),
+        sizes = (self.ndim, 1, k * ((self.rank or 1) - 1),
                  k if self.per_seed_v else min(k, 1), 1)
         self._blocks = [slice(end - n, end) for n, end in zip(sizes, accumulate(sizes))]
 
     def _pack_bounds(self):
         if self._fixed is not None:
             return np.empty(0), np.empty(0)
-        v_box = (max(SEED_V_BOUNDS[0], 1e-6), SEED_V_BOUNDS[1])
-        boxes = (LENGTHSCALE_BOUNDS, VARIANCE_BOUNDS, None, v_box, NUGGET_BOUNDS)
+        boxes = (LENGTHSCALE_BOUNDS, VARIANCE_BOUNDS, None, SEED_V_BOUNDS, NUGGET_BOUNDS)
         lo, hi = [], []
         for block, box in zip(self._blocks, boxes):
-            if box is None:  # B's entries are not log-scaled
-                a, b = (0.0, math.pi) if self._uses_angles else (-1.0, 1.0)
-            else:
-                a, b = math.log(box[0]), math.log(box[1])
+            # B's angles lie in [0, pi]; every other block is log-scaled
+            a, b = (0.0, math.pi) if box is None else (math.log(box[0]), math.log(box[1]))
             lo += [a] * (block.stop - block.start)
             hi += [b] * (block.stop - block.start)
         return np.array(lo), np.array(hi)
 
     def _decode(self, packed):
-        """``(lengthscales, variance, B, v)`` of a packed vector; ``B`` and
-        ``v`` are None without a seed space.  ``B`` rows are not normalized."""
-        ls_block, var_block, b_block, v_block, _ = self._blocks
-        ls = np.exp(packed[ls_block])
-        variance = float(np.exp(packed[var_block.start]))
+        """``(lengthscales, variance, B, v, nugget)`` of a packed vector, with
+        ``B`` and ``v`` None without a seed space.  Row i of ``B`` is the unit
+        vector ``(cos a_1, sin a_1 cos a_2, ..., sin a_1 ... sin a_{rank-1})``
+        of seed i's angles a, so ``(cos a, sin a)`` at rank 2 and 1 at rank 1."""
+        ls_block, var_block, b_block, v_block, nugget_block = self._blocks
+        logs = np.exp(packed)  # one call for every log-scaled block; the angles' go unused
+        ls, variance = logs[ls_block], float(logs[var_block.start])
+        nugget = float(logs[nugget_block.start])
         if not self.seeded:
-            return ls, variance, None, None
-        bpars = packed[b_block]
-        if self._uses_angles:
-            B = np.empty((self.nseeds, 2))
-            np.cos(bpars, out=B[:, 0])
-            np.sin(bpars, out=B[:, 1])
-        else:
-            B = bpars.reshape(self.nseeds, self.rank)
-        v = np.exp(packed[v_block])
+            return ls, variance, None, None, nugget
+        angles = packed[b_block].reshape(self.nseeds, self.rank - 1)
+        sines = np.sin(angles)
+        B = np.empty((self.nseeds, self.rank))
+        np.cos(angles, out=B[:, :-1])
+        np.multiply.reduce(sines, axis=1, out=B[:, -1])  # the empty product is 1
+        for j in range(1, self.rank - 1):
+            B[:, j:-1] *= sines[:, j - 1, None]
+        v = logs[v_block]
         if v.shape[0] == 1:
             v = v.repeat(self.nseeds)
-        return ls, variance, B, v
+        return ls, variance, B, v, nugget
 
     def _hyper(self, packed):
         """``(lengthscales, variance, seed matrix or None, nugget)`` of a
         packed vector, or the fixed kernel when there is one.
 
-        Raises ``ValueError`` for a zero raw ``B`` row, and for lengthscales
-        or a variance that underflow to 0.  Rows of (cos t, sin t) are unit
-        length to within the no-op threshold of ``normalize_rows``, so only
-        raw-entry rows go through it.
+        Raises ``ValueError`` for lengthscales or a variance that underflow
+        to 0.  The decoded ``B`` rows are unit length to within a few ulps,
+        so the seed matrix is built from them as they are.
         """
         if self._fixed is not None:
             return self._fixed
-        ls, variance, B, v = self._decode(packed)
+        ls, variance, B, v, nugget = self._decode(packed)
         # exp underflows to 0 far outside the box
-        if variance <= 0.0 or (ls <= 0.0).any():
+        if variance == 0.0 or not ls.all():
             raise ValueError("lengthscales and variance must be positive")
-        nugget = float(np.exp(packed[self._blocks[4].start]))
-        if B is None:
-            return ls, variance, None, nugget
-        if not self._uses_angles:
-            B = normalize_rows(B)
-        return ls, variance, kernels.seed_matrix(B, v), nugget
+        return ls, variance, None if B is None else kernels.seed_matrix(B, v), nugget
 
     def _check_inputs(self, X, seeds):
         """``(coordinates, seed ids or None)`` as float ``(n, ndim)`` and
@@ -351,8 +346,8 @@ class SeedKernelGP:
     def _neg_lml(self, packed):
         """Negative log marginal likelihood of the packed parameters.
 
-        ``inf`` where the kernel is invalid (a zero raw ``B`` row) or not
-        positive definite.
+        ``inf`` where the lengthscales or the variance underflow to 0, or
+        the covariance is not positive definite.
         """
         try:
             K = self._fill_cov(*self._hyper(packed))
@@ -506,8 +501,9 @@ class SeedKernelGP:
         """Grow the seed space to ``new_nseeds``; does nothing without one.
 
         The warm start gains one row per new seed: the new ``B`` row is the
-        normalized mean of the existing rows and the new ``v`` entry the
-        mean of ``v``, a neutral prior for an unseen seed.
+        direction of the mean of the existing rows (all angles pi/2 when that
+        mean is 0) and the new ``v`` entry the mean of ``v``, a neutral prior
+        for an unseen seed.
         """
         if not self.seeded:
             return
@@ -519,24 +515,19 @@ class SeedKernelGP:
             raise ValueError("cannot expand a fixed-parameter emulator")
         added = new_nseeds - self.nseeds
         if self._warm is not None:
-            _, _, b_block, v_block, nugget_block = self._blocks
-            bpars, v_logs = self._warm[b_block], self._warm[v_block]
-            if self._uses_angles:
-                mean_vec = np.array([np.mean(np.cos(bpars)), np.mean(np.sin(bpars))])
-                theta_new = math.atan2(mean_vec[1], mean_vec[0]) if np.linalg.norm(mean_vec) > 0 else math.pi / 2
-                theta_new = min(max(theta_new, 0.0), math.pi)
-                bpars = np.concatenate([bpars, np.full(added, theta_new)])
-            else:
-                B = bpars.reshape(self.nseeds, self.rank)
-                new_row = np.mean(normalize_rows(B), axis=0)
-                norm = np.linalg.norm(new_row)
-                new_row = new_row / norm if norm > 0 else np.full(self.rank, 1.0 / math.sqrt(self.rank))
-                bpars = np.concatenate([B, np.tile(new_row, (added, 1))]).ravel()
+            _, _, _, v_block, nugget_block = self._blocks
+            mean = [float(np.mean(column)) for column in self._decode(self._warm)[2].T]
+            if not any(mean):  # no direction: the last axis, whose angles are all pi/2
+                mean[-1] = 1.0
+            # the inverse map, a_j = atan2(|mean_{j+1:}|, mean_j), lies in [0, pi]
+            row = [math.atan2(math.hypot(*mean[j + 1:]), mean[j]) for j in range(self.rank - 1)]
+            v_logs = self._warm[v_block]
             if self.per_seed_v:
                 v_new = math.log(float(np.mean(np.exp(v_logs))))
                 v_logs = np.concatenate([v_logs, np.full(added, v_new)])
-            self._warm = np.concatenate(
-                [self._warm[: b_block.start], bpars, v_logs, self._warm[nugget_block]])
+            # the new seeds' angles follow the old ones, which end where v starts
+            self._warm = np.concatenate([self._warm[: v_block.start], np.tile(row, added),
+                                         v_logs, self._warm[nugget_block]])
         self.nseeds = int(new_nseeds)
         self._set_layout()
         self._fitted = False  # the stored factor no longer matches the seed space

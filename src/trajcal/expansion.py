@@ -53,11 +53,12 @@ class ExpansionConfig:
             raise ValueError("nexpansion must be >= 0")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if self.policy == "by-sims" and self.nsims_expand < 1:
+        if self.nsims_expand < 1:
             raise ValueError("nsims_expand must be >= 1")
-        if self.policy == "by-prob":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError("by-prob policy needs p in [0, 1]")
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
+            raise ValueError("p must lie in [0, 1]")
+        if self.policy == "by-prob" and self.p is None:
+            raise ValueError("by-prob policy needs p")
         if self.sample_mode not in SAMPLE_MODES:
             raise ValueError(f"sample_mode must be one of {SAMPLE_MODES}")
 

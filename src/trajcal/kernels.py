@@ -4,9 +4,9 @@ A kernel is plain arrays: the lengthscales and variance of a stationary
 kernel on the continuous coordinates (Matérn-5/2 by default,
 squared-exponential as the alternative), and a k x k seed matrix ``S``, or
 None.  ``S`` is the low-rank index kernel ``B B^T + diag(v)`` over seed ids;
-:func:`seed_matrix` builds it from a factor ``B`` whose rows
-:func:`normalize_rows` has scaled to unit length, so ``B B^T`` has a unit
-diagonal.  The joint covariance is the product of the two, or the
+:func:`seed_matrix` builds it from a factor ``B`` with unit-length rows
+(:func:`normalize_rows` scales those of a given factor), so ``B B^T`` has a
+unit diagonal.  The joint covariance is the product of the two, or the
 continuous kernel alone when ``S`` is None.  Every function works on
 batches of points and returns a matrix.  The hyperparameters are checked
 once by whoever decodes them (the emulator), not on every call here.
@@ -37,7 +37,7 @@ __all__ = [
 # inputs and standardized outputs.
 LENGTHSCALE_BOUNDS = (1e-2, 2.0)
 VARIANCE_BOUNDS = (1e-4, 1e2)
-SEED_V_BOUNDS = (0.0, 10.0)
+SEED_V_BOUNDS = (1e-6, 10.0)
 
 #: Jitter escalations ``safe_cholesky`` tries before it gives up.
 MAX_ESCALATIONS = 5

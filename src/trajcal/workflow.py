@@ -88,6 +88,8 @@ class WorkflowConfig:
             raise ValueError("budget must be >= initial_design")
         if self.nTS_samp < 1:
             raise ValueError("nTS_samp must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass
@@ -126,7 +128,11 @@ class RunTrace:
     stream_derivation: str = STREAM_DERIVATION
     evaluations: list = field(default_factory=list)
     iterations: list = field(default_factory=list)
-    expansion_events: list = field(default_factory=list)
+
+    @property
+    def expansion_events(self) -> list:
+        """``(iteration, new seed)`` of each expansion, from the iteration records."""
+        return [rec.expansion for rec in self.iterations if rec.expansion is not None]
 
 
 def thompson_select(emulator, grid, nTS_samp: int, rng: np.random.Generator):
@@ -273,7 +279,6 @@ def run(simulator, config: WorkflowConfig, emulator,
                     )
                 batch = batch + extra
                 expansion_event = (iteration, new_seed)
-                trace.expansion_events.append(expansion_event)
             batch = batch[: config.budget - len(dataset)]
 
             ok_x, ok_seeds, ok_y = evaluate(simulator, batch, iteration, trace.evaluations)

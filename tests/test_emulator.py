@@ -334,6 +334,58 @@ def test_seed_gp_rank_one_and_per_seed_v():
         assert np.isfinite(mean[0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(rank=st.integers(1, 4), nseeds=st.integers(4, 6), data=st.data())
+def test_decoded_rows_are_unit_vectors_in_a_half_sphere(rank, nseeds, data):
+    """Every point of the box decodes to unit ``B`` rows with a nonnegative
+    last entry, at every rank."""
+    em = SeedKernelGP(ndim=1, nseeds=nseeds, rank=rank)
+    lo, hi = em._pack_bounds()
+    p = np.array([data.draw(st.floats(a, b)) for a, b in zip(lo, hi)])
+    B = em._decode(p)[2]
+    assert B.shape == (nseeds, rank)
+    assert np.all(np.abs(np.linalg.norm(B, axis=1) - 1.0) <= 1e-15)
+    assert np.all(B[:, -1] >= 0.0)
+
+
+def test_rank_two_decodes_each_angle_to_its_cosine_and_sine():
+    em = SeedKernelGP(ndim=2, nseeds=9)
+    lo, hi = em._pack_bounds()
+    p = lo + np.random.default_rng(50).uniform(size=lo.shape) * (hi - lo)
+    angles = p[em._blocks[2]]
+    assert np.array_equal(em._decode(p)[2], np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+def test_rank_three_expansion_starts_new_seeds_at_the_mean_direction():
+    rng = np.random.default_rng(51)
+    em = SeedKernelGP(ndim=2, nseeds=3, rank=3, nstarts=1, maxfev=60,
+                      rng=np.random.default_rng(52))
+    em.fit(*_seeded_data(rng, 20, [1, 2, 3]))
+    old = em._decode(em._warm)[2]
+    em.expand_seed_space(5)
+    B = em._decode(em._warm)[2]
+    mean = old.mean(axis=0)
+    assert np.array_equal(B[:3], old)
+    np.testing.assert_allclose(B[3:], np.tile(mean / np.linalg.norm(mean), (2, 1)),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_rank_one_is_a_factor_shared_by_every_seed():
+    """Rank 1 packs no ``B`` entries, before and after the seed space
+    grows, and its seed matrix is ``1 1^T + diag(v)``."""
+    rng = np.random.default_rng(53)
+    em = SeedKernelGP(ndim=2, nseeds=3, rank=1, per_seed_v=True, nstarts=1, maxfev=60,
+                      rng=np.random.default_rng(54))
+    b_block = em._blocks[2]
+    assert b_block.start == b_block.stop == 3
+    assert em._pack_bounds()[0].shape == (2 + 1 + 3 + 1,)
+    em.fit(*_seeded_data(rng, 20, [1, 2, 3]))
+    v = em._decode(em._warm)[3]
+    assert np.array_equal(em.seed_matrix, np.ones((3, 3)) + np.diag(v))
+    em.expand_seed_space(4)
+    assert em._warm.shape == (2 + 1 + 4 + 1,)
+
+
 def test_expand_seed_space_grows_then_requires_refit():
     rng = np.random.default_rng(22)
     n = 15
@@ -459,8 +511,7 @@ def _reference_neg_lml(em, p, fixed=None):
     through the public kernel functions, with the checks a fixed kernel
     gets: the path the emulator's per-fit fast path must match bit for bit."""
     if fixed is None:
-        ls, variance, B, v = em._decode(p)
-        nugget = np.exp(p[em._blocks[4].start])
+        ls, variance, B, v, nugget = em._decode(p)
     else:
         ls, variance, B, v, nugget = (
             fixed.get(key) for key in ("lengthscales", "variance", "B", "v", "nugget"))
@@ -562,13 +613,6 @@ def _check_inf_where_the_reference_raises():
     em = SeedKernelGP(ndim=2, nseeds=3, rank=1, nstarts=1, maxfev=20,
                       rng=np.random.default_rng(43))
     em.fit(*_seeded_data(rng, 30, [1, 2, 3]))
-    p = em._warm.copy()
-    p[3] = 0.0  # a zero raw B row: normalize_rows raises ValueError
-    with pytest.raises(ValueError):
-        kernels.normalize_rows(em._decode(p)[2])
-    assert _reference_neg_lml(em, p) == np.inf
-    assert em._neg_lml(p) == np.inf
-
     # lengthscales that underflow to zero, far outside the box
     p = em._warm.copy()
     p[0] = -1000.0

@@ -32,6 +32,13 @@ def test_config_validation():
         ExpansionConfig(nseeds=5, policy="by-prob", p=1.5)
     with pytest.raises(ValueError):
         ExpansionConfig(nseeds=5, policy="by-sims", nsims_expand=0)
+    # what the config file rejects, under either policy
+    with pytest.raises(ValueError, match="p must lie in"):
+        ExpansionConfig(nseeds=1, p=5.0)
+    with pytest.raises(ValueError, match="p must lie in"):
+        ExpansionConfig(nseeds=1, policy="by-prob", p=-0.1)
+    with pytest.raises(ValueError, match="nsims_expand must be >= 1"):
+        ExpansionConfig(nseeds=1, policy="by-prob", p=0.5, nsims_expand=0)
     with pytest.raises(ValueError, match="sample_mode must be one of"):
         ExpansionConfig(nseeds=5, sample_mode="greedy")
 
@@ -73,7 +80,8 @@ def test_expand_contiguous_ids():
                    emulator, LHSGrid(ngrid=20))
     assert len(trace.expansion_events) >= 2
     assert [k for _, k in trace.expansion_events] == list(range(6, 6 + len(trace.expansion_events)))
-    assert trace.expansion_events == [it.expansion for it in trace.iterations if it.expansion]
+    with pytest.raises(AttributeError):  # read from the iteration records, not set
+        trace.expansion_events = []
 
 
 def test_expand_carries_counter_overshoot():

@@ -54,6 +54,8 @@ def test_workflow_config_validation():
         WorkflowConfig(budget=0, initial_design=2, expansion=exp)
     with pytest.raises(ValueError):
         WorkflowConfig(budget=10, initial_design=2, expansion=exp, nTS_samp=0)
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+        WorkflowConfig(budget=10, initial_design=2, expansion=exp, master_seed=-1)
 
 
 # --------------------------------------------------------- thompson_select
