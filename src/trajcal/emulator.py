@@ -19,9 +19,9 @@ is estimated in the box ``NUGGET_BOUNDS``; only a ``fixed=`` kernel pins
 it.  Each ``fit`` builds a workspace kept while the optimizer runs, one
 n x n buffer that ``_fill_cov`` writes each distinct training pair into
 once, and ``_finalize`` decodes the chosen parameters once for prediction.
-``predict_seedwise`` scores one point under every seed from a single row
-of continuous covariances, bitwise equal to ``predict_mean_var`` on the
-point repeated per seed.  LAPACK routines are called directly, as the
+``predict_seedwise`` scores a block of points under every seed from one
+block of continuous covariances, bitwise equal to ``predict_mean_var`` on
+each point repeated per seed.  LAPACK routines are called directly, as the
 numpy and scipy wrappers call them, so every value is bitwise theirs.
 """
 
@@ -111,7 +111,8 @@ class SeedKernelGP:
         ``None`` fixes the seed factor to 1; ``rank`` and ``per_seed_v``
         then have no effect and ``expand_seed_space`` does nothing.
     rank : int, optional
-        Rank of ``B``; defaults to ``min(2, nseeds)``.  Rank 1 fits no
+        Rank of ``B``; defaults to ``min(2, nseeds)``, resolved again as the
+        seed space grows, while a given rank never changes.  Rank 1 fits no
         seed correlations: ``B B^T`` is all ones.
     family : {"matern52", "rbf"}
         Stationary kernel family.
@@ -155,6 +156,7 @@ class SeedKernelGP:
         self.ndim = int(ndim)
         self.nseeds = None if nseeds is None else int(nseeds)
         self.rank = None
+        self._default_rank = rank is None  # then the rank follows the seed space
         if self.seeded:
             self.rank = int(rank) if rank is not None else min(2, self.nseeds)
             if not (1 <= self.rank <= self.nseeds):
@@ -262,12 +264,17 @@ class SeedKernelGP:
             raise ValueError("lengthscales and variance must be positive")
         return ls, variance, None if B is None else kernels.seed_matrix(B, v), nugget
 
-    def _check_inputs(self, X, seeds):
-        """``(coordinates, seed ids or None)`` as float ``(n, ndim)`` and
-        int64 ``(n,)`` arrays; without a seed space ``seeds`` is ignored."""
+    def _check_coords(self, X):
+        """Coordinates as a float ``(n, ndim)`` array."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.ndim:
             raise ValueError(f"expected {self.ndim} coordinate columns, got {X.shape[1]}")
+        return X
+
+    def _check_inputs(self, X, seeds):
+        """``(coordinates, seed ids or None)`` as float ``(n, ndim)`` and
+        int64 ``(n,)`` arrays; without a seed space ``seeds`` is ignored."""
+        X = self._check_coords(X)
         if not self.seeded:
             return X, None
         r = np.asarray(seeds)
@@ -471,23 +478,29 @@ class SeedKernelGP:
         new = self._check_inputs(X, seeds)
         return self._mean_var(self._cross_cov(self._train, new), new[1])
 
-    def predict_seedwise(self, x, k: int):
-        """Posterior mean and variance at coordinates ``x`` under seeds 1..k.
+    def predict_seedwise(self, X, k: int):
+        """Posterior means and variances at an ``(m, ndim)`` block of
+        coordinates under seeds 1..k, each of shape ``(m, k)``.
 
-        Bitwise equal to ``predict_mean_var`` on ``x`` repeated once per
-        seed with ids 1..k.  The n continuous covariances of ``x`` are
-        computed once and scaled by the per-fit seed rows, not k times;
-        ``x`` (shape ``(ndim,)``) and ``k`` are not checked beyond the seed
-        range.  Without a seed space the k results are equal.
+        Row i is bitwise row i of ``predict_mean_var`` on the rows of ``X``
+        each repeated k times with seed ids 1..k, reshaped to ``(m, k)``.
+        The m·n continuous covariances are computed once, in one ``cdist``
+        call, and scaled by the per-fit seed rows, not k times; one
+        triangular solve covers all m·k columns.  Without a seed space the
+        k results of a row are equal.
         """
         self._check_fitted()
+        X = self._check_coords(X)
         if self.seeded and not 1 <= k <= self.nseeds:
             raise ValueError(f"k must lie in 1..{self.nseeds}")
-        s2 = cdist(self._Z, (x / self.lengthscales)[None, :], "sqeuclidean")
-        c = kernels.FROM_SQ_DISTS[self.family](s2, self.variance)
+        c = kernels.FROM_SQ_DISTS[self.family](
+            cdist(self._Z, X / self.lengthscales, "sqeuclidean"), self.variance)
         if self._seed_rows is None:
-            return self._mean_var(c * np.ones(k), None)
-        return self._mean_var(c * self._seed_rows[:, :k], np.arange(1, k + 1))
+            mean, var = self._mean_var(c.repeat(k, axis=1), None)
+        else:  # column i * k + s is point i under seed s + 1
+            Ks = (c[:, :, None] * self._seed_rows[:, None, :k]).reshape(c.shape[0], -1)
+            mean, var = self._mean_var(Ks, np.tile(np.arange(1, k + 1), X.shape[0]))
+        return mean.reshape(-1, k), var.reshape(-1, k)
 
     def sample(self, X, seeds, size: int = 1, rng=None) -> np.ndarray:
         """Joint posterior draws at new inputs; deterministic given ``rng``."""
@@ -500,10 +513,12 @@ class SeedKernelGP:
     def expand_seed_space(self, new_nseeds: int) -> None:
         """Grow the seed space to ``new_nseeds``; does nothing without one.
 
-        The warm start gains one row per new seed: the new ``B`` row is the
-        direction of the mean of the existing rows (all angles pi/2 when that
-        mean is 0) and the new ``v`` entry the mean of ``v``, a neutral prior
-        for an unseen seed.
+        A default rank becomes ``min(2, new_nseeds)``; each old warm-start
+        row gains a zero angle per added rank, which pads its vector with 0
+        and keeps the seed matrix.  The warm start gains one row per new
+        seed: the new ``B`` row is the direction of the mean of the existing
+        rows (all angles pi/2 when that mean is 0) and the new ``v`` entry
+        the mean of ``v``, a neutral prior for an unseen seed.
         """
         if not self.seeded:
             return
@@ -514,21 +529,26 @@ class SeedKernelGP:
         if self._fixed is not None:
             raise ValueError("cannot expand a fixed-parameter emulator")
         added = new_nseeds - self.nseeds
+        rank = min(2, new_nseeds) if self._default_rank else self.rank
         if self._warm is not None:
-            _, _, _, v_block, nugget_block = self._blocks
+            _, _, b_block, v_block, nugget_block = self._blocks
             mean = [float(np.mean(column)) for column in self._decode(self._warm)[2].T]
+            mean += [0.0] * (rank - self.rank)
             if not any(mean):  # no direction: the last axis, whose angles are all pi/2
                 mean[-1] = 1.0
             # the inverse map, a_j = atan2(|mean_{j+1:}|, mean_j), lies in [0, pi]
-            row = [math.atan2(math.hypot(*mean[j + 1:]), mean[j]) for j in range(self.rank - 1)]
+            row = [math.atan2(math.hypot(*mean[j + 1:]), mean[j]) for j in range(rank - 1)]
+            angles = np.zeros((self.nseeds, rank - 1))
+            angles[:, : self.rank - 1] = self._warm[b_block].reshape(self.nseeds, self.rank - 1)
             v_logs = self._warm[v_block]
             if self.per_seed_v:
                 v_new = math.log(float(np.mean(np.exp(v_logs))))
                 v_logs = np.concatenate([v_logs, np.full(added, v_new)])
-            # the new seeds' angles follow the old ones, which end where v starts
-            self._warm = np.concatenate([self._warm[: v_block.start], np.tile(row, added),
-                                         v_logs, self._warm[nugget_block]])
+            # the new seeds' angles follow the old ones
+            self._warm = np.concatenate([self._warm[: b_block.start], angles.ravel(),
+                                         np.tile(row, added), v_logs, self._warm[nugget_block]])
         self.nseeds = int(new_nseeds)
+        self.rank = rank
         self._set_layout()
         self._fitted = False  # the stored factor no longer matches the seed space
 

@@ -5,12 +5,13 @@ sampling: a grid frozen for the run, a fresh Latin hypercube per call, and
 an adaptive grid that filters the previous candidates by importance
 resampling on a probability-of-improvement likelihood, then densifies back
 to M distinct points with a Metropolis-Hastings random walk over
-(coordinates, seed).  Each strategy is built with its size M (``ngrid``)
-and its settings alone, the fixed grid's stream among them.  The run
-supplies the rest at every ``sample`` call: the emulator, the dataset
-(whose dimension the grid takes), the current seed count as ``nseeds``,
-since the seed space grows during a run, the grid stream, and the
-previous iteration's grid.
+(coordinates, seed), whose proposals are drawn and scored in rounds, one
+emulator prediction per block of proposals.  Each strategy is built with
+its size M (``ngrid``) and its settings alone, the fixed grid's stream
+among them.  The run supplies the rest at every ``sample`` call: the
+emulator, the dataset (whose dimension the grid takes), the current seed
+count as ``nseeds``, since the seed space grows during a run, the grid
+stream, and the previous iteration's grid.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ SIGMA_FLOOR = 1e-8
 LIKELIHOOD_FLOOR = 1e-300
 #: MH proposals allowed per grid point before densification gives up.
 MAX_ATTEMPTS_PER_POINT = 10_000
+#: (candidate, seed) pairs one MH round scores at most, which bounds its memory.
+ROUND_COLUMNS = 256
 
 
 class CandidateGrid:
@@ -91,11 +94,14 @@ def mh_densify(entries, likelihood_fn, nseeds: int, target: int, step: float,
                rng: np.random.Generator, max_attempts: int, record=None):
     """Grow ``entries`` to ``target`` distinct (x, seed) pairs by MH moves.
 
-    Each attempt picks a current entry uniformly, perturbs its coordinates
-    with a reflected Gaussian step (symmetric, so the proposal ratio
-    cancels), and walks seeds in ascending order accepting with probability
-    min(1, L_candidate / L_current); the first accepted pair not already in
-    the set is appended.
+    Each round draws m parents uniformly from the set as the round began,
+    perturbs them with reflected Gaussian steps (symmetric, so the proposal
+    ratio cancels) and scores every candidate under every seed in one
+    ``likelihood_fn`` call.  Candidates then go in order, each walking its
+    seeds in ascending order and accepting with probability min(1,
+    L_candidate / L_current); its first accepted pair not already in the set
+    is appended.  m is the number of pairs still missing, capped by the
+    proposals left and by ``ROUND_COLUMNS // nseeds``.
 
     Parameters
     ----------
@@ -103,7 +109,8 @@ def mh_densify(entries, likelihood_fn, nseeds: int, target: int, step: float,
         Distinct starting set; mutated copies are never made, new triples
         are appended to a fresh list.
     likelihood_fn : callable
-        Maps coordinates x to the length-``nseeds`` array of L(x, r) values.
+        Maps an ``(m, ndim)`` block of coordinates to the L(x, r) values,
+        any array that broadcasts to ``(m, nseeds)``.
     record : callable, optional
         Test hook receiving one dict per (proposal, seed) trial.
 
@@ -122,26 +129,31 @@ def mh_densify(entries, likelihood_fn, nseeds: int, target: int, step: float,
                 f"grid densification made no progress after {max_attempts} proposals; "
                 "the likelihood surface may be degenerate"
             )
-        attempts += 1
-        x_cur, r_cur, l_cur = out[rng.integers(len(out))]
-        x_can = reflect(x_cur + rng.normal(0.0, step, size=x_cur.shape[0]), 1.0)
-        l_can = np.asarray(likelihood_fn(x_can), dtype=float)
-        for j in range(nseeds):
-            alpha = min(1.0, l_can[j] / l_cur)
-            u = rng.random()
-            accepted = u < alpha
-            key = (x_can.tobytes(), j + 1)
-            added = accepted and key not in seen
-            if record is not None:
-                record({
-                    "x_cur": x_cur, "seed_cur": r_cur, "l_cur": l_cur,
-                    "x_can": x_can, "seed_can": j + 1, "l_can": float(l_can[j]),
-                    "alpha": alpha, "u": u, "accepted": accepted, "added": added,
-                })
-            if added:
-                out.append((x_can, j + 1, float(l_can[j])))
-                seen.add(key)
-                break
+        m = min(target - len(out), max_attempts - attempts, max(1, ROUND_COLUMNS // nseeds))
+        attempts += m
+        parents = rng.integers(len(out), size=m)
+        X_cur = np.array([out[i][0] for i in parents])
+        X_can = reflect(X_cur + rng.normal(0.0, step, size=X_cur.shape), 1.0)
+        U = rng.random((m, nseeds)).tolist()
+        L_can = np.broadcast_to(np.asarray(likelihood_fn(X_can), float), (m, nseeds)).tolist()
+        for i, x_can, l_row, u_row in zip(parents, X_can, L_can, U):
+            x_cur, r_cur, l_cur = out[i]  # appends leave the round's parents in place
+            for j in range(nseeds):
+                alpha = min(1.0, l_row[j] / l_cur)
+                u = u_row[j]
+                accepted = u < alpha
+                key = (x_can.tobytes(), j + 1)
+                added = accepted and key not in seen
+                if record is not None:
+                    record({
+                        "x_cur": x_cur, "seed_cur": r_cur, "l_cur": l_cur,
+                        "x_can": x_can, "seed_can": j + 1, "l_can": l_row[j],
+                        "alpha": alpha, "u": u, "accepted": accepted, "added": added,
+                    })
+                if added:
+                    out.append((x_can, j + 1, l_row[j]))
+                    seen.add(key)
+                    break
     return out
 
 
@@ -186,10 +198,11 @@ class AdaptiveGrid(LHSGrid):
     incumbent, resamples M points with replacement, collapses duplicates,
     and densifies back to M distinct points via ``mh_densify``, whose
     Gaussian random-walk proposal has scale ``proposal_step`` in
-    unit-hypercube units.  Set ``reuse_previous=False`` to restart from a
-    fresh LHS every call instead of carrying the grid over.
-    The emulator must provide ``predict_mean_var`` and ``predict_seedwise``,
-    as ``SeedKernelGP`` does.
+    unit-hypercube units; each MH round is one ``predict_seedwise`` call.
+    Set ``reuse_previous=False`` to restart from a fresh LHS every call
+    instead of carrying the grid over.  The emulator must provide
+    ``predict_mean_var`` and a block ``predict_seedwise``, as
+    ``SeedKernelGP`` does.
     """
 
     def __init__(self, ngrid: int, proposal_step: float = 0.05, reuse_previous: bool = True):
@@ -215,7 +228,7 @@ class AdaptiveGrid(LHSGrid):
         entries = [(prev.X[i], int(prev.seeds[i]), float(weights[i])) for i in first.values()]
 
         entries = mh_densify(
-            entries, lambda x: likelihood_values(*emulator.predict_seedwise(x, k), tau), k, M,
+            entries, lambda X: likelihood_values(*emulator.predict_seedwise(X, k), tau), k, M,
             self.proposal_step, rng, MAX_ATTEMPTS_PER_POINT * M,
         )
         return CandidateGrid(

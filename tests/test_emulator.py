@@ -386,6 +386,35 @@ def test_rank_one_is_a_factor_shared_by_every_seed():
     assert em._warm.shape == (2 + 1 + 4 + 1,)
 
 
+def test_default_rank_follows_the_seed_space_and_a_given_rank_stays():
+    """A run that starts at one seed gains a rank-2 factor, one angle per
+    seed, once the seed space grows; the warm start's rank-1 rows become
+    angle 0, so it decodes to the same seed matrix.  A given rank of 1
+    keeps no angle block."""
+    rng = np.random.default_rng(55)
+    data = _seeded_data(rng, 12, [1])
+    em = SeedKernelGP(ndim=2, nseeds=1, nstarts=1, maxfev=60, rng=np.random.default_rng(56))
+    given = SeedKernelGP(ndim=2, nseeds=1, rank=1, nstarts=1, maxfev=60,
+                         rng=np.random.default_rng(56))
+    for gp in (em, given):
+        gp.fit(*data)
+    assert em.rank == given.rank == 1
+    v = em._decode(em._warm)[3][0]
+    em.expand_seed_space(3)
+    assert em.rank == 2
+    b_block = em._blocks[2]
+    assert b_block.stop - b_block.start == 3
+    assert np.array_equal(em._warm[b_block], np.zeros(3))
+    assert np.array_equal(em._hyper(em._warm)[2], np.ones((3, 3)) + v * np.eye(3))
+    given.expand_seed_space(3)
+    assert given.rank == 1 and given._blocks[2].start == given._blocks[2].stop
+    for gp in (em, given):
+        gp.fit(np.vstack([data[0], [[0.5, 0.5], [0.2, 0.8]]]), np.append(data[1], [2, 3]),
+               np.append(data[2], [0.1, -0.3]))
+        assert gp.seed_matrix.shape == (3, 3)
+    assert em._blocks == SeedKernelGP(ndim=2, nseeds=3)._blocks
+
+
 def test_expand_seed_space_grows_then_requires_refit():
     rng = np.random.default_rng(22)
     n = 15

@@ -1,5 +1,7 @@
 """Candidate-grid strategies: fixed, per-iteration LHS, and adaptive MH."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,8 +35,10 @@ class StubEmulator:
     def predict_mean_var(self, X, seeds):
         return self.mean_fn(X), self.var_fn(X)
 
-    def predict_seedwise(self, x, k):
-        return self.predict_mean_var(np.tile(x, (k, 1)), np.arange(1, k + 1))
+    def predict_seedwise(self, X, k):
+        mean, var = self.predict_mean_var(np.repeat(X, k, axis=0),
+                                          np.tile(np.arange(1, k + 1), X.shape[0]))
+        return mean.reshape(-1, k), var.reshape(-1, k)
 
 
 def test_config_validation():
@@ -150,8 +154,8 @@ def test_mh_densify_uniform_likelihood_accepts_first():
 def test_mh_densify_alpha_formula_in_record():
     k = 2
 
-    def lik(x):
-        return np.array([0.2, 0.6]) if x[0] < 0.5 else np.array([0.4, 0.1])
+    def lik(X):
+        return np.where(X[:, :1] < 0.5, [0.2, 0.6], [0.4, 0.1])
 
     trials = []
     entries = [(np.array([0.3]), 1, 0.2), (np.array([0.7]), 2, 0.1)]
@@ -177,6 +181,78 @@ def test_mh_densify_degenerate_surface_raises():
     with pytest.raises(ProgressError):
         mh_densify(entries, lambda x: np.zeros(1), nseeds=1, target=2,
                    step=0.05, rng=np.random.default_rng(6), max_attempts=200)
+
+
+def test_mh_densify_gives_up_after_exactly_max_attempts_rows():
+    rows = []
+
+    def lik(X):
+        rows.append(X.shape[0])
+        return np.zeros((X.shape[0], 3))
+
+    entries = [(np.array([0.5]), 1, 1.0)]
+    with pytest.raises(ProgressError):
+        mh_densify(entries, lik, nseeds=3, target=50, step=0.05,
+                   rng=np.random.default_rng(6), max_attempts=130)
+    # rounds of 49 (the target) until the last, which the attempts left cap
+    assert rows == [49, 49, 32]
+
+
+def _traced_walk(nseeds=3, target=300):
+    """A walk whose rounds accept some candidates and not others, with
+    what each round saw: the set's size and pairs when it began, and the
+    block it scored."""
+    entries = [(np.array([0.5, 0.5]), 1, 0.5)]
+    rounds, trials = [], []
+    added = []
+
+    def lik(X):
+        rounds.append({"size": len(entries) + len(added), "X": X.copy(),
+                       "keys": {(x.tobytes(), r) for x, r, _ in entries}
+                       | {(t["x_can"].tobytes(), t["seed_can"]) for t in added},
+                       "L": np.outer(X[:, 0] ** 2, np.arange(1, nseeds + 1) / nseeds)})
+        return rounds[-1]["L"]
+
+    def record(trial):
+        trials.append(dict(trial, round=len(rounds) - 1))
+        if trial["added"]:
+            added.append(trial)
+
+    out = mh_densify(entries, lik, nseeds=nseeds, target=target, step=0.2,
+                     rng=np.random.default_rng(14), max_attempts=100_000, record=record)
+    assert len(out) == target and len(rounds) > 2
+    return rounds, trials
+
+
+def test_mh_densify_rounds_never_overshoot_the_target():
+    target = 300
+    rounds, _ = _traced_walk(nseeds=3, target=target)
+    for r in rounds:
+        assert r["X"].shape[0] <= min(target - r["size"], 256 // 3)
+    assert rounds[0]["X"].shape[0] == 256 // 3
+
+
+def test_mh_densify_parents_existed_when_their_round_began():
+    rounds, trials = _traced_walk()
+    # the set grows within a round, so later candidates could see new entries
+    assert max(Counter(t["round"] for t in trials if t["added"]).values()) > 1
+    for t in trials:
+        assert (t["x_cur"].tobytes(), t["seed_cur"]) in rounds[t["round"]]["keys"]
+
+
+def test_mh_densify_records_each_trial_once_in_candidate_order():
+    nseeds = 3
+    rounds, trials = _traced_walk(nseeds=nseeds)
+    added = {(s["round"], s["x_can"].tobytes(), s["seed_can"]) for s in trials if s["added"]}
+    want = []
+    for t, r in enumerate(rounds):
+        for i, x in enumerate(r["X"]):
+            for j in range(nseeds):
+                want.append((t, x.tobytes(), j + 1, r["L"][i, j]))
+                if (t, x.tobytes(), j + 1) in added:
+                    break
+    assert [(s["round"], s["x_can"].tobytes(), s["seed_can"], s["l_can"])
+            for s in trials] == want
 
 
 def _dataset(ndim=1):
@@ -301,9 +377,10 @@ def test_grid_digest_tracks_content():
        data_seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_seedwise_likelihood_equals_tiled_likelihood_values(
         family, rank, per_seed_v, fixed_kernel, nseeds, ndim, n, data_seed):
-    """The MH walk's seed-wise likelihood at x is bitwise the likelihood of x
-    repeated once per seed, and so are the underlying mean and variance,
-    for a fitted kernel and for a fixed one with its nugget pinned at 1e-6."""
+    """The MH walk's seed-wise likelihood of a block of 1-5 points is bitwise
+    the likelihood of each point repeated once per seed, and so are the
+    underlying means and variances, for a fitted kernel and for a fixed one
+    with its nugget pinned at 1e-6."""
     rng = np.random.default_rng(data_seed)
     fixed = None
     if fixed_kernel:
@@ -316,12 +393,13 @@ def test_seedwise_likelihood_equals_tiled_likelihood_values(
                       fixed=fixed, rng=np.random.default_rng(data_seed))
     X, seeds = rng.random((n, ndim)), rng.integers(1, nseeds + 1, size=n)
     em.fit(X, seeds, rng.normal(size=n))
-    for _ in range(5):
-        x, k, tau = rng.random(ndim), int(rng.integers(1, nseeds + 1)), rng.normal()
-        seeds = np.arange(1, k + 1)
-        mean, var = em.predict_seedwise(x, k)
-        mean_t, var_t = em.predict_mean_var(np.tile(x, (k, 1)), seeds)
-        assert np.array_equal(likelihood_values(mean, var, tau),
+    for m in range(1, 6):
+        X, k, tau = rng.random((m, ndim)), int(rng.integers(1, nseeds + 1)), rng.normal()
+        seeds = np.tile(np.arange(1, k + 1), m)
+        mean, var = em.predict_seedwise(X, k)
+        assert mean.shape == var.shape == (m, k)
+        mean_t, var_t = em.predict_mean_var(np.repeat(X, k, axis=0), seeds)
+        assert np.array_equal(likelihood_values(mean, var, tau).ravel(),
                               likelihood_values(mean_t, var_t, tau))
         assert mean.tobytes() == mean_t.tobytes() and var.tobytes() == var_t.tobytes()
 
@@ -334,3 +412,14 @@ def test_predict_seedwise_checks_the_seed_range():
         em.predict_seedwise(np.array([0.5]), 4)
     with pytest.raises(ValueError):
         em.predict_seedwise(np.array([0.5]), 0)
+
+
+def test_predict_seedwise_checks_the_input_width():
+    em = SeedKernelGP(ndim=2, nseeds=2, fixed={"lengthscales": [0.5, 0.5], "variance": 1.0,
+                                               "B": np.eye(2), "v": np.zeros(2)})
+    em.fit(np.array([[0.2, 0.3], [0.7, 0.6]]), np.array([1, 2]), np.array([0.1, -0.2]))
+    with pytest.raises(ValueError, match="expected 2 coordinate columns, got 1"):
+        em.predict_seedwise(np.array([0.5]), 2)
+    with pytest.raises(ValueError, match="expected 2 coordinate columns, got 3"):
+        em.predict_seedwise(np.full((4, 3), 0.5), 2)
+    assert em.predict_seedwise(np.full((4, 2), 0.5), 2)[0].shape == (4, 2)
