@@ -109,11 +109,13 @@ def _check_design(X, seeds, y_raw=None, label: str = ""):
     """Design arrays as float ``(n, d)``, int64 ``(n,)`` and float ``(n,)``.
 
     The one owner of the design checks: equal lengths, coordinates in
-    ``[0, 1]``, seed ids ``>= 1`` and, when ``y_raw`` is given, finite
-    values.  ``label`` prefixes the messages of the range checks.
+    ``[0, 1]``, integer seed ids ``>= 1`` and, when ``y_raw`` is given,
+    finite values.  ``label`` prefixes the messages of the range checks.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    seeds = np.asarray(seeds, dtype=np.int64).ravel()
+    given = np.asarray(seeds).ravel()
+    with np.errstate(invalid="ignore"):  # NaN and infinities cast to garbage, caught below
+        seeds = given.astype(np.int64, copy=False)
     if y_raw is None:
         if X.shape[0] != seeds.shape[0]:
             raise ValueError("X and seeds must have the same length")
@@ -124,9 +126,9 @@ def _check_design(X, seeds, y_raw=None, label: str = ""):
     outside = np.flatnonzero(~np.all((X >= 0.0) & (X <= 1.0), axis=1))  # NaN is outside
     if outside.size:
         raise ValueError(f"{label}coordinates must lie in [0, 1], got {X[outside[0]]}")
-    below = np.flatnonzero(seeds < 1)
-    if below.size:
-        raise ValueError(f"{label}seed ids must be >= 1, got {seeds[below[0]]}")
+    bad = np.flatnonzero((seeds != given) | (seeds < 1))
+    if bad.size:
+        raise ValueError(f"{label}seed ids must be integers >= 1, got {given[bad[0]]}")
     if y_raw is not None and not np.all(np.isfinite(y_raw)):
         raise ValueError("y_raw must be finite")
     return X, seeds, y_raw

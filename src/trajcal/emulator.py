@@ -19,10 +19,10 @@ is estimated in the box ``NUGGET_BOUNDS``; only a ``fixed=`` kernel pins
 it.  Each ``fit`` builds a workspace kept while the optimizer runs, one
 n x n buffer that ``_fill_cov`` writes each distinct training pair into
 once, and ``_finalize`` decodes the chosen parameters once for prediction.
-``predict_seedwise`` scores a block of points under every seed from one
-block of continuous covariances, bitwise equal to ``predict_mean_var`` on
-each point repeated per seed.  LAPACK routines are called directly, as the
-numpy and scipy wrappers call them, so every value is bitwise theirs.
+Every prediction builds its training-to-new covariances in ``_train_cross``
+from the per-fit tables; ``predict_mean_var`` takes one seed id or a row of
+ids per point.  LAPACK routines are called directly, as the numpy and scipy
+wrappers call them, so every value is bitwise theirs.
 """
 
 from __future__ import annotations
@@ -264,22 +264,22 @@ class SeedKernelGP:
             raise ValueError("lengthscales and variance must be positive")
         return ls, variance, None if B is None else kernels.seed_matrix(B, v), nugget
 
-    def _check_coords(self, X):
-        """Coordinates as a float ``(n, ndim)`` array."""
+    def _check_inputs(self, X, seeds):
+        """Finite float ``(m, ndim)`` coordinates and int64 seed ids, one or a
+        row per point, ``(m,)`` or ``(m, j)``; without a seed space the ids are
+        all 1, in the shape given (``(m,)`` for None)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.ndim:
             raise ValueError(f"expected {self.ndim} coordinate columns, got {X.shape[1]}")
-        return X
-
-    def _check_inputs(self, X, seeds):
-        """``(coordinates, seed ids or None)`` as float ``(n, ndim)`` and
-        int64 ``(n,)`` arrays; without a seed space ``seeds`` is ignored."""
-        X = self._check_coords(X)
+        if not np.isfinite(X).all():
+            raise ValueError("coordinates X must be finite")
+        r = np.asarray(seeds if seeds is not None or self.seeded else np.ones(X.shape[0]))
+        if r.ndim not in (1, 2) or r.shape[0] != X.shape[0]:
+            raise ValueError("need one seed id, or one row of seed ids, per point")
         if not self.seeded:
-            return X, None
-        r = np.asarray(seeds)
-        if r.shape != (X.shape[0],) or not np.issubdtype(r.dtype, np.integer) \
-                or np.any(r < 1) or np.any(r > self.nseeds):
+            return X, np.ones(r.shape, np.int64)
+        if not np.issubdtype(r.dtype, np.integer) \
+                or r.size and not 1 <= r.min() <= r.max() <= self.nseeds:
             raise ValueError(f"need one integer seed id in 1..{self.nseeds} per point")
         return X, r.astype(np.int64, copy=False)
 
@@ -289,14 +289,18 @@ class SeedKernelGP:
         lower triangle, and the indices that fill it."""
         X, r = self._check_inputs(X, seeds)
         n = X.shape[0]
+        if r.ndim != 1:
+            raise ValueError("need one seed id per training point")
         if n != Y.shape[0]:
             raise ValueError("X and Y must have the same number of rows")
         if n < 2:
             raise ValueError("need at least 2 training points")
+        if not np.isfinite(Y).all():
+            raise ValueError("objective values Y must be finite")
         self._train = (X, r)
         self._Y = Y.copy()
         self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        if r is None:
+        if not self.seeded:
             self._seed_pair = self._seed_diag = None
         else:  # the view's entry (j, i) below the diagonal is S[r_j, r_i]
             self._seed_pair = ((r - 1)[None, :] * self.nseeds + (r - 1)[:, None])[self._upper]
@@ -325,11 +329,6 @@ class SeedKernelGP:
         K.reshape(-1)[:: K.shape[0] + 1] = diag
         return K.T
 
-    def _cross_cov(self, A, B):
-        (Xa, ra), (Xb, rb) = A, B
-        return kernels.cross_cov(Xa, ra, Xb, rb, self.lengthscales, self.variance,
-                                 self.seed_matrix, self.family)
-
     def _solve_lower(self, B):
         """``L^-1 B`` for the training factor ``L``.
 
@@ -338,15 +337,17 @@ class SeedKernelGP:
         """
         return dtrtrs(self._L.T, B, lower=0, trans=1)[0]
 
-    def _mean_var(self, Ks, r):
-        """Posterior mean and variance from the training cross-covariance
-        ``Ks`` of new points with seed ids ``r`` (None without a seed space)."""
-        V = self._solve_lower(Ks)
-        if r is None:
-            prior = np.full(Ks.shape[1], self.variance)
-        else:
-            prior = self.variance * np.diag(self.seed_matrix)[r - 1]
-        return Ks.T @ self._alpha, prior - np.einsum("ij,ij->j", V, V)
+    def _train_cross(self, X, r):
+        """The ``(n, m·j)`` training covariances of new points ``X`` under ids
+        ``r``, ``(m,)`` or ``(m, j)``, column ``i·j + s`` for ``r[i, s]``: each
+        point's continuous ones once, times the gathered per-fit seed rows."""
+        c = kernels.FROM_SQ_DISTS[self.family](
+            cdist(self._Z, X / self.lengthscales, "sqeuclidean"), self.variance)
+        # take gives a fresh C-ordered block for every shape of r, so the BLAS
+        # calls after it round alike (a fancy-index gather may not be C-ordered)
+        Ks = self._seed_rows.take(r - 1, axis=1)
+        Ks *= c if r.ndim == 1 else c[:, :, None]
+        return Ks.reshape(c.shape[0], -1)
 
     # -- fitting ------------------------------------------------------------
 
@@ -446,8 +447,10 @@ class SeedKernelGP:
         self.lml, self._alpha = _chol_lml(L, self._Y)
         X, r = self._train
         self._Z = X / self.lengthscales
-        # row i holds the seed-matrix entries of training seed r_i against every seed
-        self._seed_rows = None if r is None else self.seed_matrix[r - 1]
+        # row i: training seed r_i against every seed; the baseline's one is an exact 1
+        S = self.seed_matrix if self.seeded else np.ones((1, 1))
+        self._seed_rows = S[r - 1]
+        self._prior_var = self.variance * S.diagonal()
         self._jitter = jitter
         self._fitted = True
 
@@ -462,45 +465,28 @@ class SeedKernelGP:
     def _posterior(self, X, seeds):
         """Joint posterior mean and covariance at new inputs."""
         self._check_fitted()
-        new = self._check_inputs(X, seeds)
-        if new[0].shape[0] == 0:
-            raise ValueError("need at least one prediction point")
-        Ks = self._cross_cov(self._train, new)
+        X, r = self._check_inputs(X, seeds)
+        if r.ndim != 1 or X.shape[0] == 0:
+            raise ValueError("need at least one prediction point, with one seed id per point")
+        Ks = self._train_cross(X, r)
         mean = Ks.T @ self._alpha
-        Kss = self._cross_cov(new, new)
+        Kss = kernels.cross_cov(X, r, X, r, self.lengthscales, self.variance,
+                                self.seed_matrix, self.family)
         V = self._solve_lower(Ks)
         Kss -= V.T @ V  # both terms are exactly symmetric (V.T @ V is a syrk)
         return mean, Kss
 
     def predict_mean_var(self, X, seeds):
-        """Posterior mean and pointwise variance without the full covariance."""
+        """Posterior means and variances in the shape of ``seeds``: one id
+        per point, ``(m,)``, or a row of ids per point, ``(m, j)``, entry
+        ``(i, s)`` bitwise the ``(m·j,)`` call's on point i under ``seeds[i, s]``.
+        Without a seed space the ids are ignored and None stands for ``(m,)``."""
         self._check_fitted()
-        new = self._check_inputs(X, seeds)
-        return self._mean_var(self._cross_cov(self._train, new), new[1])
-
-    def predict_seedwise(self, X, k: int):
-        """Posterior means and variances at an ``(m, ndim)`` block of
-        coordinates under seeds 1..k, each of shape ``(m, k)``.
-
-        Row i is bitwise row i of ``predict_mean_var`` on the rows of ``X``
-        each repeated k times with seed ids 1..k, reshaped to ``(m, k)``.
-        The m·n continuous covariances are computed once, in one ``cdist``
-        call, and scaled by the per-fit seed rows, not k times; one
-        triangular solve covers all m·k columns.  Without a seed space the
-        k results of a row are equal.
-        """
-        self._check_fitted()
-        X = self._check_coords(X)
-        if self.seeded and not 1 <= k <= self.nseeds:
-            raise ValueError(f"k must lie in 1..{self.nseeds}")
-        c = kernels.FROM_SQ_DISTS[self.family](
-            cdist(self._Z, X / self.lengthscales, "sqeuclidean"), self.variance)
-        if self._seed_rows is None:
-            mean, var = self._mean_var(c.repeat(k, axis=1), None)
-        else:  # column i * k + s is point i under seed s + 1
-            Ks = (c[:, :, None] * self._seed_rows[:, None, :k]).reshape(c.shape[0], -1)
-            mean, var = self._mean_var(Ks, np.tile(np.arange(1, k + 1), X.shape[0]))
-        return mean.reshape(-1, k), var.reshape(-1, k)
+        X, r = self._check_inputs(X, seeds)
+        Ks = self._train_cross(X, r)
+        V = self._solve_lower(Ks)
+        var = self._prior_var[r.ravel() - 1] - np.einsum("ij,ij->j", V, V)
+        return (Ks.T @ self._alpha).reshape(r.shape), var.reshape(r.shape)
 
     def sample(self, X, seeds, size: int = 1, rng=None) -> np.ndarray:
         """Joint posterior draws at new inputs; deterministic given ``rng``."""

@@ -6,12 +6,12 @@ an adaptive grid that filters the previous candidates by importance
 resampling on a probability-of-improvement likelihood, then densifies back
 to M distinct points with a Metropolis-Hastings random walk over
 (coordinates, seed), whose proposals are drawn and scored in rounds, one
-emulator prediction per block of proposals.  Each strategy is built with
-its size M (``ngrid``) and its settings alone, the fixed grid's stream
-among them.  The run supplies the rest at every ``sample`` call: the
-emulator, the dataset (whose dimension the grid takes), the current seed
-count as ``nseeds``, since the seed space grows during a run, the grid
-stream, and the previous iteration's grid.
+emulator prediction per block of proposals, each under every seed.  Each
+strategy is built with its size M (``ngrid``) and its settings alone, the
+fixed grid's stream among them.  The run supplies the rest at every
+``sample`` call: the emulator, the dataset (whose dimension the grid
+takes), the current seed count as ``nseeds``, since the seed space grows
+during a run, the grid stream, and the previous iteration's grid.
 """
 
 from __future__ import annotations
@@ -198,11 +198,11 @@ class AdaptiveGrid(LHSGrid):
     incumbent, resamples M points with replacement, collapses duplicates,
     and densifies back to M distinct points via ``mh_densify``, whose
     Gaussian random-walk proposal has scale ``proposal_step`` in
-    unit-hypercube units; each MH round is one ``predict_seedwise`` call.
-    Set ``reuse_previous=False`` to restart from a fresh LHS every call
-    instead of carrying the grid over.  The emulator must provide
-    ``predict_mean_var`` and a block ``predict_seedwise``, as
-    ``SeedKernelGP`` does.
+    unit-hypercube units; each MH round is one ``predict_mean_var`` call
+    with a row of seed ids 1..k per proposal.  Set ``reuse_previous=False``
+    to restart from a fresh LHS every call instead of carrying the grid
+    over.  The emulator must provide a ``predict_mean_var`` that takes one
+    seed id or one row of seed ids per point, as ``SeedKernelGP`` does.
     """
 
     def __init__(self, ngrid: int, proposal_step: float = 0.05, reuse_previous: bool = True):
@@ -227,10 +227,10 @@ class AdaptiveGrid(LHSGrid):
             first.setdefault((prev.X[i].tobytes(), int(prev.seeds[i])), i)
         entries = [(prev.X[i], int(prev.seeds[i]), float(weights[i])) for i in first.values()]
 
-        entries = mh_densify(
-            entries, lambda X: likelihood_values(*emulator.predict_seedwise(X, k), tau), k, M,
-            self.proposal_step, rng, MAX_ATTEMPTS_PER_POINT * M,
-        )
+        entries = mh_densify(  # each round scores every proposal under every seed 1..k
+            entries, lambda X: likelihood_values(*emulator.predict_mean_var(
+                X, np.broadcast_to(np.arange(1, k + 1), (len(X), k))), tau),
+            k, M, self.proposal_step, rng, MAX_ATTEMPTS_PER_POINT * M)
         return CandidateGrid(
             X=np.array([e[0] for e in entries]),
             seeds=np.array([e[1] for e in entries], dtype=np.int64),

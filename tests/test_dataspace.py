@@ -29,6 +29,12 @@ def test_design_point_validates_domain():
         DesignPoint(x=np.array([0.5, np.nan]), r=1)
 
 
+def test_design_point_rejects_a_fractional_seed_id():
+    with pytest.raises(ValueError, match="seed ids must be integers >= 1, got 1.9"):
+        DesignPoint(x=np.array([0.5]), r=1.9)
+    assert DesignPoint(x=np.array([0.5]), r=2.0).r == 2
+
+
 def test_bounds_ordering_enforced():
     Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
     with pytest.raises(ValueError):
@@ -216,6 +222,14 @@ def test_dataset_rejects_non_finite_objectives():
         assert np.isfinite(ds.transform.mean) and np.isfinite(ds.transform.std)
     with pytest.raises(ValueError, match="coordinates must lie in"):
         Dataset(np.array([[0.1], [np.nan]]), np.array([1, 2]), np.array([1.0, 2.0]))
+
+
+def test_dataset_rejects_fractional_seed_ids():
+    X, y = np.full((3, 1), 0.5), np.array([1.0, 2.0, 3.0])
+    for bad, shown in ((2.7, "2.7"), (np.nan, "nan"), (np.inf, "inf")):
+        with pytest.raises(ValueError, match=f"seed ids must be integers >= 1, got {shown}"):
+            Dataset(X, [1.0, bad, 3.0], y)
+    assert Dataset(X, [1.0, 2.0, 3.0], y).seeds.tolist() == [1, 2, 3]
 
 
 def test_dataset_length_mismatch_rejected():

@@ -40,6 +40,36 @@ def test_predict_before_fit_raises():
         em.sample(np.array([[0.5]]), None)
 
 
+@pytest.mark.parametrize("nseeds", [None, 2])
+def test_non_finite_inputs_are_rejected(nseeds):
+    """A NaN or an infinity in the data would fit with a NaN likelihood (the
+    factorization checks only the diagonal), so the inputs are checked first."""
+    X, Y = np.array([[0.1], [0.5], [0.9]]), np.array([0.3, -0.2, 0.4])
+    seeds = np.array([1, 2, 1])
+    for bad in (np.nan, np.inf, -np.inf):
+        em = SeedKernelGP(ndim=1, nseeds=nseeds, nstarts=1, maxfev=20,
+                          rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="objective values Y must be finite"):
+            em.fit(X, seeds, np.where([False, True, False], bad, Y))
+        with pytest.raises(ValueError, match="coordinates X must be finite"):
+            em.fit(np.where([[False], [False], [True]], bad, X), seeds, Y)
+        em.fit(X, seeds, Y)
+        with pytest.raises(ValueError, match="coordinates X must be finite"):
+            em.predict_mean_var(np.array([[0.2], [bad]]), np.array([1, 2]))
+        with pytest.raises(ValueError, match="coordinates X must be finite"):
+            em.sample(np.array([[bad]]), np.array([1]))
+
+
+def test_fit_and_sample_take_one_seed_id_per_point():
+    em = SeedKernelGP(ndim=1, nseeds=2, nstarts=1, maxfev=20, rng=np.random.default_rng(0))
+    X, Y = np.array([[0.1], [0.5], [0.9]]), np.array([0.3, -0.2, 0.4])
+    with pytest.raises(ValueError, match="one seed id per training point"):
+        em.fit(X, np.ones((3, 1), dtype=int), Y)
+    em.fit(X, np.array([1, 2, 1]), Y)
+    with pytest.raises(ValueError, match="one seed id per point"):
+        em.sample(X, np.ones((3, 2), dtype=int))
+
+
 def test_fit_deterministic_given_stream():
     rng = np.random.default_rng(0)
     X, Y = _smooth_1d(12, rng, noise=0.1)

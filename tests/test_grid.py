@@ -26,19 +26,17 @@ PHI_5 = 0.9999997133484281
 
 
 class StubEmulator:
-    """predict_mean_var stub with a caller-chosen posterior."""
+    """predict_mean_var stub with a caller-chosen posterior, the same under
+    every seed, returned in the seeds' shape: one id or a row of ids per point."""
 
     def __init__(self, mean_fn, var_fn=lambda X: np.ones(X.shape[0])):
         self.mean_fn = mean_fn
         self.var_fn = var_fn
 
     def predict_mean_var(self, X, seeds):
-        return self.mean_fn(X), self.var_fn(X)
-
-    def predict_seedwise(self, X, k):
-        mean, var = self.predict_mean_var(np.repeat(X, k, axis=0),
-                                          np.tile(np.arange(1, k + 1), X.shape[0]))
-        return mean.reshape(-1, k), var.reshape(-1, k)
+        seeds = np.asarray(seeds)
+        X = np.repeat(X, seeds.size // X.shape[0], axis=0)  # one row per (point, id)
+        return self.mean_fn(X).reshape(seeds.shape), self.var_fn(X).reshape(seeds.shape)
 
 
 def test_config_validation():
@@ -65,6 +63,12 @@ def test_candidate_grid_validates_domain():
         CandidateGrid(np.array([[np.nan]]), np.array([1]))
     with pytest.raises(ValueError):
         CandidateGrid(np.empty((0, 1)), np.empty(0, dtype=int))
+
+
+def test_candidate_grid_rejects_fractional_seed_ids():
+    with pytest.raises(ValueError, match="grid seed ids must be integers >= 1, got 2.5"):
+        CandidateGrid(np.array([[0.5], [0.6]]), np.array([1.0, 2.5]))
+    assert CandidateGrid(np.array([[0.5]]), np.array([2.0])).seeds.tolist() == [2]
 
 
 def test_likelihood_at_incumbent_is_half():
@@ -377,10 +381,11 @@ def test_grid_digest_tracks_content():
        data_seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_seedwise_likelihood_equals_tiled_likelihood_values(
         family, rank, per_seed_v, fixed_kernel, nseeds, ndim, n, data_seed):
-    """The MH walk's seed-wise likelihood of a block of 1-5 points is bitwise
-    the likelihood of each point repeated once per seed, and so are the
-    underlying means and variances, for a fitted kernel and for a fixed one
-    with its nugget pinned at 1e-6."""
+    """A row of seed ids per point gives, bitwise, the means, variances and
+    likelihoods of each point repeated once per id, for blocks of 1-5 points
+    under ids 1..k (the MH walk's rows), rows with repeated ids in any order,
+    and a single column; for a fitted kernel and for a fixed one with its
+    nugget pinned at 1e-6.  Without a seed space the ids change nothing."""
     rng = np.random.default_rng(data_seed)
     fixed = None
     if fixed_kernel:
@@ -395,31 +400,40 @@ def test_seedwise_likelihood_equals_tiled_likelihood_values(
     em.fit(X, seeds, rng.normal(size=n))
     for m in range(1, 6):
         X, k, tau = rng.random((m, ndim)), int(rng.integers(1, nseeds + 1)), rng.normal()
-        seeds = np.tile(np.arange(1, k + 1), m)
-        mean, var = em.predict_seedwise(X, k)
-        assert mean.shape == var.shape == (m, k)
-        mean_t, var_t = em.predict_mean_var(np.repeat(X, k, axis=0), seeds)
-        assert np.array_equal(likelihood_values(mean, var, tau).ravel(),
-                              likelihood_values(mean_t, var_t, tau))
-        assert mean.tobytes() == mean_t.tobytes() and var.tobytes() == var_t.tobytes()
+        for rows in (np.broadcast_to(np.arange(1, k + 1), (m, k)),
+                     rng.integers(1, nseeds + 1, size=(m, nseeds + 2)),
+                     rng.integers(1, nseeds + 1, size=(m, 1))):
+            j = rows.shape[1]
+            mean, var = em.predict_mean_var(X, rows)
+            assert mean.shape == var.shape == (m, j)
+            mean_t, var_t = em.predict_mean_var(np.repeat(X, j, axis=0), rows.ravel())
+            assert np.array_equal(likelihood_values(mean, var, tau).ravel(),
+                                  likelihood_values(mean_t, var_t, tau))
+            assert mean.tobytes() == mean_t.tobytes() and var.tobytes() == var_t.tobytes()
 
 
-def test_predict_seedwise_checks_the_seed_range():
+def test_predict_mean_var_checks_the_seed_range():
     em = SeedKernelGP(ndim=1, nseeds=3, fixed={"lengthscales": [0.5], "variance": 1.0,
                                                "B": np.eye(3), "v": np.zeros(3)})
     em.fit(np.array([[0.2], [0.7]]), np.array([1, 3]), np.array([0.1, -0.2]))
-    with pytest.raises(ValueError):
-        em.predict_seedwise(np.array([0.5]), 4)
-    with pytest.raises(ValueError):
-        em.predict_seedwise(np.array([0.5]), 0)
+    for seeds in ([4], [0], [[1, 2, 3, 4]], [[0, 1]], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match=r"integer seed id in 1\.\.3"):
+            em.predict_mean_var(np.array([0.5]), np.array(seeds))
+    assert em.predict_mean_var(np.array([0.5]), np.array([[3, 1, 3]]))[0].shape == (1, 3)
 
 
-def test_predict_seedwise_checks_the_input_width():
+def test_predict_mean_var_checks_the_input_shapes():
     em = SeedKernelGP(ndim=2, nseeds=2, fixed={"lengthscales": [0.5, 0.5], "variance": 1.0,
                                                "B": np.eye(2), "v": np.zeros(2)})
     em.fit(np.array([[0.2, 0.3], [0.7, 0.6]]), np.array([1, 2]), np.array([0.1, -0.2]))
+    rows = np.broadcast_to(np.arange(1, 3), (4, 2))
     with pytest.raises(ValueError, match="expected 2 coordinate columns, got 1"):
-        em.predict_seedwise(np.array([0.5]), 2)
+        em.predict_mean_var(np.array([0.5]), np.array([[1, 2]]))
     with pytest.raises(ValueError, match="expected 2 coordinate columns, got 3"):
-        em.predict_seedwise(np.full((4, 3), 0.5), 2)
-    assert em.predict_seedwise(np.full((4, 2), 0.5), 2)[0].shape == (4, 2)
+        em.predict_mean_var(np.full((4, 3), 0.5), rows)
+    # a row count other than the points', and ids in three dimensions
+    for seeds in (rows[:3], np.ones(5, dtype=int), np.ones((4, 2, 1), dtype=int)):
+        with pytest.raises(ValueError, match="one row of seed ids, per point"):
+            em.predict_mean_var(np.full((4, 2), 0.5), seeds)
+    assert em.predict_mean_var(np.full((4, 2), 0.5), rows)[0].shape == (4, 2)
+    assert em.predict_mean_var(np.full((4, 2), 0.5), rows[:, 0])[1].shape == (4,)
