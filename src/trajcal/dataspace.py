@@ -6,11 +6,13 @@ The search space couples continuous coordinates on the unit hypercube
 representation; callers rescale to native units and map seed ids to
 simulator-native seeds themselves.  This module owns the design-array
 checks (equal lengths, coordinates in ``[0, 1]``, seed ids ``>= 1``, finite
-values); design points, datasets and candidate grids all run them.
+values); design points, datasets and candidate grids all run them.  It also
+owns ``_check_int``, the check of every integer setting.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +105,15 @@ def latin_hypercube(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         perm = rng.permutation(n)
         out[:, j] = (perm + rng.random(n)) / n
     return out
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """The one check of an integer setting: an int or a NumPy integer, not a
+    bool, of at least ``minimum``; the message names the setting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _check_design(X, seeds, y_raw=None, label: str = ""):

@@ -38,7 +38,7 @@ from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from . import kernels
-from .dataspace import latin_hypercube
+from .dataspace import _check_int, latin_hypercube
 from .errors import NotFittedError
 from .kernels import (
     LENGTHSCALE_BOUNDS,
@@ -125,8 +125,9 @@ class SeedKernelGP:
         ``min(250 * parameters, 3000)``.
     fixed : dict, optional
         ``{"lengthscales", "variance", "nugget"}`` plus ``"B"`` and ``"v"``
-        with a seed space; when given, ``fit`` skips optimization and uses
-        these values.  All must be finite; lengthscales and variance
+        with a seed space, and no other key; only the nugget may be left
+        out.  When given, ``fit`` skips optimization and uses these values.
+        All must be finite; lengthscales and variance
         positive, ``v`` nonnegative and the nugget, ``NUGGET_BOUNDS[0]``
         when omitted, at least that.
 
@@ -142,14 +143,12 @@ class SeedKernelGP:
                  family: str = "matern52", rng=None, nstarts: int = 5,
                  per_seed_v: bool = False, maxfev: int | None = None,
                  fixed: dict | None = None):
-        if ndim < 1 or (nseeds is not None and nseeds < 1):
-            raise ValueError("ndim and nseeds must be >= 1")
+        for name, value in (("ndim", ndim), ("nseeds", nseeds), ("rank", rank),
+                            ("nstarts", nstarts), ("maxfev", maxfev)):
+            if value is not None:
+                _check_int(name, value, 1)
         if family not in kernels.FROM_SQ_DISTS:
             raise ValueError(f"unknown kernel family {family!r}")
-        if nstarts < 1:
-            raise ValueError(f"nstarts must be >= 1, got {nstarts}")
-        if maxfev is not None and maxfev < 1:
-            raise ValueError(f"maxfev must be >= 1, got {maxfev}")
         self.rng = rng if rng is not None else np.random.default_rng()
         self.nstarts = int(nstarts)
         self.maxfev = maxfev
@@ -171,6 +170,13 @@ class SeedKernelGP:
         self.lml = None
         self.nugget = None
         if fixed is not None:
+            keys = ("lengthscales", "variance", "nugget") + (("B", "v") if self.seeded else ())
+            for key in fixed:
+                if key not in keys:
+                    raise ValueError(f"unknown fixed key {key!r}; the keys are {', '.join(keys)}")
+            for key in keys:
+                if key not in fixed and key != "nugget":
+                    raise ValueError(f"fixed key {key!r} is missing")
             ls = np.atleast_1d(np.asarray(fixed["lengthscales"], dtype=float))
             variance = float(fixed["variance"])
             if ls.shape != (self.ndim,):

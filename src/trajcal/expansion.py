@@ -1,10 +1,11 @@
 """Seed-space growth: when to add a new seed id and what to run on it.
 
-Policies decide when the discrete seed space grows: after a fixed number
-of completed simulations, or with a fixed per-check probability.  On
-expansion the workflow draws points that carry the new seed, either by
-re-seeding a uniform draw from the refined grid (exploration, the
-default) or by re-seeding the incumbent best coordinates (exploitation).
+Policies decide when the discrete seed space grows, by at most one seed
+per iteration: "by-sims" on the completed-run count (see ``expand``), or
+"by-prob" with a fixed per-check probability.  On expansion the workflow
+draws points that carry the new seed, either by re-seeding a uniform draw
+from the refined grid (exploration, the default) or by re-seeding the
+incumbent best coordinates (exploitation).
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataspace import DesignPoint
+from .dataspace import DesignPoint, _check_int
 
 __all__ = [
     "ExpansionConfig",
-    "ExpansionState",
     "check_for_expansion",
     "expand",
     "sample_from_expansion",
@@ -32,8 +32,8 @@ SAMPLE_MODES = ("explore", "exploit")
 class ExpansionConfig:
     """Initial seed-space size plus the growth policy and its parameters.
 
-    policy "by-sims" triggers once ``nsims_expand`` simulations complete
-    since the last expansion; "by-prob" triggers with probability ``p`` at
+    policy "by-sims" triggers each time the completed count reaches the next
+    multiple of ``nsims_expand``; "by-prob" triggers with probability ``p`` at
     each check.  Each expansion queues ``nexpansion`` points on the new
     seed: with ``sample_mode`` "explore", drawn uniformly from the refined
     candidate grid; with "exploit", the best coordinates evaluated so far.
@@ -47,14 +47,11 @@ class ExpansionConfig:
     sample_mode: str = "explore"
 
     def __post_init__(self):
-        if self.nseeds < 1:
-            raise ValueError("nseeds must be >= 1")
-        if self.nexpansion < 0:
-            raise ValueError("nexpansion must be >= 0")
+        _check_int("nseeds", self.nseeds, 1)
+        _check_int("nexpansion", self.nexpansion, 0)
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if self.nsims_expand < 1:
-            raise ValueError("nsims_expand must be >= 1")
+        _check_int("nsims_expand", self.nsims_expand, 1)
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if self.policy == "by-prob" and self.p is None:
@@ -63,38 +60,26 @@ class ExpansionConfig:
             raise ValueError(f"sample_mode must be one of {SAMPLE_MODES}")
 
 
-@dataclass
-class ExpansionState:
-    """Mutable bookkeeping owned by the workflow's control loop."""
-
-    current_k: int
-    sims_since_expansion: int = 0
-
-    @classmethod
-    def start(cls, config: ExpansionConfig, completed: int = 0) -> "ExpansionState":
-        """Fresh state; ``completed`` seeds the counter with the evaluations
-        already performed (the initial design counts toward the first check)."""
-        return cls(current_k=config.nseeds, sims_since_expansion=int(completed))
-
-
-def check_for_expansion(state: ExpansionState, config: ExpansionConfig,
+def check_for_expansion(config: ExpansionConfig, completed: int, expansions: int,
                         rng: np.random.Generator) -> bool:
-    """Should the seed space grow now?  Pure read except for by-prob's draw."""
+    """Should the seed space grow now, after ``completed`` successful runs (the
+    initial design's included) and ``expansions`` earlier expansions?  Only
+    by-prob draws from ``rng``."""
     if config.policy == "by-sims":
-        return state.sims_since_expansion >= config.nsims_expand
+        return completed >= (expansions + 1) * config.nsims_expand
     return bool(rng.random() < config.p)
 
 
-def expand(state: ExpansionState, config: ExpansionConfig) -> int:
-    """Add the next contiguous seed id and return it.
+def expand(config: ExpansionConfig, expansions: int) -> int:
+    """The id of the next seed after ``expansions`` earlier ones, so the ids
+    stay contiguous.
 
-    The counter carries any overshoot past the by-sims interval instead of
-    zeroing, so successive triggers stay aligned to absolute completed
-    counts (multiples of nsims_expand past the initial design).
+    A run expands at most once per iteration, when the completed count, the
+    initial design's included, reaches (expansions so far + 1) x
+    ``nsims_expand`` under "by-sims".  A batch that passes several such
+    counts leaves a backlog, which carries over to later iterations.
     """
-    state.current_k += 1
-    state.sims_since_expansion = max(0, state.sims_since_expansion - config.nsims_expand)
-    return state.current_k
+    return config.nseeds + expansions + 1
 
 
 def sample_from_expansion(grid, nexpansion: int, new_seed: int,

@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .dataspace import _check_design, latin_hypercube, reflect
+from .dataspace import _check_design, _check_int, latin_hypercube, reflect
 from .errors import ProgressError
 
 __all__ = [
@@ -162,8 +162,7 @@ class LHSGrid:
     dimension, seeds cycling 1 + (i mod k)."""
 
     def __init__(self, ngrid: int):
-        if ngrid < 1:
-            raise ValueError("ngrid must be >= 1")
+        _check_int("ngrid", ngrid, 1)
         self.ngrid = int(ngrid)
 
     def sample(self, *, emulator, dataset, nseeds, rng, previous) -> CandidateGrid:

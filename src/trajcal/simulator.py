@@ -14,7 +14,8 @@ Draw order (fixed so runs are reproducible):
    ordered by ascending infected agent id, then ascending susceptible id.
 
 Movement draws come from the stream ``SeedSequence([crn_stream_id, 0])``
-and infection draws from ``SeedSequence([crn_stream_id, 1])``.
+and infection draws from ``SeedSequence([crn_stream_id, 1])``.  A run counts
+the infected and the cumulative infections; the other two follow from them.
 
 The contact search is a uniform cell list: each step bins the susceptible
 agents into cells at least ``contact_radius`` wide and tests each infected
@@ -38,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dataspace import DesignPoint, reflect
+from .dataspace import DesignPoint, _check_int, reflect
 
 __all__ = [
     "SirConfig",
@@ -82,30 +83,26 @@ class SirConfig:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.seed_id < 0 or self.seed_id != int(self.seed_id):
-            raise ValueError("seed_id must be a nonnegative integer")
+        _check_int("seed_id", self.seed_id, 0)
         if not 0.0 <= 25.0 + self.seed_id <= self.grid_extent:
             raise ValueError(
                 f"index case (25+{self.seed_id}, 25+{self.seed_id}) lies outside "
                 f"the {self.grid_extent} x {self.grid_extent} grid"
             )
-        if self.crn_stream_id < 0:
-            raise ValueError("crn_stream_id must be nonnegative")
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be >= 1")
+        _check_int("crn_stream_id", self.crn_stream_id, 0)
+        _check_int("n_agents", self.n_agents, 1)
         if not 0 < self.grid_extent < math.inf:
             raise ValueError("grid_extent must be positive and finite")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.infectious_period < 1:
-            raise ValueError("infectious_period must be >= 1")
+        _check_int("horizon", self.horizon, 1)
+        _check_int("infectious_period", self.infectious_period, 1)
         if not 0 < self.contact_radius < math.inf:  # NaN fails both comparisons
             raise ValueError("contact_radius must be positive and finite")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-step compartment counts; entry t is the state after step t."""
+    """Per-step compartment counts; entry t is the state after step t.  Of n
+    agents, ``n - cumulative`` are susceptible and ``cumulative - infected`` recovered."""
 
     infected_counts: np.ndarray
     cumulative_infections: np.ndarray
@@ -255,21 +252,15 @@ def sir_run(config: SirConfig) -> Trajectory:
 
     infected = np.zeros(horizon + 1, dtype=np.int64)
     cumulative = np.zeros(horizon + 1, dtype=np.int64)
-    susceptible = np.zeros(horizon + 1, dtype=np.int64)
-    recovered = np.zeros(horizon + 1, dtype=np.int64)
     infected[0] = 1
     cumulative[0] = 1
-    susceptible[0] = n - 1
 
     r2 = config.contact_radius**2
     for t in range(1, horizon + 1):
         inf_idx = np.flatnonzero(state == _INFECTED)
         if inf_idx.size == 0:
             # epidemic over: remaining counts are constant
-            infected[t:] = 0
             cumulative[t:] = cumulative[t - 1]
-            susceptible[t:] = susceptible[t - 1]
-            recovered[t:] = recovered[t - 1]
             break
         sus_idx = np.flatnonzero(state == _SUSCEPTIBLE)
         newly = np.empty(0, dtype=np.int64)
@@ -302,14 +293,12 @@ def sir_run(config: SirConfig) -> Trajectory:
         # newly infected agents were susceptible, so the two sets are disjoint
         infected[t] = infected[t - 1] - recovering.size + newly.size
         cumulative[t] = cumulative[t - 1] + newly.size
-        susceptible[t] = susceptible[t - 1] - newly.size
-        recovered[t] = recovered[t - 1] + recovering.size
 
     return Trajectory(
         infected_counts=infected,
         cumulative_infections=cumulative,
-        susceptible_counts=susceptible,
-        recovered_counts=recovered,
+        susceptible_counts=n - cumulative,
+        recovered_counts=cumulative - infected,
     )
 
 

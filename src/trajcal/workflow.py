@@ -5,7 +5,8 @@ the candidate grid, picks a batch as the unique argmins of Thompson draws,
 optionally grows the seed space, and evaluates the batch against the
 simulator until the evaluation budget is spent.  The dataset holds what
 the run produced and restandardizes itself on every append; the trace
-records how it got there.
+records how it got there.  Their lengths, ``len(dataset)`` completed runs
+and ``len(trace.expansion_events)`` added seeds, are the run's only counts.
 
 A run starts with a space-filling initial design: a Latin hypercube of
 ``initial_design`` points from the "init" stream, with seed ids cycling
@@ -23,11 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataspace import Dataset, DesignPoint, latin_hypercube
+from .dataspace import Dataset, DesignPoint, _check_int, latin_hypercube
 from .errors import NumericalError, ProgressError
 from .expansion import (
     ExpansionConfig,
-    ExpansionState,
     check_for_expansion,
     expand,
     reseed_incumbents,
@@ -82,14 +82,12 @@ class WorkflowConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.initial_design < 2:
-            raise ValueError("initial_design must be >= 2")
+        _check_int("initial_design", self.initial_design, 2)
+        _check_int("budget", self.budget, 2)
         if self.budget < self.initial_design:
             raise ValueError("budget must be >= initial_design")
-        if self.nTS_samp < 1:
-            raise ValueError("nTS_samp must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        _check_int("nTS_samp", self.nTS_samp, 1)
+        _check_int("master_seed", self.master_seed, 0)
 
 
 @dataclass
@@ -246,16 +244,16 @@ def run(simulator, config: WorkflowConfig, emulator,
             raise ProgressError(f"{y.size} of {config.initial_design} initial evaluations "
                                 "succeeded; need at least 2")
         dataset = Dataset(X, seeds, y)
-        state = ExpansionState.start(config.expansion, completed=y.size)
         while len(dataset) < config.budget:
             iteration += 1
             emulator.rng = component_stream(config.master_seed, "fit", iteration)
             emulator.fit(dataset.X, dataset.seeds, dataset.y_std)
             tau = dataset.incumbent()
+            expansions = len(trace.expansion_events)
             grid = grid_strategy.sample(
                 emulator=emulator,
                 dataset=dataset,
-                nseeds=state.current_k,
+                nseeds=config.expansion.nseeds + expansions,
                 rng=component_stream(config.master_seed, "grid", iteration),
                 previous=grid,
             )
@@ -265,10 +263,10 @@ def run(simulator, config: WorkflowConfig, emulator,
             )
             expansion_event = None
             if check_for_expansion(
-                state, config.expansion,
+                config.expansion, len(dataset), expansions,
                 component_stream(config.master_seed, "expansion", iteration),
             ):
-                new_seed = expand(state, config.expansion)
+                new_seed = expand(config.expansion, expansions)
                 emulator.expand_seed_space(new_seed)
                 if config.expansion.sample_mode == "exploit":
                     extra = reseed_incumbents(dataset, config.expansion.nexpansion, new_seed)
@@ -299,7 +297,6 @@ def run(simulator, config: WorkflowConfig, emulator,
                     f"every simulator evaluation failed at iteration {iteration}"
                 )
             dataset.append(ok_x, ok_seeds, ok_y, iteration)
-            state.sims_since_expansion += len(ok_y)
     except (NumericalError, ProgressError) as exc:
         exc.dataset, exc.trace = dataset, trace
         raise

@@ -498,6 +498,22 @@ def test_fixed_lengthscales_must_match_the_dimension():
         SeedKernelGP(ndim=2, fixed={"lengthscales": [0.5], "variance": 1.0})
 
 
+@pytest.mark.parametrize("nseeds,fixed,key", [
+    (None, {"lengthscales": [0.3], "variance": 1.0, "nuget": 0.3}, "nuget"),
+    (None, {"lengthscales": [0.3]}, "variance"),
+    (None, {"variance": 1.0}, "lengthscales"),
+    # B and v belong to the seed factor, which the baseline does not have
+    (None, {"lengthscales": [0.3], "variance": 1.0, "B": [[1.0]], "v": [0.0]}, "B"),
+    (2, {"lengthscales": [0.3], "variance": 1.0, "v": [0.0, 0.0]}, "B"),
+    (2, {"lengthscales": [0.3], "variance": 1.0, "B": [[1.0], [1.0]]}, "v"),
+    (2, {"lengthscales": [0.3], "variance": 1.0, "B": [[1.0], [1.0]], "v": [0.0, 0.0],
+         "rank": 1}, "rank"),
+], ids=["misspelt", "no-variance", "no-lengthscales", "baseline-B", "no-B", "no-v", "extra"])
+def test_fixed_kernel_rejects_unknown_and_missing_keys(nseeds, fixed, key):
+    with pytest.raises(ValueError, match=f"fixed key '{key}' is|unknown fixed key '{key}'"):
+        SeedKernelGP(ndim=1, nseeds=nseeds, fixed=fixed)
+
+
 _GOOD_FIXED = {"lengthscales": [0.5], "variance": 1.0, "B": np.eye(2), "v": [0.1, 0.1]}
 
 

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajcal.dataspace import Dataset
 from trajcal.emulator import SeedKernelGP
 from trajcal.expansion import (
     ExpansionConfig,
-    ExpansionState,
     check_for_expansion,
     expand,
     reseed_incumbents,
@@ -46,31 +47,26 @@ def test_config_validation():
 def test_by_sims_threshold():
     cfg = ExpansionConfig(nseeds=5, policy="by-sims", nsims_expand=50)
     rng = np.random.default_rng(0)
-    state = ExpansionState(current_k=5, sims_since_expansion=50)
-    assert check_for_expansion(state, cfg, rng)
-    state.sims_since_expansion = 49
-    assert not check_for_expansion(state, cfg, rng)
+    assert check_for_expansion(cfg, 50, 0, rng)
+    assert not check_for_expansion(cfg, 49, 0, rng)
 
 
 def test_by_prob_degenerate():
     rng = np.random.default_rng(1)
     never = ExpansionConfig(nseeds=5, policy="by-prob", p=0.0)
     always = ExpansionConfig(nseeds=5, policy="by-prob", p=1.0)
-    state = ExpansionState(current_k=5)
-    assert not any(check_for_expansion(state, never, rng) for _ in range(100))
-    assert all(check_for_expansion(state, always, rng) for _ in range(100))
+    # the completed count does not matter to by-prob
+    assert not any(check_for_expansion(never, 10**6, 0, rng) for _ in range(100))
+    assert all(check_for_expansion(always, 0, 0, rng) for _ in range(100))
 
 
 def test_expand_contiguous_ids():
     cfg = ExpansionConfig(nseeds=5, nsims_expand=50)
-    state = ExpansionState.start(cfg)
-    assert expand(state, cfg) == 6
-    assert expand(state, cfg) == 7
-    assert state.current_k == 7
+    assert expand(cfg, 0) == 6
+    assert expand(cfg, 1) == 7
 
     big = ExpansionConfig(nseeds=35, nsims_expand=50)
-    s35 = ExpansionState.start(big)
-    assert expand(s35, big) == 36
+    assert expand(big, 0) == 36
 
     # a run's trace lists every (iteration, new seed id) event once, in order
     cfg = ExpansionConfig(nseeds=5, nsims_expand=4, nexpansion=2)
@@ -86,22 +82,56 @@ def test_expand_contiguous_ids():
 
 def test_expand_carries_counter_overshoot():
     # overshoot past the interval is kept, so triggers stay aligned to
-    # absolute completed counts
+    # absolute completed counts: 53 completed fire the first expansion and
+    # leave 3 toward the second, which fires at 100, not at 103
     cfg = ExpansionConfig(nseeds=3, policy="by-sims", nsims_expand=50)
-    state = ExpansionState(current_k=3, sims_since_expansion=53)
-    expand(state, cfg)
-    assert state.sims_since_expansion == 3
-    state.sims_since_expansion = 20
-    expand(state, cfg)
-    assert state.sims_since_expansion == 0
+    rng = np.random.default_rng(2)
+    assert check_for_expansion(cfg, 53, 0, rng)
+    assert not check_for_expansion(cfg, 99, 1, rng)
+    assert check_for_expansion(cfg, 100, 1, rng)
+    # a backlog carries over: at 120 completed with one expansion made, the
+    # second is due and the third is not
+    assert check_for_expansion(cfg, 120, 1, rng)
+    assert not check_for_expansion(cfg, 120, 2, rng)
 
 
 def test_start_seeds_counter_with_completed():
+    # the initial design counts toward the first trigger
     cfg = ExpansionConfig(nseeds=4, nsims_expand=50)
-    state = ExpansionState.start(cfg, completed=50)
-    assert state.sims_since_expansion == 50
-    assert state.current_k == 4
-    assert check_for_expansion(state, cfg, np.random.default_rng(3))
+    assert check_for_expansion(cfg, 50, 0, np.random.default_rng(3))
+    assert expand(cfg, 0) == 5
+
+
+def _reference_fires(n0, nsims_expand, batches):
+    """The by-sims rule as a counter kept beside the run: it starts at the
+    initial successes, adds each batch's successes and subtracts
+    ``nsims_expand`` at each expansion.  Returns the iterations that fire."""
+    counter, fired = n0, []
+    for iteration, successes in enumerate(batches, start=1):
+        if counter >= nsims_expand:
+            counter = max(0, counter - nsims_expand)
+            fired.append(iteration)
+        counter += successes
+    return fired
+
+
+@settings(max_examples=300, deadline=None)
+@given(n0=st.integers(2, 39), nsims_expand=st.integers(1, 11), nseeds=st.integers(1, 4),
+       batches=st.lists(st.integers(1, 8), min_size=1, max_size=30))
+def test_by_sims_fires_where_the_counter_fired(n0, nsims_expand, nseeds, batches):
+    """The closed form on the dataset's length and the expansions so far
+    fires on exactly the iterations where a running counter fired, and the
+    ids it names count up from ``nseeds + 1``."""
+    cfg = ExpansionConfig(nseeds=nseeds, nsims_expand=nsims_expand)
+    rng = np.random.default_rng(0)
+    completed, new_seeds, fired = n0, [], []
+    for iteration, successes in enumerate(batches, start=1):
+        if check_for_expansion(cfg, completed, len(new_seeds), rng):
+            new_seeds.append(expand(cfg, len(new_seeds)))
+            fired.append(iteration)
+        completed += successes
+    assert fired == _reference_fires(n0, nsims_expand, batches)
+    assert new_seeds == list(range(nseeds + 1, nseeds + 1 + len(fired)))
 
 
 def _grid(m=20):

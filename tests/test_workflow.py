@@ -10,7 +10,7 @@ from trajcal.emulator import SeedKernelGP
 from trajcal.errors import ProgressError
 from trajcal.expansion import ExpansionConfig
 from trajcal.grid import AdaptiveGrid, CandidateGrid, FixedGrid, LHSGrid
-from trajcal.simulator import toy_objective
+from trajcal.simulator import SirConfig, toy_objective
 from trajcal.workflow import (
     COMPONENTS,
     WorkflowConfig,
@@ -56,6 +56,43 @@ def test_workflow_config_validation():
         WorkflowConfig(budget=10, initial_design=2, expansion=exp, nTS_samp=0)
     with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
         WorkflowConfig(budget=10, initial_design=2, expansion=exp, master_seed=-1)
+
+
+#: The other settings each class needs to be built.
+_BASE = {
+    WorkflowConfig: dict(budget=10, initial_design=2, expansion=ExpansionConfig(nseeds=3)),
+    ExpansionConfig: dict(nseeds=3),
+    SeedKernelGP: dict(ndim=1, nseeds=3),
+    LHSGrid: dict(ngrid=5),
+    AdaptiveGrid: dict(ngrid=5),
+    FixedGrid: dict(ngrid=5, rng=np.random.default_rng(0)),
+    SirConfig: dict(beta=0.1, seed_id=0),
+}
+#: Every integer setting of those classes, with a valid value.
+_COUNTS = [
+    (WorkflowConfig, "budget", 10), (WorkflowConfig, "initial_design", 3),
+    (WorkflowConfig, "nTS_samp", 4), (WorkflowConfig, "master_seed", 0),
+    (ExpansionConfig, "nseeds", 1), (ExpansionConfig, "nexpansion", 0),
+    (ExpansionConfig, "nsims_expand", 5),
+    (SeedKernelGP, "ndim", 2), (SeedKernelGP, "nseeds", 3), (SeedKernelGP, "rank", 2),
+    (SeedKernelGP, "nstarts", 2), (SeedKernelGP, "maxfev", 10),
+    (LHSGrid, "ngrid", 5), (AdaptiveGrid, "ngrid", 5), (FixedGrid, "ngrid", 5),
+    (SirConfig, "seed_id", 1), (SirConfig, "crn_stream_id", 2), (SirConfig, "n_agents", 300),
+    (SirConfig, "horizon", 30), (SirConfig, "infectious_period", 3),
+]
+
+
+@pytest.mark.parametrize("cls,field,valid", _COUNTS,
+                         ids=[f"{cls.__name__}.{field}" for cls, field, _ in _COUNTS])
+def test_integer_settings_reject_non_integers_when_built(cls, field, valid):
+    """A fractional, integral-float, bool or string count fails at
+    construction, naming the setting, not part-way through a run; a NumPy
+    integer is accepted and kept."""
+    for bad in (valid + 0.5, float(valid), True, str(valid)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {bad!r}"):
+            cls(**{**_BASE[cls], field: bad})
+    built = cls(**{**_BASE[cls], field: np.int64(valid)})
+    assert getattr(built, field) == valid
 
 
 # --------------------------------------------------------- thompson_select
