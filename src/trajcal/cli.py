@@ -36,7 +36,6 @@ import sys
 import tempfile
 
 import numpy as np
-import scipy
 
 from .dataspace import Bounds, Dataset, rescale, sse
 from .emulator import SeedKernelGP
@@ -664,9 +663,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 #: The thread-count setter of the OpenBLAS that numpy and that scipy each
-#: bundle in their wheels.
-_OPENBLAS_SETTERS = ((np, "scipy_openblas_set_num_threads64_"),
-                     (scipy, "scipy_openblas_set_num_threads"))
+#: bundle in their wheels, by package name: scipy is not imported here, but
+#: another module may have loaded its OpenBLAS.
+_OPENBLAS_SETTERS = (("numpy", "scipy_openblas_set_num_threads64_"),
+                     ("scipy", "scipy_openblas_set_num_threads"))
 
 
 def _one_blas_thread() -> None:

@@ -120,11 +120,14 @@ def _check_design(X, seeds, y_raw=None, label: str = ""):
     """Design arrays as float ``(n, d)``, int64 ``(n,)`` and float ``(n,)``.
 
     The one owner of the design checks: equal lengths, coordinates in
-    ``[0, 1]``, integer seed ids ``>= 1`` and, when ``y_raw`` is given,
-    finite values.  ``label`` prefixes the messages of the range checks.
+    ``[0, 1]``, integer seed ids ``>= 1`` (integral floats pass, booleans
+    do not) and, when ``y_raw`` is given, finite values.  ``label``
+    prefixes the messages of the range checks.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     given = np.asarray(seeds).ravel()
+    if given.dtype == bool and given.size:  # a cast would make True seed 1
+        raise ValueError(f"{label}seed ids must be integers >= 1, got {given[0]}")
     with np.errstate(invalid="ignore"):  # NaN and infinities cast to garbage, caught below
         seeds = given.astype(np.int64, copy=False)
     if y_raw is None:

@@ -9,7 +9,8 @@ nonnegative and rank 1 is one factor shared by all seeds.  Built without
 a seed space (``nseeds=None``) the seed factor is fixed to 1: the GP ignores
 the seed ids and serves as the seed-agnostic baseline.  Hyperparameters
 are chosen by maximizing the log marginal likelihood with multi-start
-bounded Nelder-Mead on the angles and log-transformed other parameters.
+bounded Nelder-Mead on the angles and log-transformed other parameters;
+:func:`minimize` is a port of scipy's, with its evaluations and bits.
 
 There is one kernel path, on arrays: ``_hyper`` decodes a packed vector,
 or the ``fixed=`` values checked once in the constructor, into
@@ -21,8 +22,9 @@ n x n buffer that ``_fill_cov`` writes each distinct training pair into
 once, and ``_finalize`` decodes the chosen parameters once for prediction.
 Every prediction builds its training-to-new covariances in ``_train_cross``
 from the per-fit tables; ``predict_mean_var`` takes one seed id or a row of
-ids per point.  LAPACK routines are called directly, as the numpy and scipy
-wrappers call them, so every value is bitwise theirs.
+ids per point.  LAPACK routines come from numpy's bundled OpenBLAS and are
+called directly, as the numpy and scipy wrappers call them, so every value
+is bitwise theirs; where numpy bundles none, those wrappers are called.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import types
 from itertools import accumulate
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtrs
-from scipy.optimize import minimize
-from scipy.spatial.distance import cdist
 
 from . import kernels
 from .dataspace import _check_int, latin_hypercube
@@ -72,23 +72,113 @@ def draw_mvn(mean: np.ndarray, cov: np.ndarray, size: int, rng: np.random.Genera
 def _chol_lml(L: np.ndarray, Y: np.ndarray):
     """Log marginal likelihood and ``K^-1 Y`` from a lower Cholesky factor of
     K; only the lower triangle of ``L`` is read."""
-    alpha, _ = dpotrs(L, Y, lower=True)  # the routine behind cho_solve, without its checks
+    alpha = _lapack_solve("dpotrs", (b"L",), L, Y, lower=True)  # cho_solve's routine
     n = Y.shape[0]
     lml = -0.5 * float(Y @ alpha) - float(np.log(L.diagonal()).sum()) - 0.5 * n * _LOG_2PI
     return lml, alpha
 
 
+# ctypes argument types: character flags, 64-bit integers by reference, data
+_C, _I, _P = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+_ARGTYPES = {"dpotrf": [_C, _I, _P, _I, _I], "dpotrs": [_C, _I, _I, _P, _I, _P, _I, _I],
+             "dtrtrs": [_C, _C, _C, _I, _I, _P, _I, _P, _I, _I]}
+
+
 @functools.cache
-def _lapack_potrf():
-    """The ``dpotrf`` that ``np.linalg.cholesky`` calls, from numpy's bundled
-    OpenBLAS, or None where numpy bundles none.  Not scipy's: scipy bundles
-    another OpenBLAS release, whose factors differ in the last bits."""
-    potrf = next(kernels.bundled_openblas(np, "scipy_dpotrf_64_"), None)
-    if potrf is not None:
-        i64 = ctypes.POINTER(ctypes.c_int64)
-        potrf.argtypes = [ctypes.c_char_p, i64, ctypes.c_void_p, i64, i64]
-        potrf.restype = None
-    return potrf
+def _lapack(name: str):
+    """LAPACK routine ``name`` (a key of ``_ARGTYPES``) from numpy's bundled
+    OpenBLAS, whose ``dpotrf`` is the one ``np.linalg.cholesky`` calls, or
+    None where numpy bundles none.  Not scipy's OpenBLAS: it is another
+    release, whose Cholesky factors differ in the last bits."""
+    function = next(kernels.bundled_openblas("numpy", f"scipy_{name}_64_"), None)
+    if function is not None:
+        function.argtypes = _ARGTYPES[name]
+        function.restype = None
+    return function
+
+
+def _lapack_solve(name: str, flags, A: np.ndarray, B: np.ndarray, **scipy_flags):
+    """``dpotrs`` or ``dtrtrs`` with character ``flags`` on Fortran-ordered
+    ``A`` and a copy of ``B``, as scipy's wrappers call them, without their
+    checks; scipy's wrapper itself, with ``scipy_flags``, where numpy
+    bundles no OpenBLAS."""
+    if _lapack(name) is None:
+        from scipy.linalg import lapack
+        return getattr(lapack, name)(A, B, **scipy_flags)[0]
+    A, X = np.asfortranarray(A, dtype=float), np.array(B, dtype=float, order="F")
+    n, info = ctypes.c_int64(A.shape[0]), ctypes.c_int64(0)
+    nrhs = ctypes.c_int64(1 if X.ndim == 1 else X.shape[1])
+    _lapack(name)(*flags, n, nrhs, A.ctypes.data, n, X.ctypes.data, n, info)
+    return X
+
+
+class _MaxFev(Exception):
+    """``minimize``'s objective was called at its evaluation cap."""
+
+
+def minimize(fun, x0, lo, hi, maxfev: int):
+    """Minimize ``fun`` from ``x0`` in the box ``[lo, hi]``: scipy's bounded
+    ``minimize(method="Nelder-Mead")`` with ``maxfev``, ``xatol=1e-4``,
+    ``fatol=1e-6`` and ``adaptive=True``, ported step for step, so with its
+    evaluations and bits, and with no iteration cap.  ``fun`` must not
+    modify its argument.  Returns ``x``, ``fun``, ``nfev`` and ``status``
+    (1 when stopped at ``maxfev``, else 0)."""
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:  # ends the iteration it falls in, as scipy's cap does
+            raise _MaxFev
+        nfev += 1
+        return fun(x)
+
+    def move(c):  # (1 + c) xbar - c x_worst, clipped: c is 1, chi, psi or -psi
+        return np.clip((1 + c) * xbar - c * sim[-1], lo, hi)
+
+    N = x0.shape[0]
+    chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
+    x0 = np.clip(x0, lo, hi)
+    sim = np.tile(x0, (N + 1, 1))
+    np.fill_diagonal(sim[1:], np.where(x0 != 0, (1 + 0.05) * x0, 0.00025))
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(N + 1, np.inf)
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFev:
+        pass
+    ind = np.argsort(fsim)  # scipy sorts twice before its loop; a second sort may reorder ties
+    sim, fsim = sim[ind], fsim[ind]
+    while True:
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+        if nfev >= maxfev or (np.max(np.abs(sim[1:] - sim[0])) <= 1e-4
+                              and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-6):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = move(1)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = move(chi)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside, or inside when xr is no better than the worst
+                inside = fxr >= fsim[-1]
+                xc = move(-psi if inside else psi)
+                fxc = f(xc)
+                if (fxc < fsim[-1]) if inside else (fxc <= fxr):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, N + 1):
+                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lo, hi)
+                        fsim[j] = f(sim[j])
+        except _MaxFev:
+            pass
+    return types.SimpleNamespace(x=sim[0], fun=np.min(fsim), nfev=nfev,
+                                 status=int(nfev >= maxfev))
 
 
 class SeedKernelGP:
@@ -306,10 +396,12 @@ class SeedKernelGP:
         self._train = (X, r)
         self._Y = Y.copy()
         self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        self._pairs = np.nonzero(self._upper)  # (i, j) for i < j, row by row
         if not self.seeded:
             self._seed_pair = self._seed_diag = None
         else:  # the view's entry (j, i) below the diagonal is S[r_j, r_i]
-            self._seed_pair = ((r - 1)[None, :] * self.nseeds + (r - 1)[:, None])[self._upper]
+            i, j = self._pairs
+            self._seed_pair = (r - 1)[j] * self.nseeds + (r - 1)[i]
             self._seed_diag = (r - 1) * (self.nseeds + 1)
         self._K = np.zeros((n, n))
 
@@ -321,8 +413,7 @@ class SeedKernelGP:
         is ``variance * S[r, r] + nugget``, as the kernel at distance 0 is
         exactly ``variance``."""
         Z = self._train[0] / ls
-        cont = kernels.FROM_SQ_DISTS[self.family](
-            cdist(Z, Z, "sqeuclidean")[self._upper], variance)
+        cont = kernels.FROM_SQ_DISTS[self.family](kernels.sq_dists(Z, Z, self._pairs), variance)
         if S is None:
             diag = variance + nugget
         else:
@@ -341,14 +432,14 @@ class SeedKernelGP:
         ``L`` is C-ordered, so this is the ``dtrtrs`` call on ``L.T`` that
         ``solve_triangular(L, B, lower=True)`` makes, without its checks.
         """
-        return dtrtrs(self._L.T, B, lower=0, trans=1)[0]
+        return _lapack_solve("dtrtrs", (b"U", b"T", b"N"), self._L.T, B, lower=0, trans=1)
 
     def _train_cross(self, X, r):
         """The ``(n, m·j)`` training covariances of new points ``X`` under ids
         ``r``, ``(m,)`` or ``(m, j)``, column ``i·j + s`` for ``r[i, s]``: each
         point's continuous ones once, times the gathered per-fit seed rows."""
         c = kernels.FROM_SQ_DISTS[self.family](
-            cdist(self._Z, X / self.lengthscales, "sqeuclidean"), self.variance)
+            kernels.sq_dists(self._Z, X / self.lengthscales), self.variance)
         # take gives a fresh C-ordered block for every shape of r, so the BLAS
         # calls after it round alike (a fancy-index gather may not be C-ordered)
         Ks = self._seed_rows.take(r - 1, axis=1)
@@ -373,7 +464,7 @@ class SeedKernelGP:
     def _factor(self, K):
         """Lower Cholesky factor of the workspace view ``K``, in place where
         numpy's ``dpotrf`` is at hand; None if ``K`` is not positive definite."""
-        potrf = _lapack_potrf()
+        potrf = _lapack("dpotrf")
         if potrf is None:
             try:
                 return np.linalg.cholesky(K)
@@ -403,8 +494,9 @@ class SeedKernelGP:
         seed-space size.  The likelihood the optimizer evaluates is bitwise
         equal to the one computed through ``kernels.cross_cov`` and
         ``np.linalg.cholesky``.  ``fit_report`` holds each start's initial
-        negative LML, ``nfev`` and scipy ``status`` (1 when it stopped at
-        ``maxfev``), and the best negative LML.
+        negative LML, ``nfev`` and ``status`` of :func:`minimize` (1 when it
+        stopped at ``maxfev``, 0 when it converged; scipy's codes), and the
+        best negative LML.
         """
         self._set_train(X, seeds, np.asarray(Y, dtype=float).ravel())
 
@@ -422,13 +514,7 @@ class SeedKernelGP:
             best = None
             start_vals, nfev, status = [], [], []
             for x0 in starts:
-                res = minimize(
-                    self._neg_lml,
-                    x0,
-                    method="Nelder-Mead",
-                    bounds=list(zip(lo, hi)),
-                    options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-6, "adaptive": True},
-                )
+                res = minimize(self._neg_lml, x0, lo, hi, maxfev)
                 start_vals.append(float(self._neg_lml(x0)))
                 nfev.append(int(res.nfev))
                 status.append(int(res.status))
@@ -512,6 +598,7 @@ class SeedKernelGP:
         rows (all angles pi/2 when that mean is 0) and the new ``v`` entry
         the mean of ``v``, a neutral prior for an unseen seed.
         """
+        _check_int("new_nseeds", new_nseeds, 1)
         if not self.seeded:
             return
         if new_nseeds < self.nseeds:

@@ -21,7 +21,6 @@ import hashlib
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .dataspace import _check_design, _check_int, latin_hypercube, reflect
 from .errors import ProgressError
@@ -42,6 +41,66 @@ LIKELIHOOD_FLOOR = 1e-300
 MAX_ATTEMPTS_PER_POINT = 10_000
 #: (candidate, seed) pairs one MH round scores at most, which bounds its memory.
 ROUND_COLUMNS = 256
+
+# cephes' ndtr series, highest power first: erf's T/U on x^2 for |x| < 1,
+# erfc's P/Q on |x| < 8 and R/S beyond; U, Q and S lead with an unlisted 1
+_T = [9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+      7.00332514112805075473E3, 5.55923013010394962768E4]
+_U = [3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+      2.26290000613890934246E4, 4.92673942608635921086E4]
+_P = [2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2]
+_Q = [1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2]
+_R = [5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0]
+_S = [2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0]
+_SQRT1_2, _MAXLOG = 7.07106781186547524401E-1, 7.09782712893383996843E2
+
+
+def _ndtr_column(num, den, shift, scale):
+    """Numerator and denominator, interleaved, zero-padded in front (which
+    keeps Horner's bits) to nine terms, then ``shift`` and ``scale``."""
+    num, den = [0.0] * (9 - len(num)) + num, [0.0] * (8 - len(den)) + [1.0] + den
+    return [c for pair in zip(num, den) for c in pair] + [shift, scale]
+
+
+# One column per case of x, found by searchsorted on _EDGES: x <= -8, x <= -1,
+# |x| < 1, x >= 1 and x >= 8.  ndtr is shift + scale * ratio.  Below |x| = 1,
+# 0.5 + 0.5 erf(x) has the bits of cephes' 0.5 erfc(|x|) and of its
+# reflection too, as 1 - erf(|x|) is exact there (Sterbenz).
+_NDTR_TABLE = np.array([
+    _ndtr_column(_R, _S, 0.0, 0.5), _ndtr_column(_P, _Q, 0.0, 0.5), _ndtr_column(_T, _U, 0.5, 0.5),
+    _ndtr_column(_P, _Q, 1.0, -0.5), _ndtr_column(_R, _S, 1.0, -0.5)]).T.copy()
+_EDGES = np.array([np.nextafter(-8.0, 0.0), np.nextafter(-1.0, 0.0), 1.0, 8.0])
+
+
+def ndtr(a) -> np.ndarray:
+    """The standard normal CDF: cephes' ``ndtr`` on whole arrays, in its
+    order of operations, so with the bits of scipy's ``special.ndtr``.
+    ``exp(-x^2)`` comes from the C library through ``math.exp``; numpy's
+    vectorized exp rounds some values differently."""
+    a = np.asarray(a, dtype=float)
+    x = a.ravel() * _SQRT1_2
+    m = x.shape[0]
+    case = _EDGES.searchsorted(x, side="right")  # NaN goes last, and stays NaN
+    far = case != 2
+    z = np.minimum(np.abs(x), 64.0)  # where erfc underflows to 0 anyway
+    xx = z * z
+    w = np.where(far, z, xx)
+    w = np.concatenate((w, w))
+    C = _NDTR_TABLE.take(case, axis=1).reshape(10, 2 * m)  # row k: k-th terms, num then den
+    ratio = C[0].copy()
+    for k in range(1, 9):
+        ratio *= w
+        ratio += C[k]
+    tail = xx[far]
+    e = np.fromiter(map(math.exp, np.negative(tail).tolist()), float, tail.shape[0])
+    x[far] = np.where(tail > _MAXLOG, 0.0, e)  # erf's factor is x, erfc's exp(-x^2)
+    return (x * ratio[:m] / ratio[m:] * C[9, m:] + C[9, :m]).reshape(a.shape)
 
 
 class CandidateGrid:

@@ -10,18 +10,19 @@ unit diagonal.  The joint covariance is the product of the two, or the
 continuous kernel alone when ``S`` is None.  Every function works on
 batches of points and returns a matrix.  The hyperparameters are checked
 once by whoever decodes them (the emulator), not on every call here.
-:func:`bundled_openblas` finds functions of the OpenBLAS that numpy and
-scipy bundle, for callers that use them directly.
+:func:`sq_dists` has the bits of scipy's ``cdist(..., "sqeuclidean")``.
+:func:`bundled_openblas` finds functions of the OpenBLAS that numpy or
+scipy bundles, by package name, without importing the package.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.util
 import os
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
 
@@ -43,6 +44,9 @@ SEED_V_BOUNDS = (1e-6, 10.0)
 MAX_ESCALATIONS = 5
 
 _SQRT5 = np.sqrt(5.0)
+
+#: Entries of one ``sq_dists`` row block; its temporaries then stay in cache.
+BLOCK_CELLS = 32768
 
 
 def normalize_rows(B: np.ndarray) -> np.ndarray:
@@ -73,7 +77,7 @@ def seed_matrix(B: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _matern52_from_s2(s2: np.ndarray, variance: float) -> np.ndarray:
     """``variance * (1 + sqrt5 s + (5/3) s2) * exp(-sqrt5 s)``, written
     over ``s2`` and returned; every operation rounds as in that expression."""
-    s = np.sqrt(s2)  # squared distances from cdist, never negative
+    s = np.sqrt(s2)  # squared distances, never negative
     s *= _SQRT5
     e = np.negative(s)
     np.exp(e, out=e)
@@ -98,6 +102,33 @@ def _rbf_from_s2(s2: np.ndarray, variance: float) -> np.ndarray:
 FROM_SQ_DISTS = {"matern52": _matern52_from_s2, "rbf": _rbf_from_s2}
 
 
+def sq_dists(X1: np.ndarray, X2: np.ndarray, pairs=None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``X1`` and ``X2``: the
+    matrix, or with ``pairs=(i, j)`` only those of rows ``X1[i]`` and
+    ``X2[j]``.  The squared differences are added in coordinate order, as
+    scipy's ``cdist(X1, X2, "sqeuclidean")`` adds them, so with its bits.
+    The matrix is built in blocks of rows of at most ``BLOCK_CELLS`` entries,
+    whose temporaries stay in cache."""
+    if pairs is not None:
+        D = X1.take(pairs[0], axis=0)
+        D -= X2.take(pairs[1], axis=0)
+        D *= D
+        out = D[:, 0].copy()
+        for j in range(1, D.shape[1]):
+            out += D[:, j]
+        return out
+    out = np.subtract.outer(X1[:, 0], X2[:, 0])
+    rows = max(1, BLOCK_CELLS // max(1, X2.shape[0]))
+    for start in range(0, X1.shape[0], rows):
+        block = out[start:start + rows]
+        block *= block
+        for j in range(1, X1.shape[1]):
+            diff = np.subtract.outer(X1[start:start + rows, j], X2[:, j])
+            diff *= diff
+            block += diff
+    return out
+
+
 def continuous_cov(X1, X2, lengthscales, variance: float,
                    family: str = "matern52") -> np.ndarray:
     """Stationary covariance matrix between two sets of continuous points."""
@@ -108,7 +139,7 @@ def continuous_cov(X1, X2, lengthscales, variance: float,
     lengthscales = np.asarray(lengthscales, dtype=float)
     if X1.shape[1] != lengthscales.shape[0] or X2.shape[1] != lengthscales.shape[0]:
         raise ValueError("point dimensions must match the lengthscales")
-    s2 = cdist(X1 / lengthscales, X2 / lengthscales, "sqeuclidean")
+    s2 = sq_dists(X1 / lengthscales, X2 / lengthscales)
     return FROM_SQ_DISTS[family](s2, variance)
 
 
@@ -128,16 +159,22 @@ def cross_cov(X1, r1, X2, r2, lengthscales, variance: float, S=None,
     k = S.shape[0]
     if np.any(r1 < 1) or np.any(r1 > k) or np.any(r2 < 1) or np.any(r2 > k):
         raise ValueError(f"seed ids must lie in 1..{k}")
-    cont *= S[np.ix_(r1 - 1, r2 - 1)]
+    cont *= S.take(r1 - 1, axis=0).take(r2 - 1, axis=1)  # S[np.ix_(r1 - 1, r2 - 1)], faster
     return cont
 
 
-def bundled_openblas(package, symbol: str):
-    """Yield ``symbol`` from each OpenBLAS that ``package`` (numpy or scipy)
-    bundles in ``<package>.libs``, skipping a library that is not loaded
-    or lacks it; on other builds nothing is yielded."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
-                        package.__name__ + ".libs")
+def bundled_openblas(package: str, symbol: str):
+    """Yield ``symbol`` from each OpenBLAS that the package named ``package``
+    (numpy or scipy) bundles in ``<package>.libs``, skipping a library that
+    is not loaded or lacks it; nothing on other builds, or where the package
+    is not found.  The package is located, not imported."""
+    try:
+        spec = importlib.util.find_spec(package)
+    except ImportError:  # an import hook may refuse the package outright
+        return
+    if spec is None or not spec.origin:
+        return
+    libs = os.path.join(os.path.dirname(os.path.dirname(spec.origin)), package + ".libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
         try:  # RTLD_NOLOAD only finds a library already loaded
             function = getattr(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY), symbol)

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it with the package, not at a run's first draw
 
 from .dataspace import Dataset, DesignPoint, _check_int, latin_hypercube
 from .errors import NumericalError, ProgressError

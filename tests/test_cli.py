@@ -1,6 +1,7 @@
 """Config schema, the three subcommands, bundle layout, and exit codes."""
 
 import copy
+import glob
 import hashlib
 import json
 import math
@@ -710,6 +711,73 @@ def test_import_leaves_blas_threads_alone_and_main_sets_one():
 def test_blas_thread_variable_overrides_main():
     before, imported, after = _blas_thread_counts(2)
     assert before == imported == after
+
+
+# Runs trajcal commands in this fresh process, each given as a JSON list of
+# arguments, after putting a finder first on sys.meta_path that refuses scipy
+# and all of its submodules when the first argument is "block".  Prints the
+# exit codes and the scipy modules loaded after the import and at the end.
+_NO_SCIPY = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, RefuseScipy())
+import trajcal.cli
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+after_import = loaded()
+codes = [trajcal.cli.main(json.loads(args)) for args in sys.argv[2:]]
+print(json.dumps({"codes": codes, "after_import": after_import, "at_end": loaded()}))
+"""
+
+
+def test_commands_run_without_scipy_and_write_the_same_bytes(tmp_path):
+    """With scipy refused by an import hook, calibrate (each grid kind, and a
+    small SIR problem), report and simulate succeed and write the bytes they
+    write without the hook; neither run loads any scipy module.  Builds whose
+    numpy bundles no OpenBLAS take their solves from scipy, so they skip."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    if not glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        pytest.skip("numpy bundles no 64-bit-integer OpenBLAS here")
+    runs, files = [], []
+    bundle = ("design.csv", "trace.jsonl", "summary.json", "report.json")
+    for kind in ("fixed", "lhs", "adaptive"):
+        cfg = _toy_config(tmp_path / f"out-{kind}")
+        cfg["grid"]["kind"] = kind
+        runs += [["calibrate", _write(tmp_path, cfg, f"{kind}.json")],
+                 ["report", cfg["output"]["directory"]]]
+        files += [tmp_path / f"out-{kind}" / name for name in bundle]
+    sir = {"format": "trajcal-config-v1",
+           "problem": {"kind": "sir", "ndim": 1, "lower": [0.02], "upper": [0.12],
+                       "n_agents": 300, "horizon": 30},
+           "emulator": {"kind": "seed-product", "nstarts": 2, "maxfev": 100},
+           "grid": {"kind": "adaptive", "ngrid": 30},
+           "expansion": {"policy": "by-sims", "nseeds": 3, "nsims_expand": 5},
+           "workflow": {"budget": 10, "initial_design": 6, "nTS_samp": 4},
+           "output": {"directory": str(tmp_path / "out-sir")}}
+    runs += [["calibrate", _write(tmp_path, sir, "sir.json")],
+             ["report", sir["output"]["directory"], "--rmse-cutoff", "30"],
+             ["simulate", "--beta", "0.07", "--n-agents", "200", "--horizon", "10",
+              "--out", str(tmp_path / "trajectory.csv")]]
+    files += [tmp_path / "out-sir" / name for name in bundle] + [tmp_path / "trajectory.csv"]
+    outputs = {}
+    for mode in ("plain", "block"):  # the same paths both times
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, mode,
+                               *(json.dumps(args) for args in runs)],
+                              env=_child_env(None), capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        *printed, result = proc.stdout.splitlines()
+        result = json.loads(result)
+        assert result == {"codes": [0] * len(runs), "after_import": [], "at_end": []}
+        outputs[mode] = (printed, proc.stderr, [path.read_bytes() for path in files])
+        for path in files:  # leaves empty bundle directories, which calibrate reuses
+            path.unlink()
+    assert outputs["block"] == outputs["plain"]
 
 
 def test_calibrate_budget_equal_to_initial_design(tmp_path):

@@ -35,6 +35,16 @@ def test_design_point_rejects_a_fractional_seed_id():
     assert DesignPoint(x=np.array([0.5]), r=2.0).r == 2
 
 
+def test_design_point_and_dataset_reject_boolean_seed_ids():
+    """A bool, or a bool array, would cast to seed id 1 without a word."""
+    with pytest.raises(ValueError, match="seed ids must be integers >= 1, got True"):
+        DesignPoint(x=np.array([0.5]), r=True)
+    with pytest.raises(ValueError, match="seed ids must be integers >= 1, got True"):
+        DesignPoint(x=np.array([0.5]), r=np.True_)
+    with pytest.raises(ValueError, match="seed ids must be integers >= 1, got True"):
+        Dataset(np.full((2, 1), 0.5), np.array([True, True]), np.array([1.0, 2.0]))
+
+
 def test_bounds_ordering_enforced():
     Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
     with pytest.raises(ValueError):

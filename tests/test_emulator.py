@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs
+from scipy.optimize import minimize as scipy_minimize
 
 from trajcal import emulator, kernels
 from trajcal.emulator import NUGGET_BOUNDS, SeedKernelGP, _chol_lml, draw_mvn
@@ -493,6 +495,16 @@ def test_expand_seed_space_rejects_shrink_and_fixed():
         fixed.expand_seed_space(3)
 
 
+def test_expand_seed_space_rejects_a_size_that_is_not_an_integer():
+    """3.5 used to grow the seed space to 3, and True to 1."""
+    for nseeds in (2, None):
+        em = SeedKernelGP(ndim=1, nseeds=nseeds)
+        for bad in (3.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match="new_nseeds must be an integer"):
+                em.expand_seed_space(bad)
+        assert em.nseeds == nseeds
+
+
 def test_fixed_lengthscales_must_match_the_dimension():
     with pytest.raises(ValueError, match="one entry per dimension"):
         SeedKernelGP(ndim=2, fixed={"lengthscales": [0.5], "variance": 1.0})
@@ -625,12 +637,12 @@ def _assert_fast_path_exact(em, rng, npoints=15, fixed=None):
 
 
 def _factor_paths(monkeypatch):
-    """Yield twice: first with the likelihood factored in place by numpy's
-    ``dpotrf`` (where numpy bundles it), then with ``np.linalg.cholesky``
-    forced."""
+    """Yield twice: first with the likelihood factored in place and solved by
+    numpy's bundled ``dpotrf`` and ``dpotrs`` (where numpy bundles them), then
+    as on a build without them: ``np.linalg.cholesky`` and scipy's wrappers."""
     yield
     with monkeypatch.context() as m:
-        m.setattr(emulator, "_lapack_potrf", lambda: None)
+        m.setattr(emulator, "_lapack", lambda name: None)
         yield
 
 
@@ -655,12 +667,115 @@ def test_neg_lml_fast_path_equals_reference(family, rank, per_seed_v, nugget, mo
             _assert_fast_path_exact(em, rng, fixed=fixed)
 
 
-def test_numpy_bundles_the_dpotrf_the_likelihood_calls():
-    """Where numpy's wheel bundles OpenBLAS, the in-place path is the one in use."""
+def _skip_without_numpy_openblas():
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     if not glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
         pytest.skip("numpy bundles no 64-bit-integer OpenBLAS here")
-    assert emulator._lapack_potrf() is not None
+
+
+def test_numpy_bundles_the_dpotrf_the_likelihood_calls():
+    """Where numpy's wheel bundles OpenBLAS, the in-place path is the one in
+    use, and the solves come from the same library."""
+    _skip_without_numpy_openblas()
+    assert all(emulator._lapack(name) is not None for name in ("dpotrf", "dpotrs", "dtrtrs"))
+
+
+def test_dpotrs_from_numpy_openblas_is_scipys():
+    """numpy's bundled ``dpotrs`` gives the bits of scipy's wrapper around
+    its own OpenBLAS, for C- and Fortran-ordered factors and one or many
+    right-hand sides."""
+    _skip_without_numpy_openblas()
+    rng = np.random.default_rng(48)
+    for n, nrhs in ((2, None), (7, 1), (40, None), (83, 5), (150, 300), (199, None)):
+        A = rng.normal(size=(n, n))
+        L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
+        Y = rng.normal(size=n if nrhs is None else (n, nrhs))
+        for factor in (L, np.asfortranarray(L)):
+            assert np.array_equal(emulator._lapack_solve("dpotrs", (b"L",), factor, Y, lower=True),
+                                  dpotrs(factor, Y, lower=True)[0])
+
+
+def _neg_lml_objective(ndim, nseeds, rank, per_seed_v, n, seed, family="matern52"):
+    """A real likelihood and its box: ``_neg_lml`` of an emulator fitted to
+    random data, with its optimum."""
+    rng = np.random.default_rng(seed)
+    em = SeedKernelGP(ndim=ndim, nseeds=nseeds, rank=rank, per_seed_v=per_seed_v,
+                      family=family, nstarts=1, maxfev=30, rng=np.random.default_rng(seed))
+    X, r = rng.uniform(size=(n, ndim)), rng.integers(1, (nseeds or 1) + 1, n)
+    em.fit(X, r if nseeds else None, np.sin(5.0 * X[:, 0]) + 0.1 * rng.normal(size=n))
+    lo, hi = em._pack_bounds()
+    return em._neg_lml, lo, hi, em._warm
+
+
+def _scipy_nelder_mead(fun, x0, lo, hi, maxfev, callback=None):
+    return scipy_minimize(fun, x0, method="Nelder-Mead", bounds=list(zip(lo, hi)),
+                          callback=callback, options={"maxfev": maxfev, "xatol": 1e-4,
+                                                      "fatol": 1e-6, "adaptive": True})
+
+
+def _shrink_caps(fun, x0, lo, hi):
+    """``maxfev`` values that stop scipy inside a shrink step, found from a
+    400-evaluation run: an iteration that spends ``N + 2`` evaluations
+    (reflection, contraction and N vertices) shrinks the simplex."""
+    N = x0.shape[0]
+    calls, ends = [0], [N + 1]
+
+    def counted(x):
+        calls[0] += 1
+        return fun(x)
+
+    _scipy_nelder_mead(counted, x0, lo, hi, 400, callback=lambda xk: ends.append(calls[0]))
+    return [a + 2 + (N + 1) // 2 for a, b in zip(ends, ends[1:]) if b - a == N + 2]
+
+
+def test_minimize_is_scipys_nelder_mead():
+    """The port returns scipy's ``x``, ``fun``, ``nfev`` and ``status`` on real
+    likelihoods with 1 to 17 parameters (1 and 2 by holding the others at the
+    optimum), with the cap inside the initial simplex, inside a shrink and
+    anywhere up to 400 evaluations, from starts on and near the upper bound
+    and with a zero coordinate, and where the likelihood is inf: with the
+    variance held at 1e12, far outside its box, long lengthscales make the
+    covariance singular."""
+    rng = np.random.default_rng(49)
+    objectives = [_neg_lml_objective(1, None, None, False, 12, 50),
+                  _neg_lml_objective(2, 3, 1, False, 20, 51),
+                  _neg_lml_objective(2, 3, 2, True, 25, 52),
+                  _neg_lml_objective(1, 5, 2, False, 18, 53, family="rbf"),
+                  _neg_lml_objective(2, 4, 3, True, 30, 54),
+                  _neg_lml_objective(1, 7, 2, True, 14, 55)]
+    assert {3, 17} <= {lo.shape[0] for _, lo, _, _ in objectives}
+    cases = []
+    for fun, lo, hi, warm in objectives:
+        for k in (1, 2):  # the first k parameters free, the others at the optimum
+            cases.append((lambda x, fun=fun, rest=warm[k:]: fun(np.concatenate([x, rest])),
+                          lo[:k], hi[:k], warm[:k]))
+        cases.append((fun, lo, hi, warm))
+    fun, lo, hi, warm = _neg_lml_objective(2, None, None, False, 30, 56, family="rbf")
+    cases.append((lambda x, fun=fun: fun(np.array([x[0], x[1], math.log(1e12), x[2]])),
+                  lo[[0, 1, 3]], hi[[0, 1, 3]], warm[[0, 1, 3]]))
+    shrinks = infinite = 0
+    for fun, lo, hi, warm in cases:
+        values = []
+
+        def recorded(x, fun=fun):
+            values.append(fun(x))
+            return values[-1]
+
+        N = lo.shape[0]
+        zero = np.clip(warm, lo, hi)
+        zero[np.flatnonzero((lo < 0.0) & (hi > 0.0))[:1]] = 0.0
+        starts = [lo + rng.uniform(size=N) * (hi - lo), hi.copy(), hi - 1e-3 * (hi - lo), zero]
+        in_shrink = _shrink_caps(fun, starts[0], lo, hi)[:2]
+        shrinks += len(in_shrink)
+        for i, x0 in enumerate(starts):
+            caps = [1, N // 2 + 1, int(rng.integers(1, 401))] + (in_shrink + [400]) * (i == 0)
+            for maxfev in caps:
+                want = _scipy_nelder_mead(recorded, x0, lo, hi, maxfev)
+                got = emulator.minimize(fun, x0.copy(), lo, hi, maxfev)
+                assert np.array_equal(got.x, want.x) and got.fun == want.fun
+                assert (got.nfev, got.status) == (want.nfev, want.status)
+        infinite += np.isinf(values).any()
+    assert shrinks and infinite  # both kinds of case were met
 
 
 def test_a_fitted_emulator_pickles_with_its_workspace():

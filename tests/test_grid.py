@@ -1,12 +1,15 @@
 """Candidate-grid strategies: fixed, per-iteration LHS, and adaptive MH."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr as scipy_ndtr
 
+from trajcal import grid
 from trajcal.dataspace import Dataset, reflect
 from trajcal.emulator import SeedKernelGP
 from trajcal.errors import ProgressError
@@ -69,6 +72,27 @@ def test_candidate_grid_rejects_fractional_seed_ids():
     with pytest.raises(ValueError, match="grid seed ids must be integers >= 1, got 2.5"):
         CandidateGrid(np.array([[0.5], [0.6]]), np.array([1.0, 2.5]))
     assert CandidateGrid(np.array([[0.5]]), np.array([2.0])).seeds.tolist() == [2]
+    with pytest.raises(ValueError, match="grid seed ids must be integers >= 1, got True"):
+        CandidateGrid(np.array([[0.5]]), np.array([True]))
+
+
+def test_ndtr_is_scipys():
+    """The cephes port gives scipy's bits on 2.4M points over wide scales, on
+    each side of every branch edge (|a| = 1, sqrt(2) and 8 sqrt(2), and the
+    underflow near 37.7 and 38.5), at +-0, +-inf and NaN, and in any shape."""
+    rng = np.random.default_rng(7)
+    a = np.concatenate([rng.normal(0.0, scale, 300_000)
+                        for scale in (0.3, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 1e3)])
+    edges = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.7, 38.5, 1e160, 1e300])
+    edges = np.concatenate([edges, np.linspace(36.0, 40.0, 4001)])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    chunks = np.split(a, 24)  # 100k points at a time bound the temporaries
+    for x in chunks + [np.concatenate([edges, -edges, special]), a[:600].reshape(20, 30)]:
+        got, want = grid.ndtr(x), scipy_ndtr(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_likelihood_at_incumbent_is_half():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from trajcal import kernels
 from trajcal.emulator import SeedKernelGP
@@ -122,6 +123,32 @@ def test_kernel_functions_equal_the_textbook_expression(family):
     got = kernels.FROM_SQ_DISTS[family](work, variance)
     assert got is work
     assert np.array_equal(got, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 20), m=st.integers(1, 20), d=st.integers(1, 12),
+       exponents=st.lists(st.integers(-12, 12), min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_sq_dists_is_cdist(n, m, d, exponents, seed):
+    """Squared distances carry cdist's bits, for the matrix form and for row
+    pairs, at every dimension up to 12 and over wide magnitudes."""
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(exponents)
+    X1 = rng.normal(size=(n, d)) * 10.0 ** rng.integers(lo, hi, size=(n, d), endpoint=True)
+    X2 = rng.normal(size=(m, d)) * 10.0 ** rng.integers(lo, hi, size=(m, d), endpoint=True)
+    want = cdist(X1, X2, "sqeuclidean")
+    assert np.array_equal(kernels.sq_dists(X1, X2), want)
+    i, j = rng.integers(0, n, 30), rng.integers(0, m, 30)
+    assert np.array_equal(kernels.sq_dists(X1, X2, (i, j)), want[i, j])
+
+
+def test_sq_dists_in_row_blocks_is_cdist():
+    """A matrix larger than one block is computed in row blocks, with the
+    same bits; 500 x 500 is the Thompson draw's candidate covariance."""
+    rng = np.random.default_rng(8)
+    for n, m, d in ((500, 500, 2), (301, 2000, 3), (kernels.BLOCK_CELLS + 5, 1, 1)):
+        X1, X2 = rng.uniform(size=(n, d)), rng.uniform(size=(m, d))
+        assert np.array_equal(kernels.sq_dists(X1, X2), cdist(X1, X2, "sqeuclidean"))
 
 
 def test_normalize_rows_unit_norm():
