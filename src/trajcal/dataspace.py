@@ -126,8 +126,15 @@ def _check_design(X, seeds, y_raw=None, label: str = ""):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     given = np.asarray(seeds).ravel()
-    if given.dtype == bool and given.size:  # a cast would make True seed 1
-        raise ValueError(f"{label}seed ids must be integers >= 1, got {given[0]}")
+    # asarray or a cast would make True seed 1, so look at the elements as
+    # given: a bool array's, or each of a list, a tuple or an object array
+    if isinstance(seeds, np.ndarray) and seeds.dtype != object:
+        bools = given if given.dtype == bool else ()
+    else:
+        bools = [s for s in np.asarray(seeds, dtype=object).ravel()
+                 if isinstance(s, (bool, np.bool_))]
+    if len(bools):
+        raise ValueError(f"{label}seed ids must be integers >= 1, got {bools[0]}")
     with np.errstate(invalid="ignore"):  # NaN and infinities cast to garbage, caught below
         seeds = given.astype(np.int64, copy=False)
     if y_raw is None:

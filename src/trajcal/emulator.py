@@ -15,16 +15,16 @@ bounded Nelder-Mead on the angles and log-transformed other parameters;
 There is one kernel path, on arrays: ``_hyper`` decodes a packed vector,
 or the ``fixed=`` values checked once in the constructor, into
 lengthscales, a variance, a seed matrix (None without a seed space) and a
-nugget, which ``kernels.cross_cov`` and the likelihood take.  The nugget
-is estimated in the box ``NUGGET_BOUNDS``; only a ``fixed=`` kernel pins
-it.  Each ``fit`` builds a workspace kept while the optimizer runs, one
-n x n buffer that ``_fill_cov`` writes each distinct training pair into
-once, and ``_finalize`` decodes the chosen parameters once for prediction.
-Every prediction builds its training-to-new covariances in ``_train_cross``
-from the per-fit tables; ``predict_mean_var`` takes one seed id or a row of
-ids per point.  LAPACK routines come from numpy's bundled OpenBLAS and are
-called directly, as the numpy and scipy wrappers call them, so every value
-is bitwise theirs; where numpy bundles none, those wrappers are called.
+nugget.  The nugget is estimated in the box ``NUGGET_BOUNDS``; only a
+``fixed=`` kernel pins it.  Each ``fit`` builds a workspace kept while the
+optimizer runs, one n x n buffer that ``_fill_cov`` writes each distinct
+training pair into once, and ``_finalize`` decodes the chosen parameters
+once for prediction.  ``_cross`` builds every other covariance from the
+per-fit tables: training against new points, and a joint draw's new
+against new; ``predict_mean_var`` takes one seed id or a row of ids per
+point.  LAPACK routines come from numpy's bundled OpenBLAS and are called
+directly, as the numpy and scipy wrappers call them, so every value is
+bitwise theirs; where numpy bundles none, those wrappers are called.
 """
 
 from __future__ import annotations
@@ -406,12 +406,12 @@ class SeedKernelGP:
         self._K = np.zeros((n, n))
 
     def _fill_cov(self, ls, variance, S, nugget):
-        """Training covariance plus ``nugget * I`` in the lower triangle of
-        the returned Fortran-ordered workspace view; its strict upper triangle
-        stays zero.  Each distinct pair is computed once, with the operations
-        of ``kernels.cross_cov`` in its order, so with its bits; the diagonal
-        is ``variance * S[r, r] + nugget``, as the kernel at distance 0 is
-        exactly ``variance``."""
+        """Training covariance plus ``nugget * I`` in the lower triangle of the
+        returned Fortran-ordered workspace view; its strict upper triangle stays
+        zero.  Each distinct pair is computed once, with the operations of
+        ``_cross`` (and of the reference ``kernels.cross_cov``) in their order, so
+        with their bits; the diagonal is ``variance * S[r, r] + nugget``, as the
+        kernel at distance 0 is exactly ``variance``."""
         Z = self._train[0] / ls
         cont = kernels.FROM_SQ_DISTS[self.family](kernels.sq_dists(Z, Z, self._pairs), variance)
         if S is None:
@@ -434,15 +434,16 @@ class SeedKernelGP:
         """
         return _lapack_solve("dtrtrs", (b"U", b"T", b"N"), self._L.T, B, lower=0, trans=1)
 
-    def _train_cross(self, X, r):
-        """The ``(n, m·j)`` training covariances of new points ``X`` under ids
-        ``r``, ``(m,)`` or ``(m, j)``, column ``i·j + s`` for ``r[i, s]``: each
-        point's continuous ones once, times the gathered per-fit seed rows."""
+    def _cross(self, Z, rows, X, r):
+        """``(p, m·j)`` covariances of p scaled points ``Z``, whose rows of ``_S``
+        are ``rows``, with new points ``X`` under ids ``r``, ``(m,)`` or ``(m, j)``,
+        column ``i·j + s`` for ``r[i, s]``; ``Z, rows`` are ``_Z, _seed_rows``
+        for the training points, ``X / ls, _S[r - 1]`` for ``X`` itself."""
         c = kernels.FROM_SQ_DISTS[self.family](
-            kernels.sq_dists(self._Z, X / self.lengthscales), self.variance)
+            kernels.sq_dists(Z, X / self.lengthscales), self.variance)
         # take gives a fresh C-ordered block for every shape of r, so the BLAS
         # calls after it round alike (a fancy-index gather may not be C-ordered)
-        Ks = self._seed_rows.take(r - 1, axis=1)
+        Ks = rows.take(r - 1, axis=1)
         Ks *= c if r.ndim == 1 else c[:, :, None]
         return Ks.reshape(c.shape[0], -1)
 
@@ -492,8 +493,8 @@ class SeedKernelGP:
         The previous fit's optimum, when there is one, is an extra start.
         The workspace is built here, once per fit, for the current data and
         seed-space size.  The likelihood the optimizer evaluates is bitwise
-        equal to the one computed through ``kernels.cross_cov`` and
-        ``np.linalg.cholesky``.  ``fit_report`` holds each start's initial
+        equal to the one computed through the reference ``kernels.cross_cov``
+        and ``np.linalg.cholesky``.  ``fit_report`` holds each start's initial
         negative LML, ``nfev`` and ``status`` of :func:`minimize` (1 when it
         stopped at ``maxfev``, 0 when it converged; scipy's codes), and the
         best negative LML.
@@ -540,9 +541,9 @@ class SeedKernelGP:
         X, r = self._train
         self._Z = X / self.lengthscales
         # row i: training seed r_i against every seed; the baseline's one is an exact 1
-        S = self.seed_matrix if self.seeded else np.ones((1, 1))
-        self._seed_rows = S[r - 1]
-        self._prior_var = self.variance * S.diagonal()
+        self._S = self.seed_matrix if self.seeded else np.ones((1, 1))
+        self._seed_rows = self._S[r - 1]
+        self._prior_var = self.variance * self._S.diagonal()
         self._jitter = jitter
         self._fitted = True
 
@@ -560,13 +561,11 @@ class SeedKernelGP:
         X, r = self._check_inputs(X, seeds)
         if r.ndim != 1 or X.shape[0] == 0:
             raise ValueError("need at least one prediction point, with one seed id per point")
-        Ks = self._train_cross(X, r)
-        mean = Ks.T @ self._alpha
-        Kss = kernels.cross_cov(X, r, X, r, self.lengthscales, self.variance,
-                                self.seed_matrix, self.family)
+        Ks = self._cross(self._Z, self._seed_rows, X, r)
+        Kss = self._cross(X / self.lengthscales, self._S[r - 1], X, r)
         V = self._solve_lower(Ks)
         Kss -= V.T @ V  # both terms are exactly symmetric (V.T @ V is a syrk)
-        return mean, Kss
+        return Ks.T @ self._alpha, Kss
 
     def predict_mean_var(self, X, seeds):
         """Posterior means and variances in the shape of ``seeds``: one id
@@ -575,15 +574,14 @@ class SeedKernelGP:
         Without a seed space the ids are ignored and None stands for ``(m,)``."""
         self._check_fitted()
         X, r = self._check_inputs(X, seeds)
-        Ks = self._train_cross(X, r)
+        Ks = self._cross(self._Z, self._seed_rows, X, r)
         V = self._solve_lower(Ks)
         var = self._prior_var[r.ravel() - 1] - np.einsum("ij,ij->j", V, V)
         return (Ks.T @ self._alpha).reshape(r.shape), var.reshape(r.shape)
 
     def sample(self, X, seeds, size: int = 1, rng=None) -> np.ndarray:
         """Joint posterior draws at new inputs; deterministic given ``rng``."""
-        if size < 1:
-            raise ValueError("size must be >= 1")
+        _check_int("size", size, 1)
         gen = rng if rng is not None else self.rng
         mean, cov = self._posterior(X, seeds)
         return draw_mvn(mean, cov, size, gen)

@@ -7,9 +7,9 @@ None.  ``S`` is the low-rank index kernel ``B B^T + diag(v)`` over seed ids;
 :func:`seed_matrix` builds it from a factor ``B`` with unit-length rows
 (:func:`normalize_rows` scales those of a given factor), so ``B B^T`` has a
 unit diagonal.  The joint covariance is the product of the two, or the
-continuous kernel alone when ``S`` is None.  Every function works on
-batches of points and returns a matrix.  The hyperparameters are checked
-once by whoever decodes them (the emulator), not on every call here.
+continuous kernel alone when ``S`` is None.  The emulator builds it from
+per-fit tables, checking the hyperparameters once; :func:`cross_cov`, the
+tests' reference, builds it from scratch with every check.
 :func:`sq_dists` has the bits of scipy's ``cdist(..., "sqeuclidean")``.
 :func:`bundled_openblas` finds functions of the OpenBLAS that numpy or
 scipy bundles, by package name, without importing the package.
@@ -27,10 +27,8 @@ import numpy as np
 from .errors import NumericalError
 
 __all__ = [
-    "continuous_cov",
     "normalize_rows",
     "seed_matrix",
-    "cross_cov",
     "safe_cholesky",
 ]
 
@@ -129,9 +127,16 @@ def sq_dists(X1: np.ndarray, X2: np.ndarray, pairs=None) -> np.ndarray:
     return out
 
 
-def continuous_cov(X1, X2, lengthscales, variance: float,
-                   family: str = "matern52") -> np.ndarray:
-    """Stationary covariance matrix between two sets of continuous points."""
+def cross_cov(X1, r1, X2, r2, lengthscales, variance: float, S=None,
+              family: str = "matern52") -> np.ndarray:
+    """Product covariance matrix between two batches of joint points, with
+    every check: the reference the emulator's per-fit path is tested against.
+
+    ``X1``/``X2`` hold continuous coordinates (rows), ``r1``/``r2`` the
+    matching 1-based seed ids into the seed matrix ``S``.  Without a seed
+    matrix it is the continuous kernel alone, and the seed ids are ignored
+    (and may be None).
+    """
     if family not in FROM_SQ_DISTS:
         raise ValueError(f"unknown kernel family {family!r}")
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
@@ -139,19 +144,7 @@ def continuous_cov(X1, X2, lengthscales, variance: float,
     lengthscales = np.asarray(lengthscales, dtype=float)
     if X1.shape[1] != lengthscales.shape[0] or X2.shape[1] != lengthscales.shape[0]:
         raise ValueError("point dimensions must match the lengthscales")
-    s2 = sq_dists(X1 / lengthscales, X2 / lengthscales)
-    return FROM_SQ_DISTS[family](s2, variance)
-
-
-def cross_cov(X1, r1, X2, r2, lengthscales, variance: float, S=None,
-              family: str = "matern52") -> np.ndarray:
-    """Product covariance matrix between two batches of joint points.
-
-    ``X1``/``X2`` hold continuous coordinates (rows), ``r1``/``r2`` the
-    matching 1-based seed ids into the seed matrix ``S``.  Without a seed
-    matrix the seed ids are ignored (and may be None).
-    """
-    cont = continuous_cov(X1, X2, lengthscales, variance, family)
+    cont = FROM_SQ_DISTS[family](sq_dists(X1 / lengthscales, X2 / lengthscales), variance)
     if S is None:
         return cont
     r1 = np.asarray(r1, dtype=np.int64)

@@ -84,6 +84,8 @@ class SirConfig:
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         _check_int("seed_id", self.seed_id, 0)
+        if not 0 < self.grid_extent < math.inf:  # before the index case, which it places
+            raise ValueError("grid_extent must be positive and finite")
         if not 0.0 <= 25.0 + self.seed_id <= self.grid_extent:
             raise ValueError(
                 f"index case (25+{self.seed_id}, 25+{self.seed_id}) lies outside "
@@ -91,8 +93,6 @@ class SirConfig:
             )
         _check_int("crn_stream_id", self.crn_stream_id, 0)
         _check_int("n_agents", self.n_agents, 1)
-        if not 0 < self.grid_extent < math.inf:
-            raise ValueError("grid_extent must be positive and finite")
         _check_int("horizon", self.horizon, 1)
         _check_int("infectious_period", self.infectious_period, 1)
         if not 0 < self.contact_radius < math.inf:  # NaN fails both comparisons

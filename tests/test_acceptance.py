@@ -31,7 +31,7 @@ from trajcal.grid import (
     mh_densify,
     resample_indices,
 )
-from trajcal.kernels import continuous_cov, cross_cov, normalize_rows, seed_matrix
+from trajcal.kernels import cross_cov, normalize_rows, seed_matrix
 from trajcal.simulator import SirConfig, sir_run, toy_objective
 from trajcal.workflow import WorkflowConfig, run, thompson_select
 
@@ -42,8 +42,8 @@ from trajcal.workflow import WorkflowConfig, run, thompson_select
 
 def test_matern_closed_form_at_unit_distance():
     expected = (1.0 + math.sqrt(5.0) + 5.0 / 3.0) * math.exp(-math.sqrt(5.0))
-    assert abs(continuous_cov(np.array([[0.0]]), np.array([[1.0]]), np.array([1.0]), 1.0)[0, 0]
-               - expected) <= 1e-12
+    assert abs(cross_cov(np.array([[0.0]]), None, np.array([[1.0]]), None, np.array([1.0]),
+                         1.0)[0, 0] - expected) <= 1e-12
 
 
 def test_seed_kernel_diagonal_is_exact_after_normalization():

@@ -521,7 +521,8 @@ def test_simulate_rejects_out_of_range_inputs(tmp_path, capsys):
                  "--out", str(tmp_path / "t.csv")]) == 2
     capsys.readouterr()
     for flag, value in [("--contact-radius", "nan"), ("--contact-radius", "inf"),
-                        ("--grid-extent", "inf")]:
+                        ("--grid-extent", "inf"), ("--grid-extent", "nan"),
+                        ("--grid-extent", "-1")]:
         assert main(["simulate", "--beta", "1.0", "--n-agents", "200", "--horizon", "10",
                      flag, value, "--out", str(tmp_path / "t.csv")]) == 2
         assert "must be positive and finite" in capsys.readouterr().err

@@ -36,13 +36,17 @@ def test_design_point_rejects_a_fractional_seed_id():
 
 
 def test_design_point_and_dataset_reject_boolean_seed_ids():
-    """A bool, or a bool array, would cast to seed id 1 without a word."""
+    """A bool, or a bool array, would cast to seed id 1 without a word; so
+    would a bool next to integers in a list, a tuple or an object array,
+    which converts to an integer array in which True is already 1."""
     with pytest.raises(ValueError, match="seed ids must be integers >= 1, got True"):
         DesignPoint(x=np.array([0.5]), r=True)
     with pytest.raises(ValueError, match="seed ids must be integers >= 1, got True"):
         DesignPoint(x=np.array([0.5]), r=np.True_)
-    with pytest.raises(ValueError, match="seed ids must be integers >= 1, got True"):
-        Dataset(np.full((2, 1), 0.5), np.array([True, True]), np.array([1.0, 2.0]))
+    for seeds in (np.array([True, True]), [2, True], (2, np.True_), [[2], [True]],
+                  np.array([2, True], dtype=object)):
+        with pytest.raises(ValueError, match="seed ids must be integers >= 1, got True"):
+            Dataset(np.full((2, 1), 0.5), seeds, np.array([1.0, 2.0]))
 
 
 def test_bounds_ordering_enforced():

@@ -189,6 +189,37 @@ def test_posterior_covariance_is_exactly_symmetric(family, rank, nseeds, per_see
     assert np.array_equal(cov, cov.T)
 
 
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["matern52", "rbf"]), rank=st.sampled_from([None, 1, 2, 3]),
+       d=st.integers(1, 3), k=st.integers(1, 8), per_seed_v=st.booleans(),
+       m=st.integers(1, 80), repeats=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_posterior_is_the_reference_joint_posterior(family, rank, d, k, per_seed_v, m,
+                                                    repeats, seed):
+    """``_posterior`` builds its blocks from the per-fit tables with the bits
+    of the reference: mean ``K*^T alpha`` and covariance ``K** - V^T V`` with
+    ``V = L^-1 K*`` (GPML eq. 2.24), each K from ``kernels.cross_cov``; the
+    baseline (rank None), repeated candidates and candidates equal to
+    training points included."""
+    rng = np.random.default_rng(seed)
+    k = max(k, rank or 1)
+    em = SeedKernelGP(ndim=d, nseeds=None if rank is None else k, rank=rank, family=family,
+                      per_seed_v=per_seed_v, nstarts=1, maxfev=20, rng=rng)
+    X, seeds = rng.uniform(size=(12, d)), rng.integers(1, k + 1, size=12)
+    em.fit(X, seeds, rng.normal(size=12))
+    new, r = rng.uniform(size=(m, d)), rng.integers(1, k + 1, size=m)
+    again = rng.integers(m, size=repeats)
+    new = np.vstack([new, new[again], X[:repeats]])
+    r = np.concatenate([r, r[again], seeds[:repeats]])
+    kern = (em.lengthscales, em.variance, em.seed_matrix, family)
+    Ks = kernels.cross_cov(X, seeds, new, r, *kern)
+    V = em._solve_lower(Ks)
+    Kss = kernels.cross_cov(new, r, new, r, *kern)
+    Kss -= V.T @ V
+    mean, cov = em._posterior(new, r)
+    assert np.array_equal(mean, Ks.T @ em._alpha)
+    assert np.array_equal(cov, Kss)
+
+
 def test_posterior_variance_below_prior():
     rng = np.random.default_rng(5)
     X, Y = _smooth_1d(15, rng, noise=0.1)
@@ -294,6 +325,15 @@ def test_sample_deterministic_given_rng():
     d2 = em.sample(grid, None, size=3, rng=np.random.default_rng(99))
     assert np.array_equal(d1, d2)
     assert d1.shape == (3, 5)
+
+
+@pytest.mark.parametrize("size", [True, 2.0, "3", 0])
+def test_sample_size_must_be_a_positive_integer(size):
+    em = SeedKernelGP(ndim=1, nstarts=1, maxfev=20, rng=np.random.default_rng(0))
+    em.fit(np.array([[0.1], [0.5], [0.9]]), None, np.array([0.3, -0.2, 0.4]))
+    with pytest.raises(ValueError, match="size must be"):
+        em.sample(np.array([[0.3]]), None, size=size)
+    assert em.sample(np.array([[0.3]]), None, size=np.int64(2)).shape == (2, 1)
 
 
 def test_sample_degenerate_covariance_collapses():

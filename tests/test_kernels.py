@@ -11,13 +11,7 @@ from scipy.spatial.distance import cdist
 from trajcal import kernels
 from trajcal.emulator import SeedKernelGP
 from trajcal.errors import NumericalError
-from trajcal.kernels import (
-    continuous_cov,
-    cross_cov,
-    normalize_rows,
-    safe_cholesky,
-    seed_matrix,
-)
+from trajcal.kernels import cross_cov, normalize_rows, safe_cholesky, seed_matrix
 
 # (1 + sqrt(5) + 5/3) * exp(-sqrt(5)), evaluated in double precision
 MATERN_AT_S1 = 0.5239941088318203
@@ -29,7 +23,7 @@ def _ls(ls):
 
 def _matern(x1, x2, ls, var=1.0):
     """Matérn-5/2 covariance of two single points via the matrix path."""
-    return float(continuous_cov(np.atleast_2d(x1), np.atleast_2d(x2), _ls(ls), var)[0, 0])
+    return float(cross_cov(np.atleast_2d(x1), None, np.atleast_2d(x2), None, _ls(ls), var)[0, 0])
 
 
 def _seed(B, v):
@@ -84,24 +78,25 @@ def test_matern52_unit_scaled_distance():
 def test_matern52_dimension_mismatch():
     ls = _ls([0.5])
     with pytest.raises(ValueError):
-        continuous_cov(np.array([[0.1, 0.2]]), np.array([[0.3]]), ls, 1.0)
+        cross_cov(np.array([[0.1, 0.2]]), None, np.array([[0.3]]), None, ls, 1.0)
     # equal point dimensions that differ from the lengthscales must not broadcast
     with pytest.raises(ValueError):
-        continuous_cov(np.array([[0.1, 0.2]]), np.array([[0.3, 0.4]]), ls, 1.0)
+        cross_cov(np.array([[0.1, 0.2]]), None, np.array([[0.3, 0.4]]), None, ls, 1.0)
     with pytest.raises(ValueError):
-        continuous_cov(np.array([[0.1, 0.2]]), np.array([[0.3, 0.4]]), ls, 1.0, family="rbf")
+        cross_cov(np.array([[0.1, 0.2]]), None, np.array([[0.3, 0.4]]), None, ls, 1.0,
+                  family="rbf")
 
 
 def test_matern52_monotone_in_distance():
     s = np.linspace(0.0, 1.0, 400)
-    vals = continuous_cov(np.zeros((1, 1)), s[:, None], _ls([1.0]), 1.0)[0]
+    vals = cross_cov(np.zeros((1, 1)), None, s[:, None], None, _ls([1.0]), 1.0)[0]
     assert np.all(np.diff(vals) <= 1e-15)
 
 
 def test_rbf_closed_form():
     x1, x2 = np.array([[0.1]]), np.array([[0.6]])
     s2 = ((0.1 - 0.6) / 0.5) ** 2
-    assert continuous_cov(x1, x2, _ls([0.5]), 2.0, family="rbf")[0, 0] == pytest.approx(
+    assert cross_cov(x1, None, x2, None, _ls([0.5]), 2.0, family="rbf")[0, 0] == pytest.approx(
         2.0 * math.exp(-0.5 * s2), abs=1e-14
     )
 
@@ -236,12 +231,16 @@ def test_cross_cov_symmetric(seed):
     assert cross_cov(x1, r1, x2, r2, *kern)[0, 0] == cross_cov(x2, r2, x1, r1, *kern)[0, 0]
 
 
-def test_cross_cov_without_seed_kernel_is_continuous():
+def test_cross_cov_without_seed_matrix_ignores_the_seed_ids():
+    """With ``S`` None the seed ids are not read: any ids, out of range too,
+    or None, give the same continuous kernel matrix."""
     ls = _ls([0.3, 0.6])
     rng = np.random.default_rng(3)
     X1, X2 = rng.uniform(0, 1, (4, 2)), rng.uniform(0, 1, (5, 2))
-    assert np.array_equal(cross_cov(X1, None, X2, None, ls, 1.4, None, family="rbf"),
-                          continuous_cov(X1, X2, ls, 1.4, family="rbf"))
+    want = cross_cov(X1, None, X2, None, ls, 1.4, None, family="rbf")
+    for r1, r2 in (([1, 2, 3, 4], [5, 5, 5, 5, 5]), ([0, -1, 9, 2], None),
+                   (None, rng.integers(1, 4, size=5)), (np.ones(4, int), [1.5] * 5)):
+        assert np.array_equal(cross_cov(X1, r1, X2, r2, ls, 1.4, None, family="rbf"), want)
 
 
 def test_gram_single_point():

@@ -37,7 +37,9 @@ def test_config_validation():
         SirConfig(beta=0.1, seed_id=0, horizon=0)
     # NaN passes a bare ``<= 0`` check, and a NaN radius finds no contacts
     for field, value in [("contact_radius", math.nan), ("contact_radius", math.inf),
-                         ("contact_radius", -math.inf), ("grid_extent", math.inf)]:
+                         ("contact_radius", -math.inf), ("grid_extent", math.inf),
+                         # checked before the index case it places, so the message names it
+                         ("grid_extent", math.nan), ("grid_extent", -1.0)]:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             SirConfig(beta=0.1, seed_id=0, **{field: value})
 
