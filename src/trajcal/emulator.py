@@ -22,7 +22,9 @@ training pair into once, and ``_finalize`` decodes the chosen parameters
 once for prediction.  ``_cross`` builds every other covariance from the
 per-fit tables: training against new points, and a joint draw's new
 against new; ``predict_mean_var`` takes one seed id or a row of ids per
-point.  LAPACK routines come from numpy's bundled OpenBLAS and are called
+point.  The training block and a joint draw's share one layout: the lower
+triangle, which LAPACK reads, of a Fortran-ordered array, zeros above.
+LAPACK routines come from numpy's bundled OpenBLAS and are called
 directly, as the numpy and scipy wrappers call them, so every value is
 bitwise theirs; where numpy bundles none, those wrappers are called.
 """
@@ -56,23 +58,23 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def draw_mvn(mean: np.ndarray, cov: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``size`` joint samples from N(mean, cov).
+    """Draw ``size`` joint samples from N(mean, cov); only the lower triangle
+    of ``cov`` is read.
 
     Uses a Cholesky factor of ``cov`` with escalating jitter, so numerically
     degenerate covariances (including exact zeros) yield draws collapsed
     onto the mean.  Deterministic given the generator state.
     """
     mean = np.asarray(mean, dtype=float).ravel()
-    cov = np.asarray(cov, dtype=float)
     L, _ = safe_cholesky(cov)
     z = rng.standard_normal((size, mean.shape[0]))
     return mean[None, :] + z @ L.T
 
 
-def _chol_lml(L: np.ndarray, Y: np.ndarray):
+def _chol_lml(L: np.ndarray, Y: np.ndarray, bound=None):
     """Log marginal likelihood and ``K^-1 Y`` from a lower Cholesky factor of
-    K; only the lower triangle of ``L`` is read."""
-    alpha = _lapack_solve("dpotrs", (b"L",), L, Y, lower=True)  # cho_solve's routine
+    K, of which only the lower triangle is read; ``bound`` as in ``_lapack_solve``."""
+    alpha = _lapack_solve("dpotrs", (b"L",), L, Y, bound, lower=True)  # cho_solve's routine
     n = Y.shape[0]
     lml = -0.5 * float(Y @ alpha) - float(np.log(L.diagonal()).sum()) - 0.5 * n * _LOG_2PI
     return lml, alpha
@@ -97,19 +99,37 @@ def _lapack(name: str):
     return function
 
 
-def _lapack_solve(name: str, flags, A: np.ndarray, B: np.ndarray, **scipy_flags):
+def _lapack_solve(name: str, flags, A: np.ndarray, B: np.ndarray, bound=None, **scipy_flags):
     """``dpotrs`` or ``dtrtrs`` with character ``flags`` on Fortran-ordered
     ``A`` and a copy of ``B``, as scipy's wrappers call them, without their
     checks; scipy's wrapper itself, with ``scipy_flags``, where numpy
-    bundles no OpenBLAS."""
+    bundles no OpenBLAS.  ``bound``: ready ctypes arguments ``(n, nrhs, &A, X, &X, info)``."""
     if _lapack(name) is None:
         from scipy.linalg import lapack
         return getattr(lapack, name)(A, B, **scipy_flags)[0]
-    A, X = np.asfortranarray(A, dtype=float), np.array(B, dtype=float, order="F")
-    n, info = ctypes.c_int64(A.shape[0]), ctypes.c_int64(0)
-    nrhs = ctypes.c_int64(1 if X.ndim == 1 else X.shape[1])
-    _lapack(name)(*flags, n, nrhs, A.ctypes.data, n, X.ctypes.data, n, info)
+    if bound is None:
+        A, X = np.asfortranarray(A, dtype=float), np.empty(np.shape(B), order="F")
+        bound = (ctypes.c_int64(A.shape[0]), ctypes.c_int64(1 if X.ndim == 1 else X.shape[1]),
+                 A.ctypes.data, X, X.ctypes.data, ctypes.c_int64(0))
+    n, nrhs, a, X, x, info = bound
+    X[...] = B
+    _lapack(name)(*flags, n, nrhs, a, n, x, n, info)
     return X
+
+
+def _factor(K: np.ndarray, bound=None):
+    """Lower Cholesky factor of the lower triangle of Fortran-ordered ``K``, in place
+    by ``np.linalg.cholesky``'s ``dpotrf`` (``bound``: its ready ctypes arguments
+    ``(n, &K, info)``), new where numpy bundles none; None unless positive definite."""
+    potrf = _lapack("dpotrf")
+    if potrf is None:
+        try:
+            return np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            return None
+    n, k, info = bound or (ctypes.c_int64(K.shape[0]), K.ctypes.data, ctypes.c_int64(0))
+    potrf(b"L", n, k, n, info)
+    return None if info.value else K
 
 
 class _MaxFev(Exception):
@@ -122,7 +142,8 @@ def minimize(fun, x0, lo, hi, maxfev: int):
     ``fatol=1e-6`` and ``adaptive=True``, ported step for step, so with its
     evaluations and bits, and with no iteration cap.  ``fun`` must not
     modify its argument.  Returns ``x``, ``fun``, ``nfev`` and ``status``
-    (1 when stopped at ``maxfev``, else 0)."""
+    (1 when stopped at ``maxfev``, else 0), and ``fun_x0``, the first
+    evaluation, of ``x0`` clipped to the box (``maxfev`` is at least 1)."""
     nfev = 0
 
     def f(x):
@@ -147,6 +168,7 @@ def minimize(fun, x0, lo, hi, maxfev: int):
             fsim[k] = f(sim[k])
     except _MaxFev:
         pass
+    fun_x0 = fsim[0]
     ind = np.argsort(fsim)  # scipy sorts twice before its loop; a second sort may reorder ties
     sim, fsim = sim[ind], fsim[ind]
     while True:
@@ -178,7 +200,7 @@ def minimize(fun, x0, lo, hi, maxfev: int):
         except _MaxFev:
             pass
     return types.SimpleNamespace(x=sim[0], fun=np.min(fsim), nfev=nfev,
-                                 status=int(nfev >= maxfev))
+                                 status=int(nfev >= maxfev), fun_x0=fun_x0)
 
 
 class SeedKernelGP:
@@ -404,6 +426,17 @@ class SeedKernelGP:
             self._seed_pair = (r - 1)[j] * self.nseeds + (r - 1)[i]
             self._seed_diag = (r - 1) * (self.nseeds + 1)
         self._K = np.zeros((n, n))
+        self._bound = None
+
+    def _bind(self):
+        """The likelihood's ``dpotrf`` and ``dpotrs`` arguments, built once per fit."""
+        n, k, info = ctypes.c_int64(self._K.shape[0]), self._K.ctypes.data, ctypes.c_int64(0)
+        Ki = self._KiY = np.empty(self._K.shape[0])  # K^-1 Y
+        self._bound = ((n, k, info), (n, ctypes.c_int64(1), k, Ki, Ki.ctypes.data, info))
+        return self._bound
+
+    def __getstate__(self):  # the bound arguments point into this object's buffers
+        return {**self.__dict__, "_bound": None}
 
     def _fill_cov(self, ls, variance, S, nugget):
         """Training covariance plus ``nugget * I`` in the lower triangle of the
@@ -459,22 +492,9 @@ class SeedKernelGP:
             K = self._fill_cov(*self._hyper(packed))
         except ValueError:
             return np.inf
-        L = self._factor(K)
-        return np.inf if L is None else -_chol_lml(L, self._Y)[0]
-
-    def _factor(self, K):
-        """Lower Cholesky factor of the workspace view ``K``, in place where
-        numpy's ``dpotrf`` is at hand; None if ``K`` is not positive definite."""
-        potrf = _lapack("dpotrf")
-        if potrf is None:
-            try:
-                return np.linalg.cholesky(K)
-            except np.linalg.LinAlgError:
-                return None
-        # K is _K.T: an F-contiguous float64 n x n array, leading dimension n
-        n, info = ctypes.c_int64(K.shape[0]), ctypes.c_int64(0)
-        potrf(b"L", n, K.ctypes.data, n, info)
-        return None if info.value else K
+        factor_args, solve_args = self._bound or self._bind()
+        L = _factor(K, factor_args)
+        return np.inf if L is None else -_chol_lml(L, self._Y, solve_args)[0]
 
     def fit(self, X, seeds, Y):
         """Fit hyperparameters to training data by multi-start optimization.
@@ -516,7 +536,7 @@ class SeedKernelGP:
             start_vals, nfev, status = [], [], []
             for x0 in starts:
                 res = minimize(self._neg_lml, x0, lo, hi, maxfev)
-                start_vals.append(float(self._neg_lml(x0)))
+                start_vals.append(float(res.fun_x0))
                 nfev.append(int(res.nfev))
                 status.append(int(res.status))
                 if best is None or res.fun < best.fun:
@@ -556,16 +576,23 @@ class SeedKernelGP:
             raise NotFittedError(f"{type(self).__name__} must be fitted before prediction")
 
     def _posterior(self, X, seeds):
-        """Joint posterior mean and covariance at new inputs."""
+        """Joint posterior mean and M x M covariance ``K** - V^T V`` at new inputs, the
+        covariance only in the lower triangle, laid out as ``_fill_cov``'s; only that
+        triangle of ``K**`` is built, in blocks of rows of ``kernels.BLOCK_CELLS`` entries."""
         self._check_fitted()
         X, r = self._check_inputs(X, seeds)
         if r.ndim != 1 or X.shape[0] == 0:
             raise ValueError("need at least one prediction point, with one seed id per point")
         Ks = self._cross(self._Z, self._seed_rows, X, r)
-        Kss = self._cross(X / self.lengthscales, self._S[r - 1], X, r)
         V = self._solve_lower(Ks)
-        Kss -= V.T @ V  # both terms are exactly symmetric (V.T @ V is a syrk)
-        return Ks.T @ self._alpha, Kss
+        C = V.T @ V  # a syrk, exactly symmetric, as K** is: either triangle will do
+        Z, Sr, m = X / self.lengthscales, self._S[r - 1], X.shape[0]
+        step = max(1, kernels.BLOCK_CELLS // m)
+        for a in range(0, m, step):  # C's rows a..a+step, from column a on
+            block = C[a:a + step, a:]
+            np.subtract(self._cross(Z[a:a + step], Sr[a:a + step], X[a:], r[a:]), block, out=block)
+        np.copyto(C, 0.0, where=np.tri(m, k=-1, dtype=bool))
+        return Ks.T @ self._alpha, C.T
 
     def predict_mean_var(self, X, seeds):
         """Posterior means and variances in the shape of ``seeds``: one id

@@ -81,8 +81,8 @@ _EDGES = np.array([np.nextafter(-8.0, 0.0), np.nextafter(-1.0, 0.0), 1.0, 8.0])
 def ndtr(a) -> np.ndarray:
     """The standard normal CDF: cephes' ``ndtr`` on whole arrays, in its
     order of operations, so with the bits of scipy's ``special.ndtr``.
-    ``exp(-x^2)`` comes from the C library through ``math.exp``; numpy's
-    vectorized exp rounds some values differently."""
+    ``exp(-x^2)`` is the real part of numpy's complex exp, the C library's
+    exp; numpy's real exp is its own and rounds some values differently."""
     a = np.asarray(a, dtype=float)
     x = a.ravel() * _SQRT1_2
     m = x.shape[0]
@@ -97,10 +97,9 @@ def ndtr(a) -> np.ndarray:
     for k in range(1, 9):
         ratio *= w
         ratio += C[k]
-    tail = xx[far]
-    e = np.fromiter(map(math.exp, np.negative(tail).tolist()), float, tail.shape[0])
-    x[far] = np.where(tail > _MAXLOG, 0.0, e)  # erf's factor is x, erfc's exp(-x^2)
-    return (x * ratio[:m] / ratio[m:] * C[9, m:] + C[9, :m]).reshape(a.shape)
+    e = np.exp(np.negative(xx, dtype=complex)).real  # erfc's factor; erf's is x
+    e[xx > _MAXLOG] = 0.0
+    return (np.where(far, e, x) * ratio[:m] / ratio[m:] * C[9, m:] + C[9, :m]).reshape(a.shape)
 
 
 class CandidateGrid:

@@ -177,38 +177,42 @@ def bundled_openblas(package: str, symbol: str):
 
 
 def safe_cholesky(a: np.ndarray):
-    """Lower Cholesky factor of ``a + jitter * I`` with escalating jitter.
+    """Lower Cholesky factor of ``a + jitter * I``, from ``a``'s lower triangle.
 
     ``a`` itself is tried first; each failure sets the jitter to a
     matrix-scaled floor, then multiplies it by 10, up to
-    ``MAX_ESCALATIONS`` times.
+    ``MAX_ESCALATIONS`` times.  Each attempt factors one working copy in
+    place with ``np.linalg.cholesky``'s ``dpotrf``, so with its bits.
 
     Returns
     -------
     (L, jitter) : (ndarray, float)
-        The factor actually obtained and the jitter it required.
+        The factor actually obtained, C-ordered with zeros above the
+        diagonal, as numpy returns it, and the jitter it required.
 
     Raises
     ------
     NumericalError
         If no attempt factorizes; carries the final jitter tried.
     """
+    from .emulator import _factor  # emulator, which imports this module, binds LAPACK
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:  # LAPACK reads n x n entries
+        raise ValueError("need a square matrix")
     n = a.shape[0]
     scale = float(np.max(np.diag(a))) if n else 0.0
     floor = 1e-12 * max(1.0, scale)
     j = 0.0
-    m = a
+    work = np.array(a, order="F")
     for attempt in range(MAX_ESCALATIONS + 1):
         tried = j
-        if j > 0.0:
-            if m is a:  # one copy for every retry, with the bits of a + j * I:
-                m = a + 0.0  # + 0.0 turns -0.0 into +0.0, as adding 0 * I does
-            np.fill_diagonal(m, np.diag(a) + j)
-        try:
-            return np.linalg.cholesky(m), j
-        except np.linalg.LinAlgError:
-            j = j * 10.0 if j > 0.0 else floor
+        if j > 0.0:  # the bits of a + j * I: + 0.0 turns -0.0 into +0.0, as adding 0 * I does
+            np.add(a, 0.0, out=work)
+            np.fill_diagonal(work, np.diag(a) + j)
+        L = _factor(work)
+        if L is not None:
+            return np.tril(L), j
+        j = j * 10.0 if j > 0.0 else floor
     raise NumericalError(
         f"Cholesky failed after {MAX_ESCALATIONS} jitter escalations", jitter=tried
     )

@@ -129,7 +129,8 @@ def test_joint_posterior_draws_match_their_moments():
     )
     em.fit(Xtr, rtr, ytr)
     Xte, rte = np.array([[0.45], [0.48], [0.51], [0.54], [0.57]]), np.array([1, 2, 3, 1, 2])
-    post_mean, post_cov = em._posterior(Xte, rte)
+    post_mean, post_cov = em._posterior(Xte, rte)  # the lower triangle, zeros above
+    post_cov = np.tril(post_cov) + np.tril(post_cov, -1).T
 
     n = 100_000
     draws = em.sample(Xte, rte, size=n, rng=np.random.default_rng(123))
@@ -251,7 +252,7 @@ def test_two_candidate_thompson_probability_matches_gaussian_formula():
     em.fit(Xtr, None, ytr)
     grid = CandidateGrid(np.array([[0.15], [0.85]]), np.array([1, 1]))
     _, post_cov = em._posterior(grid.X, grid.seeds)
-    assert abs(post_cov[0, 1]) < 1e-4
+    assert abs(post_cov[1, 0]) < 1e-4  # the covariance is in the lower triangle
 
     mu, var = em.predict_mean_var(grid.X, grid.seeds)
     z = (mu[1] - mu[0]) / math.sqrt(var[0] + var[1])

@@ -1,6 +1,7 @@
 """The GP emulator: fitting, prediction, sampling, seed growth, seedless mode."""
 
 import glob
+import itertools
 import math
 import os
 import pickle
@@ -15,7 +16,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 from trajcal import emulator, kernels
 from trajcal.emulator import NUGGET_BOUNDS, SeedKernelGP, _chol_lml, draw_mvn
-from trajcal.errors import NotFittedError
+from trajcal.errors import NotFittedError, NumericalError
 
 
 def _smooth_1d(n, rng, noise=0.0):
@@ -149,6 +150,13 @@ def test_far_prediction_reverts_to_prior():
     assert abs(var[0] - 1.0) <= 1e-3
 
 
+def _symmetric(cov):
+    """The whole covariance from ``_posterior``'s layout: the lower triangle
+    of a Fortran-ordered array whose strict upper triangle is zero."""
+    assert cov.flags.f_contiguous and not np.triu(cov, 1).any()
+    return np.tril(cov) + np.tril(cov, -1).T
+
+
 def test_posterior_summary_shape_and_symmetry():
     rng = np.random.default_rng(3)
     X, Y = _smooth_1d(10, rng, noise=0.05)
@@ -158,7 +166,7 @@ def test_posterior_summary_shape_and_symmetry():
     mean, cov = em._posterior(grid, None)
     assert mean.shape == (7,)
     assert cov.shape == (7, 7)
-    assert np.abs(cov - cov.T).max() <= 1e-12
+    _symmetric(cov)  # the lower triangle, zeros above
     assert cov.diagonal().min() >= -1e-10
     # the pointwise path agrees with the joint one
     mean_pw, var_pw = em.predict_mean_var(grid, None)
@@ -172,9 +180,10 @@ def test_posterior_summary_shape_and_symmetry():
        repeats=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_posterior_covariance_is_exactly_symmetric(family, rank, nseeds, per_seed_v,
                                                    npoints, repeats, seed):
-    """``Kss - V.T @ V`` is symmetric bit for bit, so ``_posterior`` returns it
-    without averaging it with its transpose; repeated candidates, and
-    candidates that repeat training points, included."""
+    """The reference ``Kss - V.T @ V`` is symmetric bit for bit, so the lower
+    triangle ``_posterior`` returns, built from the upper one's entries, is
+    the whole matrix, with no averaging; repeated candidates, and candidates
+    that repeat training points, included."""
     rng = np.random.default_rng(seed)
     k = max(nseeds, rank or 1)
     em = SeedKernelGP(ndim=2, nseeds=None if rank is None else k, rank=rank, family=family,
@@ -186,7 +195,11 @@ def test_posterior_covariance_is_exactly_symmetric(family, rank, nseeds, per_see
     new = np.vstack([new, new[again], X[:repeats]])
     new_seeds = np.concatenate([new_seeds, new_seeds[again], seeds[:repeats]])
     _, cov = em._posterior(new, new_seeds)
-    assert np.array_equal(cov, cov.T)
+    kern = (em.lengthscales, em.variance, em.seed_matrix, family)
+    V = em._solve_lower(kernels.cross_cov(X, seeds, new, new_seeds, *kern))
+    reference = kernels.cross_cov(new, new_seeds, new, new_seeds, *kern) - V.T @ V
+    assert np.array_equal(reference, reference.T)
+    assert np.array_equal(_symmetric(cov), reference)
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,7 +230,7 @@ def test_posterior_is_the_reference_joint_posterior(family, rank, d, k, per_seed
     Kss -= V.T @ V
     mean, cov = em._posterior(new, r)
     assert np.array_equal(mean, Ks.T @ em._alpha)
-    assert np.array_equal(cov, Kss)
+    assert np.array_equal(_symmetric(cov), Kss)
 
 
 def test_posterior_variance_below_prior():
@@ -874,3 +887,118 @@ def test_neg_lml_per_fit_state_follows_the_data(rank):
     _assert_fast_path_exact(em, rng)
     em.fit(*_seeded_data(rng, 9, [2, 4, 5]))
     _assert_fast_path_exact(em, rng)
+
+
+def _reference_draw(em, X, r, size, rng):
+    """``sample``'s reference: the whole ``K**`` block from ``kernels.cross_cov``
+    minus ``V^T V``, ``np.linalg.cholesky`` on the documented jitter ladder (the
+    matrix, then ``a + j I`` from a floor of 1e-12 times the largest diagonal
+    entry, at least 1e-12, growing tenfold ``MAX_ESCALATIONS - 1`` times) and
+    ``mean + z L^T``.  Returns the draws and the escalations, or raises
+    ``NumericalError`` with the last jitter tried."""
+    kern = (em.lengthscales, em.variance, em.seed_matrix, em.family)
+    Ks = kernels.cross_cov(*em._train, X, r, *kern)
+    V = em._solve_lower(Ks)
+    cov = kernels.cross_cov(X, r, X, r, *kern) - V.T @ V
+    floor, jitter = 1e-12 * max(1.0, cov.diagonal().max()), 0.0
+    for escalations in range(kernels.MAX_ESCALATIONS + 1):
+        tried = jitter
+        try:
+            L = np.linalg.cholesky(cov + jitter * np.eye(X.shape[0]) if jitter else cov)
+            break
+        except np.linalg.LinAlgError:
+            jitter = jitter * 10.0 if jitter else floor
+    else:
+        raise NumericalError("ladder exhausted", jitter=tried)
+    z = rng.standard_normal((size, X.shape[0]))
+    return Ks.T @ em._alpha + z @ L.T, escalations
+
+
+def _assert_draws_are_the_reference(em, X, r, sizes=(1, 8)):
+    for size in sizes:
+        got = em.sample(X, r, size, np.random.default_rng(size))
+        want, _ = _reference_draw(em, X, r, size, np.random.default_rng(size))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("family", ["matern52", "rbf"])
+@pytest.mark.parametrize("rank", [None, 1, 2, 3])
+@pytest.mark.parametrize("per_seed_v", [False, True])
+def test_sample_is_the_reference_draw(family, rank, per_seed_v, monkeypatch):
+    """``sample`` builds and factors only the lower triangle of the joint
+    covariance, in blocks of rows, with the bits of the reference draw: M = 1,
+    M at and around the largest one-block M (``isqrt(BLOCK_CELLS)`` rows of
+    M entries), M = 500, and small M cut into many blocks; repeated
+    candidates and candidates at training points included."""
+    rows = math.isqrt(kernels.BLOCK_CELLS)
+    assert kernels.BLOCK_CELLS // rows >= rows > kernels.BLOCK_CELLS // (rows + 1)
+    for _ in _factor_paths(monkeypatch):
+        rng = np.random.default_rng(60)
+        k = 4
+        em = SeedKernelGP(ndim=2, nseeds=None if rank is None else k, rank=rank,
+                          family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=30,
+                          rng=np.random.default_rng(61))
+        X, r, Y = _seeded_data(rng, 20, range(1, k + 1))
+        em.fit(X, r, Y)
+        for m in (1, rows - 1, rows, rows + 1, 500):
+            new, new_r = rng.uniform(size=(m, 2)), rng.integers(1, k + 1, m)
+            if m > 10:
+                new[:5], new_r[:5] = new[-5:], new_r[-5:]
+                new[5:8], new_r[5:8] = X[:3], r[:3]
+            _assert_draws_are_the_reference(em, new, new_r)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "BLOCK_CELLS", 24)  # 1 to 24 rows per block
+            for m in (2, 5, 7, 13, 30):
+                _assert_draws_are_the_reference(em, rng.uniform(size=(m, 2)),
+                                                rng.integers(1, k + 1, m))
+
+
+def test_sample_follows_the_reference_up_the_jitter_ladder(monkeypatch):
+    """Training points repeated as candidates make the posterior covariance
+    singular, with rounding errors that grow with the kernel variance: over
+    range of lengthscales, variances and repeat counts the draws meet every
+    rung of the jitter ladder, each more than ten times here, and its end, and
+    match the reference draw, or its ``NumericalError`` and final jitter, at each."""
+    X = np.array([[0.1], [0.2], [0.35], [0.5], [0.8]])
+    for _ in _factor_paths(monkeypatch):
+        rungs = set()
+        for ls, log_variance in itertools.product((0.3, 0.2), np.arange(5.0, 8.51, 0.125)):
+            fixed = {"lengthscales": [ls], "variance": 10.0 ** log_variance, "nugget": 1e-8}
+            em = SeedKernelGP(ndim=1, fixed=fixed)
+            em.fit(X, None, np.sin(5.0 * X[:, 0]))
+            for repeats in range(1, 7):
+                new = np.repeat(X, repeats, axis=0)
+                try:
+                    want, escalations = _reference_draw(em, new, None, 2, np.random.default_rng(0))
+                except NumericalError as err:
+                    with pytest.raises(NumericalError) as got:
+                        em.sample(new, None, 2, np.random.default_rng(0))
+                    assert got.value.jitter == err.jitter
+                    rungs.add("exhausted")
+                    continue
+                got = em.sample(new, None, 2, np.random.default_rng(0))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                rungs.add(escalations)
+        assert rungs == set(range(kernels.MAX_ESCALATIONS + 1)) | {"exhausted"}
+
+
+def test_fit_report_start_values_are_the_start_likelihoods(monkeypatch):
+    """Each start's ``start_neg_lml`` is the likelihood of that start, read off
+    the optimizer's first evaluation: the same as evaluating it again."""
+    starts = []
+
+    def recording(fun, x0, lo, hi, maxfev):
+        starts.append(x0.copy())
+        return minimize(fun, x0, lo, hi, maxfev)
+
+    minimize = emulator.minimize
+    monkeypatch.setattr(emulator, "minimize", recording)
+    rng = np.random.default_rng(62)
+    for nseeds, rank, maxfev in ((None, None, 1), (3, 2, 25), (3, 3, 60)):
+        em = SeedKernelGP(ndim=2, nseeds=nseeds, rank=rank, nstarts=3, maxfev=maxfev,
+                          rng=np.random.default_rng(63))
+        for n in (12, 20):  # the second fit adds the first one's optimum as a start
+            starts.clear()
+            em.fit(*_seeded_data(rng, n, [1, 2, 3]))
+            assert len(starts) == 3 + (n == 20)
+            assert em.fit_report["start_neg_lml"] == [float(em._neg_lml(x0)) for x0 in starts]

@@ -296,6 +296,13 @@ def test_safe_cholesky_escalates_then_fails():
     assert err.value.jitter == pytest.approx(1e-12 * 10.0 ** (kernels.MAX_ESCALATIONS - 1))
 
 
+def test_safe_cholesky_rejects_a_matrix_that_is_not_square():
+    """LAPACK would read n x n entries of the array."""
+    for a in (np.ones((3, 2)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="square"):
+            safe_cholesky(a)
+
+
 def test_safe_cholesky_recovers_semidefinite():
     a = np.ones((3, 3))  # rank one, singular
     L, j = safe_cholesky(a)
