@@ -53,7 +53,7 @@ class DesignPoint:
     r: int
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        x = np.array(self.x, dtype=float, ndmin=1)  # its own copy
         if x.ndim != 1:
             raise ValueError("x must be one-dimensional")
         _check_design(x[None, :], [self.r])
@@ -117,14 +117,15 @@ def _check_int(name: str, value, minimum: int) -> None:
 
 
 def _check_design(X, seeds, y_raw=None, label: str = ""):
-    """Design arrays as float ``(n, d)``, int64 ``(n,)`` and float ``(n,)``.
+    """Design arrays as new float ``(n, d)``, int64 ``(n,)`` and float ``(n,)``
+    arrays, so a record that stores them owns them.
 
     The one owner of the design checks: equal lengths, coordinates in
     ``[0, 1]``, integer seed ids ``>= 1`` (integral floats pass, booleans
     do not) and, when ``y_raw`` is given, finite values.  ``label``
     prefixes the messages of the range checks.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.array(X, dtype=float, ndmin=2)
     given = np.asarray(seeds).ravel()
     # asarray or a cast would make True seed 1, so look at the elements as
     # given: a bool array's, or each of a list, a tuple or an object array
@@ -136,12 +137,12 @@ def _check_design(X, seeds, y_raw=None, label: str = ""):
     if len(bools):
         raise ValueError(f"{label}seed ids must be integers >= 1, got {bools[0]}")
     with np.errstate(invalid="ignore"):  # NaN and infinities cast to garbage, caught below
-        seeds = given.astype(np.int64, copy=False)
+        seeds = given.astype(np.int64)
     if y_raw is None:
         if X.shape[0] != seeds.shape[0]:
             raise ValueError("X and seeds must have the same length")
     else:
-        y_raw = np.asarray(y_raw, dtype=float).ravel()
+        y_raw = np.array(y_raw, dtype=float).ravel()
         if not (X.shape[0] == seeds.shape[0] == y_raw.shape[0]):
             raise ValueError("X, seeds, and y_raw must have equal lengths")
     outside = np.flatnonzero(~np.all((X >= 0.0) & (X <= 1.0), axis=1))  # NaN is outside
@@ -241,15 +242,16 @@ def fit_transform(y_raw: np.ndarray) -> tuple[ObjectiveTransform, np.ndarray]:
     return transform, transform.apply(y_raw)
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Dataset:
     """Append-only collection of evaluated design points.
 
-    Stores the continuous coordinates, seed ids, raw discrepancies, their
-    transformed values, and the acquisition iteration of every evaluation:
-    0 for the points it is built with, the ``append`` argument after.
-    The transform is fitted on construction and refitted by every
-    :meth:`append` (through :meth:`refresh_transform`), so ``y_std`` always
-    standardizes all raw values.
+    A frozen record of read-only arrays: the continuous coordinates, seed
+    ids, raw discrepancies, their transformed values, and the acquisition
+    iteration of every evaluation, 0 for the points it is built with and
+    the ``append`` argument after, each array its own copy.  Only
+    :meth:`append` changes it: it replaces every field and refits the
+    transform, so ``y_std`` always standardizes all raw values.
 
     Parameters
     ----------
@@ -262,61 +264,42 @@ class Dataset:
         finite.
     """
 
+    X: np.ndarray
+    seeds: np.ndarray
+    y_raw: np.ndarray
+    iteration: np.ndarray
+    transform: ObjectiveTransform
+    y_std: np.ndarray
+
     def __init__(self, X, seeds, y_raw):
         X, seeds, y_raw = _check_design(X, seeds, y_raw)
-        self._X = X
-        self._seeds = seeds
-        self._y_raw = y_raw
-        self._iteration = np.zeros(X.shape[0], dtype=np.int64)
-        self.transform: ObjectiveTransform | None = None
-        self._y_std: np.ndarray | None = None
-        self.refresh_transform()
+        self._store(*fit_transform(y_raw), y_raw, X, seeds, np.zeros(X.shape[0], np.int64))
 
     def __len__(self) -> int:
-        return self._X.shape[0]
+        return self.X.shape[0]
 
     @property
     def ndim(self) -> int:
-        return self._X.shape[1]
-
-    @property
-    def X(self) -> np.ndarray:
-        return self._X
-
-    @property
-    def seeds(self) -> np.ndarray:
-        return self._seeds
-
-    @property
-    def y_raw(self) -> np.ndarray:
-        return self._y_raw
-
-    @property
-    def y_std(self) -> np.ndarray:
-        return self._y_std
-
-    @property
-    def iteration(self) -> np.ndarray:
-        return self._iteration
+        return self.X.shape[1]
 
     def append(self, X, seeds, y_raw, iteration: int) -> None:
         """Append a batch of evaluated points acquired at ``iteration``."""
         X, seeds, y_raw = _check_design(X, seeds, y_raw)
         if X.shape[1] != self.ndim:
             raise ValueError(f"expected {self.ndim} columns, got {X.shape[1]}")
-        self._X = np.vstack([self._X, X])
-        self._seeds = np.concatenate([self._seeds, seeds])
-        self._y_raw = np.concatenate([self._y_raw, y_raw])
-        self._iteration = np.concatenate(
-            [self._iteration, np.full(X.shape[0], iteration, dtype=np.int64)]
-        )
-        self.refresh_transform()
+        y_raw = np.concatenate([self.y_raw, y_raw])
+        self._store(*fit_transform(y_raw), y_raw, np.vstack([self.X, X]),
+                    np.concatenate([self.seeds, seeds]),
+                    np.concatenate([self.iteration, np.full(X.shape[0], iteration, np.int64)]))
 
-    def refresh_transform(self) -> ObjectiveTransform:
-        """Refit the log-standardize transform on all raw values."""
-        self.transform, self._y_std = fit_transform(self._y_raw)
-        return self.transform
+    def _store(self, transform, y_std, y_raw, X, seeds, iteration):
+        """The one writer: freeze the arrays and set every field."""
+        for name, value in zip(("y_std", "y_raw", "X", "seeds", "iteration"),
+                               (y_std, y_raw, X, seeds, iteration)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "transform", transform)
 
     def incumbent(self) -> float:
         """Best (minimum) transformed objective observed so far."""
-        return float(np.min(self._y_std))
+        return float(np.min(self.y_std))

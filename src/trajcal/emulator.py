@@ -14,19 +14,22 @@ bounded Nelder-Mead on the angles and log-transformed other parameters;
 
 There is one kernel path, on arrays: ``_hyper`` decodes a packed vector,
 or the ``fixed=`` values checked once in the constructor, into
-lengthscales, a variance, a seed matrix (None without a seed space) and a
-nugget.  The nugget is estimated in the box ``NUGGET_BOUNDS``; only a
-``fixed=`` kernel pins it.  Each ``fit`` builds a workspace kept while the
-optimizer runs, one n x n buffer that ``_fill_cov`` writes each distinct
-training pair into once, and ``_finalize`` decodes the chosen parameters
-once for prediction.  ``_cross`` builds every other covariance from the
-per-fit tables: training against new points, and a joint draw's new
-against new; ``predict_mean_var`` takes one seed id or a row of ids per
-point.  The training block and a joint draw's share one layout: the lower
-triangle, which LAPACK reads, of a Fortran-ordered array, zeros above.
-LAPACK routines come from numpy's bundled OpenBLAS and are called
-directly, as the numpy and scipy wrappers call them, so every value is
-bitwise theirs; where numpy bundles none, those wrappers are called.
+lengthscales, a variance, a seed table (the baseline's is the constant
+``[[1.0]]``) and a nugget.  The nugget is estimated in the box
+``NUGGET_BOUNDS``; only a ``fixed=`` kernel pins it.  Each ``fit`` builds a
+workspace kept while the optimizer runs, one n x n buffer that
+``_fill_cov`` writes each distinct training pair into once, and
+``_finalize`` decodes the chosen parameters once for prediction.
+``_cross`` builds every other covariance from the per-fit tables: training
+against new points, and a joint draw's new against new.  ``_project``,
+``V = L^-1 K(X, x*)`` and the mean ``K(x*, X) alpha`` (Rasmussen & Williams,
+GPML, Alg. 2.1), serves ``predict_mean_var``, which takes one seed id or a
+row of ids per point, and the joint ``_posterior``.  The training block and
+a joint draw's share one layout: the lower triangle, which LAPACK reads, of
+a Fortran-ordered array, zeros above.  LAPACK routines come from numpy's
+bundled OpenBLAS and are called directly, as the numpy and scipy wrappers
+call them, so every value is bitwise theirs; where numpy bundles none,
+those wrappers are called.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ __all__ = ["SeedKernelGP", "draw_mvn"]
 NUGGET_BOUNDS = (1e-8, 1.0)
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# the baseline's seed table: every id reads the exact factor 1
+_ONE_SEED = np.ones((1, 1))
+_ONE_SEED.setflags(write=False)
 
 
 def draw_mvn(mean: np.ndarray, cov: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -274,13 +281,12 @@ class SeedKernelGP:
                 raise ValueError("rank must lie in 1..nseeds")
         self.family = family
         self.per_seed_v = bool(per_seed_v)
-        self.lengthscales = self.variance = self.seed_matrix = None
+        self.lengthscales = self.variance = self._S = self.nugget = None  # the fitted kernel
         self._fixed = None
         self._fitted = False
         self._warm = None
         self.fit_report = None
         self.lml = None
-        self.nugget = None
         if fixed is not None:
             keys = ("lengthscales", "variance", "nugget") + (("B", "v") if self.seeded else ())
             for key in fixed:
@@ -297,7 +303,7 @@ class SeedKernelGP:
                 raise ValueError("fixed lengthscales must be finite and positive")
             if not (math.isfinite(variance) and variance > 0.0):
                 raise ValueError("fixed variance must be finite and positive")
-            S = None
+            S = _ONE_SEED
             if self.seeded:
                 B = np.atleast_2d(np.asarray(fixed["B"], dtype=float))
                 v = np.atleast_1d(np.asarray(fixed["v"], dtype=float))
@@ -319,6 +325,11 @@ class SeedKernelGP:
     def seeded(self) -> bool:
         """Whether the covariance carries a seed factor."""
         return self.nseeds is not None
+
+    @property
+    def seed_matrix(self):
+        """The fitted seed matrix; None without a seed space or before the first fit."""
+        return self._S if self.seeded else None
 
     def _set_layout(self):
         """Store the slices of the packed vector's blocks, in order: log
@@ -367,8 +378,8 @@ class SeedKernelGP:
         return ls, variance, B, v, nugget
 
     def _hyper(self, packed):
-        """``(lengthscales, variance, seed matrix or None, nugget)`` of a
-        packed vector, or the fixed kernel when there is one.
+        """``(lengthscales, variance, seed table, nugget)`` of a packed
+        vector, or the fixed kernel when there is one.
 
         Raises ``ValueError`` for lengthscales or a variance that underflow
         to 0.  The decoded ``B`` rows are unit length to within a few ulps,
@@ -380,7 +391,7 @@ class SeedKernelGP:
         # exp underflows to 0 far outside the box
         if variance == 0.0 or not ls.all():
             raise ValueError("lengthscales and variance must be positive")
-        return ls, variance, None if B is None else kernels.seed_matrix(B, v), nugget
+        return ls, variance, _ONE_SEED if B is None else kernels.seed_matrix(B, v), nugget
 
     def _check_inputs(self, X, seeds):
         """Finite float ``(m, ndim)`` coordinates and int64 seed ids, one or a
@@ -419,12 +430,11 @@ class SeedKernelGP:
         self._Y = Y.copy()
         self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
         self._pairs = np.nonzero(self._upper)  # (i, j) for i < j, row by row
-        if not self.seeded:
-            self._seed_pair = self._seed_diag = None
-        else:  # the view's entry (j, i) below the diagonal is S[r_j, r_i]
-            i, j = self._pairs
-            self._seed_pair = (r - 1)[j] * self.nseeds + (r - 1)[i]
-            self._seed_diag = (r - 1) * (self.nseeds + 1)
+        # the view's entry (j, i) below the diagonal is S[r_j, r_i]; the
+        # baseline's ids are all 1, so they index its 1 x 1 table alike
+        k, (i, j) = self.nseeds or 1, self._pairs
+        self._seed_pair = (r - 1)[j] * k + (r - 1)[i]
+        self._seed_diag = (r - 1) * (k + 1)
         self._K = np.zeros((n, n))
         self._bound = None
 
@@ -447,13 +457,10 @@ class SeedKernelGP:
         kernel at distance 0 is exactly ``variance``."""
         Z = self._train[0] / ls
         cont = kernels.FROM_SQ_DISTS[self.family](kernels.sq_dists(Z, Z, self._pairs), variance)
-        if S is None:
-            diag = variance + nugget
-        else:
-            cont *= S.take(self._seed_pair)
-            diag = S.take(self._seed_diag)
-            diag *= variance
-            diag += nugget
+        cont *= S.take(self._seed_pair)
+        diag = S.take(self._seed_diag)
+        diag *= variance
+        diag += nugget
         K = self._K
         K[self._upper] = cont
         K.reshape(-1)[:: K.shape[0] + 1] = diag
@@ -522,10 +529,9 @@ class SeedKernelGP:
         self._set_train(X, seeds, np.asarray(Y, dtype=float).ravel())
 
         lo, hi = self._pack_bounds()
+        report = {"start_neg_lml": [], "start_nfev": [], "start_status": []}
         if lo.shape[0] == 0:
-            best_packed = lo
-            report = {"start_neg_lml": [], "start_nfev": [], "start_status": [],
-                      "neg_lml": self._neg_lml(best_packed)}
+            best_packed, report["neg_lml"] = lo, self._neg_lml(lo)
         else:
             starts = []
             if self._warm is not None and self._warm.shape[0] == lo.shape[0]:
@@ -533,17 +539,14 @@ class SeedKernelGP:
             starts.extend(lo + latin_hypercube(self.nstarts, lo.shape[0], self.rng) * (hi - lo))
             maxfev = self.maxfev if self.maxfev is not None else min(250 * lo.shape[0], 3000)
             best = None
-            start_vals, nfev, status = [], [], []
             for x0 in starts:
                 res = minimize(self._neg_lml, x0, lo, hi, maxfev)
-                start_vals.append(float(res.fun_x0))
-                nfev.append(int(res.nfev))
-                status.append(int(res.status))
+                report["start_neg_lml"].append(float(res.fun_x0))
+                report["start_nfev"].append(int(res.nfev))
+                report["start_status"].append(int(res.status))
                 if best is None or res.fun < best.fun:
                     best = res
-            best_packed = np.clip(best.x, lo, hi)
-            report = {"start_neg_lml": start_vals, "start_nfev": nfev,
-                      "start_status": status, "neg_lml": float(best.fun)}
+            best_packed, report["neg_lml"] = np.clip(best.x, lo, hi), float(best.fun)
 
         self._finalize(best_packed)
         self.fit_report = report
@@ -553,16 +556,14 @@ class SeedKernelGP:
     def _finalize(self, packed):
         """Decode the kernel once, and build and store the training
         factorization and the per-fit tables prediction uses."""
-        self.lengthscales, self.variance, self.seed_matrix, self.nugget = self._hyper(packed)
-        K = self._fill_cov(self.lengthscales, self.variance, self.seed_matrix, self.nugget)
+        self.lengthscales, self.variance, self._S, self.nugget = self._hyper(packed)
+        K = self._fill_cov(self.lengthscales, self.variance, self._S, self.nugget)
         L, jitter = safe_cholesky(K)
         self._L = L
         self.lml, self._alpha = _chol_lml(L, self._Y)
         X, r = self._train
         self._Z = X / self.lengthscales
-        # row i: training seed r_i against every seed; the baseline's one is an exact 1
-        self._S = self.seed_matrix if self.seeded else np.ones((1, 1))
-        self._seed_rows = self._S[r - 1]
+        self._seed_rows = self._S[r - 1]  # row i: training seed r_i against every seed
         self._prior_var = self.variance * self._S.diagonal()
         self._jitter = jitter
         self._fitted = True
@@ -575,16 +576,21 @@ class SeedKernelGP:
         if not self._fitted:
             raise NotFittedError(f"{type(self).__name__} must be fitted before prediction")
 
+    def _project(self, X, seeds, joint=False):
+        """Checked ``X, r``, ``V = L^-1 K(X_train, X)`` and the posterior mean; ``joint``
+        rejects, before any covariance is built, no point or a row of ids per point."""
+        self._check_fitted()
+        X, r = self._check_inputs(X, seeds)
+        if joint and (r.ndim != 1 or X.shape[0] == 0):
+            raise ValueError("need at least one prediction point, with one seed id per point")
+        Ks = self._cross(self._Z, self._seed_rows, X, r)
+        return X, r, self._solve_lower(Ks), Ks.T @ self._alpha
+
     def _posterior(self, X, seeds):
         """Joint posterior mean and M x M covariance ``K** - V^T V`` at new inputs, the
         covariance only in the lower triangle, laid out as ``_fill_cov``'s; only that
         triangle of ``K**`` is built, in blocks of rows of ``kernels.BLOCK_CELLS`` entries."""
-        self._check_fitted()
-        X, r = self._check_inputs(X, seeds)
-        if r.ndim != 1 or X.shape[0] == 0:
-            raise ValueError("need at least one prediction point, with one seed id per point")
-        Ks = self._cross(self._Z, self._seed_rows, X, r)
-        V = self._solve_lower(Ks)
+        X, r, V, mean = self._project(X, seeds, joint=True)
         C = V.T @ V  # a syrk, exactly symmetric, as K** is: either triangle will do
         Z, Sr, m = X / self.lengthscales, self._S[r - 1], X.shape[0]
         step = max(1, kernels.BLOCK_CELLS // m)
@@ -592,19 +598,16 @@ class SeedKernelGP:
             block = C[a:a + step, a:]
             np.subtract(self._cross(Z[a:a + step], Sr[a:a + step], X[a:], r[a:]), block, out=block)
         np.copyto(C, 0.0, where=np.tri(m, k=-1, dtype=bool))
-        return Ks.T @ self._alpha, C.T
+        return mean, C.T
 
     def predict_mean_var(self, X, seeds):
         """Posterior means and variances in the shape of ``seeds``: one id
         per point, ``(m,)``, or a row of ids per point, ``(m, j)``, entry
         ``(i, s)`` bitwise the ``(m·j,)`` call's on point i under ``seeds[i, s]``.
         Without a seed space the ids are ignored and None stands for ``(m,)``."""
-        self._check_fitted()
-        X, r = self._check_inputs(X, seeds)
-        Ks = self._cross(self._Z, self._seed_rows, X, r)
-        V = self._solve_lower(Ks)
+        _, r, V, mean = self._project(X, seeds)
         var = self._prior_var[r.ravel() - 1] - np.einsum("ij,ij->j", V, V)
-        return (Ks.T @ self._alpha).reshape(r.shape), var.reshape(r.shape)
+        return mean.reshape(r.shape), var.reshape(r.shape)
 
     def sample(self, X, seeds, size: int = 1, rng=None) -> np.ndarray:
         """Joint posterior draws at new inputs; deterministic given ``rng``."""

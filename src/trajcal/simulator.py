@@ -24,11 +24,11 @@ pairs an all-pairs distance matrix would, with the same squared distances,
 and sorts them into the order of item 3, so the draws are unchanged.
 
 Each stream's walk is built once, in place, and cached: a (horizon + 1, n, 2)
-table of positions and the index agent's column of direction draws.  Next
-to it, per stream and radius, sits a read-only (horizon + 1, n) int16 table
-of every agent's cell at every step, so a run gathers its agents' cells
-instead of recomputing them; only the index agent's cells, which depend on
-the seed id, are computed per run.
+table of positions and the index agent's walk before its start shift, which
+a run shifts and folds.  Next to it, per stream and radius, sits a read-only
+(horizon + 1, n) int16 table of every agent's cell at every step, so a run
+gathers its agents' cells instead of recomputing them; only the index
+agent's cells, which depend on the seed id, are computed per run.
 """
 
 from __future__ import annotations
@@ -117,17 +117,17 @@ class Trajectory:
 def _movement(crn_stream_id: int, n_agents: int, extent: float, horizon: int):
     """Integrated reflected-walk positions shared by every run of one stream.
 
-    Returns (positions, index_steps): positions[t, i] is agent i's location
-    after step t assuming its drawn starting point; index_steps[t - 1] is
-    the index agent's raw direction draw at step t.  The index case
-    overrides its start elsewhere, so its column of positions is recomputed
-    per run from those draws; no other draw is kept.
+    Returns (positions, index_walk): positions[t, i] is agent i's location
+    after step t assuming its drawn starting point; index_walk[t] is the
+    index agent's summed step vectors after step t, its column of the table
+    before the start shift.  The index case overrides its start elsewhere,
+    so a run shifts and folds that column; no draw is kept.
 
     The step vectors are written into rows 1..horizon of the table, summed
     row by row in step order (the sums ``cumsum`` makes), shifted by the
-    starts and folded, all in place.  The build needs little beyond the
-    positions it keeps and the whole table of draws, which ``rng.integers``
-    makes in one call.
+    starts and folded, all in place.  The sums are of integers stored as
+    floats, so exact.  The build needs little beyond the positions it keeps
+    and the whole table of draws, which ``rng.integers`` makes in one call.
     """
     rng = np.random.default_rng(np.random.SeedSequence([crn_stream_id, 0]))
     init = rng.uniform(0.0, extent, size=(n_agents, 2))
@@ -137,12 +137,12 @@ def _movement(crn_stream_id: int, n_agents: int, extent: float, horizon: int):
     np.take(DIRECTIONS, steps, axis=0, out=positions[1:], mode="clip")
     for t in range(2, horizon + 1):
         np.add(positions[t - 1], positions[t], out=positions[t])
+    index_walk = positions[:, _INDEX_AGENT].copy()
     positions += init
     reflect(positions, extent)
-    index_steps = steps[:, _INDEX_AGENT].copy()
     positions.setflags(write=False)
-    index_steps.setflags(write=False)
-    return positions, index_steps
+    index_walk.setflags(write=False)
+    return positions, index_walk
 
 
 #: cells along a side at most, so every id, ring included, is below
@@ -233,18 +233,12 @@ def sir_run(config: SirConfig) -> Trajectory:
     """
     n, horizon = config.n_agents, config.horizon
     stream, extent = int(config.crn_stream_id), float(config.grid_extent)
-    positions, index_steps = _movement(stream, n, extent, horizon)
+    positions, index_walk = _movement(stream, n, extent, horizon)
     cells, cell_ids = _cell_ids(stream, n, extent, horizon, float(config.contact_radius))
-    start = 25.0 + config.seed_id
-    index_free = start + np.concatenate(
-        [np.zeros((1, 2)), np.cumsum(DIRECTIONS[index_steps], axis=0)]
-    )
-    index_path = reflect(index_free, config.grid_extent)
+    index_path = reflect((25.0 + config.seed_id) + index_walk, extent)
     index_cells = cells.ids(index_path[:, 0], index_path[:, 1])
 
-    infect_rng = np.random.default_rng(
-        np.random.SeedSequence([int(config.crn_stream_id), 1])
-    )
+    infect_rng = np.random.default_rng(np.random.SeedSequence([stream, 1]))
     state = np.full(n, _SUSCEPTIBLE, dtype=np.int8)
     state[_INDEX_AGENT] = _INFECTED
     infection_step = np.full(n, -1, dtype=np.int64)

@@ -16,6 +16,7 @@ import pytest
 
 import trajcal
 import trajcal.cli as cli
+from trajcal import emulator
 from trajcal.cli import ConfigError, load_config, main
 
 #: The directory holding the package under test, for child interpreters.
@@ -737,14 +738,18 @@ print(json.dumps({"codes": codes, "after_import": after_import, "at_end": loaded
 """
 
 
+def _skip_without_numpy_openblas():
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    if not glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        pytest.skip("numpy bundles no 64-bit-integer OpenBLAS here")
+
+
 def test_commands_run_without_scipy_and_write_the_same_bytes(tmp_path):
     """With scipy refused by an import hook, calibrate (each grid kind, and a
     small SIR problem), report and simulate succeed and write the bytes they
     write without the hook; neither run loads any scipy module.  Builds whose
     numpy bundles no OpenBLAS take their solves from scipy, so they skip."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    if not glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
-        pytest.skip("numpy bundles no 64-bit-integer OpenBLAS here")
+    _skip_without_numpy_openblas()
     runs, files = [], []
     bundle = ("design.csv", "trace.jsonl", "summary.json", "report.json")
     for kind in ("fixed", "lhs", "adaptive"):
@@ -779,6 +784,28 @@ def test_commands_run_without_scipy_and_write_the_same_bytes(tmp_path):
         for path in files:  # leaves empty bundle directories, which calibrate reuses
             path.unlink()
     assert outputs["block"] == outputs["plain"]
+
+
+def test_calibrate_on_the_fallback_lapack_path_writes_the_default_bundle(tmp_path, monkeypatch):
+    """CI's toy config, at its rerun variants' budget so the seed space grows
+    and is fitted again, as on a build whose numpy bundles no OpenBLAS (macOS,
+    Windows, conda): ``np.linalg.cholesky`` and scipy's LAPACK wrappers in
+    place of numpy's bundled routines.  It writes the bytes the default path
+    writes.  Where numpy bundles none the default path is that fallback
+    already, so it skips."""
+    _skip_without_numpy_openblas()
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    bundles = []
+    for name in ("default", "fallback"):
+        if name == "fallback":
+            monkeypatch.setattr(emulator, "_lapack", lambda name: None)
+        cfg = _toy_config(tmp_path / name)
+        cfg["grid"] = {"kind": "adaptive", "ngrid": 30}
+        cfg["expansion"].update(nsims_expand=4, nexpansion=2)
+        cfg["workflow"]["budget"] = 20
+        assert main(["calibrate", _write(tmp_path, cfg, f"{name}.json")]) == 0
+        bundles.append([(tmp_path / name / f).read_bytes() for f in ("design.csv", "trace.jsonl")])
+    assert bundles[1] == bundles[0]
 
 
 def test_calibrate_budget_equal_to_initial_design(tmp_path):

@@ -1,5 +1,6 @@
 """Search-space primitives: LHS designs, rescaling, discrepancies, transforms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -217,6 +218,40 @@ def test_dataset_append_and_transform_refresh():
     # restandardization is global, so earlier entries move too
     assert not np.allclose(ds.y_std[:2], before)
     assert abs(ds.y_std.mean()) <= 1e-10
+
+
+def test_design_records_own_their_arrays():
+    """A dataset and a design point store copies: a later write to the
+    caller's arrays changes neither, and ``y_std`` stays in step."""
+    X, seeds, y = np.array([[0.1], [0.9]]), np.array([1, 2], dtype=np.int64), np.array([1.0, 4.0])
+    ds = Dataset(X, seeds, y)
+    y_std = ds.y_std.copy()
+    X[0, 0], seeds[0], y[0] = 0.5, 3, 100.0
+    assert ds.X.tolist() == [[0.1], [0.9]] and ds.seeds.tolist() == [1, 2]
+    assert ds.y_raw.tolist() == [1.0, 4.0] and np.array_equal(ds.y_std, y_std)
+    x = np.array([0.25, 0.75])
+    point = DesignPoint(x=x, r=1)
+    x[0] = 0.5
+    assert point.x.tolist() == [0.25, 0.75]
+
+
+def test_dataset_is_a_frozen_record_that_append_alone_writes():
+    rng = np.random.default_rng(3)
+    ds = Dataset(rng.uniform(size=(3, 2)), np.array([1, 2, 1]), rng.uniform(1.0, 9.0, 3))
+    for i in range(1, 4):
+        ds.append(rng.uniform(size=(i, 2)), np.full(i, i), rng.uniform(0.1, 50.0, i), i)
+        assert np.array_equal(ds.y_std, ds.transform.apply(ds.y_raw))
+        assert ds.transform == fit_transform(ds.y_raw)[0]
+    assert len(ds) == 9 and ds.iteration.tolist() == [0, 0, 0, 1, 2, 2, 3, 3, 3]
+    for field in dataclasses.fields(Dataset):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, field.name, getattr(ds, field.name))
+        value = getattr(ds, field.name)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = value[1]
+    assert {f.name for f in dataclasses.fields(Dataset)} == {
+        "X", "seeds", "y_raw", "iteration", "transform", "y_std"}
 
 
 def test_dataset_incumbent_is_min_transformed():

@@ -68,6 +68,17 @@ def test_candidate_grid_validates_domain():
         CandidateGrid(np.empty((0, 1)), np.empty(0, dtype=int))
 
 
+def test_candidate_grid_freezes_its_own_copies_not_the_callers_arrays():
+    X, seeds = np.array([[0.2], [0.7]]), np.array([1, 2], dtype=np.int64)
+    g = CandidateGrid(X, seeds)
+    X[0, 0], seeds[0] = 0.9, 3  # the caller's arrays stay writable
+    assert g.X.tolist() == [[0.2], [0.7]] and g.seeds.tolist() == [1, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        g.X[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        g.seeds[0] = 2
+
+
 def test_candidate_grid_rejects_fractional_seed_ids():
     with pytest.raises(ValueError, match="grid seed ids must be integers >= 1, got 2.5"):
         CandidateGrid(np.array([[0.5], [0.6]]), np.array([1.0, 2.5]))

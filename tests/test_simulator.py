@@ -103,10 +103,10 @@ def test_conservation_every_step():
 
 def test_movement_shared_across_seed_ids():
     """Seed id changes only the index placement; the walk is untouched."""
-    pos_a, steps_a = _movement(7, 250, 50.0, 40)
-    pos_b, steps_b = _movement(7, 250, 50.0, 40)
+    pos_a, walk_a = _movement(7, 250, 50.0, 40)
+    pos_b, walk_b = _movement(7, 250, 50.0, 40)
     assert np.array_equal(pos_a, pos_b)
-    assert np.array_equal(steps_a, steps_b)
+    assert np.array_equal(walk_a, walk_b)
     pos_c, _ = _movement(8, 250, 50.0, 40)
     assert not np.array_equal(pos_a, pos_c)
 
@@ -119,7 +119,8 @@ def test_positions_stay_inside_grid():
 
 def _reference_movement(crn_stream_id, n_agents, extent, horizon):
     """The walk table as whole-array expressions: cumulative sums of the
-    step vectors after a zero row, shifted by the starts, then reflected."""
+    step vectors after a zero row, shifted by the starts, then reflected.
+    Also returns the index agent's cumulative steps, before the shift."""
     rng = np.random.default_rng(np.random.SeedSequence([crn_stream_id, 0]))
     init = rng.uniform(0.0, extent, size=(n_agents, 2))
     steps = rng.integers(0, 9, size=(horizon, n_agents))
@@ -127,7 +128,7 @@ def _reference_movement(crn_stream_id, n_agents, extent, horizon):
         [np.zeros((1, n_agents, 2)), np.cumsum(DIRECTIONS[steps], axis=0)]
     )
     m = np.mod(init[None, :, :] + free, 2.0 * extent)
-    return np.where(m > extent, 2.0 * extent - m, m), steps
+    return np.where(m > extent, 2.0 * extent - m, m), free[:, 0]
 
 
 @pytest.mark.parametrize("args", [
@@ -137,18 +138,20 @@ def _reference_movement(crn_stream_id, n_agents, extent, horizon):
     (9, 200, 37.3, 80),  # a non-integer extent
 ])
 def test_movement_matches_the_whole_array_reference(args):
-    positions, index_steps = _movement(*args)
-    ref_positions, ref_steps = _reference_movement(*args)
+    positions, index_walk = _movement(*args)
+    ref_positions, ref_walk = _reference_movement(*args)
     assert positions.shape == ref_positions.shape
     assert np.array_equal(positions.view(np.int64), ref_positions.view(np.int64))
-    assert index_steps.shape == (args[3],)
-    assert np.array_equal(index_steps, ref_steps[:, 0])
+    assert index_walk.shape == (args[3] + 1, 2)
+    assert np.array_equal(index_walk.view(np.int64), ref_walk.view(np.int64))
+    assert not (positions.flags.writeable or index_walk.flags.writeable)
 
 
 def test_movement_builds_in_little_more_than_it_keeps():
     """The build's traced peak is at most the positions table, the table of
     draws and 1 MiB; the whole-array build held about four more tables of
-    positions at once.  Of the draws only the index agent's column is kept."""
+    positions at once.  Beside the positions only the index agent's walk
+    before its start shift is kept, and no draw."""
     n, horizon = 2000, 100
     tracemalloc.start()
     try:
@@ -157,11 +160,11 @@ def test_movement_builds_in_little_more_than_it_keeps():
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    positions, index_steps = kept
+    positions, index_walk = kept
     draws = horizon * n * np.dtype(np.int64).itemsize
-    assert positions.shape == (horizon + 1, n, 2) and index_steps.shape == (horizon,)
-    assert positions.nbytes + index_steps.nbytes <= current - base
-    assert current - base <= positions.nbytes + index_steps.nbytes + 2**16
+    assert positions.shape == (horizon + 1, n, 2) and index_walk.shape == (horizon + 1, 2)
+    assert positions.nbytes + index_walk.nbytes <= current - base
+    assert current - base <= positions.nbytes + index_walk.nbytes + 2**16
     assert peak - base <= positions.nbytes + draws + 2**20
 
 
@@ -310,16 +313,14 @@ def test_golden_trajectory_hashes():
 
 def _reference_sir_run(config):
     """The simulator with the all-pairs contact search: a dense infected x
-    susceptible distance matrix per step, its pairs read out row-major."""
+    susceptible distance matrix per step, its pairs read out row-major.  The
+    walk, the index agent's included, comes from the whole-array reference,
+    not from the cache that ``sir_run`` reads."""
     n, horizon = config.n_agents, config.horizon
-    positions, index_steps = _movement(
+    positions, index_free = _reference_movement(
         int(config.crn_stream_id), n, float(config.grid_extent), horizon
     )
-    start = 25.0 + config.seed_id
-    index_free = start + np.concatenate(
-        [np.zeros((1, 2)), np.cumsum(DIRECTIONS[index_steps], axis=0)]
-    )
-    index_path = reflect(index_free, config.grid_extent)
+    index_path = reflect(25.0 + config.seed_id + index_free, config.grid_extent)
 
     infect_rng = np.random.default_rng(
         np.random.SeedSequence([int(config.crn_stream_id), 1])
