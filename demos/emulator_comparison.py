@@ -29,12 +29,12 @@ def main():
     y_te = objective(xs_te, seeds_te)
 
     # the same data for both; the GP without a seed space ignores the ids
-    plain = SeedKernelGP(ndim=1, rng=np.random.default_rng(0))
-    plain.fit(xs[:, None], seeds, y)
+    plain = SeedKernelGP(ndim=1)
+    plain.fit(xs[:, None], seeds, y, rng=np.random.default_rng(0))
     pred_plain, _ = plain.predict_mean_var(xs_te[:, None], seeds_te)
 
-    aware = SeedKernelGP(ndim=1, nseeds=nseeds, rng=np.random.default_rng(0))
-    aware.fit(xs[:, None], seeds, y)
+    aware = SeedKernelGP(ndim=1, nseeds=nseeds)
+    aware.fit(xs[:, None], seeds, y, rng=np.random.default_rng(0))
     pred_aware, _ = aware.predict_mean_var(xs_te[:, None], seeds_te)
 
     rmse = lambda p: float(np.sqrt(np.mean((p - y_te) ** 2)))

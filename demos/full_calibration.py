@@ -30,8 +30,7 @@ def main():
         return sse(traj.infected_counts.astype(float), target)
 
     k0 = 8
-    em = SeedKernelGP(ndim=1, nseeds=k0, nstarts=1, maxfev=100,
-                      rng=np.random.default_rng(0))
+    em = SeedKernelGP(ndim=1, nseeds=k0, nstarts=1, maxfev=100)
     cfg = WorkflowConfig(
         budget=90,
         initial_design=12,

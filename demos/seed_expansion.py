@@ -6,8 +6,6 @@ expansion warm-starts the emulator's seed covariance and immediately
 queues a few samples at the new seed so it gets data right away.
 """
 
-import numpy as np
-
 from trajcal.emulator import SeedKernelGP
 from trajcal.expansion import ExpansionConfig
 from trajcal.grid import LHSGrid
@@ -17,8 +15,7 @@ from trajcal.workflow import WorkflowConfig, run
 
 def main():
     k0 = 3
-    em = SeedKernelGP(ndim=1, nseeds=k0, nstarts=1, maxfev=80,
-                      rng=np.random.default_rng(0))
+    em = SeedKernelGP(ndim=1, nseeds=k0, nstarts=1, maxfev=80)
     cfg = WorkflowConfig(
         budget=80,
         initial_design=20,

@@ -116,6 +116,18 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _check_no_bools(seeds, label: str = "") -> None:
+    """Reject a boolean seed id, which asarray or a cast would make seed 1: a bool
+    array's, or one in a list, a tuple or an object array; other arrays pass unscanned."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype != object:
+        bools = seeds.ravel() if seeds.dtype == bool else ()
+    else:
+        bools = [s for s in np.asarray(seeds, dtype=object).ravel()
+                 if isinstance(s, (bool, np.bool_))]
+    if len(bools):
+        raise ValueError(f"{label}seed ids must be integers >= 1, got {bools[0]}")
+
+
 def _check_design(X, seeds, y_raw=None, label: str = ""):
     """Design arrays as new float ``(n, d)``, int64 ``(n,)`` and float ``(n,)``
     arrays, so a record that stores them owns them.
@@ -126,16 +138,8 @@ def _check_design(X, seeds, y_raw=None, label: str = ""):
     prefixes the messages of the range checks.
     """
     X = np.array(X, dtype=float, ndmin=2)
+    _check_no_bools(seeds, label)
     given = np.asarray(seeds).ravel()
-    # asarray or a cast would make True seed 1, so look at the elements as
-    # given: a bool array's, or each of a list, a tuple or an object array
-    if isinstance(seeds, np.ndarray) and seeds.dtype != object:
-        bools = given if given.dtype == bool else ()
-    else:
-        bools = [s for s in np.asarray(seeds, dtype=object).ravel()
-                 if isinstance(s, (bool, np.bool_))]
-    if len(bools):
-        raise ValueError(f"{label}seed ids must be integers >= 1, got {bools[0]}")
     with np.errstate(invalid="ignore"):  # NaN and infinities cast to garbage, caught below
         seeds = given.astype(np.int64)
     if y_raw is None:

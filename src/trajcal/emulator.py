@@ -26,16 +26,13 @@ against new points, and a joint draw's new against new.  ``_project``,
 GPML, Alg. 2.1), serves ``predict_mean_var``, which takes one seed id or a
 row of ids per point, and the joint ``_posterior``.  The training block and
 a joint draw's share one layout: the lower triangle, which LAPACK reads, of
-a Fortran-ordered array, zeros above.  LAPACK routines come from numpy's
-bundled OpenBLAS and are called directly, as the numpy and scipy wrappers
-call them, so every value is bitwise theirs; where numpy bundles none,
-those wrappers are called.
+a Fortran-ordered array, zeros above.  LAPACK is called through
+``kernels``' bindings, so every value is bitwise numpy's and scipy's.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import types
 from itertools import accumulate
@@ -43,12 +40,14 @@ from itertools import accumulate
 import numpy as np
 
 from . import kernels
-from .dataspace import _check_int, latin_hypercube
+from .dataspace import _check_int, _check_no_bools, latin_hypercube
 from .errors import NotFittedError
 from .kernels import (
     LENGTHSCALE_BOUNDS,
     SEED_V_BOUNDS,
     VARIANCE_BOUNDS,
+    _factor,
+    _lapack_solve,
     normalize_rows,
     safe_cholesky,
 )
@@ -85,58 +84,6 @@ def _chol_lml(L: np.ndarray, Y: np.ndarray, bound=None):
     n = Y.shape[0]
     lml = -0.5 * float(Y @ alpha) - float(np.log(L.diagonal()).sum()) - 0.5 * n * _LOG_2PI
     return lml, alpha
-
-
-# ctypes argument types: character flags, 64-bit integers by reference, data
-_C, _I, _P = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-_ARGTYPES = {"dpotrf": [_C, _I, _P, _I, _I], "dpotrs": [_C, _I, _I, _P, _I, _P, _I, _I],
-             "dtrtrs": [_C, _C, _C, _I, _I, _P, _I, _P, _I, _I]}
-
-
-@functools.cache
-def _lapack(name: str):
-    """LAPACK routine ``name`` (a key of ``_ARGTYPES``) from numpy's bundled
-    OpenBLAS, whose ``dpotrf`` is the one ``np.linalg.cholesky`` calls, or
-    None where numpy bundles none.  Not scipy's OpenBLAS: it is another
-    release, whose Cholesky factors differ in the last bits."""
-    function = next(kernels.bundled_openblas("numpy", f"scipy_{name}_64_"), None)
-    if function is not None:
-        function.argtypes = _ARGTYPES[name]
-        function.restype = None
-    return function
-
-
-def _lapack_solve(name: str, flags, A: np.ndarray, B: np.ndarray, bound=None, **scipy_flags):
-    """``dpotrs`` or ``dtrtrs`` with character ``flags`` on Fortran-ordered
-    ``A`` and a copy of ``B``, as scipy's wrappers call them, without their
-    checks; scipy's wrapper itself, with ``scipy_flags``, where numpy
-    bundles no OpenBLAS.  ``bound``: ready ctypes arguments ``(n, nrhs, &A, X, &X, info)``."""
-    if _lapack(name) is None:
-        from scipy.linalg import lapack
-        return getattr(lapack, name)(A, B, **scipy_flags)[0]
-    if bound is None:
-        A, X = np.asfortranarray(A, dtype=float), np.empty(np.shape(B), order="F")
-        bound = (ctypes.c_int64(A.shape[0]), ctypes.c_int64(1 if X.ndim == 1 else X.shape[1]),
-                 A.ctypes.data, X, X.ctypes.data, ctypes.c_int64(0))
-    n, nrhs, a, X, x, info = bound
-    X[...] = B
-    _lapack(name)(*flags, n, nrhs, a, n, x, n, info)
-    return X
-
-
-def _factor(K: np.ndarray, bound=None):
-    """Lower Cholesky factor of the lower triangle of Fortran-ordered ``K``, in place
-    by ``np.linalg.cholesky``'s ``dpotrf`` (``bound``: its ready ctypes arguments
-    ``(n, &K, info)``), new where numpy bundles none; None unless positive definite."""
-    potrf = _lapack("dpotrf")
-    if potrf is None:
-        try:
-            return np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
-            return None
-    n, k, info = bound or (ctypes.c_int64(K.shape[0]), K.ctypes.data, ctypes.c_int64(0))
-    potrf(b"L", n, k, n, info)
-    return None if info.value else K
 
 
 class _MaxFev(Exception):
@@ -259,7 +206,7 @@ class SeedKernelGP:
     """
 
     def __init__(self, ndim: int, nseeds: int | None = None, rank: int | None = None,
-                 family: str = "matern52", rng=None, nstarts: int = 5,
+                 family: str = "matern52", nstarts: int = 5,
                  per_seed_v: bool = False, maxfev: int | None = None,
                  fixed: dict | None = None):
         for name, value in (("ndim", ndim), ("nseeds", nseeds), ("rank", rank),
@@ -268,7 +215,6 @@ class SeedKernelGP:
                 _check_int(name, value, 1)
         if family not in kernels.FROM_SQ_DISTS:
             raise ValueError(f"unknown kernel family {family!r}")
-        self.rng = rng if rng is not None else np.random.default_rng()
         self.nstarts = int(nstarts)
         self.maxfev = maxfev
         self.ndim = int(ndim)
@@ -407,6 +353,7 @@ class SeedKernelGP:
             raise ValueError("need one seed id, or one row of seed ids, per point")
         if not self.seeded:
             return X, np.ones(r.shape, np.int64)
+        _check_no_bools(seeds)
         if not np.issubdtype(r.dtype, np.integer) \
                 or r.size and not 1 <= r.min() <= r.max() <= self.nseeds:
             raise ValueError(f"need one integer seed id in 1..{self.nseeds} per point")
@@ -503,7 +450,7 @@ class SeedKernelGP:
         L = _factor(K, factor_args)
         return np.inf if L is None else -_chol_lml(L, self._Y, solve_args)[0]
 
-    def fit(self, X, seeds, Y):
+    def fit(self, X, seeds, Y, *, rng: np.random.Generator):
         """Fit hyperparameters to training data by multi-start optimization.
 
         Parameters
@@ -514,6 +461,8 @@ class SeedKernelGP:
             Seed ids in 1..k; ignored without a seed space.
         Y : ndarray, shape (n,)
             Standardized objective values.
+        rng : numpy.random.Generator
+            Source of the Latin-hypercube starts; a ``fixed=`` kernel draws none.
 
         Notes
         -----
@@ -533,10 +482,8 @@ class SeedKernelGP:
         if lo.shape[0] == 0:
             best_packed, report["neg_lml"] = lo, self._neg_lml(lo)
         else:
-            starts = []
-            if self._warm is not None and self._warm.shape[0] == lo.shape[0]:
-                starts.append(np.clip(self._warm, lo, hi))
-            starts.extend(lo + latin_hypercube(self.nstarts, lo.shape[0], self.rng) * (hi - lo))
+            warm = [self._warm] if self._warm is not None and self._warm.shape == lo.shape else []
+            starts = warm + list(lo + latin_hypercube(self.nstarts, lo.shape[0], rng) * (hi - lo))
             maxfev = self.maxfev if self.maxfev is not None else min(250 * lo.shape[0], 3000)
             best = None
             for x0 in starts:
@@ -546,7 +493,7 @@ class SeedKernelGP:
                 report["start_status"].append(int(res.status))
                 if best is None or res.fun < best.fun:
                     best = res
-            best_packed, report["neg_lml"] = np.clip(best.x, lo, hi), float(best.fun)
+            best_packed, report["neg_lml"] = best.x, float(best.fun)
 
         self._finalize(best_packed)
         self.fit_report = report
@@ -609,12 +556,11 @@ class SeedKernelGP:
         var = self._prior_var[r.ravel() - 1] - np.einsum("ij,ij->j", V, V)
         return mean.reshape(r.shape), var.reshape(r.shape)
 
-    def sample(self, X, seeds, size: int = 1, rng=None) -> np.ndarray:
+    def sample(self, X, seeds, size: int = 1, *, rng: np.random.Generator) -> np.ndarray:
         """Joint posterior draws at new inputs; deterministic given ``rng``."""
         _check_int("size", size, 1)
-        gen = rng if rng is not None else self.rng
         mean, cov = self._posterior(X, seeds)
-        return draw_mvn(mean, cov, size, gen)
+        return draw_mvn(mean, cov, size, rng)
 
     def expand_seed_space(self, new_nseeds: int) -> None:
         """Grow the seed space to ``new_nseeds``; does nothing without one.

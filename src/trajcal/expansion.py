@@ -34,9 +34,9 @@ class ExpansionConfig:
 
     policy "by-sims" triggers each time the completed count reaches the next
     multiple of ``nsims_expand``; "by-prob" triggers with probability ``p`` at
-    each check.  Each expansion queues ``nexpansion`` points on the new
-    seed: with ``sample_mode`` "explore", drawn uniformly from the refined
-    candidate grid; with "exploit", the best coordinates evaluated so far.
+    each check.  Each expansion queues at most ``nexpansion`` distinct points
+    on the new seed: with ``sample_mode`` "explore", drawn uniformly from the
+    refined candidate grid; with "exploit", the best coordinates so far.
     """
 
     nseeds: int
@@ -84,15 +84,11 @@ def expand(config: ExpansionConfig, expansions: int) -> int:
 
 def sample_from_expansion(grid, nexpansion: int, new_seed: int,
                           rng: np.random.Generator) -> list[DesignPoint]:
-    """Draw ``nexpansion`` grid points and stamp them with the new seed.
-
-    Uniform without replacement from the refined grid; with replacement
-    only when more samples are requested than the grid holds.
-    """
+    """Draw ``min(nexpansion, len(grid))`` grid points uniformly without replacement,
+    so none twice, and stamp them with the new seed."""
     if nexpansion < 0:
         raise ValueError("nexpansion must be >= 0")
-    replace = nexpansion > len(grid)
-    idx = rng.choice(len(grid), size=nexpansion, replace=replace)
+    idx = rng.choice(len(grid), size=min(nexpansion, len(grid)), replace=False)
     return [DesignPoint(x=grid.X[i], r=int(new_seed)) for i in idx]
 
 

@@ -12,12 +12,15 @@ per-fit tables, checking the hyperparameters once; :func:`cross_cov`, the
 tests' reference, builds it from scratch with every check.
 :func:`sq_dists` has the bits of scipy's ``cdist(..., "sqeuclidean")``.
 :func:`bundled_openblas` finds functions of the OpenBLAS that numpy or
-scipy bundles, by package name, without importing the package.
+scipy bundles, by package name, without importing the package.  ``_factor``
+and ``_lapack_solve`` call numpy's LAPACK through it, with the bits of the
+numpy and scipy wrappers, or call those wrappers where numpy bundles none.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import importlib.util
 import os
@@ -176,6 +179,58 @@ def bundled_openblas(package: str, symbol: str):
         yield function
 
 
+# ctypes argument types: character flags, 64-bit integers by reference, data
+_C, _I, _P = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+_ARGTYPES = {"dpotrf": [_C, _I, _P, _I, _I], "dpotrs": [_C, _I, _I, _P, _I, _P, _I, _I],
+             "dtrtrs": [_C, _C, _C, _I, _I, _P, _I, _P, _I, _I]}
+
+
+@functools.cache
+def _lapack(name: str):
+    """LAPACK routine ``name`` (a key of ``_ARGTYPES``) from numpy's bundled
+    OpenBLAS, whose ``dpotrf`` is the one ``np.linalg.cholesky`` calls, or
+    None where numpy bundles none.  Not scipy's OpenBLAS: it is another
+    release, whose Cholesky factors differ in the last bits."""
+    function = next(bundled_openblas("numpy", f"scipy_{name}_64_"), None)
+    if function is not None:
+        function.argtypes = _ARGTYPES[name]
+        function.restype = None
+    return function
+
+
+def _lapack_solve(name: str, flags, A: np.ndarray, B: np.ndarray, bound=None, **scipy_flags):
+    """``dpotrs`` or ``dtrtrs`` with character ``flags`` on Fortran-ordered
+    ``A`` and a copy of ``B``, as scipy's wrappers call them, without their
+    checks; scipy's wrapper itself, with ``scipy_flags``, where numpy
+    bundles no OpenBLAS.  ``bound``: ready ctypes arguments ``(n, nrhs, &A, X, &X, info)``."""
+    if _lapack(name) is None:
+        from scipy.linalg import lapack
+        return getattr(lapack, name)(A, B, **scipy_flags)[0]
+    if bound is None:
+        A, X = np.asfortranarray(A, dtype=float), np.empty(np.shape(B), order="F")
+        bound = (ctypes.c_int64(A.shape[0]), ctypes.c_int64(1 if X.ndim == 1 else X.shape[1]),
+                 A.ctypes.data, X, X.ctypes.data, ctypes.c_int64(0))
+    n, nrhs, a, X, x, info = bound
+    X[...] = B
+    _lapack(name)(*flags, n, nrhs, a, n, x, n, info)
+    return X
+
+
+def _factor(K: np.ndarray, bound=None):
+    """Lower Cholesky factor of the lower triangle of Fortran-ordered ``K``, in place
+    by ``np.linalg.cholesky``'s ``dpotrf`` (``bound``: its ready ctypes arguments
+    ``(n, &K, info)``), new where numpy bundles none; None unless positive definite."""
+    potrf = _lapack("dpotrf")
+    if potrf is None:
+        try:
+            return np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            return None
+    n, k, info = bound or (ctypes.c_int64(K.shape[0]), K.ctypes.data, ctypes.c_int64(0))
+    potrf(b"L", n, k, n, info)
+    return None if info.value else K
+
+
 def safe_cholesky(a: np.ndarray):
     """Lower Cholesky factor of ``a + jitter * I``, from ``a``'s lower triangle.
 
@@ -195,7 +250,6 @@ def safe_cholesky(a: np.ndarray):
     NumericalError
         If no attempt factorizes; carries the final jitter tried.
     """
-    from .emulator import _factor  # emulator, which imports this module, binds LAPACK
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:  # LAPACK reads n x n entries
         raise ValueError("need a square matrix")

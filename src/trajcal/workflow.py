@@ -195,8 +195,8 @@ def run(simulator, config: WorkflowConfig, emulator,
     config : WorkflowConfig
     emulator : SeedKernelGP
         Unfitted, with ``nseeds`` None or ``config.expansion.nseeds``.
-        Refit each iteration on all data; its ``rng`` is reseeded from the
-        fit stream so refits are reproducible.  Its ``ndim`` is the
+        Refit each iteration on all data, with the fit stream as its
+        ``rng``, so refits are reproducible.  Its ``ndim`` is the
         dimension of the initial design.
     grid_strategy : FixedGrid, LHSGrid or AdaptiveGrid
         Called once per iteration with the emulator, the dataset, the
@@ -247,8 +247,8 @@ def run(simulator, config: WorkflowConfig, emulator,
         dataset = Dataset(X, seeds, y)
         while len(dataset) < config.budget:
             iteration += 1
-            emulator.rng = component_stream(config.master_seed, "fit", iteration)
-            emulator.fit(dataset.X, dataset.seeds, dataset.y_std)
+            emulator.fit(dataset.X, dataset.seeds, dataset.y_std,
+                         rng=component_stream(config.master_seed, "fit", iteration))
             tau = dataset.incumbent()
             expansions = len(trace.expansion_events)
             grid = grid_strategy.sample(

@@ -92,8 +92,8 @@ def test_emulator_interpolates_noise_free_observations():
     t0 = time.perf_counter()
     X = np.linspace(0.0, 1.0, 20)[:, None]
     y = np.sin(2.0 * np.pi * X[:, 0]) + X[:, 0]
-    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(0))
-    em.fit(X, None, y)
+    em = SeedKernelGP(ndim=1)
+    em.fit(X, None, y, rng=np.random.default_rng(0))
     mean, var = em.predict_mean_var(X, None)
     elapsed = time.perf_counter() - t0
     # noise-free data must drive the fitted nugget down to its box floor
@@ -127,7 +127,7 @@ def test_joint_posterior_draws_match_their_moments():
             "v": [0.1, 0.1, 0.1],
         },
     )
-    em.fit(Xtr, rtr, ytr)
+    em.fit(Xtr, rtr, ytr, rng=np.random.default_rng())
     Xte, rte = np.array([[0.45], [0.48], [0.51], [0.54], [0.57]]), np.array([1, 2, 3, 1, 2])
     post_mean, post_cov = em._posterior(Xte, rte)  # the lower triangle, zeros above
     post_cov = np.tril(post_cov) + np.tril(post_cov, -1).T
@@ -221,7 +221,7 @@ def test_adaptive_grid_always_returns_full_in_domain_grids():
             "v": [0.1] * 4,
         },
     )
-    em.fit(ds.X, ds.seeds, ds.y_std)
+    em.fit(ds.X, ds.seeds, ds.y_std, rng=np.random.default_rng())
     strategy = AdaptiveGrid(60)
     grid = None
     for _ in range(8):
@@ -249,7 +249,7 @@ def test_two_candidate_thompson_probability_matches_gaussian_formula():
     em = SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.08], "variance": 1.0, "nugget": 1e-6}
     )
-    em.fit(Xtr, None, ytr)
+    em.fit(Xtr, None, ytr, rng=np.random.default_rng())
     grid = CandidateGrid(np.array([[0.15], [0.85]]), np.array([1, 1]))
     _, post_cov = em._posterior(grid.X, grid.seeds)
     assert abs(post_cov[1, 0]) < 1e-4  # the covariance is in the lower triangle

@@ -16,7 +16,7 @@ import pytest
 
 import trajcal
 import trajcal.cli as cli
-from trajcal import emulator
+from trajcal import kernels
 from trajcal.cli import ConfigError, load_config, main
 
 #: The directory holding the package under test, for child interpreters.
@@ -798,7 +798,7 @@ def test_calibrate_on_the_fallback_lapack_path_writes_the_default_bundle(tmp_pat
     bundles = []
     for name in ("default", "fallback"):
         if name == "fallback":
-            monkeypatch.setattr(emulator, "_lapack", lambda name: None)
+            monkeypatch.setattr(kernels, "_lapack", lambda name: None)
         cfg = _toy_config(tmp_path / name)
         cfg["grid"] = {"kind": "adaptive", "ngrid": 30}
         cfg["expansion"].update(nsims_expand=4, nexpansion=2)
@@ -806,6 +806,32 @@ def test_calibrate_on_the_fallback_lapack_path_writes_the_default_bundle(tmp_pat
         assert main(["calibrate", _write(tmp_path, cfg, f"{name}.json")]) == 0
         bundles.append([(tmp_path / name / f).read_bytes() for f in ("design.csv", "trace.jsonl")])
     assert bundles[1] == bundles[0]
+
+
+def test_calibrate_makes_no_unseeded_generator(tmp_path, monkeypatch):
+    """A run is a function of its master seed: with ``np.random.default_rng``
+    refusing a call without a seed, a toy calibration on the adaptive grid that
+    grows its seed space, and a small SIR calibration, each finish."""
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    default_rng = np.random.default_rng
+
+    def seeded_only(seed=None):
+        if seed is None:
+            raise AssertionError("an unseeded generator")
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", seeded_only)
+    toy = _toy_config(tmp_path / "toy")
+    toy["grid"] = {"kind": "adaptive", "ngrid": 30}
+    toy["expansion"].update(nsims_expand=4, nexpansion=2)
+    toy["workflow"]["budget"] = 20
+    sir = _toy_config(tmp_path / "sir")
+    sir["problem"] = {"kind": "sir", "ndim": 1, "lower": [0.02], "upper": [0.12],
+                      "n_agents": 300, "horizon": 30}
+    sir["workflow"] = {"budget": 10, "initial_design": 6, "nTS_samp": 4}
+    for name, cfg in (("toy", toy), ("sir", sir)):
+        assert main(["calibrate", _write(tmp_path, cfg, f"{name}.json")]) == 0
+        assert (tmp_path / name / "summary.json").exists()
 
 
 def test_calibrate_budget_equal_to_initial_design(tmp_path):

@@ -30,7 +30,7 @@ def _smooth_1d(n, rng, noise=0.0):
 def test_fit_rejects_single_point():
     em = SeedKernelGP(ndim=1)
     with pytest.raises(ValueError):
-        em.fit(np.array([[0.5]]), None, np.array([1.0]))
+        em.fit(np.array([[0.5]]), None, np.array([1.0]), rng=np.random.default_rng())
 
 
 def test_predict_before_fit_raises():
@@ -40,7 +40,7 @@ def test_predict_before_fit_raises():
     with pytest.raises(NotFittedError):
         em._posterior(np.array([[0.5]]), None)
     with pytest.raises(NotFittedError):
-        em.sample(np.array([[0.5]]), None)
+        em.sample(np.array([[0.5]]), None, rng=np.random.default_rng())
 
 
 @pytest.mark.parametrize("nseeds", [None, 2])
@@ -50,36 +50,36 @@ def test_non_finite_inputs_are_rejected(nseeds):
     X, Y = np.array([[0.1], [0.5], [0.9]]), np.array([0.3, -0.2, 0.4])
     seeds = np.array([1, 2, 1])
     for bad in (np.nan, np.inf, -np.inf):
-        em = SeedKernelGP(ndim=1, nseeds=nseeds, nstarts=1, maxfev=20,
-                          rng=np.random.default_rng(0))
+        em = SeedKernelGP(ndim=1, nseeds=nseeds, nstarts=1, maxfev=20)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="objective values Y must be finite"):
-            em.fit(X, seeds, np.where([False, True, False], bad, Y))
+            em.fit(X, seeds, np.where([False, True, False], bad, Y), rng=rng)
         with pytest.raises(ValueError, match="coordinates X must be finite"):
-            em.fit(np.where([[False], [False], [True]], bad, X), seeds, Y)
-        em.fit(X, seeds, Y)
+            em.fit(np.where([[False], [False], [True]], bad, X), seeds, Y, rng=rng)
+        em.fit(X, seeds, Y, rng=rng)
         with pytest.raises(ValueError, match="coordinates X must be finite"):
             em.predict_mean_var(np.array([[0.2], [bad]]), np.array([1, 2]))
         with pytest.raises(ValueError, match="coordinates X must be finite"):
-            em.sample(np.array([[bad]]), np.array([1]))
+            em.sample(np.array([[bad]]), np.array([1]), rng=rng)
 
 
 def test_fit_and_sample_take_one_seed_id_per_point():
-    em = SeedKernelGP(ndim=1, nseeds=2, nstarts=1, maxfev=20, rng=np.random.default_rng(0))
+    em, rng = SeedKernelGP(ndim=1, nseeds=2, nstarts=1, maxfev=20), np.random.default_rng(0)
     X, Y = np.array([[0.1], [0.5], [0.9]]), np.array([0.3, -0.2, 0.4])
     with pytest.raises(ValueError, match="one seed id per training point"):
-        em.fit(X, np.ones((3, 1), dtype=int), Y)
-    em.fit(X, np.array([1, 2, 1]), Y)
+        em.fit(X, np.ones((3, 1), dtype=int), Y, rng=rng)
+    em.fit(X, np.array([1, 2, 1]), Y, rng=rng)
     with pytest.raises(ValueError, match="one seed id per point"):
-        em.sample(X, np.ones((3, 2), dtype=int))
+        em.sample(X, np.ones((3, 2), dtype=int), rng=rng)
 
 
 def test_fit_deterministic_given_stream():
     rng = np.random.default_rng(0)
     X, Y = _smooth_1d(12, rng, noise=0.1)
-    a = SeedKernelGP(ndim=1, rng=np.random.default_rng(42))
-    b = SeedKernelGP(ndim=1, rng=np.random.default_rng(42))
-    a.fit(X, None, Y)
-    b.fit(X, None, Y)
+    a = SeedKernelGP(ndim=1)
+    b = SeedKernelGP(ndim=1)
+    a.fit(X, None, Y, rng=np.random.default_rng(42))
+    b.fit(X, None, Y, rng=np.random.default_rng(42))
     assert np.array_equal(a._warm, b._warm)
     assert a.lml == b.lml
 
@@ -93,7 +93,7 @@ def test_fixed_params_lml_matches_hand_solve():
     )
     X = np.array([[0.2], [0.7]])
     Y = np.array([0.3, -0.4])
-    em.fit(X, None, Y)
+    em.fit(X, None, Y, rng=np.random.default_rng())
 
     s5 = math.sqrt(5.0)
     k12 = (1.0 + s5 + 5.0 / 3.0) * math.exp(-s5)  # scaled distance is exactly 1
@@ -108,8 +108,8 @@ def test_fixed_params_lml_matches_hand_solve():
 def test_interpolation_at_training_points():
     rng = np.random.default_rng(1)
     X, Y = _smooth_1d(8, rng)
-    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(2))
-    em.fit(X, None, Y)
+    em = SeedKernelGP(ndim=1)
+    em.fit(X, None, Y, rng=np.random.default_rng(2))
     mean, var = em.predict_mean_var(X, None)
     assert np.abs(mean - Y).max() < 1e-5
     assert var.max() <= 1e-6
@@ -129,7 +129,7 @@ def test_single_informative_point_prediction():
     em = SeedKernelGP(ndim=1, nseeds=2, fixed=fixed)
     X = np.array([[0.3], [0.8]])
     Y = np.array([1.5, -0.7])
-    em.fit(X, [1, 2], Y)
+    em.fit(X, [1, 2], Y, rng=np.random.default_rng())
     mean, _ = em.predict_mean_var(np.array([[0.45]]), [1])
 
     s5 = math.sqrt(5.0)
@@ -144,7 +144,7 @@ def test_far_prediction_reverts_to_prior():
     em = SeedKernelGP(ndim=1, fixed=fixed)
     X = np.array([[0.0], [0.02], [0.05]])
     Y = np.array([0.5, 0.4, 0.6])
-    em.fit(X, None, Y)
+    em.fit(X, None, Y, rng=np.random.default_rng())
     mean, var = em.predict_mean_var(np.array([[1.0]]), None)  # 19 lengthscales away
     assert abs(mean[0]) <= 1e-3
     assert abs(var[0] - 1.0) <= 1e-3
@@ -160,8 +160,8 @@ def _symmetric(cov):
 def test_posterior_summary_shape_and_symmetry():
     rng = np.random.default_rng(3)
     X, Y = _smooth_1d(10, rng, noise=0.05)
-    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(4))
-    em.fit(X, None, Y)
+    em = SeedKernelGP(ndim=1)
+    em.fit(X, None, Y, rng=np.random.default_rng(4))
     grid = np.linspace(0, 1, 7)[:, None]
     mean, cov = em._posterior(grid, None)
     assert mean.shape == (7,)
@@ -187,9 +187,9 @@ def test_posterior_covariance_is_exactly_symmetric(family, rank, nseeds, per_see
     rng = np.random.default_rng(seed)
     k = max(nseeds, rank or 1)
     em = SeedKernelGP(ndim=2, nseeds=None if rank is None else k, rank=rank, family=family,
-                      per_seed_v=per_seed_v, nstarts=1, maxfev=30, rng=rng)
+                      per_seed_v=per_seed_v, nstarts=1, maxfev=30)
     X, seeds = rng.uniform(size=(10, 2)), rng.integers(1, k + 1, size=10)
-    em.fit(X, seeds, rng.normal(size=10))
+    em.fit(X, seeds, rng.normal(size=10), rng=rng)
     new, new_seeds = rng.uniform(size=(npoints, 2)), rng.integers(1, k + 1, size=npoints)
     again = rng.integers(npoints, size=repeats)
     new = np.vstack([new, new[again], X[:repeats]])
@@ -216,9 +216,9 @@ def test_posterior_is_the_reference_joint_posterior(family, rank, d, k, per_seed
     rng = np.random.default_rng(seed)
     k = max(k, rank or 1)
     em = SeedKernelGP(ndim=d, nseeds=None if rank is None else k, rank=rank, family=family,
-                      per_seed_v=per_seed_v, nstarts=1, maxfev=20, rng=rng)
+                      per_seed_v=per_seed_v, nstarts=1, maxfev=20)
     X, seeds = rng.uniform(size=(12, d)), rng.integers(1, k + 1, size=12)
-    em.fit(X, seeds, rng.normal(size=12))
+    em.fit(X, seeds, rng.normal(size=12), rng=rng)
     new, r = rng.uniform(size=(m, d)), rng.integers(1, k + 1, size=m)
     again = rng.integers(m, size=repeats)
     new = np.vstack([new, new[again], X[:repeats]])
@@ -236,8 +236,8 @@ def test_posterior_is_the_reference_joint_posterior(family, rank, d, k, per_seed
 def test_posterior_variance_below_prior():
     rng = np.random.default_rng(5)
     X, Y = _smooth_1d(15, rng, noise=0.1)
-    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(6))
-    em.fit(X, None, Y)
+    em = SeedKernelGP(ndim=1)
+    em.fit(X, None, Y, rng=np.random.default_rng(6))
     grid = np.linspace(0, 1, 50)[:, None]
     _, var = em.predict_mean_var(grid, None)
     assert var.max() <= em.variance + 1e-10
@@ -253,7 +253,7 @@ def test_mean_linearity_in_targets():
 
     def mean_for(y):
         em = SeedKernelGP(ndim=1, fixed=fixed)
-        em.fit(X, None, y)
+        em.fit(X, None, y, rng=np.random.default_rng())
         return em.predict_mean_var(grid, None)[0]
 
     a, b = 0.7, -1.3
@@ -270,8 +270,8 @@ def test_baseline_ignores_seed_column():
     means = []
     for fit_seeds, grid_seeds in ((seeds, np.ones(9, dtype=int)), (np.roll(seeds, 3), None),
                                   (None, None)):
-        em = SeedKernelGP(ndim=1, rng=np.random.default_rng(10))
-        em.fit(X, fit_seeds, Y)
+        em = SeedKernelGP(ndim=1)
+        em.fit(X, fit_seeds, Y, rng=np.random.default_rng(10))
         means.append(em.predict_mean_var(grid, grid_seeds)[0])
     assert np.array_equal(means[0], means[1]) and np.array_equal(means[0], means[2])
 
@@ -296,11 +296,11 @@ def test_seed_gp_relabeling_invariance():
     Y = rng.normal(size=12)
 
     em1 = build(B, v)
-    em1.fit(X, seeds, Y)
+    em1.fit(X, seeds, Y, rng=np.random.default_rng())
 
     inv = np.argsort(perm)
     em2 = build(B[inv], v[inv])
-    em2.fit(X, perm[seeds - 1] + 1, Y)
+    em2.fit(X, perm[seeds - 1] + 1, Y, rng=np.random.default_rng())
 
     grid = np.linspace(0, 1, 6)[:, None]
     mean1, _ = em1.predict_mean_var(grid, np.full(6, 2))
@@ -313,8 +313,8 @@ def test_lml_gradient_small_at_interior_optimum():
     # marginal likelihood is well conditioned enough for finite differences
     rng = np.random.default_rng(0)
     X, Y = _smooth_1d(25, rng, noise=0.3)
-    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(5))
-    em.fit(X, None, Y)
+    em = SeedKernelGP(ndim=1)
+    em.fit(X, None, Y, rng=np.random.default_rng(5))
     lo, hi = em._pack_bounds()
     x = em._warm
     h = 1e-5
@@ -331,8 +331,8 @@ def test_lml_gradient_small_at_interior_optimum():
 def test_sample_deterministic_given_rng():
     rng = np.random.default_rng(12)
     X, Y = _smooth_1d(8, rng, noise=0.05)
-    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(13))
-    em.fit(X, None, Y)
+    em = SeedKernelGP(ndim=1)
+    em.fit(X, None, Y, rng=np.random.default_rng(13))
     grid = np.linspace(0, 1, 5)[:, None]
     d1 = em.sample(grid, None, size=3, rng=np.random.default_rng(99))
     d2 = em.sample(grid, None, size=3, rng=np.random.default_rng(99))
@@ -342,11 +342,11 @@ def test_sample_deterministic_given_rng():
 
 @pytest.mark.parametrize("size", [True, 2.0, "3", 0])
 def test_sample_size_must_be_a_positive_integer(size):
-    em = SeedKernelGP(ndim=1, nstarts=1, maxfev=20, rng=np.random.default_rng(0))
-    em.fit(np.array([[0.1], [0.5], [0.9]]), None, np.array([0.3, -0.2, 0.4]))
+    em, rng = SeedKernelGP(ndim=1, nstarts=1, maxfev=20), np.random.default_rng(0)
+    em.fit(np.array([[0.1], [0.5], [0.9]]), None, np.array([0.3, -0.2, 0.4]), rng=rng)
     with pytest.raises(ValueError, match="size must be"):
-        em.sample(np.array([[0.3]]), None, size=size)
-    assert em.sample(np.array([[0.3]]), None, size=np.int64(2)).shape == (2, 1)
+        em.sample(np.array([[0.3]]), None, size=size, rng=rng)
+    assert em.sample(np.array([[0.3]]), None, size=np.int64(2), rng=rng).shape == (2, 1)
 
 
 def test_sample_degenerate_covariance_collapses():
@@ -356,7 +356,7 @@ def test_sample_degenerate_covariance_collapses():
     )
     X = np.full((60, 1), 0.3)
     Y = np.full(60, 0.7)
-    em.fit(X, None, Y)
+    em.fit(X, None, Y, rng=np.random.default_rng())
     mu, _ = em.predict_mean_var(np.array([[0.3]]), None)
     draws = em.sample(np.array([[0.3]]), None, size=50, rng=np.random.default_rng(14))
     assert np.abs(draws - mu).max() <= 1e-4
@@ -371,8 +371,8 @@ def test_draw_mvn_zero_covariance():
 def test_sample_moments_match_posterior():
     rng = np.random.default_rng(15)
     X, Y = _smooth_1d(10, rng, noise=0.1)
-    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(16))
-    em.fit(X, None, Y)
+    em = SeedKernelGP(ndim=1)
+    em.fit(X, None, Y, rng=np.random.default_rng(16))
     grid = np.linspace(0.1, 0.9, 4)[:, None]
     mean, cov = em._posterior(grid, None)
     draws = em.sample(grid, None, size=20_000, rng=np.random.default_rng(17))
@@ -385,12 +385,27 @@ def test_seed_gp_validates_seed_column():
     X, Y = np.array([[0.1], [0.5]]), np.array([0.0, 1.0])
     for seeds in ([1, 5], [0, 1], [1.5, 2.0], [1], [1, 2, 3]):  # range, 1.5, length
         with pytest.raises(ValueError, match="seed id"):
-            em.fit(X, np.array(seeds), Y)
+            em.fit(X, np.array(seeds), Y, rng=np.random.default_rng())
     with pytest.raises(ValueError, match="coordinate columns"):
-        em.fit(np.array([[0.1, 1.0], [0.5, 2.0]]), np.array([1, 2]), Y)
-    em.fit(X, np.array([1, 3]), Y)
+        em.fit(np.array([[0.1, 1.0], [0.5, 2.0]]), np.array([1, 2]), Y, rng=np.random.default_rng())
+    em.fit(X, np.array([1, 3]), Y, rng=np.random.default_rng())
     with pytest.raises(ValueError, match="seed id"):
         em.predict_mean_var(X, None)
+
+
+def test_seed_ids_reject_a_boolean_in_a_list():
+    """True is not seed 1, as in a ``Dataset``: fitting, predicting and
+    sampling each refuse a list that holds it."""
+    em, rng = SeedKernelGP(ndim=1, nseeds=2, nstarts=1, maxfev=20), np.random.default_rng(0)
+    X, Y = np.array([[0.1], [0.3], [0.5], [0.6], [0.8], [0.9]]), np.linspace(-1.0, 1.0, 6)
+    with pytest.raises(ValueError, match="seed ids must be integers >= 1, got True"):
+        em.fit(X, [1, True, 2, 1, 2, 1], Y, rng=rng)
+    em.fit(X, [1, 1, 2, 1, 2, 1], Y, rng=rng)
+    for call in (lambda: em.predict_mean_var(X[:2], [2, True]),
+                 lambda: em.predict_mean_var(X[:1], [[np.True_, 2]]),
+                 lambda: em.sample(X[:2], [2, True], rng=rng)):
+        with pytest.raises(ValueError, match="seed ids must be integers >= 1, got True"):
+            call()
 
 
 def test_seed_gp_fits_and_predicts_across_seeds():
@@ -399,8 +414,8 @@ def test_seed_gp_fits_and_predicts_across_seeds():
     X = rng.uniform(0, 1, size=(n, 1))
     seeds = 1 + (np.arange(n) % 3)
     Y = np.sin(5 * X[:, 0]) + 0.05 * seeds
-    em = SeedKernelGP(ndim=1, nseeds=3, rng=np.random.default_rng(19))
-    em.fit(X, seeds, Y)
+    em = SeedKernelGP(ndim=1, nseeds=3)
+    em.fit(X, seeds, Y, rng=np.random.default_rng(19))
     mean, var = em.predict_mean_var(np.linspace(0, 1, 8)[:, None], np.ones(8, dtype=int))
     assert mean.shape == (8,)
     assert np.all(var >= -1e-10)
@@ -413,8 +428,8 @@ def test_seed_gp_rank_one_and_per_seed_v():
     seeds = 1 + (np.arange(n) % 3)
     Y = rng.normal(size=n)
     for kwargs in ({"rank": 1}, {"per_seed_v": True}, {"rank": 3}):
-        em = SeedKernelGP(ndim=1, nseeds=3, rng=np.random.default_rng(21), **kwargs)
-        em.fit(X, seeds, Y)
+        em = SeedKernelGP(ndim=1, nseeds=3, **kwargs)
+        em.fit(X, seeds, Y, rng=np.random.default_rng(21))
         mean, _ = em.predict_mean_var(np.array([[0.5]]), [2])
         assert np.isfinite(mean[0])
 
@@ -443,9 +458,8 @@ def test_rank_two_decodes_each_angle_to_its_cosine_and_sine():
 
 def test_rank_three_expansion_starts_new_seeds_at_the_mean_direction():
     rng = np.random.default_rng(51)
-    em = SeedKernelGP(ndim=2, nseeds=3, rank=3, nstarts=1, maxfev=60,
-                      rng=np.random.default_rng(52))
-    em.fit(*_seeded_data(rng, 20, [1, 2, 3]))
+    em = SeedKernelGP(ndim=2, nseeds=3, rank=3, nstarts=1, maxfev=60)
+    em.fit(*_seeded_data(rng, 20, [1, 2, 3]), rng=np.random.default_rng(52))
     old = em._decode(em._warm)[2]
     em.expand_seed_space(5)
     B = em._decode(em._warm)[2]
@@ -459,12 +473,11 @@ def test_rank_one_is_a_factor_shared_by_every_seed():
     """Rank 1 packs no ``B`` entries, before and after the seed space
     grows, and its seed matrix is ``1 1^T + diag(v)``."""
     rng = np.random.default_rng(53)
-    em = SeedKernelGP(ndim=2, nseeds=3, rank=1, per_seed_v=True, nstarts=1, maxfev=60,
-                      rng=np.random.default_rng(54))
+    em = SeedKernelGP(ndim=2, nseeds=3, rank=1, per_seed_v=True, nstarts=1, maxfev=60)
     b_block = em._blocks[2]
     assert b_block.start == b_block.stop == 3
     assert em._pack_bounds()[0].shape == (2 + 1 + 3 + 1,)
-    em.fit(*_seeded_data(rng, 20, [1, 2, 3]))
+    em.fit(*_seeded_data(rng, 20, [1, 2, 3]), rng=np.random.default_rng(54))
     v = em._decode(em._warm)[3]
     assert np.array_equal(em.seed_matrix, np.ones((3, 3)) + np.diag(v))
     em.expand_seed_space(4)
@@ -478,11 +491,11 @@ def test_default_rank_follows_the_seed_space_and_a_given_rank_stays():
     keeps no angle block."""
     rng = np.random.default_rng(55)
     data = _seeded_data(rng, 12, [1])
-    em = SeedKernelGP(ndim=2, nseeds=1, nstarts=1, maxfev=60, rng=np.random.default_rng(56))
-    given = SeedKernelGP(ndim=2, nseeds=1, rank=1, nstarts=1, maxfev=60,
-                         rng=np.random.default_rng(56))
+    em = SeedKernelGP(ndim=2, nseeds=1, nstarts=1, maxfev=60)
+    given = SeedKernelGP(ndim=2, nseeds=1, rank=1, nstarts=1, maxfev=60)
+    streams = {em: np.random.default_rng(56), given: np.random.default_rng(56)}
     for gp in (em, given):
-        gp.fit(*data)
+        gp.fit(*data, rng=streams[gp])
     assert em.rank == given.rank == 1
     v = em._decode(em._warm)[3][0]
     em.expand_seed_space(3)
@@ -495,7 +508,7 @@ def test_default_rank_follows_the_seed_space_and_a_given_rank_stays():
     assert given.rank == 1 and given._blocks[2].start == given._blocks[2].stop
     for gp in (em, given):
         gp.fit(np.vstack([data[0], [[0.5, 0.5], [0.2, 0.8]]]), np.append(data[1], [2, 3]),
-               np.append(data[2], [0.1, -0.3]))
+               np.append(data[2], [0.1, -0.3]), rng=streams[gp])
         assert gp.seed_matrix.shape == (3, 3)
     assert em._blocks == SeedKernelGP(ndim=2, nseeds=3)._blocks
 
@@ -506,13 +519,13 @@ def test_expand_seed_space_grows_then_requires_refit():
     X = rng.uniform(0, 1, size=(n, 1))
     seeds = 1 + (np.arange(n) % 3)
     Y = rng.normal(size=n)
-    em = SeedKernelGP(ndim=1, nseeds=3, rng=np.random.default_rng(23))
-    em.fit(X, seeds, Y)
+    em, fit_rng = SeedKernelGP(ndim=1, nseeds=3), np.random.default_rng(23)
+    em.fit(X, seeds, Y, rng=fit_rng)
     em.expand_seed_space(4)
     assert em.nseeds == 4
     with pytest.raises(NotFittedError):
         em.predict_mean_var(np.array([[0.5]]), [4])
-    em.fit(np.vstack([X, [[0.5]]]), np.append(seeds, 4), np.append(Y, 0.1))
+    em.fit(np.vstack([X, [[0.5]]]), np.append(seeds, 4), np.append(Y, 0.1), rng=fit_rng)
     mean, _ = em.predict_mean_var(np.array([[0.5]]), [4])
     assert np.isfinite(mean[0])
 
@@ -522,10 +535,10 @@ def test_seedless_gp_packs_no_seed_parameters():
     seed ids go unchecked, and expansion changes nothing."""
     rng = np.random.default_rng(32)
     X, Y = _smooth_1d(10, rng, noise=0.05)
-    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(33))
+    em = SeedKernelGP(ndim=1)
     lo, _ = em._pack_bounds()
     assert lo.shape == (3,)
-    em.fit(X, np.full(10, 99), Y)
+    em.fit(X, np.full(10, 99), Y, rng=np.random.default_rng(33))
     assert em.seed_matrix is None
     em.expand_seed_space(5)
     assert em.nseeds is None
@@ -611,9 +624,8 @@ def test_constructor_rejects_bad_kernel_settings(field, fixed, extra):
 def test_solve_lower_is_solve_triangular(nseeds):
     """The direct LAPACK call gives the bits of the scipy wrapper it replaces."""
     rng = np.random.default_rng(34)
-    em = SeedKernelGP(ndim=2, nseeds=nseeds, nstarts=1, maxfev=20,
-                      rng=np.random.default_rng(35))
-    em.fit(*_seeded_data(rng, 30, [1, 2, 3]))
+    em = SeedKernelGP(ndim=2, nseeds=nseeds, nstarts=1, maxfev=20)
+    em.fit(*_seeded_data(rng, 30, [1, 2, 3]), rng=np.random.default_rng(35))
     for m in (1, 3, 50):
         B = rng.normal(size=(30, m))
         assert np.array_equal(em._solve_lower(B), solve_triangular(em._L, B, lower=True))
@@ -622,8 +634,8 @@ def test_solve_lower_is_solve_triangular(nseeds):
 def test_fit_report_tracks_starts():
     rng = np.random.default_rng(30)
     X, Y = _smooth_1d(10, rng, noise=0.1)
-    em = SeedKernelGP(ndim=1, rng=np.random.default_rng(31), nstarts=3)
-    em.fit(X, None, Y)
+    em = SeedKernelGP(ndim=1, nstarts=3)
+    em.fit(X, None, Y, rng=np.random.default_rng(31))
     report = em.fit_report
     assert len(report["start_neg_lml"]) >= 3
     assert report["neg_lml"] <= min(report["start_neg_lml"]) + 1e-9
@@ -633,9 +645,9 @@ def test_fit_report_tracks_starts():
 def test_fit_report_shows_starts_stopped_at_maxfev():
     rng = np.random.default_rng(32)
     X, r, Y = _seeded_data(rng, 25, [1, 2, 3])
-    em = SeedKernelGP(ndim=2, nseeds=3, nstarts=3, maxfev=30, rng=np.random.default_rng(33))
-    em.fit(X, r, Y)
-    em.fit(X, r, Y)  # the previous optimum is a fourth start
+    em, fit_rng = SeedKernelGP(ndim=2, nseeds=3, nstarts=3, maxfev=30), np.random.default_rng(33)
+    em.fit(X, r, Y, rng=fit_rng)
+    em.fit(X, r, Y, rng=fit_rng)  # the previous optimum is a fourth start
     report = em.fit_report
     assert report["start_nfev"] == [30] * 4
     assert report["start_status"] == [1] * 4  # scipy: maximum evaluations reached
@@ -695,7 +707,7 @@ def _factor_paths(monkeypatch):
     as on a build without them: ``np.linalg.cholesky`` and scipy's wrappers."""
     yield
     with monkeypatch.context() as m:
-        m.setattr(emulator, "_lapack", lambda name: None)
+        m.setattr(kernels, "_lapack", lambda name: None)
         yield
 
 
@@ -707,16 +719,15 @@ def test_neg_lml_fast_path_equals_reference(family, rank, per_seed_v, nugget, mo
     """A free nugget is estimated; a fixed kernel pins it at 1e-6."""
     nseeds = None if rank is None else 3
     for _ in _factor_paths(monkeypatch):
-        rng = np.random.default_rng(40)
+        rng, fit_rng = np.random.default_rng(40), np.random.default_rng(41)
         common = dict(ndim=2, nseeds=nseeds, rank=rank, family=family,
-                      per_seed_v=per_seed_v, nstarts=1, maxfev=20,
-                      rng=np.random.default_rng(41))
+                      per_seed_v=per_seed_v, nstarts=1, maxfev=20)
         em, fixed = SeedKernelGP(**common), None
         for n in (2, 7, 40, 150):
             if nugget == "fixed":
                 fixed = _random_fixed(rng, 2, nseeds, rank, 1e-6)
                 em = SeedKernelGP(**common, fixed=fixed)
-            em.fit(*_seeded_data(rng, n, [1, 2, 3]))
+            em.fit(*_seeded_data(rng, n, [1, 2, 3]), rng=fit_rng)
             _assert_fast_path_exact(em, rng, fixed=fixed)
 
 
@@ -730,7 +741,7 @@ def test_numpy_bundles_the_dpotrf_the_likelihood_calls():
     """Where numpy's wheel bundles OpenBLAS, the in-place path is the one in
     use, and the solves come from the same library."""
     _skip_without_numpy_openblas()
-    assert all(emulator._lapack(name) is not None for name in ("dpotrf", "dpotrs", "dtrtrs"))
+    assert all(kernels._lapack(name) is not None for name in ("dpotrf", "dpotrs", "dtrtrs"))
 
 
 def test_dpotrs_from_numpy_openblas_is_scipys():
@@ -744,7 +755,7 @@ def test_dpotrs_from_numpy_openblas_is_scipys():
         L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
         Y = rng.normal(size=n if nrhs is None else (n, nrhs))
         for factor in (L, np.asfortranarray(L)):
-            assert np.array_equal(emulator._lapack_solve("dpotrs", (b"L",), factor, Y, lower=True),
+            assert np.array_equal(kernels._lapack_solve("dpotrs", (b"L",), factor, Y, lower=True),
                                   dpotrs(factor, Y, lower=True)[0])
 
 
@@ -753,9 +764,10 @@ def _neg_lml_objective(ndim, nseeds, rank, per_seed_v, n, seed, family="matern52
     random data, with its optimum."""
     rng = np.random.default_rng(seed)
     em = SeedKernelGP(ndim=ndim, nseeds=nseeds, rank=rank, per_seed_v=per_seed_v,
-                      family=family, nstarts=1, maxfev=30, rng=np.random.default_rng(seed))
+                      family=family, nstarts=1, maxfev=30)
     X, r = rng.uniform(size=(n, ndim)), rng.integers(1, (nseeds or 1) + 1, n)
-    em.fit(X, r if nseeds else None, np.sin(5.0 * X[:, 0]) + 0.1 * rng.normal(size=n))
+    em.fit(X, r if nseeds else None, np.sin(5.0 * X[:, 0]) + 0.1 * rng.normal(size=n),
+           rng=np.random.default_rng(seed))
     lo, hi = em._pack_bounds()
     return em._neg_lml, lo, hi, em._warm
 
@@ -835,8 +847,8 @@ def test_a_fitted_emulator_pickles_with_its_workspace():
     """The per-fit workspace holds no pointers, so a copy evaluates and
     predicts on its own buffers."""
     rng = np.random.default_rng(46)
-    em = SeedKernelGP(ndim=2, nseeds=3, nstarts=1, maxfev=20, rng=np.random.default_rng(47))
-    em.fit(*_seeded_data(rng, 20, [1, 2, 3]))
+    em = SeedKernelGP(ndim=2, nseeds=3, nstarts=1, maxfev=20)
+    em.fit(*_seeded_data(rng, 20, [1, 2, 3]), rng=np.random.default_rng(47))
     twin = pickle.loads(pickle.dumps(em))
     lo, hi = em._pack_bounds()
     p = lo + rng.uniform(size=lo.shape) * (hi - lo)
@@ -853,9 +865,8 @@ def test_neg_lml_fast_path_is_inf_where_the_reference_raises(monkeypatch):
 
 def _check_inf_where_the_reference_raises():
     rng = np.random.default_rng(42)
-    em = SeedKernelGP(ndim=2, nseeds=3, rank=1, nstarts=1, maxfev=20,
-                      rng=np.random.default_rng(43))
-    em.fit(*_seeded_data(rng, 30, [1, 2, 3]))
+    em = SeedKernelGP(ndim=2, nseeds=3, rank=1, nstarts=1, maxfev=20)
+    em.fit(*_seeded_data(rng, 30, [1, 2, 3]), rng=np.random.default_rng(43))
     # lengthscales that underflow to zero, far outside the box
     p = em._warm.copy()
     p[0] = -1000.0
@@ -863,9 +874,8 @@ def _check_inf_where_the_reference_raises():
 
     # a near-singular RBF Gram matrix whose variance, far outside the box,
     # swamps the nugget: Cholesky fails
-    em = SeedKernelGP(ndim=2, family="rbf", nstarts=1, maxfev=20,
-                      rng=np.random.default_rng(43))
-    em.fit(*_seeded_data(rng, 30, [1]))
+    em = SeedKernelGP(ndim=2, family="rbf", nstarts=1, maxfev=20)
+    em.fit(*_seeded_data(rng, 30, [1]), rng=np.random.default_rng(43))
     p = np.array([math.log(2.0), math.log(2.0), math.log(1e12), math.log(1e-8)])
     K = kernels.cross_cov(*em._train, *em._train, *em._hyper(p)[:3], "rbf")
     with pytest.raises(np.linalg.LinAlgError):
@@ -878,14 +888,14 @@ def test_neg_lml_per_fit_state_follows_the_data(rank):
     """The seed-pair and diagonal indices are rebuilt by every fit: after the
     seed space grows, and after a fit on fewer rows than the last one."""
     rng = np.random.default_rng(44)
-    em = SeedKernelGP(ndim=2, nseeds=3, rank=rank, per_seed_v=True, nstarts=1,
-                      maxfev=20, rng=np.random.default_rng(45))
-    em.fit(*_seeded_data(rng, 20, [1, 2, 3]))
+    em, fit_rng = SeedKernelGP(ndim=2, nseeds=3, rank=rank, per_seed_v=True, nstarts=1,
+                               maxfev=20), np.random.default_rng(45)
+    em.fit(*_seeded_data(rng, 20, [1, 2, 3]), rng=fit_rng)
     _assert_fast_path_exact(em, rng)
     em.expand_seed_space(5)
-    em.fit(*_seeded_data(rng, 24, [1, 4, 5]))
+    em.fit(*_seeded_data(rng, 24, [1, 4, 5]), rng=fit_rng)
     _assert_fast_path_exact(em, rng)
-    em.fit(*_seeded_data(rng, 9, [2, 4, 5]))
+    em.fit(*_seeded_data(rng, 9, [2, 4, 5]), rng=fit_rng)
     _assert_fast_path_exact(em, rng)
 
 
@@ -916,7 +926,7 @@ def _reference_draw(em, X, r, size, rng):
 
 def _assert_draws_are_the_reference(em, X, r, sizes=(1, 8)):
     for size in sizes:
-        got = em.sample(X, r, size, np.random.default_rng(size))
+        got = em.sample(X, r, size, rng=np.random.default_rng(size))
         want, _ = _reference_draw(em, X, r, size, np.random.default_rng(size))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -936,10 +946,9 @@ def test_sample_is_the_reference_draw(family, rank, per_seed_v, monkeypatch):
         rng = np.random.default_rng(60)
         k = 4
         em = SeedKernelGP(ndim=2, nseeds=None if rank is None else k, rank=rank,
-                          family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=30,
-                          rng=np.random.default_rng(61))
+                          family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=30)
         X, r, Y = _seeded_data(rng, 20, range(1, k + 1))
-        em.fit(X, r, Y)
+        em.fit(X, r, Y, rng=np.random.default_rng(61))
         for m in (1, rows - 1, rows, rows + 1, 500):
             new, new_r = rng.uniform(size=(m, 2)), rng.integers(1, k + 1, m)
             if m > 10:
@@ -965,18 +974,18 @@ def test_sample_follows_the_reference_up_the_jitter_ladder(monkeypatch):
         for ls, log_variance in itertools.product((0.3, 0.2), np.arange(5.0, 8.51, 0.125)):
             fixed = {"lengthscales": [ls], "variance": 10.0 ** log_variance, "nugget": 1e-8}
             em = SeedKernelGP(ndim=1, fixed=fixed)
-            em.fit(X, None, np.sin(5.0 * X[:, 0]))
+            em.fit(X, None, np.sin(5.0 * X[:, 0]), rng=np.random.default_rng())
             for repeats in range(1, 7):
                 new = np.repeat(X, repeats, axis=0)
                 try:
                     want, escalations = _reference_draw(em, new, None, 2, np.random.default_rng(0))
                 except NumericalError as err:
                     with pytest.raises(NumericalError) as got:
-                        em.sample(new, None, 2, np.random.default_rng(0))
+                        em.sample(new, None, 2, rng=np.random.default_rng(0))
                     assert got.value.jitter == err.jitter
                     rungs.add("exhausted")
                     continue
-                got = em.sample(new, None, 2, np.random.default_rng(0))
+                got = em.sample(new, None, 2, rng=np.random.default_rng(0))
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 rungs.add(escalations)
         assert rungs == set(range(kernels.MAX_ESCALATIONS + 1)) | {"exhausted"}
@@ -995,10 +1004,10 @@ def test_fit_report_start_values_are_the_start_likelihoods(monkeypatch):
     monkeypatch.setattr(emulator, "minimize", recording)
     rng = np.random.default_rng(62)
     for nseeds, rank, maxfev in ((None, None, 1), (3, 2, 25), (3, 3, 60)):
-        em = SeedKernelGP(ndim=2, nseeds=nseeds, rank=rank, nstarts=3, maxfev=maxfev,
-                          rng=np.random.default_rng(63))
+        em = SeedKernelGP(ndim=2, nseeds=nseeds, rank=rank, nstarts=3, maxfev=maxfev)
+        fit_rng = np.random.default_rng(63)
         for n in (12, 20):  # the second fit adds the first one's optimum as a start
             starts.clear()
-            em.fit(*_seeded_data(rng, n, [1, 2, 3]))
+            em.fit(*_seeded_data(rng, n, [1, 2, 3]), rng=fit_rng)
             assert len(starts) == 3 + (n == 20)
             assert em.fit_report["start_neg_lml"] == [float(em._neg_lml(x0)) for x0 in starts]

@@ -155,10 +155,12 @@ def test_sample_from_expansion_without_replacement():
     assert len({tuple(p.x) for p in pts}) == 12
 
 
-def test_sample_from_expansion_with_replacement_when_oversized():
+def test_sample_from_expansion_takes_each_point_once_when_oversized():
+    # a batch never re-runs an (x, new seed) pair: the 3-point grid gives 3
     grid = _grid(m=3)
     pts = sample_from_expansion(grid, 7, new_seed=4, rng=np.random.default_rng(7))
-    assert len(pts) == 7
+    assert sorted(tuple(p.x) for p in pts) == sorted(tuple(row) for row in grid.X)
+    assert all(p.r == 4 for p in pts)
 
 
 def test_sample_from_expansion_edge_cases():

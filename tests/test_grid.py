@@ -430,9 +430,9 @@ def test_seedwise_likelihood_equals_tiled_likelihood_values(
             fixed.update(B=rng.normal(size=(nseeds, rank)), v=rng.uniform(0.0, 0.5, nseeds))
     em = SeedKernelGP(ndim=ndim, nseeds=None if rank is None else nseeds, rank=rank,
                       family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=20,
-                      fixed=fixed, rng=np.random.default_rng(data_seed))
+                      fixed=fixed)
     X, seeds = rng.random((n, ndim)), rng.integers(1, nseeds + 1, size=n)
-    em.fit(X, seeds, rng.normal(size=n))
+    em.fit(X, seeds, rng.normal(size=n), rng=np.random.default_rng(data_seed))
     for m in range(1, 6):
         X, k, tau = rng.random((m, ndim)), int(rng.integers(1, nseeds + 1)), rng.normal()
         for rows in (np.broadcast_to(np.arange(1, k + 1), (m, k)),
@@ -450,7 +450,7 @@ def test_seedwise_likelihood_equals_tiled_likelihood_values(
 def test_predict_mean_var_checks_the_seed_range():
     em = SeedKernelGP(ndim=1, nseeds=3, fixed={"lengthscales": [0.5], "variance": 1.0,
                                                "B": np.eye(3), "v": np.zeros(3)})
-    em.fit(np.array([[0.2], [0.7]]), np.array([1, 3]), np.array([0.1, -0.2]))
+    em.fit(np.array([[0.2], [0.7]]), np.array([1, 3]), np.array([0.1, -0.2]), rng=np.random.default_rng())
     for seeds in ([4], [0], [[1, 2, 3, 4]], [[0, 1]], [[1.0, 2.0]]):
         with pytest.raises(ValueError, match=r"integer seed id in 1\.\.3"):
             em.predict_mean_var(np.array([0.5]), np.array(seeds))
@@ -460,7 +460,8 @@ def test_predict_mean_var_checks_the_seed_range():
 def test_predict_mean_var_checks_the_input_shapes():
     em = SeedKernelGP(ndim=2, nseeds=2, fixed={"lengthscales": [0.5, 0.5], "variance": 1.0,
                                                "B": np.eye(2), "v": np.zeros(2)})
-    em.fit(np.array([[0.2, 0.3], [0.7, 0.6]]), np.array([1, 2]), np.array([0.1, -0.2]))
+    em.fit(np.array([[0.2, 0.3], [0.7, 0.6]]), np.array([1, 2]), np.array([0.1, -0.2]),
+           rng=np.random.default_rng())
     rows = np.broadcast_to(np.arange(1, 3), (4, 2))
     with pytest.raises(ValueError, match="expected 2 coordinate columns, got 1"):
         em.predict_mean_var(np.array([0.5]), np.array([[1, 2]]))

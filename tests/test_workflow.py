@@ -158,7 +158,7 @@ def test_thompson_real_emulator_prefers_low_mean_region():
     em = SeedKernelGP(
         ndim=1, fixed={"lengthscales": [0.3], "variance": 1.0, "nugget": 1e-8}
     )
-    em.fit(X, np.ones(9, dtype=int), y)
+    em.fit(X, np.ones(9, dtype=int), y, rng=np.random.default_rng())
     grid = CandidateGrid(np.linspace(0, 1, 21)[:, None], np.ones(21, dtype=int))
     points, argmins = thompson_select(em, grid, 50, component_stream(0, "thompson"))
     assert np.mean(np.abs(grid.X[argmins, 0] - 0.5) < 0.2) > 0.9
