@@ -182,7 +182,7 @@ def _scalar(value, name, kind, minimum, maximum):
 
 def _cross_field(cfg: dict, after: str) -> None:
     """The rules between keys, each checked right after the row (or, for the
-    rank, the section) that ``after`` names."""
+    rank and the SIR index cases, the section) that ``after`` names."""
     problem, expansion, workflow = (cfg.get(s) for s in ("problem", "expansion", "workflow"))
     if after == "problem.ndim":
         if problem["kind"] == "sir" and problem["ndim"] != 1:
@@ -201,6 +201,13 @@ def _cross_field(cfg: dict, after: str) -> None:
                 and rank > expansion["nseeds"]:
             raise ConfigError(
                 f"emulator.rank: must be <= expansion.nseeds ({expansion['nseeds']})")
+        if problem["kind"] == "sir":  # the truth's index case, then the largest initial seed's
+            truth = [] if problem["truth_file"] else [("problem", problem["truth"]["seed_id"])]
+            for where, seed_id in truth + [("expansion.nseeds", expansion["nseeds"])]:
+                try:
+                    SirConfig(beta=0.0, seed_id=seed_id, grid_extent=problem["grid_extent"])
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
     elif after == "workflow.master_seed":
         if workflow["budget"] < workflow["initial_design"]:
             raise ConfigError("workflow.budget: must be >= workflow.initial_design")
@@ -307,25 +314,16 @@ def _build_objective(problem: dict, bounds: Bounds):
     npoints = problem["horizon"] + 1
     if problem["truth_file"] is not None:
         target = _read_truth_file(problem["truth_file"], npoints)
-    else:
-        try:
-            truth_cfg = SirConfig(
-                beta=problem["truth"]["beta"], seed_id=problem["truth"]["seed_id"], **overrides
-            )
-        except ValueError as exc:
-            raise ConfigError(f"problem: {exc}") from None
+    else:  # load_config has placed its index case on the grid
+        truth_cfg = SirConfig(
+            beta=problem["truth"]["beta"], seed_id=problem["truth"]["seed_id"], **overrides
+        )
         target = sir_run(truth_cfg).infected_counts.astype(float)
-    cache: dict = {}
 
     def objective(point) -> float:
-        key = (point.x.tobytes(), point.r)
-        if key in cache:
-            return cache[key]
         beta = float(rescale(point.x, bounds)[0])
         traj = sir_run(SirConfig(beta=beta, seed_id=point.r, **overrides))
-        y = sse(traj.infected_counts.astype(float), target)
-        cache[key] = y
-        return y
+        return sse(traj.infected_counts.astype(float), target)
 
     return objective, npoints
 

@@ -24,10 +24,10 @@ workspace kept while the optimizer runs, one n x n buffer that
 against new points, and a joint draw's new against new.  ``_project``,
 ``V = L^-1 K(X, x*)`` and the mean ``K(x*, X) alpha`` (Rasmussen & Williams,
 GPML, Alg. 2.1), serves ``predict_mean_var``, which takes one seed id or a
-row of ids per point, and the joint ``_posterior``.  The training block and
-a joint draw's share one layout: the lower triangle, which LAPACK reads, of
-a Fortran-ordered array, zeros above.  LAPACK is called through
-``kernels``' bindings, so every value is bitwise numpy's and scipy's.
+row of ids per point, and the joint ``_posterior`` that ``sample`` draws
+from.  The training block and a joint draw's share one layout: the lower
+triangle of a Fortran-ordered array is read, and what lies above it is
+not.  LAPACK runs through ``kernels``' bindings, bitwise numpy's and scipy's.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .kernels import (
     safe_cholesky,
 )
 
-__all__ = ["SeedKernelGP", "draw_mvn"]
+__all__ = ["SeedKernelGP"]
 
 NUGGET_BOUNDS = (1e-8, 1.0)
 
@@ -61,20 +61,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # the baseline's seed table: every id reads the exact factor 1
 _ONE_SEED = np.ones((1, 1))
 _ONE_SEED.setflags(write=False)
-
-
-def draw_mvn(mean: np.ndarray, cov: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``size`` joint samples from N(mean, cov); only the lower triangle
-    of ``cov`` is read.
-
-    Uses a Cholesky factor of ``cov`` with escalating jitter, so numerically
-    degenerate covariances (including exact zeros) yield draws collapsed
-    onto the mean.  Deterministic given the generator state.
-    """
-    mean = np.asarray(mean, dtype=float).ravel()
-    L, _ = safe_cholesky(cov)
-    z = rng.standard_normal((size, mean.shape[0]))
-    return mean[None, :] + z @ L.T
 
 
 def _chol_lml(L: np.ndarray, Y: np.ndarray, bound=None):
@@ -421,13 +407,12 @@ class SeedKernelGP:
         """
         return _lapack_solve("dtrtrs", (b"U", b"T", b"N"), self._L.T, B, lower=0, trans=1)
 
-    def _cross(self, Z, rows, X, r):
+    def _cross(self, Z, rows, Zx, r):
         """``(p, m·j)`` covariances of p scaled points ``Z``, whose rows of ``_S``
-        are ``rows``, with new points ``X`` under ids ``r``, ``(m,)`` or ``(m, j)``,
-        column ``i·j + s`` for ``r[i, s]``; ``Z, rows`` are ``_Z, _seed_rows``
-        for the training points, ``X / ls, _S[r - 1]`` for ``X`` itself."""
-        c = kernels.FROM_SQ_DISTS[self.family](
-            kernels.sq_dists(Z, X / self.lengthscales), self.variance)
+        are ``rows``, with m scaled new points ``Zx`` under ids ``r``, ``(m,)`` or
+        ``(m, j)``, column ``i·j + s`` for ``r[i, s]``; ``Z, rows`` are ``_Z,
+        _seed_rows`` for the training points, ``Zx, _S[r - 1]`` for the new ones."""
+        c = kernels.FROM_SQ_DISTS[self.family](kernels.sq_dists(Z, Zx), self.variance)
         # take gives a fresh C-ordered block for every shape of r, so the BLAS
         # calls after it round alike (a fancy-index gather may not be C-ordered)
         Ks = rows.take(r - 1, axis=1)
@@ -482,7 +467,7 @@ class SeedKernelGP:
         if lo.shape[0] == 0:
             best_packed, report["neg_lml"] = lo, self._neg_lml(lo)
         else:
-            warm = [self._warm] if self._warm is not None and self._warm.shape == lo.shape else []
+            warm = [] if self._warm is None else [self._warm]
             starts = warm + list(lo + latin_hypercube(self.nstarts, lo.shape[0], rng) * (hi - lo))
             maxfev = self.maxfev if self.maxfev is not None else min(250 * lo.shape[0], 3000)
             best = None
@@ -519,32 +504,29 @@ class SeedKernelGP:
     # The predictive distribution is over the latent objective: the
     # observation nugget is excluded.
 
-    def _check_fitted(self):
+    def _project(self, X, seeds, joint=False):
+        """Scaled points ``X / lengthscales``, ids ``r``, ``V = L^-1 K(X_train, X)`` and the mean;
+        ``joint`` rejects, before any covariance is built, no point or a row of ids per point."""
         if not self._fitted:
             raise NotFittedError(f"{type(self).__name__} must be fitted before prediction")
-
-    def _project(self, X, seeds, joint=False):
-        """Checked ``X, r``, ``V = L^-1 K(X_train, X)`` and the posterior mean; ``joint``
-        rejects, before any covariance is built, no point or a row of ids per point."""
-        self._check_fitted()
         X, r = self._check_inputs(X, seeds)
         if joint and (r.ndim != 1 or X.shape[0] == 0):
             raise ValueError("need at least one prediction point, with one seed id per point")
-        Ks = self._cross(self._Z, self._seed_rows, X, r)
-        return X, r, self._solve_lower(Ks), Ks.T @ self._alpha
+        Z = X / self.lengthscales
+        Ks = self._cross(self._Z, self._seed_rows, Z, r)
+        return Z, r, self._solve_lower(Ks), Ks.T @ self._alpha
 
     def _posterior(self, X, seeds):
-        """Joint posterior mean and M x M covariance ``K** - V^T V`` at new inputs, the
-        covariance only in the lower triangle, laid out as ``_fill_cov``'s; only that
-        triangle of ``K**`` is built, in blocks of rows of ``kernels.BLOCK_CELLS`` entries."""
-        X, r, V, mean = self._project(X, seeds, joint=True)
+        """Joint posterior mean and M x M covariance ``K** - V^T V`` at new inputs, laid
+        out as ``_fill_cov``'s: the lower triangle is read and what lies above it is not.
+        Only that triangle of ``K**`` is built, in row blocks of ``kernels.BLOCK_CELLS`` entries."""
+        Z, r, V, mean = self._project(X, seeds, joint=True)
         C = V.T @ V  # a syrk, exactly symmetric, as K** is: either triangle will do
-        Z, Sr, m = X / self.lengthscales, self._S[r - 1], X.shape[0]
+        Sr, m = self._S[r - 1], Z.shape[0]
         step = max(1, kernels.BLOCK_CELLS // m)
         for a in range(0, m, step):  # C's rows a..a+step, from column a on
             block = C[a:a + step, a:]
-            np.subtract(self._cross(Z[a:a + step], Sr[a:a + step], X[a:], r[a:]), block, out=block)
-        np.copyto(C, 0.0, where=np.tri(m, k=-1, dtype=bool))
+            np.subtract(self._cross(Z[a:a + step], Sr[a:a + step], Z[a:], r[a:]), block, out=block)
         return mean, C.T
 
     def predict_mean_var(self, X, seeds):
@@ -557,10 +539,15 @@ class SeedKernelGP:
         return mean.reshape(r.shape), var.reshape(r.shape)
 
     def sample(self, X, seeds, size: int = 1, *, rng: np.random.Generator) -> np.ndarray:
-        """Joint posterior draws at new inputs; deterministic given ``rng``."""
+        """``size`` joint posterior draws at new inputs, ``(size, m)``; deterministic
+        given ``rng``.  The covariance is factored by ``safe_cholesky``, whose jitter
+        collapses the draws of a degenerate posterior onto the mean."""
         _check_int("size", size, 1)
         mean, cov = self._posterior(X, seeds)
-        return draw_mvn(mean, cov, size, rng)
+        L, _ = safe_cholesky(cov)
+        draws = rng.standard_normal((size, mean.shape[0])) @ L.T
+        draws += mean  # in place: the bits of mean + draws, without a third (size, m) array
+        return draws
 
     def expand_seed_space(self, new_nseeds: int) -> None:
         """Grow the seed space to ``new_nseeds``; does nothing without one.

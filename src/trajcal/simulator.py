@@ -66,9 +66,9 @@ _INDEX_AGENT = 0
 class SirConfig:
     """One SIR run: transmission probability, index placement, shared stream.
 
-    ``seed_id`` r places the index case at (25 + r, 25 + r); r = 0 is the
-    grid center.  ``crn_stream_id`` selects the movement/infection streams
-    shared across runs.
+    ``seed_id`` r places the index case at (25 + r, 25 + r), which must lie
+    on the grid; r = 0 is its center only at the default ``grid_extent``, 50.
+    ``crn_stream_id`` selects the movement/infection streams shared across runs.
     """
 
     beta: float

@@ -129,7 +129,7 @@ def test_joint_posterior_draws_match_their_moments():
     )
     em.fit(Xtr, rtr, ytr, rng=np.random.default_rng())
     Xte, rte = np.array([[0.45], [0.48], [0.51], [0.54], [0.57]]), np.array([1, 2, 3, 1, 2])
-    post_mean, post_cov = em._posterior(Xte, rte)  # the lower triangle, zeros above
+    post_mean, post_cov = em._posterior(Xte, rte)  # the lower triangle, nothing to read above
     post_cov = np.tril(post_cov) + np.tril(post_cov, -1).T
 
     n = 100_000

@@ -18,6 +18,7 @@ import trajcal
 import trajcal.cli as cli
 from trajcal import kernels
 from trajcal.cli import ConfigError, load_config, main
+from trajcal.dataspace import DesignPoint
 
 #: The directory holding the package under test, for child interpreters.
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(trajcal.__file__)))
@@ -1063,6 +1064,44 @@ def test_calibrate_index_case_outside_the_grid_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: problem: index case (25+0, 25+0) lies outside")
     assert not (tmp_path / "out").exists()
+
+
+def test_calibrate_initial_seed_off_the_grid_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
+    """The largest initial seed id, ``expansion.nseeds``, must place its index
+    case on the grid, with a truth file (whose own seed is unknown) and with the
+    inline truth; the config is refused before any simulation runs."""
+    truth = tmp_path / "truth.csv"
+    assert main(["simulate", "--beta", "0.069", "--horizon", "2", "--n-agents", "50",
+                 "--out", str(truth)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "sir_run", lambda config: pytest.fail("a simulation ran"))
+    for problem, nseeds, grid in (({"grid_extent": 20, "truth_file": str(truth)}, 3, 20.0),
+                                  ({}, 28, 50.0)):
+        cfg = _toy_config(tmp_path / "out")
+        cfg["problem"] = dict(_SIR_PROBLEM, horizon=2, **problem)
+        cfg["expansion"]["nseeds"] = nseeds
+        assert main(["calibrate", _write(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (f"error: expansion.nseeds: index case (25+{nseeds}, "
+                                           f"25+{nseeds}) lies outside the {grid} x {grid} grid\n")
+        assert not (tmp_path / "out").exists()
+    cfg["expansion"]["nseeds"] = 25  # (50, 50) is the grid's corner, on it
+    assert load_config(_write(tmp_path, cfg))["expansion"]["nseeds"] == 25
+
+
+def test_sir_objective_simulates_a_repeated_pair_again_to_the_same_value(tmp_path, monkeypatch):
+    """The objective keeps no memo: under common random numbers a repeated
+    (x, seed) pair runs the simulator again and gives the same bits."""
+    cfg = _toy_config(tmp_path / "out")
+    cfg["problem"] = dict(_SIR_PROBLEM, n_agents=100, horizon=10)
+    problem = load_config(_write(tmp_path, cfg))["problem"]
+    calls, simulate = [], cli.sir_run
+    monkeypatch.setattr(cli, "sir_run", lambda config: calls.append(config) or simulate(config))
+    bounds = cli.Bounds(lower=np.array([0.02]), upper=np.array([0.12]))
+    objective, _ = cli._build_objective(problem, bounds)
+    point = DesignPoint(x=np.array([0.4]), r=2)
+    values = [objective(point), objective(point)]
+    assert len(calls) == 3  # the truth, then the pair twice
+    assert values[0] == values[1] and math.isfinite(values[0])
 
 
 def test_calibrate_warns_and_traces_the_same_failure_text(tmp_path, monkeypatch, capsys):

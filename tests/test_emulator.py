@@ -15,7 +15,7 @@ from scipy.linalg.lapack import dpotrs
 from scipy.optimize import minimize as scipy_minimize
 
 from trajcal import emulator, kernels
-from trajcal.emulator import NUGGET_BOUNDS, SeedKernelGP, _chol_lml, draw_mvn
+from trajcal.emulator import NUGGET_BOUNDS, SeedKernelGP, _chol_lml
 from trajcal.errors import NotFittedError, NumericalError
 
 
@@ -152,8 +152,8 @@ def test_far_prediction_reverts_to_prior():
 
 def _symmetric(cov):
     """The whole covariance from ``_posterior``'s layout: the lower triangle
-    of a Fortran-ordered array whose strict upper triangle is zero."""
-    assert cov.flags.f_contiguous and not np.triu(cov, 1).any()
+    of a Fortran-ordered array; what lies above it is not read."""
+    assert cov.flags.f_contiguous
     return np.tril(cov) + np.tril(cov, -1).T
 
 
@@ -166,7 +166,7 @@ def test_posterior_summary_shape_and_symmetry():
     mean, cov = em._posterior(grid, None)
     assert mean.shape == (7,)
     assert cov.shape == (7, 7)
-    _symmetric(cov)  # the lower triangle, zeros above
+    _symmetric(cov)  # the lower triangle
     assert cov.diagonal().min() >= -1e-10
     # the pointwise path agrees with the joint one
     mean_pw, var_pw = em.predict_mean_var(grid, None)
@@ -362,12 +362,6 @@ def test_sample_degenerate_covariance_collapses():
     assert np.abs(draws - mu).max() <= 1e-4
 
 
-def test_draw_mvn_zero_covariance():
-    mean = np.array([1.0, -2.0])
-    draws = draw_mvn(mean, np.zeros((2, 2)), 5, np.random.default_rng(0))
-    assert np.abs(draws - mean).max() <= 1e-4
-
-
 def test_sample_moments_match_posterior():
     rng = np.random.default_rng(15)
     X, Y = _smooth_1d(10, rng, noise=0.1)
@@ -528,6 +522,26 @@ def test_expand_seed_space_grows_then_requires_refit():
     em.fit(np.vstack([X, [[0.5]]]), np.append(seeds, 4), np.append(Y, 0.1), rng=fit_rng)
     mean, _ = em.predict_mean_var(np.array([[0.5]]), [4])
     assert np.isfinite(mean[0])
+
+
+@pytest.mark.parametrize("rank", [None, 1, 3])
+@pytest.mark.parametrize("per_seed_v", [False, True])
+def test_expansion_keeps_the_warm_start_in_the_packed_layout(rank, per_seed_v):
+    """``fit`` starts from ``_warm`` as it stands, so each expansion, by one seed
+    or several, with or without a fit since the last, remaps it to the new
+    layout; the default rank starts from one seed and grows to 2."""
+    nseeds = rank or 1
+    em = SeedKernelGP(ndim=2, nseeds=nseeds, rank=rank, per_seed_v=per_seed_v,
+                      nstarts=1, maxfev=20)
+    rng = np.random.default_rng(24)
+    for grow, refit in ((0, True), (1, True), (2, False), (1, True), (3, True)):
+        em.expand_seed_space(em.nseeds + grow)
+        assert em._warm is None or em._warm.shape == em._pack_bounds()[0].shape
+        if refit:
+            X, seeds, Y = _seeded_data(rng, 12, range(1, em.nseeds + 1))
+            em.fit(X, seeds, Y, rng=rng)
+            assert em._warm.shape == em._pack_bounds()[0].shape
+    assert em.nseeds == nseeds + 7 and em.rank == (rank or 2)
 
 
 def test_seedless_gp_packs_no_seed_parameters():
@@ -989,6 +1003,44 @@ def test_sample_follows_the_reference_up_the_jitter_ladder(monkeypatch):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 rungs.add(escalations)
         assert rungs == set(range(kernels.MAX_ESCALATIONS + 1)) | {"exhausted"}
+
+
+def test_sample_reads_nothing_above_the_covariance_triangle(monkeypatch):
+    """``_posterior`` leaves what lies above its triangle as it falls: with NaN
+    written there the draws keep every bit, on both factor paths, seeded or
+    not, with and without jitter (training points repeated as candidates)."""
+    posterior, factor, jitters = SeedKernelGP._posterior, emulator.safe_cholesky, []
+
+    def poisoned(self, X, seeds):
+        mean, cov = posterior(self, X, seeds)
+        cov[np.triu_indices(cov.shape[0], 1)] = np.nan
+        return mean, cov
+
+    def recording(a):
+        L, jitter = factor(a)
+        jitters.append(jitter)
+        return L, jitter
+
+    monkeypatch.setattr(emulator, "safe_cholesky", recording)
+    X = np.array([[0.1], [0.2], [0.35], [0.5], [0.8]])
+    for _ in _factor_paths(monkeypatch):
+        rng = np.random.default_rng(63)
+        for nseeds, variance in ((None, 1.0), (None, 1e6), (3, None)):
+            if nseeds is None:
+                em = SeedKernelGP(ndim=1, fixed={"lengthscales": [0.3], "variance": variance})
+                seeds, new_seeds = None, None
+            else:
+                em = SeedKernelGP(ndim=1, nseeds=nseeds, nstarts=1, maxfev=30)
+                seeds, new_seeds = rng.integers(1, nseeds + 1, 5), rng.integers(1, nseeds + 1, 50)
+            em.fit(X, seeds, np.sin(5.0 * X[:, 0]), rng=rng)
+            new = np.vstack([rng.uniform(size=(40, 1)), X, X])
+            want = em.sample(new, new_seeds, 3, rng=np.random.default_rng(0))
+            with monkeypatch.context() as m:
+                m.setattr(SeedKernelGP, "_posterior", poisoned)
+                got = em.sample(new, new_seeds, 3, rng=np.random.default_rng(0))
+            assert np.isfinite(got).all()
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert 0.0 in jitters and max(jitters) > 0.0
 
 
 def test_fit_report_start_values_are_the_start_likelihoods(monkeypatch):

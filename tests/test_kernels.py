@@ -303,6 +303,16 @@ def test_safe_cholesky_rejects_a_matrix_that_is_not_square():
             safe_cholesky(a)
 
 
+def test_safe_cholesky_zero_covariance():
+    """The zero matrix takes the jitter floor, so draws through its factor
+    collapse onto the mean."""
+    mean = np.array([1.0, -2.0])
+    L, j = safe_cholesky(np.zeros((2, 2)))
+    assert j > 0.0
+    draws = mean + np.random.default_rng(0).standard_normal((5, 2)) @ L.T
+    assert np.abs(draws - mean).max() <= 1e-4
+
+
 def test_safe_cholesky_recovers_semidefinite():
     a = np.ones((3, 3))  # rank one, singular
     L, j = safe_cholesky(a)
