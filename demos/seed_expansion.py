@@ -29,7 +29,7 @@ def main():
           f"over {len(trace.iterations)} iterations")
     print(f"seed space grew {k0} -> {em.nseeds}\n")
 
-    done = trace.initial_size
+    done = int((ds.iteration == 0).sum())  # the initial design's rows
     events = dict(trace.expansion_events)
     print("iter  completed-before  batch  expansion")
     for it in trace.iterations:

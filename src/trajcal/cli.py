@@ -14,7 +14,9 @@ with 17 significant digits so reruns diff bitwise.  The environment
 variable ``TRAJCAL_OUTPUT_DIR``, when set, redirects all output into that
 directory; ``_resolve_outdir`` is its one reader.  ``calibrate`` only
 replaces an absent path not under a file, an empty directory, or an
-earlier bundle that holds only the files trajcal writes there.  A
+earlier bundle that holds only the files trajcal writes there, checked
+before the run and again before the swap; a refusal after the run keeps
+the finished bundle in its ``.trajcal-bundle-*`` directory, exit code 2.  A
 malformed design.csv makes ``report`` exit 2 with a message naming the
 fault.  Commands run OpenBLAS at one thread unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; importing the
@@ -44,7 +46,7 @@ from .expansion import POLICIES, SAMPLE_MODES, ExpansionConfig
 from .grid import AdaptiveGrid, FixedGrid, LHSGrid
 from .kernels import FROM_SQ_DISTS, bundled_openblas
 from .simulator import SirConfig, sir_run, to_table, toy_objective
-from .workflow import WorkflowConfig, component_stream, run
+from .workflow import STREAM_DERIVATION, WorkflowConfig, component_stream, run
 
 __all__ = ["main", "ConfigError", "load_config", "cmd_simulate", "cmd_calibrate", "cmd_report"]
 
@@ -406,11 +408,15 @@ def _write_design(path: str, dataset: Dataset, native: np.ndarray, rmse: np.ndar
                                _fmt(dataset.y_std[i]), _fmt(rmse[i])])
 
 
-def _write_trace(path: str, trace, dataset: Dataset):
+def _run_keys(cfg: dict, dataset: Dataset) -> dict:
+    """The keys the trace's run event shares with the summary, read off their owners."""
+    return {"budget": cfg["workflow"]["budget"], "master_seed": cfg["workflow"]["master_seed"],
+            "initial_size": int(np.count_nonzero(dataset.iteration == 0))}
+
+
+def _write_trace(path: str, cfg: dict, trace, dataset: Dataset):
     events = [{"event": "format", "version": TRACE_FORMAT},
-              {"event": "run", "master_seed": trace.master_seed, "budget": trace.budget,
-               "initial_size": trace.initial_size,
-               "stream_derivation": trace.stream_derivation}]
+              {"event": "run", **_run_keys(cfg, dataset), "stream_derivation": STREAM_DERIVATION}]
     # tuples in the records serialize as JSON lists
     events += [{"event": "evaluation", "index": i, **dataclasses.asdict(e)}
                for i, e in enumerate(trace.evaluations)]
@@ -448,9 +454,7 @@ def _summary_payload(cfg: dict, trace, dataset: Dataset, native: np.ndarray, rms
     return {
         "format": SUMMARY_FORMAT,
         "completed": len(dataset),
-        "budget": trace.budget,
-        "initial_size": trace.initial_size,
-        "master_seed": trace.master_seed,
+        **_run_keys(cfg, dataset),
         "iterations": len(trace.iterations),
         "best_observed": [float(v) for v in np.minimum.accumulate(dataset.y_std)],
         "best": best,
@@ -464,7 +468,8 @@ def _summary_payload(cfg: dict, trace, dataset: Dataset, native: np.ndarray, rms
 def _write_bundle(outdir: str, cfg: dict, trace, dataset: Dataset, bounds: Bounds,
                   rmse_denominator) -> None:
     """Write design.csv, trace.jsonl and summary.json to a fresh directory,
-    then swap it in for ``outdir``.  Each run's RMSE to the truth is
+    then swap it in for ``outdir`` if ``_check_outdir`` still accepts it, or
+    raise ConfigError naming both.  Each run's RMSE to the truth is
     computed here, once, or is None when the truth is unknown."""
     native = rescale(dataset.X, bounds)
     rmse = None if rmse_denominator is None else np.sqrt(dataset.y_raw / rmse_denominator)
@@ -475,14 +480,17 @@ def _write_bundle(outdir: str, cfg: dict, trace, dataset: Dataset, bounds: Bound
     try:
         _write_design(os.path.join(tmp, "design.csv"), dataset, native,
                       np.full(len(dataset), np.nan) if rmse is None else rmse)
-        _write_trace(os.path.join(tmp, "trace.jsonl"), trace, dataset)
+        _write_trace(os.path.join(tmp, "trace.jsonl"), cfg, trace, dataset)
         payload = _summary_payload(cfg, trace, dataset, native, rmse)
         with open(os.path.join(tmp, "summary.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        _check_outdir(outdir)  # again: the run may have put files there since
         if os.path.exists(outdir):
             shutil.rmtree(outdir)
         os.replace(tmp, outdir)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}; the finished bundle is kept in {tmp}") from None
     except Exception:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
@@ -537,7 +545,11 @@ def cmd_calibrate(args) -> int:
     if dataset is None:  # too few initial successes to build a dataset
         print(f"error: {failure}", file=sys.stderr)
         return 3
-    _write_bundle(outdir, cfg, trace, dataset, bounds, rmse_denominator)
+    try:
+        _write_bundle(outdir, cfg, trace, dataset, bounds, rmse_denominator)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if failure is not None:
         print(f"error: {failure} (partial results in {outdir})", file=sys.stderr)
         return 3

@@ -369,17 +369,12 @@ class SeedKernelGP:
         self._seed_pair = (r - 1)[j] * k + (r - 1)[i]
         self._seed_diag = (r - 1) * (k + 1)
         self._K = np.zeros((n, n))
-        self._bound = None
 
     def _bind(self):
-        """The likelihood's ``dpotrf`` and ``dpotrs`` arguments, built once per fit."""
+        """The likelihood's ``dpotrf`` and ``dpotrs`` arguments on this fit's workspace."""
         n, k, info = ctypes.c_int64(self._K.shape[0]), self._K.ctypes.data, ctypes.c_int64(0)
-        Ki = self._KiY = np.empty(self._K.shape[0])  # K^-1 Y
-        self._bound = ((n, k, info), (n, ctypes.c_int64(1), k, Ki, Ki.ctypes.data, info))
-        return self._bound
-
-    def __getstate__(self):  # the bound arguments point into this object's buffers
-        return {**self.__dict__, "_bound": None}
+        Ki = np.empty(self._K.shape[0])  # K^-1 Y
+        return (n, k, info), (n, ctypes.c_int64(1), k, Ki, Ki.ctypes.data, info)
 
     def _fill_cov(self, ls, variance, S, nugget):
         """Training covariance plus ``nugget * I`` in the lower triangle of the
@@ -421,8 +416,9 @@ class SeedKernelGP:
 
     # -- fitting ------------------------------------------------------------
 
-    def _neg_lml(self, packed):
-        """Negative log marginal likelihood of the packed parameters.
+    def _neg_lml(self, packed, bound=(None, None)):
+        """Negative log marginal likelihood of the packed parameters; ``bound``
+        is ``_bind()``, or LAPACK's arguments are built on each call.
 
         ``inf`` where the lengthscales or the variance underflow to 0, or
         the covariance is not positive definite.
@@ -431,9 +427,8 @@ class SeedKernelGP:
             K = self._fill_cov(*self._hyper(packed))
         except ValueError:
             return np.inf
-        factor_args, solve_args = self._bound or self._bind()
-        L = _factor(K, factor_args)
-        return np.inf if L is None else -_chol_lml(L, self._Y, solve_args)[0]
+        L = _factor(K, bound[0])
+        return np.inf if L is None else -_chol_lml(L, self._Y, bound[1])[0]
 
     def fit(self, X, seeds, Y, *, rng: np.random.Generator):
         """Fit hyperparameters to training data by multi-start optimization.
@@ -470,9 +465,9 @@ class SeedKernelGP:
             warm = [] if self._warm is None else [self._warm]
             starts = warm + list(lo + latin_hypercube(self.nstarts, lo.shape[0], rng) * (hi - lo))
             maxfev = self.maxfev if self.maxfev is not None else min(250 * lo.shape[0], 3000)
-            best = None
+            best, bound = None, self._bind()
             for x0 in starts:
-                res = minimize(self._neg_lml, x0, lo, hi, maxfev)
+                res = minimize(lambda p: self._neg_lml(p, bound), x0, lo, hi, maxfev)
                 report["start_neg_lml"].append(float(res.fun_x0))
                 report["start_nfev"].append(int(res.nfev))
                 report["start_status"].append(int(res.status))
@@ -504,14 +499,11 @@ class SeedKernelGP:
     # The predictive distribution is over the latent objective: the
     # observation nugget is excluded.
 
-    def _project(self, X, seeds, joint=False):
-        """Scaled points ``X / lengthscales``, ids ``r``, ``V = L^-1 K(X_train, X)`` and the mean;
-        ``joint`` rejects, before any covariance is built, no point or a row of ids per point."""
+    def _project(self, X, seeds):
+        """Scaled points ``X / lengthscales``, ids ``r``, ``V = L^-1 K(X_train, X)``, the mean."""
         if not self._fitted:
             raise NotFittedError(f"{type(self).__name__} must be fitted before prediction")
         X, r = self._check_inputs(X, seeds)
-        if joint and (r.ndim != 1 or X.shape[0] == 0):
-            raise ValueError("need at least one prediction point, with one seed id per point")
         Z = X / self.lengthscales
         Ks = self._cross(self._Z, self._seed_rows, Z, r)
         return Z, r, self._solve_lower(Ks), Ks.T @ self._alpha
@@ -520,7 +512,9 @@ class SeedKernelGP:
         """Joint posterior mean and M x M covariance ``K** - V^T V`` at new inputs, laid
         out as ``_fill_cov``'s: the lower triangle is read and what lies above it is not.
         Only that triangle of ``K**`` is built, in row blocks of ``kernels.BLOCK_CELLS`` entries."""
-        Z, r, V, mean = self._project(X, seeds, joint=True)
+        Z, r, V, mean = self._project(X, seeds)
+        if r.ndim != 1 or Z.shape[0] == 0:
+            raise ValueError("need at least one prediction point, with one seed id per point")
         C = V.T @ V  # a syrk, exactly symmetric, as K** is: either triangle will do
         Sr, m = self._S[r - 1], Z.shape[0]
         step = max(1, kernels.BLOCK_CELLS // m)

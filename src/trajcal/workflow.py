@@ -121,10 +121,6 @@ class IterationRecord:
 class RunTrace:
     """How a run went: each evaluation in order, plus per-iteration events."""
 
-    master_seed: int
-    budget: int
-    initial_size: int
-    stream_derivation: str = STREAM_DERIVATION
     evaluations: list = field(default_factory=list)
     iterations: list = field(default_factory=list)
 
@@ -215,8 +211,9 @@ def run(simulator, config: WorkflowConfig, emulator,
     Raises
     ------
     ValueError
-        Before any evaluation, for an emulator that was fitted already or
-        whose seed count is not the config's.
+        Before any evaluation, for an emulator that was fitted already, whose
+        seed count is not the config's, or whose seed space has a ``fixed=``
+        kernel while the policy may add a seed (``nsims_expand < budget`` or ``p > 0``).
     ProgressError
         If fewer than 2 initial evaluations succeed, or every evaluation in
         some iteration fails.
@@ -231,13 +228,15 @@ def run(simulator, config: WorkflowConfig, emulator,
                          f"expansion.nseeds ({k0})")
     if emulator.fit_report is not None:
         raise ValueError("the emulator was fitted already; a run starts from an unfitted one")
+    exp = config.expansion
+    if emulator.seeded and emulator._fixed is not None and (
+            exp.nsims_expand < config.budget if exp.policy == "by-sims" else exp.p > 0):
+        raise ValueError("cannot expand a fixed-parameter emulator, and the policy may add a seed")
     X0 = latin_hypercube(config.initial_design, emulator.ndim,
                          component_stream(config.master_seed, "init", 0))
-    records = []
+    trace = RunTrace()
     X, seeds, y = evaluate(simulator, [DesignPoint(x=x, r=1 + i % k0) for i, x in enumerate(X0)],
-                           0, records)
-    trace = RunTrace(master_seed=config.master_seed, budget=config.budget,
-                     initial_size=y.size, evaluations=records)
+                           0, trace.evaluations)
     dataset = grid = None
     iteration = 0
     try:

@@ -327,7 +327,7 @@ def test_expansion_triggers_replay_against_the_simulation_counter():
     assert [k for _, k in trace.expansion_events] == [6, 7, 8]
 
     starts = {}
-    done = trace.initial_size
+    done = np.count_nonzero(ds.iteration == 0)
     for it in trace.iterations:
         starts[it.iteration] = done
         done += it.evaluated

@@ -19,6 +19,7 @@ import trajcal.cli as cli
 from trajcal import kernels
 from trajcal.cli import ConfigError, load_config, main
 from trajcal.dataspace import DesignPoint
+from trajcal.workflow import STREAM_DERIVATION
 
 #: The directory holding the package under test, for child interpreters.
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(trajcal.__file__)))
@@ -570,7 +571,8 @@ def test_calibrate_bundle_layout(toy_bundle):
 
     events = [json.loads(l) for l in (toy_bundle / "trace.jsonl").read_text().splitlines()]
     assert events[0] == {"event": "format", "version": "trajcal-trace-v1"}
-    assert events[1]["event"] == "run"
+    assert events[1] == {"event": "run", "budget": 12, "initial_size": 8, "master_seed": 0,
+                         "stream_derivation": STREAM_DERIVATION}
     evals = [e for e in events if e["event"] == "evaluation"]
     assert len(evals) == 12
     assert not any(e["failed"] for e in evals)
@@ -935,6 +937,59 @@ def test_calibrate_refuses_to_replace_a_bundle_holding_other_files(tmp_path, mon
     assert calls == []
 
 
+def test_calibrate_keeps_files_that_appear_in_the_output_directory_during_the_run(
+        tmp_path, capsys):
+    """The output path is checked again before the swap: a file put there while
+    the run went is kept, and so is the finished bundle, beside it."""
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    cfg = _toy_config(outdir)
+    cfg["workflow"]["budget"] = cfg["workflow"]["initial_design"] = 6
+    real_run = cli.run
+
+    def run_and_write_a_note(*args):
+        (outdir / "notes.txt").write_text("keep me\n")
+        return real_run(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run", run_and_write_a_note)
+        assert main(["calibrate", _write(tmp_path, cfg)]) == 2
+    assert (outdir / "notes.txt").read_text() == "keep me\n"
+    assert sorted(p.name for p in outdir.iterdir()) == ["notes.txt"]
+    kept = [p for p in tmp_path.iterdir() if p.name.startswith(".trajcal-bundle-")]
+    assert len(kept) == 1
+    assert sorted(p.name for p in kept[0].iterdir()) == [
+        "design.csv", "summary.json", "trace.jsonl"]
+    assert capsys.readouterr().err == (
+        f"error: output directory {outdir}: exists and is neither empty nor a trajcal "
+        f"bundle; refusing to replace it; the finished bundle is kept in {kept[0]}\n")
+    # the kept bundle is the one an undisturbed run writes
+    shutil.rmtree(outdir)
+    assert main(["calibrate", _write(tmp_path, cfg)]) == 0
+    for name in ("design.csv", "summary.json", "trace.jsonl"):
+        assert (kept[0] / name).read_bytes() == (outdir / name).read_bytes()
+
+
+def test_calibrate_removes_its_scratch_bundle_when_a_write_fails(tmp_path, monkeypatch):
+    """A write that fails leaves no ``.trajcal-bundle-*`` directory behind, and
+    the earlier bundle stands as it was."""
+    outdir = tmp_path / "out"
+    cfg = _toy_config(outdir)
+    cfg["workflow"]["budget"] = cfg["workflow"]["initial_design"] = 6
+    path = _write(tmp_path, cfg)
+    assert main(["calibrate", path]) == 0
+    first = {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_trace", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        main(["calibrate", path])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == first
+
+
 @pytest.mark.parametrize("below", [["bundle"], ["deeper", "bundle"]],
                          ids=["child", "grandchild"])
 def test_calibrate_output_under_a_file_exits_2_before_any_run(tmp_path, monkeypatch, capsys,
@@ -1004,6 +1059,20 @@ def test_calibrate_non_integer_truth_count_exits_2(tmp_path, capsys):
     path = _sir_truth_file_config(tmp_path, truth)
     assert main(["calibrate", path]) == 2
     assert capsys.readouterr().err.startswith("error: problem.truth_file: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("table, message", [
+    ("step,infected\n0,1\n1,2\n2,1\n", "not a trajectory table"),
+    ("step,infected,cumulative\n0,1,1\n1,2\n2,1,3\n", "malformed row"),
+    ("step,infected,cumulative\n0,1,1\n1,2,3\n",
+     "expected 3 rows for the configured horizon, got 2"),
+], ids=["header", "row", "length"])
+def test_calibrate_malformed_truth_file_exits_2(tmp_path, capsys, table, message):
+    truth = tmp_path / "truth.csv"
+    truth.write_text(table)
+    assert main(["calibrate", _sir_truth_file_config(tmp_path, truth)]) == 2
+    assert capsys.readouterr().err == f"error: problem.truth_file: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1140,6 +1209,8 @@ def test_calibrate_warns_and_traces_the_same_failure_text(tmp_path, monkeypatch,
     assert design0 == [(e["seed"], e["y_raw"]) for e in initial if not e["failed"]]
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["completed"] == summary["budget"] == 12
+    # the initial size counts the successes, in the summary and the run event alike
+    assert summary["initial_size"] == events[1]["initial_size"] == len(design0) == 5
 
 
 def test_calibrate_respects_output_dir_env(tmp_path, monkeypatch):

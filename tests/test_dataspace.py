@@ -13,6 +13,7 @@ from trajcal.dataspace import (
     Bounds,
     Dataset,
     DesignPoint,
+    ObjectiveTransform,
     fit_transform,
     latin_hypercube,
     rescale,
@@ -28,6 +29,8 @@ def test_design_point_validates_domain():
         DesignPoint(x=np.array([0.5]), r=0)
     with pytest.raises(ValueError, match="coordinates must lie in"):
         DesignPoint(x=np.array([0.5, np.nan]), r=1)
+    with pytest.raises(ValueError, match="x must be one-dimensional"):
+        DesignPoint(x=np.array([[0.5], [0.6]]), r=1)
 
 
 def test_design_point_rejects_a_fractional_seed_id():
@@ -54,6 +57,8 @@ def test_bounds_ordering_enforced():
     Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
     with pytest.raises(ValueError):
         Bounds(lower=np.array([1.0]), upper=np.array([1.0]))
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        Bounds(lower=np.array([0.0]), upper=np.array([1.0, 2.0]))
     # NaN passes a bare ``lower >= upper`` check, and rescale then returns NaN
     for lower, upper in [([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0], [np.inf]),
                          ([-np.inf], [1.0]), ([0.0, np.nan], [1.0, 2.0])]:
@@ -184,6 +189,15 @@ def test_fit_transform_floors_zero():
     assert tf.mean == pytest.approx(logs.mean())
 
 
+def test_objective_transform_rejects_a_floor_or_scale_that_is_not_positive():
+    for epsilon in (0.0, -1e-12):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            ObjectiveTransform(epsilon=epsilon, mean=0.0, std=1.0)
+    for std in (0.0, -1.0):
+        with pytest.raises(ValueError, match="std must be positive"):
+            ObjectiveTransform(epsilon=DEFAULT_EPSILON, mean=0.0, std=std)
+
+
 def test_fit_transform_rejects_empty():
     with pytest.raises(ValueError):
         fit_transform(np.array([]))
@@ -218,6 +232,13 @@ def test_dataset_append_and_transform_refresh():
     # restandardization is global, so earlier entries move too
     assert not np.allclose(ds.y_std[:2], before)
     assert abs(ds.y_std.mean()) <= 1e-10
+
+
+def test_dataset_append_rejects_another_column_count():
+    ds = Dataset(np.array([[0.1], [0.9]]), np.array([1, 2]), np.array([1.0, 4.0]))
+    with pytest.raises(ValueError, match="expected 1 columns, got 2"):
+        ds.append(np.array([[0.5, 0.5]]), np.array([1]), np.array([9.0]), iteration=1)
+    assert len(ds) == 2 and ds.iteration.tolist() == [0, 0]
 
 
 def test_design_records_own_their_arrays():

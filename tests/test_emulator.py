@@ -33,6 +33,13 @@ def test_fit_rejects_single_point():
         em.fit(np.array([[0.5]]), None, np.array([1.0]), rng=np.random.default_rng())
 
 
+def test_fit_rejects_x_and_y_of_different_lengths():
+    em = SeedKernelGP(ndim=1, nseeds=2)
+    with pytest.raises(ValueError, match="X and Y must have the same number of rows"):
+        em.fit(np.array([[0.1], [0.5], [0.9]]), np.array([1, 2, 1]), np.array([1.0, 2.0]),
+               rng=np.random.default_rng())
+
+
 def test_predict_before_fit_raises():
     em = SeedKernelGP(ndim=1)
     with pytest.raises(NotFittedError):
@@ -544,6 +551,22 @@ def test_expansion_keeps_the_warm_start_in_the_packed_layout(rank, per_seed_v):
     assert em.nseeds == nseeds + 7 and em.rank == (rank or 2)
 
 
+def test_expansion_puts_a_new_seed_on_the_last_axis_when_the_rows_cancel():
+    """Warm rows at angles 0 and pi are (1, 0) and (-1, sin pi): their mean,
+    (0, sin(pi) / 2) with sin(pi) about 1.2e-16 in floats, points along the
+    last axis, so the new seed's row lies there, at angle pi/2."""
+    rng = np.random.default_rng(25)
+    em = SeedKernelGP(ndim=2, nseeds=2, rank=2, nstarts=1, maxfev=20)
+    em.fit(*_seeded_data(rng, 10, [1, 2]), rng=rng)
+    old_block = em._blocks[2]
+    em._warm[old_block] = [0.0, math.pi]
+    others = np.delete(em._warm, old_block)
+    em.expand_seed_space(3)
+    new_block = em._blocks[2]
+    assert em._warm[new_block].tolist() == [0.0, math.pi, math.pi / 2]
+    assert np.array_equal(np.delete(em._warm, new_block), others)
+
+
 def test_seedless_gp_packs_no_seed_parameters():
     """Without a seed space the packed vector is [log ls, log var, log nugget],
     seed ids go unchecked, and expansion changes nothing."""
@@ -623,6 +646,9 @@ _GOOD_FIXED = {"lengthscales": [0.5], "variance": 1.0, "B": np.eye(2), "v": [0.1
     ("nugget", {"nugget": 0.5 * NUGGET_BOUNDS[0]}, None),
     ("nstarts", None, {"nstarts": 0}),
     ("maxfev", None, {"maxfev": 0}),
+    ("family", None, {"family": "cubic"}),
+    ("rank", None, {"rank": 3}),
+    ("B", {"B": [[1.0, 0.0]]}, None),
 ])
 def test_constructor_rejects_bad_kernel_settings(field, fixed, extra):
     """Non-finite or out-of-range kernel and optimizer settings are refused

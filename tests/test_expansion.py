@@ -179,3 +179,6 @@ def test_reseed_incumbents_picks_best_distinct():
     assert pts[0].x[0] == pytest.approx(0.5)
     assert pts[1].x[0] == pytest.approx(0.1)
     assert len(reseed_incumbents(ds, 10, new_seed=3)) == 3  # only 3 distinct x
+    assert reseed_incumbents(ds, 0, new_seed=3) == []
+    with pytest.raises(ValueError, match="nexpansion must be >= 0"):
+        reseed_incumbents(ds, -1, new_seed=3)

@@ -87,6 +87,11 @@ def test_candidate_grid_rejects_fractional_seed_ids():
         CandidateGrid(np.array([[0.5]]), np.array([True]))
 
 
+def test_candidate_grid_rejects_seed_ids_of_another_length():
+    with pytest.raises(ValueError, match="X and seeds must have the same length"):
+        CandidateGrid(np.array([[0.5], [0.6]]), np.array([1]))
+
+
 def test_ndtr_is_scipys():
     """The cephes port gives scipy's bits on 2.4M points over wide scales, on
     each side of every branch edge (|a| = 1, sqrt(2) and 8 sqrt(2), and the

@@ -152,6 +152,11 @@ def test_normalize_rows_unit_norm():
     assert np.allclose(np.linalg.norm(N, axis=1), 1.0, atol=1e-14)
 
 
+def test_normalize_rows_rejects_a_zero_row():
+    with pytest.raises(ValueError, match="cannot normalize a zero row"):
+        normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
 def test_normalize_rows_idempotent_bitwise():
     rng = np.random.default_rng(7)
     B = rng.normal(size=(5, 2))
@@ -193,6 +198,16 @@ def test_seed_cov_psd_random_matrix():
     K = _seed(rng.normal(size=(6, 2)), rng.uniform(0.0, 2.0, size=6))
     assert np.allclose(K, K.T, atol=1e-15)
     assert np.linalg.eigvalsh(K).min() >= -1e-10
+
+
+def test_cross_cov_rejects_an_unknown_family():
+    x = np.array([[0.5]])
+    with pytest.raises(ValueError, match="unknown kernel family 'cubic'"):
+        cross_cov(x, None, x, None, _ls([0.5]), 1.0, family="cubic")
+
+
+def test_bundled_openblas_yields_nothing_for_a_package_that_is_not_installed():
+    assert list(kernels.bundled_openblas("no_such_package_here", "dpotrf_")) == []
 
 
 def test_cross_cov_diagonal_product():

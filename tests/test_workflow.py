@@ -13,6 +13,7 @@ from trajcal.grid import AdaptiveGrid, CandidateGrid, FixedGrid, LHSGrid
 from trajcal.simulator import SirConfig, toy_objective
 from trajcal.workflow import (
     COMPONENTS,
+    STREAM_DERIVATION,
     WorkflowConfig,
     component_stream,
     run,
@@ -241,6 +242,30 @@ def test_run_rejects_a_mismatched_or_fitted_emulator_before_any_evaluation():
     assert calls == []
 
 
+@pytest.mark.parametrize("policy", [{"nsims_expand": 6}, {"nsims_expand": 11},
+                                    {"policy": "by-prob", "p": 0.25}])
+def test_run_refuses_a_fixed_seeded_emulator_that_may_expand_before_any_evaluation(policy):
+    """A fixed kernel cannot follow the seed space as it grows: a policy that may
+    add a seed is refused before the first simulator call, not mid-run."""
+    def emulator():
+        return SeedKernelGP(ndim=1, nseeds=2, fixed={
+            "lengthscales": [0.3], "variance": 1.0, "B": [[1.0], [1.0]], "v": [0.1, 0.1],
+            "nugget": 1e-4})
+
+    def config(**expansion):
+        return WorkflowConfig(budget=12, initial_design=4, nTS_samp=3, expansion=ExpansionConfig(
+            nseeds=2, nexpansion=1, **expansion))
+
+    calls = []
+    with pytest.raises(ValueError, match="cannot expand a fixed-parameter emulator"):
+        run(_counted(calls), config(**policy), emulator(), LHSGrid(20))
+    assert calls == []
+    # a policy that never adds a seed in the budget runs to the end
+    for never in ({"nsims_expand": 12}, {"policy": "by-prob", "p": 0.0}):
+        dataset, trace = run(_counted(calls), config(**never), emulator(), LHSGrid(20))
+        assert len(dataset) == 12 and trace.expansion_events == []
+
+
 def test_fixed_grid_takes_the_dimension_from_the_data():
     emulator = SeedKernelGP(ndim=2, fixed={"lengthscales": [0.3, 0.3], "variance": 1.0,
                                            "nugget": 1e-6})
@@ -291,7 +316,7 @@ def test_too_few_initial_successes_raise_with_the_trace_and_no_dataset(successes
     assert str(err.value) == f"{successes} of 6 initial evaluations succeeded; need at least 2"
     assert err.value.dataset is None
     trace = err.value.trace
-    assert trace.initial_size == successes
+    assert sum(not e.failed for e in trace.evaluations) == successes
     assert trace.iterations == []
     assert [e.failed for e in trace.evaluations] == [i >= successes for i in range(6)]
     assert all(e.error == "RuntimeError: boom" for e in trace.evaluations if e.failed)
@@ -332,13 +357,14 @@ def test_eval_records_carry_valid_seeds_and_unit_coordinates():
 
 
 def test_trace_metadata_names_the_stream_derivation():
-    _, trace = _loop(budget=8)
-    assert trace.master_seed == 0
-    assert trace.budget == 8
-    assert trace.initial_size == 6
-    assert "master_seed" in trace.stream_derivation
+    """The trace keeps only what the run did: the run's inputs stay with the
+    config, and the initial size is the dataset's count of iteration-0 rows."""
+    dataset, trace = _loop(budget=8)
+    assert [f.name for f in dataclasses.fields(trace)] == ["evaluations", "iterations"]
+    assert np.count_nonzero(dataset.iteration == 0) == 6
+    assert "master_seed" in STREAM_DERIVATION
     for name in COMPONENTS:
-        assert name in trace.stream_derivation
+        assert name in STREAM_DERIVATION
 
 
 def test_identical_master_seed_reproduces_the_trace_bitwise():
@@ -463,10 +489,10 @@ def test_expansion_counter_carries_between_events():
     # triggers stay aligned to absolute completed counts: with the counter
     # seeded at n0=6 and an interval of 8, the j-th expansion happens at the
     # first iteration after completed crosses 8j
-    _, trace, _ = _expansion_run("explore")
+    dataset, trace, _ = _expansion_run("explore")
     assert len(trace.expansion_events) >= 2
     completed_before = {}
-    done = trace.initial_size
+    done = np.count_nonzero(dataset.iteration == 0)
     by_iter = {}
     for it in trace.iterations:
         completed_before[it.iteration] = done
