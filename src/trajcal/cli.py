@@ -6,6 +6,8 @@ from a JSON config file, hands them to ``workflow.run``, which owns the
 initial design and the loop, and writes a results bundle (design.csv,
 trace.jsonl, summary.json); ``report`` recomputes summary statistics from
 an existing bundle's design.csv, which holds every successful run in order.
+A config's sections are checked in order against ``SCHEMA``, at the keys
+their ``kind`` takes, then the rules between keys; the first fault is reported.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical or progress failure
 (with the partial trace preserved in the bundle; no bundle when fewer than
@@ -93,10 +95,11 @@ _GP, _ADAPTIVE, _EXPANSION, _WORKFLOW = (
     _defaults(cls) for cls in (SeedKernelGP, AdaptiveGrid, ExpansionConfig, WorkflowConfig))
 
 #: One row per key: (section, key, type, default, minimum, maximum), checked
-#: in this order.  A default of None also accepts null.  Rows of section
-#: "sir" are ``problem`` keys, accepted only when ``problem.kind`` is "sir".
-#: The keys of a component's section are its constructor's parameters, and
-#: their defaults and choices are the library's.
+#: in this order.  A default of None also accepts null.  A row filed under a
+#: kind is a key of the section ``KIND_SECTIONS`` names, taken only at that
+#: kind; any other kind refuses it as unknown.  The keys of a component's
+#: section are its constructor's parameters, and their defaults and choices
+#: are the library's.
 SCHEMA = (
     ("problem", "kind", ("toy", "sir"), REQUIRED, None, None),
     ("problem", "ndim", int, REQUIRED, 1, None),
@@ -115,13 +118,13 @@ SCHEMA = (
     ("emulator", "kind", ("baseline", "seed-product"), REQUIRED, None, None),
     ("emulator", "family", tuple(FROM_SQ_DISTS), _GP["family"], None, None),
     ("emulator", "nstarts", int, _GP["nstarts"], 1, None),
-    ("emulator", "rank", int, _GP["rank"], 1, None),
-    ("emulator", "per_seed_v", bool, _GP["per_seed_v"], None, None),
+    ("seed-product", "rank", int, _GP["rank"], 1, None),
+    ("seed-product", "per_seed_v", bool, _GP["per_seed_v"], None, None),
     ("emulator", "maxfev", int, _GP["maxfev"], 1, None),
     ("grid", "kind", ("fixed", "lhs", "adaptive"), REQUIRED, None, None),
     ("grid", "ngrid", int, 100, 1, None),
-    ("grid", "proposal_step", float, _ADAPTIVE["proposal_step"], 1e-12, None),
-    ("grid", "reuse_previous", bool, _ADAPTIVE["reuse_previous"], None, None),
+    ("adaptive", "proposal_step", float, _ADAPTIVE["proposal_step"], 1e-12, None),
+    ("adaptive", "reuse_previous", bool, _ADAPTIVE["reuse_previous"], None, None),
     ("expansion", "policy", POLICIES, REQUIRED, None, None),
     ("expansion", "nseeds", int, REQUIRED, 1, None),
     ("expansion", "nexpansion", int, _EXPANSION["nexpansion"], 0, None),
@@ -136,6 +139,7 @@ SCHEMA = (
     ("output", "rmse_cutoff", float, 20.0, 0.0, None),
 )
 SECTIONS = ("problem", "emulator", "grid", "expansion", "workflow", "output")
+KIND_SECTIONS = {"sir": "problem", "seed-product": "emulator", "adaptive": "grid"}
 
 
 def _section(cfg, name):
@@ -182,45 +186,12 @@ def _scalar(value, name, kind, minimum, maximum):
     return value
 
 
-def _cross_field(cfg: dict, after: str) -> None:
-    """The rules between keys, each checked right after the row (or, for the
-    rank and the SIR index cases, the section) that ``after`` names."""
-    problem, expansion, workflow = (cfg.get(s) for s in ("problem", "expansion", "workflow"))
-    if after == "problem.ndim":
-        if problem["kind"] == "sir" and problem["ndim"] != 1:
-            raise ConfigError("problem.ndim: must be 1 for the sir problem")
-    elif after == "problem.upper":
-        if any(lo >= hi for lo, hi in zip(problem["lower"], problem["upper"])):
-            raise ConfigError("problem.lower: each entry must be < the matching upper")
-        if problem["kind"] == "sir" and (min(problem["lower"]) < 0 or max(problem["upper"]) > 1):
-            raise ConfigError("problem: the sir box must lie in [0, 1]; beta is a probability")
-    elif after == "expansion.p":
-        if expansion["policy"] == "by-prob" and expansion["p"] is None:
-            raise ConfigError("expansion.p: required for the by-prob policy")
-    elif after == "expansion":
-        rank = cfg["emulator"]["rank"]
-        if cfg["emulator"]["kind"] == "seed-product" and rank is not None \
-                and rank > expansion["nseeds"]:
-            raise ConfigError(
-                f"emulator.rank: must be <= expansion.nseeds ({expansion['nseeds']})")
-        if problem["kind"] == "sir":  # the truth's index case, then the largest initial seed's
-            truth = [] if problem["truth_file"] else [("problem", problem["truth"]["seed_id"])]
-            for where, seed_id in truth + [("expansion.nseeds", expansion["nseeds"])]:
-                try:
-                    SirConfig(beta=0.0, seed_id=seed_id, grid_extent=problem["grid_extent"])
-                except ValueError as exc:
-                    raise ConfigError(f"{where}: {exc}") from None
-    elif after == "workflow.master_seed":
-        if workflow["budget"] < workflow["initial_design"]:
-            raise ConfigError("workflow.budget: must be >= workflow.initial_design")
-
-
-def _read_table(raw: dict, name: str, sec: dict, cfg: dict) -> dict:
-    """Move the keys SCHEMA files under ``name`` from ``raw`` into ``sec``,
-    checked and with defaults filled; a key left over is an error."""
+def _read_table(raw: dict, name: str) -> dict:
+    """Check the keys SCHEMA files under ``name``, or under its kind, from
+    ``raw`` and fill their defaults; a key left over is an error."""
+    sec = {}
     for section, key, kind, default, minimum, maximum in SCHEMA:
-        if section != name and not (
-                section == "sir" and name == "problem" and sec["kind"] == "sir"):
+        if section != name and (KIND_SECTIONS.get(section) != name or sec["kind"] != section):
             continue
         full = f"{name}.{key}"
         if key in raw:
@@ -234,7 +205,7 @@ def _read_table(raw: dict, name: str, sec: dict, cfg: dict) -> dict:
         elif kind == TABLE:
             if not isinstance(value, dict):
                 raise ConfigError(f"{full}: must be an object")
-            sec[key] = _read_table(dict(value), full, {}, cfg)
+            sec[key] = _read_table(dict(value), full)
         elif kind == BOUNDS:
             if not isinstance(value, list) or len(value) != sec["ndim"]:
                 raise ConfigError(f"{full}: must be a list of {sec['ndim']} numbers")
@@ -242,24 +213,52 @@ def _read_table(raw: dict, name: str, sec: dict, cfg: dict) -> dict:
                         for i, v in enumerate(value)]
         else:
             sec[key] = _scalar(value, full, kind, minimum, maximum)
-        _cross_field(cfg, full)
     _no_extras(raw, name)
     return sec
 
 
+def _check_rules(cfg: dict, raw: dict) -> None:
+    """The rules between keys, in this order, once every section is read;
+    ``raw``, the file's own object, tells a given truth from the default."""
+    problem, emulator, expansion, workflow = (
+        cfg[name] for name in ("problem", "emulator", "expansion", "workflow"))
+    sir = problem["kind"] == "sir"
+    if sir and problem["ndim"] != 1:
+        raise ConfigError("problem.ndim: must be 1 for the sir problem")
+    if any(lo >= hi for lo, hi in zip(problem["lower"], problem["upper"])):
+        raise ConfigError("problem.lower: each entry must be < the matching upper")
+    if sir and (min(problem["lower"]) < 0 or max(problem["upper"]) > 1):
+        raise ConfigError("problem: the sir box must lie in [0, 1]; beta is a probability")
+    if sir and problem["truth_file"] is not None and "truth" in raw["problem"]:
+        raise ConfigError("problem.truth: give this or problem.truth_file, not both")
+    if expansion["policy"] == "by-prob" and expansion["p"] is None:
+        raise ConfigError("expansion.p: required for the by-prob policy")
+    if emulator.get("rank") is not None and emulator["rank"] > expansion["nseeds"]:
+        raise ConfigError(f"emulator.rank: must be <= expansion.nseeds ({expansion['nseeds']})")
+    if sir:  # the truth's index case, then the largest initial seed's
+        truth = [] if problem["truth_file"] else [("problem", problem["truth"]["seed_id"])]
+        for where, seed_id in truth + [("expansion.nseeds", expansion["nseeds"])]:
+            try:
+                SirConfig(beta=0.0, seed_id=seed_id, grid_extent=problem["grid_extent"])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+    if workflow["budget"] < workflow["initial_design"]:
+        raise ConfigError("workflow.budget: must be >= workflow.initial_design")
+
+
 def load_config(path: str) -> dict:
-    """Read a calibration config file, check it against SCHEMA and the
-    cross-field rules, and return it with every default filled in."""
+    """Read a calibration config file, check each section against SCHEMA,
+    then the rules between keys, and return it with every default filled in."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            raw = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    cfg = dict(cfg)
+    cfg = dict(raw)
     if "format" not in cfg:
         raise ConfigError("config.format: required key missing")
     fmt = cfg.pop("format")
@@ -267,10 +266,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"format: expected {CONFIG_FORMAT!r}, got {fmt!r}")
     out = {"format": fmt}
     for name in SECTIONS:
-        out[name] = {}
-        _read_table(_section(cfg, name), name, out[name], out)
-        _cross_field(out, name)
+        out[name] = _read_table(_section(cfg, name), name)
     _no_extras(cfg, "config")
+    _check_rules(out, raw)
     return out
 
 

@@ -550,8 +550,8 @@ class SeedKernelGP:
         row gains a zero angle per added rank, which pads its vector with 0
         and keeps the seed matrix.  The warm start gains one row per new
         seed: the new ``B`` row is the direction of the mean of the existing
-        rows (all angles pi/2 when that mean is 0) and the new ``v`` entry
-        the mean of ``v``, a neutral prior for an unseen seed.
+        rows and the new ``v`` entry the mean of ``v``, a neutral prior for
+        an unseen seed.
         """
         _check_int("new_nseeds", new_nseeds, 1)
         if not self.seeded:
@@ -568,8 +568,6 @@ class SeedKernelGP:
             _, _, b_block, v_block, nugget_block = self._blocks
             mean = [float(np.mean(column)) for column in self._decode(self._warm)[2].T]
             mean += [0.0] * (rank - self.rank)
-            if not any(mean):  # no direction: the last axis, whose angles are all pi/2
-                mean[-1] = 1.0
             # the inverse map, a_j = atan2(|mean_{j+1:}|, mean_j), lies in [0, pi]
             row = [math.atan2(math.hypot(*mean[j + 1:]), mean[j]) for j in range(rank - 1)]
             angles = np.zeros((self.nseeds, rank - 1))

@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def sir_bundle(tmp_path_factory):
 
 
 def test_load_config_fills_defaults(tmp_path):
-    cfg = _load(tmp_path, lambda c: None)
+    cfg = _load(tmp_path, lambda c: c["grid"].update(kind="adaptive"))
     assert cfg["format"] == "trajcal-config-v1"
     assert cfg["emulator"]["family"] == "matern52"
     assert cfg["emulator"]["rank"] is None
@@ -195,7 +196,7 @@ def test_rejects_type_errors(tmp_path):
     with pytest.raises(ConfigError, match="workflow.budget: must be an integer"):
         _load(tmp_path, lambda c: c["workflow"].update(budget=True))
     with pytest.raises(ConfigError, match="grid.reuse_previous: must be true or false"):
-        _load(tmp_path, lambda c: c["grid"].update(reuse_previous="yes"))
+        _load(tmp_path, lambda c: c["grid"].update(kind="adaptive", reuse_previous="yes"))
     with pytest.raises(ConfigError, match="output.rmse_cutoff: must be a number"):
         _load(tmp_path, lambda c: c["output"].update(rmse_cutoff="tight"))
 
@@ -277,7 +278,8 @@ _NOT_FINITE = "must be a finite number"
 _SIR_BOX = "the sir box must lie in [0, 1]; beta is a probability"
 
 # one fault per schema row, pinned to the exact message: a wrong type, a value
-# below the minimum, above the maximum, and a missing required key
+# below the minimum, above the maximum, and a missing required key; each on
+# the toy config, or with a sir problem or an adaptive grid in its place
 _FAULTS = [
     ("toy", "problem.kind", 1, "problem.kind: must be one of ['toy', 'sir']"),
     ("toy", "problem.kind", _DELETE, "problem.kind: required key missing"),
@@ -333,10 +335,10 @@ _FAULTS = [
     ("toy", "grid.kind", _DELETE, "grid.kind: required key missing"),
     ("toy", "grid.ngrid", 30.0, "grid.ngrid: must be an integer"),
     ("toy", "grid.ngrid", 0, "grid.ngrid: must be >= 1"),
-    ("toy", "grid.proposal_step", "small", "grid.proposal_step: must be a number"),
-    ("toy", "grid.proposal_step", 0, "grid.proposal_step: must be >= 1e-12"),
-    ("toy", "grid.proposal_step", _HUGE, f"grid.proposal_step: {_TOO_BIG}"),
-    ("toy", "grid.reuse_previous", None, "grid.reuse_previous: must be true or false"),
+    ("adaptive", "grid.proposal_step", "small", "grid.proposal_step: must be a number"),
+    ("adaptive", "grid.proposal_step", 0, "grid.proposal_step: must be >= 1e-12"),
+    ("adaptive", "grid.proposal_step", _HUGE, f"grid.proposal_step: {_TOO_BIG}"),
+    ("adaptive", "grid.reuse_previous", None, "grid.reuse_previous: must be true or false"),
     ("toy", "expansion.policy", "custom", "expansion.policy: must be one of ['by-sims', 'by-prob']"),
     ("toy", "expansion.policy", _DELETE, "expansion.policy: required key missing"),
     ("toy", "expansion.nseeds", "3", "expansion.nseeds: must be an integer"),
@@ -379,8 +381,8 @@ _FAULTS = [
     ("sir", "problem.grid_extent", math.inf, f"problem.grid_extent: {_NOT_FINITE}"),
     ("sir", "problem.contact_radius", math.nan, f"problem.contact_radius: {_NOT_FINITE}"),
     ("sir", "problem.contact_radius", math.inf, f"problem.contact_radius: {_NOT_FINITE}"),
-    ("toy", "grid.proposal_step", math.nan, f"grid.proposal_step: {_NOT_FINITE}"),
-    ("toy", "grid.proposal_step", math.inf, f"grid.proposal_step: {_NOT_FINITE}"),
+    ("adaptive", "grid.proposal_step", math.nan, f"grid.proposal_step: {_NOT_FINITE}"),
+    ("adaptive", "grid.proposal_step", math.inf, f"grid.proposal_step: {_NOT_FINITE}"),
     ("toy", "expansion.p", math.nan, f"expansion.p: {_NOT_FINITE}"),
     ("toy", "output.rmse_cutoff", math.nan, f"output.rmse_cutoff: {_NOT_FINITE}"),
     ("toy", "output.rmse_cutoff", math.inf, f"output.rmse_cutoff: {_NOT_FINITE}"),
@@ -409,6 +411,8 @@ def test_schema_names_each_fault(tmp_path, base, path, value, message):
     def mutate(c):
         if base == "sir":
             c["problem"] = copy.deepcopy(_SIR_PROBLEM)
+        elif base == "adaptive":
+            c["grid"]["kind"] = "adaptive"
         *parents, key = path.split(".")
         obj = c
         for name in parents:
@@ -467,6 +471,75 @@ def test_build_components_passes_each_setting_through(tmp_path, changes, attribu
             c[section].update(values)
 
     assert attribute(*cli._build_components(_load(tmp_path, mutate))) == want
+
+
+#: Each key that a kind takes of its own: (section, kind, key, a value that
+#: differs from the default, what it reaches in the built components, the
+#: value found there).  The SIR keys reach the simulator configs the objective
+#: runs, the truth's first; the truth file reaches the objective's target,
+#: read off its value against a run with no infections.
+_KIND_KEYS = [
+    ("emulator", "seed-product", "rank", 3, lambda built: built["emulator"].rank, 3),
+    ("emulator", "seed-product", "per_seed_v", True,
+     lambda built: built["emulator"].per_seed_v, True),
+    ("grid", "adaptive", "proposal_step", 0.2, lambda built: built["grid"].proposal_step, 0.2),
+    ("grid", "adaptive", "reuse_previous", False,
+     lambda built: built["grid"].reuse_previous, False),
+    ("problem", "sir", "crn_stream_id", 3, lambda built: built["runs"][-1].crn_stream_id, 3),
+    ("problem", "sir", "truth", {"beta": 0.3, "seed_id": 2},
+     lambda built: (built["runs"][0].beta, built["runs"][0].seed_id), (0.3, 2)),
+    ("problem", "sir", "truth_file", "truth.csv", lambda built: built["value"], 1 + 4 + 9),
+    ("problem", "sir", "n_agents", 50, lambda built: built["runs"][-1].n_agents, 50),
+    ("problem", "sir", "grid_extent", 40.0, lambda built: built["runs"][-1].grid_extent, 40.0),
+    ("problem", "sir", "horizon", 5, lambda built: built["runs"][-1].horizon, 5),
+    ("problem", "sir", "infectious_period", 5,
+     lambda built: built["runs"][-1].infectious_period, 5),
+    ("problem", "sir", "contact_radius", 2.5,
+     lambda built: built["runs"][-1].contact_radius, 2.5),
+]
+_KIND_CASES = [(row, kind) for row in _KIND_KEYS
+               for kind in next(r[2] for r in cli.SCHEMA if r[:2] == (row[0], "kind"))]
+
+
+@pytest.mark.parametrize("row,kind", _KIND_CASES,
+                         ids=[f"{row[0]}.{row[2]}@{kind}" for row, kind in _KIND_CASES])
+def test_a_kind_scoped_key_reaches_its_component_and_is_unknown_at_other_kinds(
+        tmp_path, monkeypatch, capsys, row, kind):
+    section, own, key, value, read, want = row
+    runs = []
+    monkeypatch.setattr(cli, "sir_run", lambda config: runs.append(config) or
+                        types.SimpleNamespace(infected_counts=np.zeros(config.horizon + 1)))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "truth.csv").write_text("step,infected,cumulative\n0,1,1\n1,2,3\n2,3,6\n")
+    cfg = _toy_config(tmp_path / "out")
+    if kind == "sir":
+        cfg["problem"] = dict(_SIR_PROBLEM, horizon=2)
+    cfg[section].update({"kind": kind, key: value})
+    if kind != own:
+        assert main(["calibrate", _write(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {section}: unknown key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+        assert runs == []
+        return
+    loaded = load_config(_write(tmp_path, cfg))
+    emulator, grid, _ = cli._build_components(loaded)
+    bounds = cli.Bounds(lower=np.array(loaded["problem"]["lower"]),
+                        upper=np.array(loaded["problem"]["upper"]))
+    objective, _ = cli._build_objective(loaded["problem"], bounds)
+    found = objective(DesignPoint(x=np.array([0.5]), r=1))
+    assert read({"emulator": emulator, "grid": grid, "runs": runs, "value": found}) == want
+
+
+def test_every_section_is_read_before_the_rules_between_keys(tmp_path):
+    # inverted bounds break a rule of the problem section and nstarts 0 a row
+    # of the emulator section: every section is read before any rule runs
+    def mutate(c):
+        c["problem"].update(lower=[0.9], upper=[0.1])
+        c["emulator"]["nstarts"] = 0
+
+    with pytest.raises(ConfigError) as info:
+        _load(tmp_path, mutate)
+    assert str(info.value) == "emulator.nstarts: must be >= 1"
 
 
 def test_readme_minimal_config_loads(tmp_path):
@@ -1076,6 +1149,24 @@ def test_calibrate_malformed_truth_file_exits_2(tmp_path, capsys, table, message
     assert not (tmp_path / "out").exists()
 
 
+def test_calibrate_refuses_an_inline_truth_beside_a_truth_file(tmp_path, monkeypatch, capsys):
+    """The inline truth used to be dropped for the file's; now the config is
+    refused before any simulation, whichever truth it gives inline."""
+    truth = tmp_path / "truth.csv"
+    truth.write_text("step,infected,cumulative\n0,1,1\n1,2,3\n2,1,3\n")
+    monkeypatch.setattr(cli, "sir_run", lambda config: pytest.fail("a simulation ran"))
+    cfg = _toy_config(tmp_path / "out")
+    for inline in ({"beta": 0.9, "seed_id": 3}, {}):
+        cfg["problem"] = dict(_SIR_PROBLEM, horizon=2, truth=inline, truth_file=str(truth))
+        assert main(["calibrate", _write(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: problem.truth: give this or problem.truth_file, not both\n")
+        assert not (tmp_path / "out").exists()
+    # a null truth_file is no file
+    cfg["problem"]["truth_file"] = None
+    assert load_config(_write(tmp_path, cfg))["problem"]["truth"] == {"beta": 0.069, "seed_id": 0}
+
+
 def test_calibrate_rank_above_nseeds_exits_2(tmp_path, capsys):
     cfg = _toy_config(tmp_path / "out")
     cfg["emulator"]["rank"] = 5
@@ -1084,9 +1175,11 @@ def test_calibrate_rank_above_nseeds_exits_2(tmp_path, capsys):
         "error: emulator.rank: must be <= expansion.nseeds (3)")
     assert not (tmp_path / "out").exists()
 
-    # the baseline kind ignores the rank, as before
+    # the baseline has no seed factor, so it takes no rank
     cfg["emulator"]["kind"] = "baseline"
-    assert load_config(_write(tmp_path, cfg))["emulator"]["rank"] == 5
+    assert main(["calibrate", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == "error: emulator: unknown key 'rank'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibrate_huge_integer_exits_2(tmp_path, capsys):
