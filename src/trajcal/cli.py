@@ -6,8 +6,8 @@ from a JSON config file, hands them to ``workflow.run``, which owns the
 initial design and the loop, and writes a results bundle (design.csv,
 trace.jsonl, summary.json); ``report`` recomputes summary statistics from
 an existing bundle's design.csv, which holds every successful run in order.
-A config's sections are checked in order against ``SCHEMA``, at the keys
-their ``kind`` takes, then the rules between keys; the first fault is reported.
+Config sections are checked in order against ``SCHEMA`` at the keys their
+``kind`` or ``policy`` takes, then the rules between keys, up to the first fault.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical or progress failure
 (with the partial trace preserved in the bundle; no bundle when fewer than
@@ -41,12 +41,12 @@ import tempfile
 
 import numpy as np
 
+from . import kernels
 from .dataspace import Bounds, Dataset, rescale, sse
 from .emulator import SeedKernelGP
 from .errors import NumericalError, ProgressError
 from .expansion import POLICIES, SAMPLE_MODES, ExpansionConfig
 from .grid import AdaptiveGrid, FixedGrid, LHSGrid
-from .kernels import FROM_SQ_DISTS, bundled_openblas
 from .simulator import SirConfig, sir_run, to_table, toy_objective
 from .workflow import STREAM_DERIVATION, WorkflowConfig, component_stream, run
 
@@ -96,8 +96,8 @@ _GP, _ADAPTIVE, _EXPANSION, _WORKFLOW = (
 
 #: One row per key: (section, key, type, default, minimum, maximum), checked
 #: in this order.  A default of None also accepts null.  A row filed under a
-#: kind is a key of the section ``KIND_SECTIONS`` names, taken only at that
-#: kind; any other kind refuses it as unknown.  The keys of a component's
+#: kind is a key of the section whose ``SELECTORS`` key holds that kind, taken
+#: only there; any other kind refuses it as unknown.  The keys of a component's
 #: section are its constructor's parameters, and their defaults and choices
 #: are the library's.
 SCHEMA = (
@@ -116,7 +116,7 @@ SCHEMA = (
     ("sir", "infectious_period", int, SIR_DEFAULTS["infectious_period"], 1, None),
     ("sir", "contact_radius", float, SIR_DEFAULTS["contact_radius"], 1e-9, None),
     ("emulator", "kind", ("baseline", "seed-product"), REQUIRED, None, None),
-    ("emulator", "family", tuple(FROM_SQ_DISTS), _GP["family"], None, None),
+    ("emulator", "family", tuple(kernels.FROM_SQ_DISTS), _GP["family"], None, None),
     ("emulator", "nstarts", int, _GP["nstarts"], 1, None),
     ("seed-product", "rank", int, _GP["rank"], 1, None),
     ("seed-product", "per_seed_v", bool, _GP["per_seed_v"], None, None),
@@ -128,9 +128,9 @@ SCHEMA = (
     ("expansion", "policy", POLICIES, REQUIRED, None, None),
     ("expansion", "nseeds", int, REQUIRED, 1, None),
     ("expansion", "nexpansion", int, _EXPANSION["nexpansion"], 0, None),
-    ("expansion", "nsims_expand", int, _EXPANSION["nsims_expand"], 1, None),
+    ("by-sims", "nsims_expand", int, _EXPANSION["nsims_expand"], 1, None),
     ("expansion", "sample_mode", SAMPLE_MODES, _EXPANSION["sample_mode"], None, None),
-    ("expansion", "p", float, _EXPANSION["p"], 0.0, 1.0),
+    ("by-prob", "p", float, REQUIRED, 0.0, 1.0),
     ("workflow", "budget", int, REQUIRED, 1, None),
     ("workflow", "initial_design", int, REQUIRED, 2, None),
     ("workflow", "nTS_samp", int, _WORKFLOW["nTS_samp"], 1, None),
@@ -139,7 +139,7 @@ SCHEMA = (
     ("output", "rmse_cutoff", float, 20.0, 0.0, None),
 )
 SECTIONS = ("problem", "emulator", "grid", "expansion", "workflow", "output")
-KIND_SECTIONS = {"sir": "problem", "seed-product": "emulator", "adaptive": "grid"}
+SELECTORS = {"problem": "kind", "emulator": "kind", "grid": "kind", "expansion": "policy"}
 
 
 def _section(cfg, name):
@@ -191,7 +191,7 @@ def _read_table(raw: dict, name: str) -> dict:
     ``raw`` and fill their defaults; a key left over is an error."""
     sec = {}
     for section, key, kind, default, minimum, maximum in SCHEMA:
-        if section != name and (KIND_SECTIONS.get(section) != name or sec["kind"] != section):
+        if section != name and sec.get(SELECTORS.get(name)) != section:
             continue
         full = f"{name}.{key}"
         if key in raw:
@@ -231,8 +231,6 @@ def _check_rules(cfg: dict, raw: dict) -> None:
         raise ConfigError("problem: the sir box must lie in [0, 1]; beta is a probability")
     if sir and problem["truth_file"] is not None and "truth" in raw["problem"]:
         raise ConfigError("problem.truth: give this or problem.truth_file, not both")
-    if expansion["policy"] == "by-prob" and expansion["p"] is None:
-        raise ConfigError("expansion.p: required for the by-prob policy")
     if emulator.get("rank") is not None and emulator["rank"] > expansion["nseeds"]:
         raise ConfigError(f"emulator.rank: must be <= expansion.nseeds ({expansion['nseeds']})")
     if sir:  # the truth's index case, then the largest initial seed's
@@ -533,6 +531,9 @@ def cmd_calibrate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emulator, strategy, wf_config = _build_components(cfg)
+    if kernels._lapack("dpotrs") is None:  # fits solve with scipy's LAPACK: load it to pin its BLAS
+        import scipy.linalg.lapack  # noqa: F401
+        _one_blas_thread()
     try:
         (dataset, trace), failure = run(objective, wf_config, emulator, strategy), None
     except (NumericalError, ProgressError) as exc:  # ``run`` attaches its partial results
@@ -671,8 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 #: The thread-count setter of the OpenBLAS that numpy and that scipy each
-#: bundle in their wheels, by package name: scipy is not imported here, but
-#: another module may have loaded its OpenBLAS.
+#: bundle in their wheels, by package name.
 _OPENBLAS_SETTERS = (("numpy", "scipy_openblas_set_num_threads64_"),
                      ("scipy", "scipy_openblas_set_num_threads"))
 
@@ -688,7 +688,7 @@ def _one_blas_thread() -> None:
     if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
         return
     for package, symbol in _OPENBLAS_SETTERS:
-        for setter in bundled_openblas(package, symbol):
+        for setter in kernels.bundled_openblas(package, symbol):
             setter.argtypes = [ctypes.c_int]
             setter.restype = None
             setter(1)

@@ -33,10 +33,10 @@ class ExpansionConfig:
     """Initial seed-space size plus the growth policy and its parameters.
 
     policy "by-sims" triggers each time the completed count reaches the next
-    multiple of ``nsims_expand``; "by-prob" triggers with probability ``p`` at
-    each check.  Each expansion queues at most ``nexpansion`` distinct points
-    on the new seed: with ``sample_mode`` "explore", drawn uniformly from the
-    refined candidate grid; with "exploit", the best coordinates so far.
+    multiple of ``nsims_expand``, "by-prob" with probability ``p`` at each
+    check; the CLI refuses the other policy's key.  Each expansion queues at
+    most ``nexpansion`` distinct points on the new seed, by ``sample_mode``:
+    "explore" draws them from the refined grid, "exploit" the best so far.
     """
 
     nseeds: int

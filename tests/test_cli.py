@@ -122,7 +122,7 @@ def test_load_config_fills_defaults(tmp_path):
     assert cfg["grid"]["reuse_previous"] is True
     assert cfg["expansion"]["nexpansion"] == 10
     assert cfg["expansion"]["sample_mode"] == "explore"
-    assert cfg["expansion"]["p"] is None
+    assert "p" not in cfg["expansion"]
     assert cfg["workflow"]["master_seed"] == 0
     assert cfg["output"]["rmse_cutoff"] == 20.0
 
@@ -265,6 +265,12 @@ _DELETE = object()
 _SIR_PROBLEM = {"kind": "sir", "ndim": 1, "lower": [0.02], "upper": [0.12]}
 
 
+def _by_prob(expansion):
+    """Turn ``_toy_config``'s by-sims expansion section into a by-prob one."""
+    del expansion["nsims_expand"]
+    expansion.update(policy="by-prob", p=0.5)
+
+
 class _Huge(int):
     """A JSON integer beyond float range, with a short test id."""
 
@@ -279,7 +285,8 @@ _SIR_BOX = "the sir box must lie in [0, 1]; beta is a probability"
 
 # one fault per schema row, pinned to the exact message: a wrong type, a value
 # below the minimum, above the maximum, and a missing required key; each on
-# the toy config, or with a sir problem or an adaptive grid in its place
+# the toy config, or with a sir problem, an adaptive grid or the by-prob
+# policy in its place
 _FAULTS = [
     ("toy", "problem.kind", 1, "problem.kind: must be one of ['toy', 'sir']"),
     ("toy", "problem.kind", _DELETE, "problem.kind: required key missing"),
@@ -350,10 +357,12 @@ _FAULTS = [
     ("toy", "expansion.nsims_expand", 0, "expansion.nsims_expand: must be >= 1"),
     ("toy", "expansion.sample_mode", "random",
      "expansion.sample_mode: must be one of ['explore', 'exploit']"),
-    ("toy", "expansion.p", "half", "expansion.p: must be a number"),
-    ("toy", "expansion.p", -0.5, "expansion.p: must be >= 0.0"),
-    ("toy", "expansion.p", 2, "expansion.p: must be <= 1.0"),
-    ("toy", "expansion.p", _HUGE, f"expansion.p: {_TOO_BIG}"),
+    ("by-prob", "expansion.p", "half", "expansion.p: must be a number"),
+    ("by-prob", "expansion.p", -0.5, "expansion.p: must be >= 0.0"),
+    ("by-prob", "expansion.p", 2, "expansion.p: must be <= 1.0"),
+    ("by-prob", "expansion.p", _HUGE, f"expansion.p: {_TOO_BIG}"),
+    ("by-prob", "expansion.p", None, "expansion.p: must be a number"),
+    ("by-prob", "expansion.p", _DELETE, "expansion.p: required key missing"),
     ("toy", "workflow.budget", "12", "workflow.budget: must be an integer"),
     ("toy", "workflow.budget", 0, "workflow.budget: must be >= 1"),
     ("toy", "workflow.budget", _DELETE, "workflow.budget: required key missing"),
@@ -383,10 +392,11 @@ _FAULTS = [
     ("sir", "problem.contact_radius", math.inf, f"problem.contact_radius: {_NOT_FINITE}"),
     ("adaptive", "grid.proposal_step", math.nan, f"grid.proposal_step: {_NOT_FINITE}"),
     ("adaptive", "grid.proposal_step", math.inf, f"grid.proposal_step: {_NOT_FINITE}"),
-    ("toy", "expansion.p", math.nan, f"expansion.p: {_NOT_FINITE}"),
+    ("by-prob", "expansion.p", math.nan, f"expansion.p: {_NOT_FINITE}"),
     ("toy", "output.rmse_cutoff", math.nan, f"output.rmse_cutoff: {_NOT_FINITE}"),
     ("toy", "output.rmse_cutoff", math.inf, f"output.rmse_cutoff: {_NOT_FINITE}"),
-    # unknown keys, per section, in the truth object, and SIR-only keys on toy
+    # unknown keys, per section, in the truth object, SIR-only keys on toy,
+    # and by-prob's p on by-sims, even null
     ("toy", "zeta", 1, "config: unknown key 'zeta'"),
     ("toy", "problem.zeta", 1, "problem: unknown key 'zeta'"),
     ("sir", "problem.zeta", 1, "problem: unknown key 'zeta'"),
@@ -399,6 +409,7 @@ _FAULTS = [
     ("toy", "problem.n_agents", 500, "problem: unknown key 'n_agents'"),
     ("toy", "problem.truth", {}, "problem: unknown key 'truth'"),
     ("toy", "problem.truth_file", "t.csv", "problem: unknown key 'truth_file'"),
+    ("toy", "expansion.p", None, "expansion: unknown key 'p'"),
     ("toy", "problem", [], "problem: must be an object"),
     ("toy", "output", _DELETE, "output: required section missing"),
 ]
@@ -413,6 +424,8 @@ def test_schema_names_each_fault(tmp_path, base, path, value, message):
             c["problem"] = copy.deepcopy(_SIR_PROBLEM)
         elif base == "adaptive":
             c["grid"]["kind"] = "adaptive"
+        elif base == "by-prob":
+            _by_prob(c["expansion"])
         *parents, key = path.split(".")
         obj = c
         for name in parents:
@@ -469,15 +482,18 @@ def test_build_components_passes_each_setting_through(tmp_path, changes, attribu
     def mutate(c):
         for section, values in changes.items():
             c[section].update(values)
+        if c["expansion"]["policy"] == "by-prob":  # nsims_expand is a by-sims key
+            del c["expansion"]["nsims_expand"]
 
     assert attribute(*cli._build_components(_load(tmp_path, mutate))) == want
 
 
-#: Each key that a kind takes of its own: (section, kind, key, a value that
-#: differs from the default, what it reaches in the built components, the
-#: value found there).  The SIR keys reach the simulator configs the objective
-#: runs, the truth's first; the truth file reaches the objective's target,
-#: read off its value against a run with no infections.
+#: Each key that a kind, or an expansion policy, takes of its own: (section,
+#: kind, key, a value that differs from the default, what it reaches in the
+#: built components, the value found there).  The SIR keys reach the
+#: simulator configs the objective runs, the truth's first; the truth file
+#: reaches the objective's target, read off its value against a run with no
+#: infections; the policies' keys reach the run's ``ExpansionConfig``.
 _KIND_KEYS = [
     ("emulator", "seed-product", "rank", 3, lambda built: built["emulator"].rank, 3),
     ("emulator", "seed-product", "per_seed_v", True,
@@ -496,9 +512,11 @@ _KIND_KEYS = [
      lambda built: built["runs"][-1].infectious_period, 5),
     ("problem", "sir", "contact_radius", 2.5,
      lambda built: built["runs"][-1].contact_radius, 2.5),
+    ("expansion", "by-sims", "nsims_expand", 7, lambda built: built["expansion"].nsims_expand, 7),
+    ("expansion", "by-prob", "p", 0.3, lambda built: built["expansion"].p, 0.3),
 ]
-_KIND_CASES = [(row, kind) for row in _KIND_KEYS
-               for kind in next(r[2] for r in cli.SCHEMA if r[:2] == (row[0], "kind"))]
+_KIND_CASES = [(row, kind) for row in _KIND_KEYS for kind in next(
+    r[2] for r in cli.SCHEMA if r[:2] == (row[0], cli.SELECTORS[row[0]]))]
 
 
 @pytest.mark.parametrize("row,kind", _KIND_CASES,
@@ -506,15 +524,18 @@ _KIND_CASES = [(row, kind) for row in _KIND_KEYS
 def test_a_kind_scoped_key_reaches_its_component_and_is_unknown_at_other_kinds(
         tmp_path, monkeypatch, capsys, row, kind):
     section, own, key, value, read, want = row
-    runs = []
+    runs = []  # every simulator call, of either problem
     monkeypatch.setattr(cli, "sir_run", lambda config: runs.append(config) or
                         types.SimpleNamespace(infected_counts=np.zeros(config.horizon + 1)))
+    monkeypatch.setattr(cli, "toy_objective", lambda point: runs.append(point) or 0.0)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "truth.csv").write_text("step,infected,cumulative\n0,1,1\n1,2,3\n2,3,6\n")
     cfg = _toy_config(tmp_path / "out")
     if kind == "sir":
         cfg["problem"] = dict(_SIR_PROBLEM, horizon=2)
-    cfg[section].update({"kind": kind, key: value})
+    elif kind == "by-prob":
+        _by_prob(cfg["expansion"])
+    cfg[section].update({cli.SELECTORS[section]: kind, key: value})
     if kind != own:
         assert main(["calibrate", _write(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err == f"error: {section}: unknown key {key!r}\n"
@@ -522,12 +543,13 @@ def test_a_kind_scoped_key_reaches_its_component_and_is_unknown_at_other_kinds(
         assert runs == []
         return
     loaded = load_config(_write(tmp_path, cfg))
-    emulator, grid, _ = cli._build_components(loaded)
+    emulator, grid, workflow = cli._build_components(loaded)
     bounds = cli.Bounds(lower=np.array(loaded["problem"]["lower"]),
                         upper=np.array(loaded["problem"]["upper"]))
     objective, _ = cli._build_objective(loaded["problem"], bounds)
     found = objective(DesignPoint(x=np.array([0.5]), r=1))
-    assert read({"emulator": emulator, "grid": grid, "runs": runs, "value": found}) == want
+    assert read({"emulator": emulator, "grid": grid, "expansion": workflow.expansion,
+                 "runs": runs, "value": found}) == want
 
 
 def test_every_section_is_read_before_the_rules_between_keys(tmp_path):
@@ -789,6 +811,34 @@ def test_import_leaves_blas_threads_alone_and_main_sets_one():
 def test_blas_thread_variable_overrides_main():
     before, imported, after = _blas_thread_counts(2)
     assert before == imported == after
+
+
+# Runs calibrate on the config file named by the first argument as on a build
+# whose numpy bundles no OpenBLAS, so fits solve with scipy's LAPACK, then
+# prints the thread count of scipy's bundled OpenBLAS, or -1 where it has none.
+_FALLBACK_THREADS = """
+import sys
+from trajcal import cli, kernels
+kernels._lapack = lambda name: None
+assert cli.main(["calibrate", sys.argv[1]]) == 0
+get = next(kernels.bundled_openblas("scipy", "scipy_openblas_get_num_threads"), None)
+print(-1 if get is None else get())
+"""
+
+
+@pytest.mark.parametrize("env_threads,want", [(None, 1), (2, 2)])
+def test_calibrate_pins_scipys_openblas_on_the_fallback_lapack_path(tmp_path, env_threads, want):
+    """scipy's OpenBLAS is loaded after ``main`` pins the threads, by the
+    fallback's first fit: ``calibrate`` pins it as well, and a thread
+    variable still wins."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FALLBACK_THREADS, _write(tmp_path, _toy_config(tmp_path / "out"))],
+        env=_child_env(env_threads), capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    threads = int(proc.stdout.splitlines()[-1])
+    if threads == -1:
+        pytest.skip("no OpenBLAS bundled in scipy.libs")
+    assert threads == want
 
 
 # Runs trajcal commands in this fresh process, each given as a JSON list of
