@@ -45,7 +45,7 @@ from . import kernels
 from .dataspace import Bounds, Dataset, rescale, sse
 from .emulator import SeedKernelGP
 from .errors import NumericalError, ProgressError
-from .expansion import POLICIES, SAMPLE_MODES, ExpansionConfig
+from .expansion import NSIMS_EXPAND, SAMPLE_MODES, ExpansionConfig
 from .grid import AdaptiveGrid, FixedGrid, LHSGrid
 from .simulator import SirConfig, sir_run, to_table, toy_objective
 from .workflow import STREAM_DERIVATION, WorkflowConfig, component_stream, run
@@ -98,8 +98,8 @@ _GP, _ADAPTIVE, _EXPANSION, _WORKFLOW = (
 #: in this order.  A default of None also accepts null.  A row filed under a
 #: kind is a key of the section whose ``SELECTORS`` key holds that kind, taken
 #: only there; any other kind refuses it as unknown.  The keys of a component's
-#: section are its constructor's parameters, and their defaults and choices
-#: are the library's.
+#: section are its constructor's parameters, the expansion's ``policy``
+#: excepted, and their defaults and choices are the library's.
 SCHEMA = (
     ("problem", "kind", ("toy", "sir"), REQUIRED, None, None),
     ("problem", "ndim", int, REQUIRED, 1, None),
@@ -124,11 +124,10 @@ SCHEMA = (
     ("grid", "kind", ("fixed", "lhs", "adaptive"), REQUIRED, None, None),
     ("grid", "ngrid", int, 100, 1, None),
     ("adaptive", "proposal_step", float, _ADAPTIVE["proposal_step"], 1e-12, None),
-    ("adaptive", "reuse_previous", bool, _ADAPTIVE["reuse_previous"], None, None),
-    ("expansion", "policy", POLICIES, REQUIRED, None, None),
+    ("expansion", "policy", ("by-sims", "by-prob"), REQUIRED, None, None),
     ("expansion", "nseeds", int, REQUIRED, 1, None),
     ("expansion", "nexpansion", int, _EXPANSION["nexpansion"], 0, None),
-    ("by-sims", "nsims_expand", int, _EXPANSION["nsims_expand"], 1, None),
+    ("by-sims", "nsims_expand", int, NSIMS_EXPAND, 1, None),
     ("expansion", "sample_mode", SAMPLE_MODES, _EXPANSION["sample_mode"], None, None),
     ("by-prob", "p", float, REQUIRED, 0.0, 1.0),
     ("workflow", "budget", int, REQUIRED, 1, None),
@@ -328,11 +327,12 @@ def _build_objective(problem: dict, bounds: Bounds):
 
 def _build_components(cfg: dict):
     """The emulator, grid strategy and run settings of a checked config; each
-    key but ``kind`` and ``ngrid`` is the parameter of the same name."""
-    em_cfg, grid_cfg = dict(cfg["emulator"]), dict(cfg["grid"])
+    key but ``kind``, ``ngrid`` and ``policy`` is the parameter of the same name."""
+    em_cfg, grid_cfg, exp_cfg = dict(cfg["emulator"]), dict(cfg["grid"]), dict(cfg["expansion"])
     seeded = em_cfg.pop("kind") == "seed-product"
     kind, ngrid = grid_cfg.pop("kind"), grid_cfg.pop("ngrid")
-    expansion = ExpansionConfig(**cfg["expansion"])
+    del exp_cfg["policy"]
+    expansion = ExpansionConfig(**exp_cfg)
     # the seed-agnostic baseline is the same GP without a seed space
     emulator = SeedKernelGP(ndim=cfg["problem"]["ndim"],
                             nseeds=expansion.nseeds if seeded else None, **em_cfg)

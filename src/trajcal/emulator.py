@@ -160,8 +160,8 @@ class SeedKernelGP:
         Number of continuous coordinates.
     nseeds : int or None
         Current seed-space size ``k``; grow it with ``expand_seed_space``.
-        ``None`` fixes the seed factor to 1; ``rank`` and ``per_seed_v``
-        then have no effect and ``expand_seed_space`` does nothing.
+        ``None`` fixes the seed factor to 1, and ``expand_seed_space`` then
+        does nothing; such a GP takes neither ``rank`` nor ``per_seed_v``.
     rank : int, optional
         Rank of ``B``; defaults to ``min(2, nseeds)``, resolved again as the
         seed space grows, while a given rank never changes.  Rank 1 fits no
@@ -205,12 +205,12 @@ class SeedKernelGP:
         self.maxfev = maxfev
         self.ndim = int(ndim)
         self.nseeds = None if nseeds is None else int(nseeds)
-        self.rank = None
         self._default_rank = rank is None  # then the rank follows the seed space
-        if self.seeded:
-            self.rank = int(rank) if rank is not None else min(2, self.nseeds)
-            if not (1 <= self.rank <= self.nseeds):
-                raise ValueError("rank must lie in 1..nseeds")
+        if not self.seeded and (rank is not None or per_seed_v):
+            raise ValueError("rank and per_seed_v need a seed space (nseeds)")
+        self.rank = int(rank) if rank is not None else min(2, self.nseeds) if self.seeded else None
+        if self.seeded and not 1 <= self.rank <= self.nseeds:
+            raise ValueError("rank must lie in 1..nseeds")
         self.family = family
         self.per_seed_v = bool(per_seed_v)
         self.lengthscales = self.variance = self._S = self.nugget = None  # the fitted kernel

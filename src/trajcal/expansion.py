@@ -1,11 +1,10 @@
 """Seed-space growth: when to add a new seed id and what to run on it.
 
-Policies decide when the discrete seed space grows, by at most one seed
-per iteration: "by-sims" on the completed-run count (see ``expand``), or
-"by-prob" with a fixed per-check probability.  On expansion the workflow
-draws points that carry the new seed, either by re-seeding a uniform draw
-from the refined grid (exploration, the default) or by re-seeding the
-incumbent best coordinates (exploitation).
+The trigger given picks the policy that grows the seed space, by at most
+one seed per iteration: "by-sims" on the completed-run count, or "by-prob"
+with a fixed per-check probability.  New-seed points re-seed a uniform
+draw from the refined grid (exploration, the default) or the incumbent
+best coordinates (exploitation).
 """
 
 from __future__ import annotations
@@ -18,67 +17,71 @@ from .dataspace import DesignPoint, _check_int
 
 __all__ = [
     "ExpansionConfig",
+    "can_expand",
     "check_for_expansion",
     "expand",
     "sample_from_expansion",
     "reseed_incumbents",
 ]
 
-POLICIES = ("by-sims", "by-prob")
 SAMPLE_MODES = ("explore", "exploit")
+#: The by-sims spacing of a config that gives neither trigger.
+NSIMS_EXPAND = 50
 
 
 @dataclass(frozen=True)
 class ExpansionConfig:
-    """Initial seed-space size plus the growth policy and its parameters.
+    """Initial seed-space size plus the growth trigger and its parameters.
 
-    policy "by-sims" triggers each time the completed count reaches the next
-    multiple of ``nsims_expand``, "by-prob" with probability ``p`` at each
-    check; the CLI refuses the other policy's key.  Each expansion queues at
-    most ``nexpansion`` distinct points on the new seed, by ``sample_mode``:
-    "explore" draws them from the refined grid, "exploit" the best so far.
+    A given ``p`` is by-prob, growing with probability ``p`` per check;
+    else by-sims grows each ``nsims_expand`` (``NSIMS_EXPAND`` when omitted)
+    completed runs; not both.  Each expansion queues at most ``nexpansion``
+    distinct points on the new seed, by ``sample_mode``: "explore" draws
+    them from the refined grid, "exploit" the best so far.
     """
 
     nseeds: int
     nexpansion: int = 10
-    policy: str = "by-sims"
-    nsims_expand: int = 50
+    nsims_expand: int | None = None
     p: float | None = None
     sample_mode: str = "explore"
 
     def __post_init__(self):
         _check_int("nseeds", self.nseeds, 1)
         _check_int("nexpansion", self.nexpansion, 0)
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
-        _check_int("nsims_expand", self.nsims_expand, 1)
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if self.policy == "by-prob" and self.p is None:
-            raise ValueError("by-prob policy needs p")
+        if self.p is None:
+            if self.nsims_expand is None:
+                object.__setattr__(self, "nsims_expand", NSIMS_EXPAND)
+            _check_int("nsims_expand", self.nsims_expand, 1)
+        elif self.nsims_expand is not None:
+            raise ValueError("give p (by-prob) or nsims_expand (by-sims), not both")
+        elif isinstance(self.p, bool) or not 0.0 <= self.p <= 1.0:
+            raise ValueError("p must be a number in [0, 1]")
         if self.sample_mode not in SAMPLE_MODES:
             raise ValueError(f"sample_mode must be one of {SAMPLE_MODES}")
+
+
+def can_expand(config: ExpansionConfig, budget: int) -> bool:
+    """Whether the policy may add a seed before ``budget`` runs complete."""
+    return config.nsims_expand < budget if config.p is None else config.p > 0
 
 
 def check_for_expansion(config: ExpansionConfig, completed: int, expansions: int,
                         rng: np.random.Generator) -> bool:
     """Should the seed space grow now, after ``completed`` successful runs (the
     initial design's included) and ``expansions`` earlier expansions?  Only
-    by-prob draws from ``rng``."""
-    if config.policy == "by-sims":
+    by-prob draws from ``rng``.  By-sims grows once the count reaches
+    (expansions + 1) x ``nsims_expand``; as a run expands at most once per
+    iteration, a batch that passes several such counts leaves a backlog,
+    which carries over to later iterations."""
+    if config.p is None:
         return completed >= (expansions + 1) * config.nsims_expand
     return bool(rng.random() < config.p)
 
 
 def expand(config: ExpansionConfig, expansions: int) -> int:
     """The id of the next seed after ``expansions`` earlier ones, so the ids
-    stay contiguous.
-
-    A run expands at most once per iteration, when the completed count, the
-    initial design's included, reaches (expansions so far + 1) x
-    ``nsims_expand`` under "by-sims".  A batch that passes several such
-    counts leaves a backlog, which carries over to later iterations.
-    """
+    stay contiguous."""
     return config.nseeds + expansions + 1
 
 

@@ -2,16 +2,17 @@
 
 Three ways to produce the M-point candidate set scored by Thompson
 sampling: a grid frozen for the run, a fresh Latin hypercube per call, and
-an adaptive grid that filters the previous candidates by importance
-resampling on a probability-of-improvement likelihood, then densifies back
-to M distinct points with a Metropolis-Hastings random walk over
-(coordinates, seed), whose proposals are drawn and scored in rounds, one
-emulator prediction per block of proposals, each under every seed.  Each
-strategy is built with its size M (``ngrid``) and its settings alone, the
-fixed grid's stream among them.  The run supplies the rest at every
-``sample`` call: the emulator, the dataset (whose dimension the grid
-takes), the current seed count as ``nseeds``, since the seed space grows
-during a run, the grid stream, and the previous iteration's grid.
+an adaptive grid that always refines the previous iteration's candidates.
+It filters them by importance resampling on a probability-of-improvement
+likelihood, then densifies back to M distinct points with a
+Metropolis-Hastings random walk over (coordinates, seed), whose proposals
+are drawn and scored in rounds, one emulator prediction per block of
+proposals, each under every seed.  Each strategy is built with its size M
+(``ngrid``) and its settings alone, the fixed grid's stream among them.
+The run supplies the rest at every ``sample`` call: the emulator, the
+dataset (whose dimension the grid takes), the current seed count as
+``nseeds``, since the seed space grows during a run, the grid stream, and
+the previous iteration's grid.
 """
 
 from __future__ import annotations
@@ -256,23 +257,21 @@ class AdaptiveGrid(LHSGrid):
     and densifies back to M distinct points via ``mh_densify``, whose
     Gaussian random-walk proposal has scale ``proposal_step`` in
     unit-hypercube units; each MH round is one ``predict_mean_var`` call
-    with a row of seed ids 1..k per proposal.  Set ``reuse_previous=False``
-    to restart from a fresh LHS every call instead of carrying the grid
-    over.  The emulator must provide a ``predict_mean_var`` that takes one
-    seed id or one row of seed ids per point, as ``SeedKernelGP`` does.
+    with a row of seed ids 1..k per proposal.  The emulator must provide a
+    ``predict_mean_var`` that takes one seed id or one row of seed ids per
+    point, as ``SeedKernelGP`` does.
     """
 
-    def __init__(self, ngrid: int, proposal_step: float = 0.05, reuse_previous: bool = True):
-        if not 0 < proposal_step < math.inf:  # NaN fails both comparisons
-            raise ValueError("proposal_step must be positive and finite")
+    def __init__(self, ngrid: int, proposal_step: float = 0.05):
+        if isinstance(proposal_step, bool) or not 0 < proposal_step < math.inf:  # NaN fails both
+            raise ValueError("proposal_step must be a positive finite number")
         super().__init__(ngrid)
         self.proposal_step = proposal_step
-        self.reuse_previous = bool(reuse_previous)
 
     def sample(self, *, emulator, dataset, nseeds, rng, previous) -> CandidateGrid:
         M = self.ngrid
         k = int(nseeds)
-        prev = previous if self.reuse_previous else None
+        prev = previous
         if prev is None:
             prev = super().sample(emulator=emulator, dataset=dataset, nseeds=k, rng=rng,
                                   previous=None)

@@ -29,6 +29,7 @@ from .dataspace import Dataset, DesignPoint, _check_int, latin_hypercube
 from .errors import NumericalError, ProgressError
 from .expansion import (
     ExpansionConfig,
+    can_expand,
     check_for_expansion,
     expand,
     reseed_incumbents,
@@ -213,7 +214,7 @@ def run(simulator, config: WorkflowConfig, emulator,
     ValueError
         Before any evaluation, for an emulator that was fitted already, whose
         seed count is not the config's, or whose seed space has a ``fixed=``
-        kernel while the policy may add a seed (``nsims_expand < budget`` or ``p > 0``).
+        kernel while the policy may add a seed (``expansion.can_expand``).
     ProgressError
         If fewer than 2 initial evaluations succeed, or every evaluation in
         some iteration fails.
@@ -228,9 +229,8 @@ def run(simulator, config: WorkflowConfig, emulator,
                          f"expansion.nseeds ({k0})")
     if emulator.fit_report is not None:
         raise ValueError("the emulator was fitted already; a run starts from an unfitted one")
-    exp = config.expansion
-    if emulator.seeded and emulator._fixed is not None and (
-            exp.nsims_expand < config.budget if exp.policy == "by-sims" else exp.p > 0):
+    if (emulator.seeded and emulator._fixed is not None
+            and can_expand(config.expansion, config.budget)):
         raise ValueError("cannot expand a fixed-parameter emulator, and the policy may add a seed")
     X0 = latin_hypercube(config.initial_design, emulator.ndim,
                          component_stream(config.master_seed, "init", 0))

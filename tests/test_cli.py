@@ -119,7 +119,6 @@ def test_load_config_fills_defaults(tmp_path):
     assert cfg["emulator"]["rank"] is None
     assert cfg["emulator"]["per_seed_v"] is False
     assert cfg["grid"]["proposal_step"] == 0.05
-    assert cfg["grid"]["reuse_previous"] is True
     assert cfg["expansion"]["nexpansion"] == 10
     assert cfg["expansion"]["sample_mode"] == "explore"
     assert "p" not in cfg["expansion"]
@@ -195,8 +194,6 @@ def test_rejects_type_errors(tmp_path):
         _load(tmp_path, lambda c: c["workflow"].update(budget=12.5))
     with pytest.raises(ConfigError, match="workflow.budget: must be an integer"):
         _load(tmp_path, lambda c: c["workflow"].update(budget=True))
-    with pytest.raises(ConfigError, match="grid.reuse_previous: must be true or false"):
-        _load(tmp_path, lambda c: c["grid"].update(kind="adaptive", reuse_previous="yes"))
     with pytest.raises(ConfigError, match="output.rmse_cutoff: must be a number"):
         _load(tmp_path, lambda c: c["output"].update(rmse_cutoff="tight"))
 
@@ -345,7 +342,6 @@ _FAULTS = [
     ("adaptive", "grid.proposal_step", "small", "grid.proposal_step: must be a number"),
     ("adaptive", "grid.proposal_step", 0, "grid.proposal_step: must be >= 1e-12"),
     ("adaptive", "grid.proposal_step", _HUGE, f"grid.proposal_step: {_TOO_BIG}"),
-    ("adaptive", "grid.reuse_previous", None, "grid.reuse_previous: must be true or false"),
     ("toy", "expansion.policy", "custom", "expansion.policy: must be one of ['by-sims', 'by-prob']"),
     ("toy", "expansion.policy", _DELETE, "expansion.policy: required key missing"),
     ("toy", "expansion.nseeds", "3", "expansion.nseeds: must be an integer"),
@@ -396,7 +392,8 @@ _FAULTS = [
     ("toy", "output.rmse_cutoff", math.nan, f"output.rmse_cutoff: {_NOT_FINITE}"),
     ("toy", "output.rmse_cutoff", math.inf, f"output.rmse_cutoff: {_NOT_FINITE}"),
     # unknown keys, per section, in the truth object, SIR-only keys on toy,
-    # and by-prob's p on by-sims, even null
+    # by-prob's p on by-sims, even null, and reuse_previous, which no grid
+    # kind takes
     ("toy", "zeta", 1, "config: unknown key 'zeta'"),
     ("toy", "problem.zeta", 1, "problem: unknown key 'zeta'"),
     ("sir", "problem.zeta", 1, "problem: unknown key 'zeta'"),
@@ -410,13 +407,14 @@ _FAULTS = [
     ("toy", "problem.truth", {}, "problem: unknown key 'truth'"),
     ("toy", "problem.truth_file", "t.csv", "problem: unknown key 'truth_file'"),
     ("toy", "expansion.p", None, "expansion: unknown key 'p'"),
+    ("adaptive", "grid.reuse_previous", True, "grid: unknown key 'reuse_previous'"),
     ("toy", "problem", [], "problem: must be an object"),
     ("toy", "output", _DELETE, "output: required section missing"),
 ]
 
 
 @pytest.mark.parametrize("base,path,value,message", _FAULTS,
-                         ids=[f"{f[1]}={'<deleted>' if f[2] is _DELETE else f[2]!r}"
+                         ids=[f"{f[0]}:{f[1]}={'<deleted>' if f[2] is _DELETE else repr(f[2])}"
                               for f in _FAULTS])
 def test_schema_names_each_fault(tmp_path, base, path, value, message):
     def mutate(c):
@@ -459,10 +457,8 @@ _SETTINGS = [
     ({"grid": {"ngrid": 17}}, lambda em, grid, wf: grid.ngrid, 17),
     ({"grid": {"kind": "adaptive", "proposal_step": 0.2}},
      lambda em, grid, wf: grid.proposal_step, 0.2),
-    ({"grid": {"kind": "adaptive", "reuse_previous": False}},
-     lambda em, grid, wf: grid.reuse_previous, False),
     ({"expansion": {"policy": "by-prob", "p": 0.3}},
-     lambda em, grid, wf: (wf.expansion.policy, wf.expansion.p), ("by-prob", 0.3)),
+     lambda em, grid, wf: (wf.expansion.nsims_expand, wf.expansion.p), (None, 0.3)),
     ({"expansion": {"nseeds": 4}}, lambda em, grid, wf: (em.nseeds, wf.expansion.nseeds), (4, 4)),
     ({"expansion": {"nexpansion": 2}}, lambda em, grid, wf: wf.expansion.nexpansion, 2),
     ({"expansion": {"nsims_expand": 7}}, lambda em, grid, wf: wf.expansion.nsims_expand, 7),
@@ -499,8 +495,6 @@ _KIND_KEYS = [
     ("emulator", "seed-product", "per_seed_v", True,
      lambda built: built["emulator"].per_seed_v, True),
     ("grid", "adaptive", "proposal_step", 0.2, lambda built: built["grid"].proposal_step, 0.2),
-    ("grid", "adaptive", "reuse_previous", False,
-     lambda built: built["grid"].reuse_previous, False),
     ("problem", "sir", "crn_stream_id", 3, lambda built: built["runs"][-1].crn_stream_id, 3),
     ("problem", "sir", "truth", {"beta": 0.3, "seed_id": 2},
      lambda built: (built["runs"][0].beta, built["runs"][0].seed_id), (0.3, 2)),
@@ -550,6 +544,37 @@ def test_a_kind_scoped_key_reaches_its_component_and_is_unknown_at_other_kinds(
     found = objective(DesignPoint(x=np.array([0.5]), r=1))
     assert read({"emulator": emulator, "grid": grid, "expansion": workflow.expansion,
                  "runs": runs, "value": found}) == want
+
+
+#: Each emulator kind's, grid kind's and policy's library constructor and the
+#: arguments that a config of that kind gives it: a by-sims config always
+#: gives ``nsims_expand``, and a by-prob one ``p``.
+_LIBRARY = {
+    "baseline": (cli.SeedKernelGP, {"ndim": 1}),
+    "seed-product": (cli.SeedKernelGP, {"ndim": 1, "nseeds": 3}),
+    "fixed": (cli.FixedGrid, {"ngrid": 10, "rng": np.random.default_rng(0)}),
+    "lhs": (cli.LHSGrid, {"ngrid": 10}),
+    "adaptive": (cli.AdaptiveGrid, {"ngrid": 10}),
+    "by-sims": (cli.ExpansionConfig, {"nseeds": 3, "nsims_expand": 50}),
+    "by-prob": (cli.ExpansionConfig, {"nseeds": 3, "p": 0.5}),
+}
+_LIBRARY_CASES = [(row, kind) for row, kind in _KIND_CASES if row[0] != "problem"]
+
+
+@pytest.mark.parametrize("row,kind", _LIBRARY_CASES,
+                         ids=[f"{row[0]}.{row[2]}@{kind}" for row, kind in _LIBRARY_CASES])
+def test_the_library_takes_a_kind_scoped_key_at_its_kind_alone(row, kind):
+    """The library constructors take the keys the config file takes: a key
+    that a kind refuses as unknown, its constructor refuses too."""
+    section, own, key, value, read, want = row
+    cls, base = _LIBRARY[kind]
+    kwargs = {**base, key: value}
+    if kind == own:
+        assert read({section: cls(**kwargs)}) == want
+        return
+    # a grid kind without the key has no such parameter
+    with pytest.raises(TypeError if section == "grid" else ValueError):
+        cls(**kwargs)
 
 
 def test_every_section_is_read_before_the_rules_between_keys(tmp_path):

@@ -194,7 +194,7 @@ def test_posterior_covariance_is_exactly_symmetric(family, rank, nseeds, per_see
     rng = np.random.default_rng(seed)
     k = max(nseeds, rank or 1)
     em = SeedKernelGP(ndim=2, nseeds=None if rank is None else k, rank=rank, family=family,
-                      per_seed_v=per_seed_v, nstarts=1, maxfev=30)
+                      per_seed_v=per_seed_v and rank is not None, nstarts=1, maxfev=30)
     X, seeds = rng.uniform(size=(10, 2)), rng.integers(1, k + 1, size=10)
     em.fit(X, seeds, rng.normal(size=10), rng=rng)
     new, new_seeds = rng.uniform(size=(npoints, 2)), rng.integers(1, k + 1, size=npoints)
@@ -223,7 +223,7 @@ def test_posterior_is_the_reference_joint_posterior(family, rank, d, k, per_seed
     rng = np.random.default_rng(seed)
     k = max(k, rank or 1)
     em = SeedKernelGP(ndim=d, nseeds=None if rank is None else k, rank=rank, family=family,
-                      per_seed_v=per_seed_v, nstarts=1, maxfev=20)
+                      per_seed_v=per_seed_v and rank is not None, nstarts=1, maxfev=20)
     X, seeds = rng.uniform(size=(12, d)), rng.integers(1, k + 1, size=12)
     em.fit(X, seeds, rng.normal(size=12), rng=rng)
     new, r = rng.uniform(size=(m, d)), rng.integers(1, k + 1, size=m)
@@ -629,6 +629,14 @@ def test_fixed_kernel_rejects_unknown_and_missing_keys(nseeds, fixed, key):
         SeedKernelGP(ndim=1, nseeds=nseeds, fixed=fixed)
 
 
+@pytest.mark.parametrize("setting", [{"rank": 1}, {"rank": 2}, {"per_seed_v": True}])
+def test_baseline_takes_no_seed_settings(setting):
+    """Without a seed space, the seed factor's settings would do nothing."""
+    with pytest.raises(ValueError, match="need a seed space"):
+        SeedKernelGP(ndim=1, **setting)
+    assert SeedKernelGP(ndim=1, rank=None, per_seed_v=False).rank is None
+
+
 _GOOD_FIXED = {"lengthscales": [0.5], "variance": 1.0, "B": np.eye(2), "v": [0.1, 0.1]}
 
 
@@ -761,7 +769,7 @@ def test_neg_lml_fast_path_equals_reference(family, rank, per_seed_v, nugget, mo
     for _ in _factor_paths(monkeypatch):
         rng, fit_rng = np.random.default_rng(40), np.random.default_rng(41)
         common = dict(ndim=2, nseeds=nseeds, rank=rank, family=family,
-                      per_seed_v=per_seed_v, nstarts=1, maxfev=20)
+                      per_seed_v=per_seed_v and rank is not None, nstarts=1, maxfev=20)
         em, fixed = SeedKernelGP(**common), None
         for n in (2, 7, 40, 150):
             if nugget == "fixed":
@@ -985,8 +993,8 @@ def test_sample_is_the_reference_draw(family, rank, per_seed_v, monkeypatch):
     for _ in _factor_paths(monkeypatch):
         rng = np.random.default_rng(60)
         k = 4
-        em = SeedKernelGP(ndim=2, nseeds=None if rank is None else k, rank=rank,
-                          family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=30)
+        em = SeedKernelGP(ndim=2, nseeds=None if rank is None else k, rank=rank, family=family,
+                          per_seed_v=per_seed_v and rank is not None, nstarts=1, maxfev=30)
         X, r, Y = _seeded_data(rng, 20, range(1, k + 1))
         em.fit(X, r, Y, rng=np.random.default_rng(61))
         for m in (1, rows - 1, rows, rows + 1, 500):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from trajcal.dataspace import Dataset
 from trajcal.emulator import SeedKernelGP
 from trajcal.expansion import (
+    NSIMS_EXPAND,
     ExpansionConfig,
+    can_expand,
     check_for_expansion,
     expand,
     reseed_incumbents,
@@ -25,27 +27,49 @@ def test_config_validation():
         ExpansionConfig(nseeds=0)
     with pytest.raises(ValueError):
         ExpansionConfig(nseeds=5, nexpansion=-1)
+    with pytest.raises(TypeError):  # the trigger given is the policy
+        ExpansionConfig(nseeds=5, policy="by-prob", p=0.5)
     with pytest.raises(ValueError):
-        ExpansionConfig(nseeds=5, policy="sometimes")
-    with pytest.raises(ValueError):
-        ExpansionConfig(nseeds=5, policy="by-prob")  # p missing
-    with pytest.raises(ValueError):
-        ExpansionConfig(nseeds=5, policy="by-prob", p=1.5)
-    with pytest.raises(ValueError):
-        ExpansionConfig(nseeds=5, policy="by-sims", nsims_expand=0)
-    # what the config file rejects, under either policy
-    with pytest.raises(ValueError, match="p must lie in"):
-        ExpansionConfig(nseeds=1, p=5.0)
-    with pytest.raises(ValueError, match="p must lie in"):
-        ExpansionConfig(nseeds=1, policy="by-prob", p=-0.1)
+        ExpansionConfig(nseeds=5, p=1.5)
     with pytest.raises(ValueError, match="nsims_expand must be >= 1"):
-        ExpansionConfig(nseeds=1, policy="by-prob", p=0.5, nsims_expand=0)
+        ExpansionConfig(nseeds=5, nsims_expand=0)
+    # what the config file rejects
+    with pytest.raises(ValueError, match="p must be a number in"):
+        ExpansionConfig(nseeds=1, p=5.0)
+    with pytest.raises(ValueError, match="p must be a number in"):
+        ExpansionConfig(nseeds=1, p=-0.1)
+    with pytest.raises(ValueError, match="not both"):
+        ExpansionConfig(nseeds=1, nsims_expand=4, p=0.5)
     with pytest.raises(ValueError, match="sample_mode must be one of"):
         ExpansionConfig(nseeds=5, sample_mode="greedy")
 
 
+@pytest.mark.parametrize("p", [True, False])
+def test_p_refuses_a_bool(p):
+    # the config file's "must be a number"; p=False would be a by-prob
+    # policy that never fires
+    with pytest.raises(ValueError, match="p must be a number in"):
+        ExpansionConfig(nseeds=3, p=p)
+
+
+def test_the_trigger_given_picks_the_policy():
+    by_sims = ExpansionConfig(nseeds=3)
+    assert (by_sims.nsims_expand, by_sims.p) == (NSIMS_EXPAND, None) == (50, None)
+    assert not check_for_expansion(by_sims, 49, 0, None)  # by-sims draws nothing
+    assert check_for_expansion(by_sims, 50, 0, None)
+    by_prob = ExpansionConfig(nseeds=3, p=0.5)
+    assert (by_prob.nsims_expand, by_prob.p) == (None, 0.5)
+    rng = np.random.default_rng(4)
+    assert check_for_expansion(by_prob, 0, 0, rng) == (np.random.default_rng(4).random() < 0.5)
+    # whether a seed may arrive before the budget completes
+    assert can_expand(ExpansionConfig(nseeds=3, nsims_expand=10), 11)
+    assert not can_expand(ExpansionConfig(nseeds=3, nsims_expand=10), 10)
+    assert can_expand(ExpansionConfig(nseeds=3, p=0.01), 10)
+    assert not can_expand(ExpansionConfig(nseeds=3, p=0.0), 10**6)
+
+
 def test_by_sims_threshold():
-    cfg = ExpansionConfig(nseeds=5, policy="by-sims", nsims_expand=50)
+    cfg = ExpansionConfig(nseeds=5, nsims_expand=50)
     rng = np.random.default_rng(0)
     assert check_for_expansion(cfg, 50, 0, rng)
     assert not check_for_expansion(cfg, 49, 0, rng)
@@ -53,8 +77,8 @@ def test_by_sims_threshold():
 
 def test_by_prob_degenerate():
     rng = np.random.default_rng(1)
-    never = ExpansionConfig(nseeds=5, policy="by-prob", p=0.0)
-    always = ExpansionConfig(nseeds=5, policy="by-prob", p=1.0)
+    never = ExpansionConfig(nseeds=5, p=0.0)
+    always = ExpansionConfig(nseeds=5, p=1.0)
     # the completed count does not matter to by-prob
     assert not any(check_for_expansion(never, 10**6, 0, rng) for _ in range(100))
     assert all(check_for_expansion(always, 0, 0, rng) for _ in range(100))
@@ -84,7 +108,7 @@ def test_expand_carries_counter_overshoot():
     # overshoot past the interval is kept, so triggers stay aligned to
     # absolute completed counts: 53 completed fire the first expansion and
     # leave 3 toward the second, which fires at 100, not at 103
-    cfg = ExpansionConfig(nseeds=3, policy="by-sims", nsims_expand=50)
+    cfg = ExpansionConfig(nseeds=3, nsims_expand=50)
     rng = np.random.default_rng(2)
     assert check_for_expansion(cfg, 53, 0, rng)
     assert not check_for_expansion(cfg, 99, 1, rng)

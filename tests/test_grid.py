@@ -50,10 +50,13 @@ def test_config_validation():
     for build in (LHSGrid, AdaptiveGrid, lambda ngrid: FixedGrid(ngrid, rng)):
         with pytest.raises(ValueError, match="ngrid must be >= 1"):
             build(0)
-    # NaN passes a bare ``step <= 0`` check
-    for step in (0.0, -0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="step must be positive and finite"):
+    # NaN passes a bare ``step <= 0`` check, and True passes ``0 < step``; the
+    # config file refuses a bool as "must be a number"
+    for step in (0.0, -0.1, float("nan"), float("inf"), True, False):
+        with pytest.raises(ValueError, match="proposal_step must be a positive finite number"):
             AdaptiveGrid(10, proposal_step=step)
+    with pytest.raises(TypeError):  # an adaptive grid always refines its previous grid
+        AdaptiveGrid(10, reuse_previous=False)
 
 
 def test_candidate_grid_validates_domain():
@@ -373,21 +376,18 @@ def test_adaptive_grid_distinct_pairs():
     assert len(keys) == len(grid)
 
 
-def test_adaptive_grid_reuse_switch():
+def test_adaptive_grid_refines_the_previous_grid():
     ngrid, em, ds = _fitted_stub_setup()
+    strat = AdaptiveGrid(ngrid)
 
-    def digest(strat, previous):
+    def digest(previous):
         return strat.sample(emulator=em, dataset=ds, nseeds=3,
                             rng=np.random.default_rng(12), previous=previous).digest()
 
-    g1 = AdaptiveGrid(ngrid).sample(emulator=em, dataset=ds, nseeds=3,
-                                    rng=np.random.default_rng(11), previous=None)
-    reusing = AdaptiveGrid(ngrid, reuse_previous=True)
-    fresh = AdaptiveGrid(ngrid, reuse_previous=False)
-    # with reuse on the call refines the previous grid; with it off the call
-    # starts from a fresh LHS, as a run's first call does
-    assert digest(reusing, g1) != digest(reusing, None)
-    assert digest(fresh, g1) == digest(fresh, None) == digest(reusing, None)
+    g1 = strat.sample(emulator=em, dataset=ds, nseeds=3,
+                      rng=np.random.default_rng(11), previous=None)
+    # the call refines the previous grid, not the fresh LHS of a run's first call
+    assert digest(g1) != digest(None)
 
 
 def test_adaptive_grid_concentrates_near_minimum():
@@ -434,8 +434,8 @@ def test_seedwise_likelihood_equals_tiled_likelihood_values(
         if rank is not None:
             fixed.update(B=rng.normal(size=(nseeds, rank)), v=rng.uniform(0.0, 0.5, nseeds))
     em = SeedKernelGP(ndim=ndim, nseeds=None if rank is None else nseeds, rank=rank,
-                      family=family, per_seed_v=per_seed_v, nstarts=1, maxfev=20,
-                      fixed=fixed)
+                      family=family, per_seed_v=per_seed_v and rank is not None,
+                      nstarts=1, maxfev=20, fixed=fixed)
     X, seeds = rng.random((n, ndim)), rng.integers(1, nseeds + 1, size=n)
     em.fit(X, seeds, rng.normal(size=n), rng=np.random.default_rng(data_seed))
     for m in range(1, 6):

@@ -243,7 +243,7 @@ def test_run_rejects_a_mismatched_or_fitted_emulator_before_any_evaluation():
 
 
 @pytest.mark.parametrize("policy", [{"nsims_expand": 6}, {"nsims_expand": 11},
-                                    {"policy": "by-prob", "p": 0.25}])
+                                    {"p": 0.25}])
 def test_run_refuses_a_fixed_seeded_emulator_that_may_expand_before_any_evaluation(policy):
     """A fixed kernel cannot follow the seed space as it grows: a policy that may
     add a seed is refused before the first simulator call, not mid-run."""
@@ -261,7 +261,7 @@ def test_run_refuses_a_fixed_seeded_emulator_that_may_expand_before_any_evaluati
         run(_counted(calls), config(**policy), emulator(), LHSGrid(20))
     assert calls == []
     # a policy that never adds a seed in the budget runs to the end
-    for never in ({"nsims_expand": 12}, {"policy": "by-prob", "p": 0.0}):
+    for never in ({"nsims_expand": 12}, {"p": 0.0}):
         dataset, trace = run(_counted(calls), config(**never), emulator(), LHSGrid(20))
         assert len(dataset) == 12 and trace.expansion_events == []
 
